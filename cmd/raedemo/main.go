@@ -97,16 +97,18 @@ func main() {
 	}
 	snap := sink.Snapshot()
 	printedHeader := false
-	for _, stage := range []string{"plan", "reboot", "fsck", "replay", "install", "resume", "wall"} {
+	for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
+		"install", "install_wait", "resume", "wall"} {
 		h, ok := snap.Histograms["recovery.stage."+stage+"_ns"]
 		if !ok || h.Count == 0 {
 			continue
 		}
 		if !printedHeader {
-			fmt.Println("\nrecovery engine stages (wall overlaps the others in the pipelined engine):")
+			fmt.Println("\nrecovery engine stages (wall = plan + reboot + install + install_wait + resume;")
+			fmt.Println("fsck, shadow_mount and replay run beside reboot, install_wait is what they add to it):")
 			printedHeader = true
 		}
-		fmt.Printf("  %-8s n=%-3d mean=%-12v max=%v\n", stage, h.Count, h.Mean, h.Max)
+		fmt.Printf("  %-12s n=%-3d mean=%-12v max=%v\n", stage, h.Count, h.Mean, h.Max)
 	}
 	if reused := snap.Counters["recovery.replay.reused_ops"]; reused > 0 {
 		fmt.Printf("warm replayer reuse: %d already-replayed ops skipped across repeat faults\n", reused)

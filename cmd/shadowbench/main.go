@@ -412,15 +412,15 @@ func thput(ops int, seed int64) {
 
 func recovery(seed int64) {
 	fmt.Println("== E4: recovery latency vs recorded-sequence length ==")
-	fmt.Printf("%-10s %12s %12s %12s %12s %12s\n",
-		"log ops", "reboot", "fsck", "replay", "hand-off", "total")
+	fmt.Printf("%-10s %12s %12s %12s %12s %12s %12s %12s\n",
+		"log ops", "plan", "reboot", "fsck", "shadow mount", "replay", "hand-off", "total")
 	var traces []telemetry.TraceSnapshot
 	for _, n := range []int{8, 32, 128, 512, 2048} {
 		r, err := experiments.RecoveryLatency(n, seed, false)
 		check(err)
 		ph := r.Phases
-		fmt.Printf("%-10d %12v %12v %12v %12v %12v\n",
-			r.LogLen, ph.Reboot, ph.Fsck, ph.Replay, ph.Absorb, ph.Total())
+		fmt.Printf("%-10d %12v %12v %12v %12v %12v %12v %12v\n",
+			r.LogLen, ph.Plan, ph.Reboot, ph.Fsck, ph.ShadowMount, ph.Replay, ph.Absorb, ph.Total())
 		traces = append(traces, r.Trace)
 	}
 	fmt.Println()

@@ -959,58 +959,33 @@ func (fs *FS) retireDelalloc(rets []delRetire) {
 // exactly the physical count, preserving the legacy ENOSPC behavior.
 func (fs *FS) seedAccounting() error {
 	var phys int64
-	for rel := uint32(0); rel < fs.sb.BlockBitmapLen; rel++ {
-		buf, err := fs.bc.Get(fs.sb.BlockBitmapStart + rel)
-		if err != nil {
-			return err
-		}
-		base := rel * disklayout.BitsPerBlock
-		if base >= fs.sb.NumBlocks {
-			fs.bc.Release(buf)
-			break
-		}
-		limit := uint32(disklayout.BitsPerBlock)
-		if fs.sb.NumBlocks-base < limit {
-			limit = fs.sb.NumBlocks - base
-		}
-		lo := uint32(0)
-		if fs.sb.DataStart > base {
-			lo = fs.sb.DataStart - base
-		}
-		for i := lo; i < limit; i++ {
-			if disklayout.TestBit(buf.Data, i) {
-				phys++
-			}
-		}
-		fs.bc.Release(buf)
+	err := disklayout.ScanBitmap(fs.readBlockCopy, fs.sb.BlockBitmapStart, fs.sb.DataStart, fs.sb.NumBlocks,
+		func(bm []byte, _, from, to uint32) bool {
+			phys += int64(disklayout.CountSet(bm, from, to))
+			return true
+		})
+	if err != nil {
+		return err
 	}
 	phys-- // the backup superblock's bit is permanently set
 
+	// Only inodes the bitmap marks allocated can be extent files, so the
+	// table blocks that hold none are never read.
 	var slack int64
-	for blk := fs.sb.InodeTableStart; blk < fs.sb.InodeTableStart+fs.sb.InodeTableLen; blk++ {
-		buf, err := fs.bc.Get(blk)
+	err = fs.sb.ForEachAllocatedInode(fs.readBlockCopy, func(ino uint32, rec *disklayout.Inode) {
+		if rec.IsFree() || !rec.IsExtents() {
+			return
+		}
+		s, err := fs.extentSlack(rec)
 		if err != nil {
-			return err
+			// A broken chain surfaces on first access; accounting skips it.
+			fs.Warnf("accounting: inode %d extent walk: %v", ino, err)
+			return
 		}
-		base := (blk - fs.sb.InodeTableStart) * disklayout.InodesPerBlock
-		for i := 0; i < disklayout.InodesPerBlock; i++ {
-			ino := base + uint32(i)
-			if ino >= fs.sb.NumInodes {
-				break
-			}
-			rec, err := disklayout.DecodeInode(buf.Data[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize])
-			if err != nil || rec.IsFree() || !rec.IsExtents() {
-				continue
-			}
-			s, err := fs.extentSlack(rec)
-			if err != nil {
-				// A broken chain surfaces on first access; accounting skips it.
-				fs.Warnf("accounting: inode %d extent walk: %v", ino, err)
-				continue
-			}
-			slack += s
-		}
-		fs.bc.Release(buf)
+		slack += s
+	})
+	if err != nil {
+		return err
 	}
 
 	fs.allocMu.Lock()
@@ -1019,22 +994,25 @@ func (fs *FS) seedAccounting() error {
 	return nil
 }
 
+// readBlockCopy returns a private copy of a block read through the buffer
+// cache, for disklayout walkers that keep the bytes past the buffer's pin.
+func (fs *FS) readBlockCopy(blk uint32) ([]byte, error) {
+	buf, err := fs.bc.Get(blk)
+	if err != nil {
+		return nil, err
+	}
+	cp := make([]byte, len(buf.Data))
+	copy(cp, buf.Data)
+	fs.bc.Release(buf)
+	return cp, nil
+}
+
 // extentSlack returns modelCost - physicalCost for one extent inode: how
 // much cheaper the extent layout is than the pointer tree the model charges.
 func (fs *FS) extentSlack(rec *disklayout.Inode) (int64, error) {
 	c := newExtCounters()
 	var nodes int64
-	read := func(blk uint32) ([]byte, error) {
-		buf, err := fs.bc.Get(blk)
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]byte, len(buf.Data))
-		copy(cp, buf.Data)
-		fs.bc.Release(buf)
-		return cp, nil
-	}
-	err := rec.ExtentWalk(fs.sb, read,
+	err := rec.ExtentWalk(fs.sb, fs.readBlockCopy,
 		func(uint32) error { nodes++; return nil },
 		func(e disklayout.Extent) error {
 			for k := int64(e.FileOff); k < int64(e.End()); k++ {

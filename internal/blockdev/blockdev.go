@@ -295,19 +295,7 @@ func (d *Mem) WriteBlock(blk uint32, data []byte) error {
 		d.stats.WriteErrors.Add(1)
 		return fmt.Errorf("blockdev: injected write error on block %d: %w", blk, fserr.ErrIO)
 	}
-	buf := make([]byte, disklayout.BlockSize)
-	copy(buf, data)
-	if faults != nil && faults.roll(faults.TornWriteProb) {
-		// Persist only the first half; the rest keeps its previous contents.
-		if old := d.blocks[blk]; old != nil {
-			copy(buf[disklayout.BlockSize/2:], old[disklayout.BlockSize/2:])
-		} else {
-			for i := disklayout.BlockSize / 2; i < disklayout.BlockSize; i++ {
-				buf[i] = 0
-			}
-		}
-	}
-	d.blocks[blk] = buf
+	d.store(blk, data, faults != nil && faults.roll(faults.TornWriteProb))
 	hook := d.onWrite
 	d.mu.Unlock()
 	d.stats.Writes.Add(1)
@@ -316,6 +304,23 @@ func (d *Mem) WriteBlock(blk uint32, data []byte) error {
 		hook(blk)
 	}
 	return nil
+}
+
+// store overwrites block blk with data, or with only its first half when the
+// write is torn (the rest keeps its previous contents). The block's buffer is
+// reused: nothing outside Mem holds it, and a device write that allocated
+// would put 4 KiB of fresh memory on every caller's hot path. Caller holds
+// d.mu.
+func (d *Mem) store(blk uint32, data []byte, torn bool) {
+	buf := d.blocks[blk]
+	if buf == nil {
+		buf = make([]byte, disklayout.BlockSize)
+		d.blocks[blk] = buf
+	}
+	if torn {
+		data = data[:disklayout.BlockSize/2]
+	}
+	copy(buf, data)
 }
 
 // Flush implements Device. Memory devices are always durable.

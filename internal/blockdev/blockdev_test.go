@@ -180,6 +180,40 @@ func TestFaultTornWrite(t *testing.T) {
 	}
 }
 
+func TestFaultTornWriteOnFreshBlock(t *testing.T) {
+	d := NewMem(8)
+	p := NewFaultPlan(3)
+	p.TornWriteProb = 1.0
+	d.SetFaults(p)
+	if err := d.WriteVec([]Run{{Blk: 1, Bufs: [][]byte{block(0xBB)}}}); err != nil {
+		t.Fatalf("torn write reported error: %v", err)
+	}
+	d.SetFaults(nil)
+	got, _ := d.ReadBlock(1)
+	if got[0] != 0xBB || got[disklayout.BlockSize/2-1] != 0xBB {
+		t.Error("first half of torn write missing")
+	}
+	if got[disklayout.BlockSize/2] != 0 || got[disklayout.BlockSize-1] != 0 {
+		t.Error("second half of a torn write to a never-written block is not zero")
+	}
+}
+
+// Overwriting a block reuses its buffer: a device write puts no fresh memory
+// on the caller's path, on either the scalar or the vectored interface.
+func TestOverwriteDoesNotAllocate(t *testing.T) {
+	d := NewMem(8)
+	data := block(7)
+	runs := []Run{{Blk: 2, Bufs: [][]byte{data, data}}}
+	_ = d.WriteBlock(1, data)
+	_ = d.WriteVec(runs)
+	if n := testing.AllocsPerRun(100, func() { _ = d.WriteBlock(1, data) }); n != 0 {
+		t.Errorf("WriteBlock over a written block: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = d.WriteVec(runs) }); n != 0 {
+		t.Errorf("WriteVec over written blocks: %v allocs, want 0", n)
+	}
+}
+
 func TestSnapshotIndependence(t *testing.T) {
 	d := NewMem(8)
 	_ = d.WriteBlock(0, block(1))

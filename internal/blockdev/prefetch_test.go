@@ -178,3 +178,56 @@ func TestPrefetchedCoalescesRangedReads(t *testing.T) {
 	}
 	p.Release()
 }
+
+// TestPrefetchedRangesReadsOnlyTheRanges is the scoped recovery plan's
+// contract: the crew's device reads stay inside the ranges it was given (one
+// ranged call per claim-sized span of each range), blocks inside them are
+// then served from memory, and a read outside them still passes through to
+// the device.
+func TestPrefetchedRangesReadsOnlyTheRanges(t *testing.T) {
+	const blocks = 4096
+	dev := NewMem(blocks)
+	for _, blk := range []uint32{0, 5, 104, 2000, 4095} {
+		buf := make([]byte, 4096)
+		buf[0] = byte(blk)
+		if err := dev.WriteBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranges := []BlockRange{
+		{Start: 0, Len: 1},     // 1 span
+		{Start: 100, Len: 40},  // 2 spans: 32 + 8
+		{Start: 4090, Len: 50}, // clipped to the device's last 6 blocks: 1 span
+		{Start: 9000, Len: 4},  // wholly past the end: dropped
+	}
+	const wantCalls, wantBlocks = 4, 1 + 40 + 6
+	before := dev.Stats().Snapshot()
+	p := NewPrefetchedRanges(dev, 3, ranges)
+	defer p.Release()
+	p.done.Wait()
+	crew := dev.Stats().Snapshot()
+	if calls, reads := crew.ReadCalls-before.ReadCalls, crew.Reads-before.Reads; calls != wantCalls || reads != wantBlocks {
+		t.Errorf("crew made %d read calls for %d blocks, want %d calls for %d blocks",
+			calls, reads, wantCalls, wantBlocks)
+	}
+	if got := p.Cached(); got != wantBlocks {
+		t.Errorf("cache holds %d blocks, want %d", got, wantBlocks)
+	}
+	for _, blk := range []uint32{0, 104, 4095} {
+		if b, err := p.ReadBlock(blk); err != nil || b[0] != byte(blk) {
+			t.Errorf("block %d inside the ranges: (%x, %v)", blk, b[0], err)
+		}
+	}
+	if got := dev.Stats().ReadCalls.Load(); got != crew.ReadCalls {
+		t.Errorf("reads inside the ranges went to the device: %d calls after the crew's %d", got, crew.ReadCalls)
+	}
+	for i, blk := range []uint32{5, 2000, 5} {
+		if b, err := p.ReadBlock(blk); err != nil || b[0] != byte(blk) {
+			t.Errorf("block %d outside the ranges: (%x, %v)", blk, b[0], err)
+		}
+		// The first read of a block passes through; the repeat is a hit.
+		if got, want := dev.Stats().ReadCalls.Load()-crew.ReadCalls, int64(min(i+1, 2)); got != want {
+			t.Errorf("after %d reads outside the ranges the device saw %d calls, want %d", i+1, got, want)
+		}
+	}
+}

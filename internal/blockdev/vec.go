@@ -171,19 +171,9 @@ func (d *Mem) WriteVec(runs []Run) error {
 				d.stats.WriteErrors.Add(1)
 				return fmt.Errorf("blockdev: injected write error on block %d: %w", blk, fserr.ErrIO)
 			}
-			buf := make([]byte, disklayout.BlockSize)
-			copy(buf, data)
+			torn := faults != nil && faults.roll(faults.TornWriteProb)
 			d.mu.Lock()
-			if faults != nil && faults.roll(faults.TornWriteProb) {
-				if old := d.blocks[blk]; old != nil {
-					copy(buf[disklayout.BlockSize/2:], old[disklayout.BlockSize/2:])
-				} else {
-					for j := disklayout.BlockSize / 2; j < disklayout.BlockSize; j++ {
-						buf[j] = 0
-					}
-				}
-			}
-			d.blocks[blk] = buf
+			d.store(blk, data, torn)
 			hook := d.onWrite
 			d.mu.Unlock()
 			d.stats.Writes.Add(1)

@@ -115,11 +115,12 @@ type Config struct {
 	// their sum. This knob exists for the E12 comparison and for isolating
 	// stage costs.
 	SequentialRecovery bool
-	// RecoveryPrefetchWorkers sizes the background crew that streams the
-	// frozen recovery view into a read cache during a pipelined recovery, so
-	// the overlapped fsck and replay stages pay the device's per-IO service
-	// time at crew parallelism instead of serially. 0 selects the default
-	// (8); negative disables prefetching. Ignored in SequentialRecovery
+	// RecoveryPrefetchWorkers sizes the background crew that reads the frozen
+	// recovery view ahead of a pipelined recovery's fsck and replay stages
+	// (the planned check's read set: the scope for a scoped check, the device
+	// for a full one), so they pay the device's per-IO service time at crew
+	// parallelism instead of serially. 0 selects the default (8); negative
+	// disables prefetching. Ignored in SequentialRecovery
 	// mode, which by definition runs no background work.
 	RecoveryPrefetchWorkers int
 	// FsckWorkers sizes the parallel checker's worker pool for recovery-time
@@ -178,29 +179,43 @@ func (c *Config) fill() {
 	c.Base.Telemetry = c.Telemetry
 }
 
-// RecoveryPhases breaks one recovery's latency into the paper's steps. In
-// the pipelined engine Reboot overlaps Fsck+Replay and Absorb includes time
-// spent blocked on the replay stage's chunk stream, so the per-stage fields
-// are busy times, not a wall-clock partition; Wall is the measured
-// end-to-end latency.
+// RecoveryPhases breaks one recovery's latency into stages that partition
+// its wall clock. The recovering goroutine spends Wall on, in order: Plan,
+// Reboot, the hand-off (Absorb plus InstallWait) and Resume. The shadow's
+// stage (ShadowStage, made of Fsck, ShadowMount and Replay) runs beside
+// Reboot in the pipelined engine, where the part of it that outlasts Reboot
+// is what InstallWait measures, and inline between Reboot and the hand-off
+// in sequential mode, where InstallWait is zero. So
+//
+//	sequential: Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
+//	pipelined:  Wall = Plan + Reboot + Absorb + InstallWait + Resume
+//	            Plan + max(Reboot, ShadowStage) + Resume <= Wall
+//
+// up to bookkeeping between the clocks (microseconds). In the pipelined
+// engine Fsck overlaps ShadowMount + Replay, so ShadowStage is less than the
+// three's sum.
 type RecoveryPhases struct {
-	Reboot time.Duration // kill + journal replay + fresh mount
-	Fsck   time.Duration // shadow's image validation
-	Replay time.Duration // shadow constrained + autonomous execution
-	Absorb time.Duration // metadata download into the base
-	// Wall is the measured end-to-end recovery latency. With the pipelined
-	// engine Wall < Reboot+Fsck+Replay+Absorb by the overlap won; in
-	// sequential mode it is (approximately) their sum.
+	Plan        time.Duration // fence, kill, freeze the recovery input and the shadow's view
+	Reboot      time.Duration // journal replay + fresh mount
+	Fsck        time.Duration // shadow's image validation
+	ShadowMount time.Duration // shadowfs.New + descriptor-table seed over the frozen view
+	Replay      time.Duration // shadow constrained + autonomous execution
+	ShadowStage time.Duration // wall clock of fsck, shadow mount and replay together
+	Absorb      time.Duration // metadata download: time inside AbsorbChunk/AbsorbManifest
+	InstallWait time.Duration // hand-off loop blocked on the shadow's chunk stream
+	Resume      time.Duration // answer the in-flight op, retain the warm engine, settle trust
+	// Wall is the measured end-to-end recovery latency.
 	Wall time.Duration
 }
 
 // Total returns the end-to-end recovery latency: the measured wall clock
-// when available, the stage sum otherwise (older callers and zero values).
+// when available, the sequential stage sum otherwise (recoveries that
+// degraded before the end, and zero values).
 func (p RecoveryPhases) Total() time.Duration {
 	if p.Wall > 0 {
 		return p.Wall
 	}
-	return p.Reboot + p.Fsck + p.Replay + p.Absorb
+	return p.Plan + p.Reboot + p.Fsck + p.ShadowMount + p.Replay + p.Absorb + p.Resume
 }
 
 // Stats aggregates supervisor activity for the experiments.

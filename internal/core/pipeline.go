@@ -170,46 +170,56 @@ func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 		over[0] = sbb
 	}
 	p.view = blockdev.NewOverlay(shadowDev, over)
-	if !r.cfg.SequentialRecovery && r.cfg.RecoveryPrefetchWorkers > 0 {
-		// Pipeline the view's IO too: a worker crew streams the image into a
-		// read cache while fsck and replay consume it, so their serial
-		// blocking reads stop paying the device's per-IO service time.
-		p.prefetch = blockdev.NewPrefetched(p.view, r.cfg.RecoveryPrefetchWorkers)
-		p.view = p.prefetch
-	}
-	r.planFsck(p, over)
+	r.planFsck(p, sb, over)
 	return p
 }
 
-// planFsck picks the check the replay stage will run over the frozen view
-// and claims the scoped-check baseline. Runs with the gate held exclusively
+// planFsck picks the check the replay stage will run over the frozen view,
+// claims the scoped-check baseline, and starts the view's prefetch crew over
+// exactly what that check will read. Runs with the gate held exclusively
 // (the only context where draining the touched set is sound). The scope of
 // a region-scoped check is everything that can differ from the last
 // verified image: every block written through a fence since (touchedOld),
 // every block the journal overlay rewrites, and the superblock.
-func (r *FS) planFsck(p *recoveryPlan, over map[uint32][]byte) {
+func (r *FS) planFsck(p *recoveryPlan, sb *disklayout.Superblock, over map[uint32][]byte) {
+	var sc *fsck.Scope
+	if !r.cfg.SkipFsckInRecovery {
+		p.touchedOld = r.touched.snapshotAndReset()
+		if !r.cfg.SequentialRecovery && r.verified.Load() && !r.cfg.DisableScopedFsck {
+			sc = fsck.NewScope()
+			sc.Add(0)
+			for blk := range p.touchedOld {
+				sc.Add(blk)
+			}
+			for blk := range over {
+				sc.Add(blk)
+			}
+		}
+	}
+	if !r.cfg.SequentialRecovery && r.cfg.RecoveryPrefetchWorkers > 0 {
+		// Pipeline the view's IO too: a worker crew reads ahead of fsck and
+		// replay, so their serial blocking reads stop paying the device's
+		// per-IO service time. A scoped check reads the scope, so the crew
+		// fetches the scope; only a full check is worth streaming the image.
+		if sc != nil {
+			p.prefetch = blockdev.NewPrefetchedRanges(p.view, r.cfg.RecoveryPrefetchWorkers, sc.PrefetchRanges(sb))
+		} else {
+			p.prefetch = blockdev.NewPrefetched(p.view, r.cfg.RecoveryPrefetchWorkers)
+		}
+		p.view = p.prefetch
+	}
 	if r.cfg.SkipFsckInRecovery {
 		return
 	}
-	p.touchedOld = r.touched.snapshotAndReset()
 	view, workers := p.view, r.cfg.FsckWorkers
-	if r.cfg.SequentialRecovery {
+	switch {
+	case r.cfg.SequentialRecovery:
 		p.check = func() *fsck.Report { return fsck.Check(view) }
-		return
-	}
-	if r.verified.Load() && !r.cfg.DisableScopedFsck {
-		sc := fsck.NewScope()
-		sc.Add(0)
-		for blk := range p.touchedOld {
-			sc.Add(blk)
-		}
-		for blk := range over {
-			sc.Add(blk)
-		}
+	case sc != nil:
 		p.check = func() *fsck.Report { return fsck.CheckScoped(view, sc, workers) }
-		return
+	default:
+		p.check = func() *fsck.Report { return fsck.CheckParallel(view, workers) }
 	}
-	p.check = func() *fsck.Report { return fsck.CheckParallel(view, workers) }
 }
 
 // noteFsck records which flavor of check a recovery ran.
@@ -251,9 +261,10 @@ type replayOutcome struct {
 	inFlight *oplog.Op
 
 	fsckDur   time.Duration
+	mountDur  time.Duration // shadowfs.New + Seed; zero on a warm resume
 	replayDur time.Duration
 	// stageDur is the stage's wall clock; with the fsck/replay overlap it is
-	// less than the two components' sum.
+	// less than the components' sum.
 	stageDur time.Duration
 
 	// opsReplayed and newDisc are this recovery's deltas (a warm engine's
@@ -280,6 +291,7 @@ type replayOutcome struct {
 // never the contract that nothing recovered ever came from a corrupt image.
 func (r *FS) runReplayStage(p *recoveryPlan, overlapFsck bool, emit func(*handoff.Chunk)) *replayOutcome {
 	out := &replayOutcome{}
+	defer func(t0 time.Time) { out.stageDur = time.Since(t0) }(time.Now())
 	rep := p.rep
 	var fsckCh chan error
 	if rep == nil {
@@ -307,7 +319,9 @@ func (r *FS) runReplayStage(p *recoveryPlan, overlapFsck bool, emit func(*handof
 		}
 		// The plan's check (or its configured absence) owns image validation;
 		// the shadow mount never duplicates it.
+		t := time.Now()
 		sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
+		out.mountDur = time.Since(t)
 		if err != nil {
 			if fsckCh != nil {
 				<-fsckCh
@@ -337,7 +351,11 @@ func (r *FS) runReplayStage(p *recoveryPlan, overlapFsck bool, emit func(*handof
 			}
 		}()
 		if p.rep == nil {
-			if err := rep.Seed(p.fds, p.clk); err != nil {
+			err := rep.Seed(p.fds, p.clk)
+			seeded := time.Now()
+			out.mountDur += seeded.Sub(t)
+			t = seeded // the replay clock starts where the mount's ends
+			if err != nil {
 				return err
 			}
 		}
@@ -399,9 +417,9 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	tr.BeginPhase(telemetry.PhaseFence)
 	r.fence.Load().raise()
 	r.base.Load().Kill()
-	t := time.Now()
 	plan := r.planRecovery(inflight)
-	r.observeStage("plan", time.Since(t))
+	ph.Plan = time.Since(wall0)
+	r.observeStage("plan", ph.Plan)
 	// The prefetch crew and its cache live for this recovery only; a shadow
 	// retained warm keeps the view, which degrades to pass-through reads.
 	defer plan.release()
@@ -424,9 +442,7 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		chunkCh = make(chan *handoff.Chunk, 64)
 		outCh = make(chan *replayOutcome, 1)
 		go func() {
-			t0 := time.Now()
 			out := r.runReplayStage(plan, true, func(c *handoff.Chunk) { chunkCh <- c })
-			out.stageDur = time.Since(t0)
 			close(chunkCh)
 			outCh <- out
 		}()
@@ -443,7 +459,7 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	// Contained reboot: fresh instance from trusted on-disk state (journal
 	// replay inside Mount).
 	tr.BeginPhase(telemetry.PhaseReboot)
-	t = time.Now()
+	t := time.Now()
 	newBase, newFence, err := r.mountBase()
 	ph.Reboot = time.Since(t)
 	r.observeStage("reboot", ph.Reboot)
@@ -470,49 +486,48 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 
 	// Hand-off: absorb sealed chunks as they stream out of the shadow. In
 	// sequential mode the replay stage runs here instead, after the reboot.
+	// Absorb counts only time inside the base's absorb calls; what the
+	// pipelined loop spends blocked on the stream is InstallWait.
 	var out *replayOutcome
 	var installErr error
 	dirty := false // has newBase absorbed any part of the stream?
-	t = time.Now()
+	absorb := func(c *handoff.Chunk) {
+		t := time.Now()
+		installErr = newBase.AbsorbChunk(c)
+		ph.Absorb += time.Since(t)
+		dirty = true // a failed absorb may have installed a prefix
+	}
 	if pipelined {
 		tr.BeginPhase(telemetry.PhaseHandoff)
+		t = time.Now()
 		for c := range chunkCh {
-			if installErr != nil {
-				continue // keep draining so the producer never blocks
+			ph.InstallWait += time.Since(t)
+			if installErr == nil { // else keep draining so the producer never blocks
+				absorb(c)
 			}
-			if err := newBase.AbsorbChunk(c); err != nil {
-				installErr = err
-				dirty = true // a failed absorb may have installed a prefix
-				continue
-			}
-			dirty = true
+			t = time.Now()
 		}
 		out = <-outCh
+		ph.InstallWait += time.Since(t)
 	} else {
 		tr.BeginPhase(telemetry.PhaseShadowExec)
 		if note != "" {
 			tr.Note("%s", note)
 		}
 		var buf []*handoff.Chunk
-		t0 := time.Now()
 		out = r.runReplayStage(plan, false, func(c *handoff.Chunk) { buf = append(buf, c) })
-		out.stageDur = time.Since(t0)
 		tr.BeginPhase(telemetry.PhaseHandoff)
-		t = time.Now()
 		for _, c := range buf {
-			if err := newBase.AbsorbChunk(c); err != nil {
-				installErr = err
-				dirty = true
+			if absorb(c); installErr != nil {
 				break
 			}
-			dirty = true
 		}
 	}
-	ph.Absorb = time.Since(t)
-	ph.Fsck = out.fsckDur
-	ph.Replay = out.replayDur
-	r.observeStage("fsck", out.fsckDur)
-	r.observeStage("replay", out.replayDur)
+	ph.Fsck, ph.ShadowMount, ph.Replay, ph.ShadowStage = out.fsckDur, out.mountDur, out.replayDur, out.stageDur
+	r.observeStage("fsck", ph.Fsck)
+	r.observeStage("shadow_mount", ph.ShadowMount)
+	r.observeStage("replay", ph.Replay)
+	r.observeStage("install_wait", ph.InstallWait)
 	if pipelined {
 		// The overlapped stage's time is reported as its own span; the
 		// orchestrator's handoff span covers the whole drain window.
@@ -544,12 +559,12 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb chunk: %v", installErr)
 	}
 	t = time.Now()
-	if err := newBase.AbsorbManifest(out.manifest); err != nil {
-		ph.Absorb += time.Since(t)
+	err = newBase.AbsorbManifest(out.manifest)
+	ph.Absorb += time.Since(t)
+	if err != nil {
 		r.fsckTrust(plan, false)
 		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb manifest: %v", err)
 	}
-	ph.Absorb += time.Since(t)
 	r.observeStage("install", ph.Absorb)
 	r.base.Store(newBase)
 	r.fence.Store(newFence)
@@ -600,12 +615,12 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 			r.afterSuccess(inflight)
 		}
 	}
-	r.observeStage("resume", time.Since(t))
-
 	r.retainWarm(out.rep)
 	r.fsckTrust(plan, true)
 
-	ph.Wall = time.Since(wall0)
+	end := time.Now()
+	ph.Resume, ph.Wall = end.Sub(t), end.Sub(wall0)
+	r.observeStage("resume", ph.Resume)
 	r.observeStage("wall", ph.Wall)
 	r.addPhases(ph)
 	return "recovered"

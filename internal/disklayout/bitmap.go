@@ -1,5 +1,10 @@
 package disklayout
 
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
 // Bitmap operations over raw bitmap blocks. Both filesystems and fsck share
 // these so a bit means the same thing everywhere: bit i of the inode bitmap
 // covers inode i; bit i of the block bitmap covers block i (absolute block
@@ -37,27 +42,49 @@ func ClearBit(bm []byte, i uint32) {
 	bm[byteIdx] &^= 1 << (i % 8)
 }
 
+// scanBit returns the lowest bit in [lo, hi) of bm whose value is set,
+// skipping whole bytes that hold none. Bits past the end of bm are not
+// visited.
+func scanBit(bm []byte, lo, hi uint32, set bool) (uint32, bool) {
+	if n := uint32(len(bm)) * 8; hi > n {
+		hi = n
+	}
+	var flip byte
+	if !set {
+		flip = 0xff
+	}
+	for i := lo; i < hi; i = (i/8 + 1) * 8 {
+		if b := (bm[i/8] ^ flip) >> (i % 8); b != 0 {
+			if i += uint32(bits.TrailingZeros8(b)); i < hi {
+				return i, true
+			}
+			break
+		}
+	}
+	return 0, false
+}
+
+// FirstClear returns the lowest clear bit in [lo, hi) of bm; false when
+// every bit of the range is set. Like TestBit, bits past the end of bm count
+// as set.
+func FirstClear(bm []byte, lo, hi uint32) (uint32, bool) { return scanBit(bm, lo, hi, false) }
+
+// NextSet returns the lowest set bit in [lo, hi) of bm that bm actually
+// stores; false when there is none. Iterating it visits exactly the
+// resources a bitmap block marks allocated.
+func NextSet(bm []byte, lo, hi uint32) (uint32, bool) { return scanBit(bm, lo, hi, true) }
+
 // FindFree returns the index of the first clear bit in bm at or after the
 // hint, scanning at most limit bits, wrapping to 0 if nothing is free after
 // the hint. The second result is false when everything is allocated.
 func FindFree(bm []byte, hint, limit uint32) (uint32, bool) {
-	if limit == 0 {
-		return 0, false
-	}
 	if hint >= limit {
 		hint = 0
 	}
-	for i := hint; i < limit; i++ {
-		if !TestBit(bm, i) {
-			return i, true
-		}
+	if i, ok := FirstClear(bm, hint, limit); ok {
+		return i, true
 	}
-	for i := uint32(0); i < hint; i++ {
-		if !TestBit(bm, i) {
-			return i, true
-		}
-	}
-	return 0, false
+	return FirstClear(bm, 0, hint)
 }
 
 // FindFreeRun returns the start of the longest run of clear bits it can find
@@ -103,13 +130,42 @@ func FindFreeRun(bm []byte, hint, limit, want uint32) (start, n uint32, ok bool)
 	return bestStart, bestLen, true
 }
 
-// CountSet returns the number of set bits among the first limit bits of bm.
-func CountSet(bm []byte, limit uint32) uint32 {
+// CountSet returns the number of set bits in [lo, hi) of bm, a 64-bit word
+// at a time. Bits past the end of bm are not counted.
+func CountSet(bm []byte, lo, hi uint32) uint32 {
+	if n := uint32(len(bm)) * 8; hi > n {
+		hi = n
+	}
 	var n uint32
-	for i := uint32(0); i < limit; i++ {
-		if TestBit(bm, i) {
-			n++
+	for i := lo; i < hi; {
+		if i%64 == 0 && i+64 <= hi {
+			n += uint32(bits.OnesCount64(binary.LittleEndian.Uint64(bm[i/8:])))
+			i += 64
+			continue
 		}
+		n += uint32(bm[i/8] >> (i % 8) & 1)
+		i++
 	}
 	return n
+}
+
+// ScanBitmap walks bits [lo, hi) of the on-disk bitmap whose first block is
+// device block start, one bitmap block at a time: each covering block is
+// read once and handed to fn with the number of its bit 0 and the sub-range
+// [from, to) of its bits that lie inside [lo, hi). fn must not write to bm
+// and returns false to stop. A question about a whole bitmap (how many
+// blocks are in use, which is the lowest free one) asked through here costs
+// one read per bitmap block, never one per bit, and keeps no state.
+func ScanBitmap(read func(blk uint32) ([]byte, error), start, lo, hi uint32,
+	fn func(bm []byte, base, from, to uint32) bool) error {
+	for base := lo - lo%BitsPerBlock; base < hi; base += BitsPerBlock {
+		bm, err := read(start + base/BitsPerBlock)
+		if err != nil {
+			return err
+		}
+		if !fn(bm, base, max(lo, base)-base, min(hi-base, BitsPerBlock)) {
+			return nil
+		}
+	}
+	return nil
 }

@@ -388,22 +388,25 @@ func (ino *Inode) ValidatePointers(sb *Superblock) error {
 	if ino.IsExtents() {
 		return ino.validateExtentPointers(sb)
 	}
-	check := func(what string, p uint32) error {
-		if p != 0 && (p < sb.DataStart || p >= sb.NumBlocks) {
-			return fmt.Errorf("inode: %s pointer %d outside data region [%d,%d): %w",
-				what, p, sb.DataStart, sb.NumBlocks, fserr.ErrCorrupt)
-		}
-		return nil
+	// The label is built only for a pointer that fails: this runs for every
+	// bmap inode on every persist and every shadow inode read.
+	bad := func(p uint32) bool { return p != 0 && (p < sb.DataStart || p >= sb.NumBlocks) }
+	fail := func(what string, p uint32) error {
+		return fmt.Errorf("inode: %s pointer %d outside data region [%d,%d): %w",
+			what, p, sb.DataStart, sb.NumBlocks, fserr.ErrCorrupt)
 	}
 	for i, p := range ino.Direct {
-		if err := check(fmt.Sprintf("direct[%d]", i), p); err != nil {
-			return err
+		if bad(p) {
+			return fail(fmt.Sprintf("direct[%d]", i), p)
 		}
 	}
-	if err := check("indirect", ino.Indirect); err != nil {
-		return err
+	if bad(ino.Indirect) {
+		return fail("indirect", ino.Indirect)
 	}
-	return check("double-indirect", ino.DblIndir)
+	if bad(ino.DblIndir) {
+		return fail("double-indirect", ino.DblIndir)
+	}
+	return nil
 }
 
 // Dirent is one fixed-size directory entry.
@@ -474,6 +477,37 @@ func (sb *Superblock) InodeLoc(ino uint32) (blk uint32, off int) {
 	blk = sb.InodeTableStart + ino/InodesPerBlock
 	off = int(ino%InodesPerBlock) * InodeSize
 	return blk, off
+}
+
+// ForEachAllocatedInode calls fn, in ascending inode order, with the decoded
+// record of every inode the inode bitmap marks allocated. It reads each
+// bitmap block once and only the table blocks that hold an allocated inode,
+// so its cost follows the image's contents, not the table's size. Records
+// that fail to decode are skipped: whoever touches them reports the
+// corruption with a precise error.
+func (sb *Superblock) ForEachAllocatedInode(read func(blk uint32) ([]byte, error), fn func(ino uint32, rec *Inode)) error {
+	var tbl []byte
+	var tblBlk uint32
+	for base := uint32(0); base < sb.NumInodes; base += BitsPerBlock {
+		bm, err := read(sb.InodeBitmapStart + base/BitsPerBlock)
+		if err != nil {
+			return err
+		}
+		limit := min(sb.NumInodes-base, BitsPerBlock)
+		for bit, ok := NextSet(bm, 0, limit); ok; bit, ok = NextSet(bm, bit+1, limit) {
+			blk, off := sb.InodeLoc(base + bit)
+			if blk != tblBlk {
+				if tbl, err = read(blk); err != nil {
+					return err
+				}
+				tblBlk = blk
+			}
+			if rec, err := DecodeInode(tbl[off : off+InodeSize]); err == nil {
+				fn(base+bit, rec)
+			}
+		}
+	}
+	return nil
 }
 
 // Geometry computes a consistent superblock for an image of totalBlocks

@@ -3,6 +3,7 @@ package disklayout
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -188,6 +189,36 @@ func TestInodeValidatePointers(t *testing.T) {
 	}
 }
 
+// TestValidatePointersSuccessPathAllocatesNothing pins the cost of the check
+// every persist and every shadow inode read pays per bmap inode: labels are
+// built only for the pointer that fails, and they still name it.
+func TestValidatePointersSuccessPathAllocatesNothing(t *testing.T) {
+	sb := validSB(t)
+	ino := &Inode{Mode: MkMode(TypeDir, 0o755), Indirect: sb.DataStart + 1, DblIndir: sb.DataStart + 2}
+	for i := range ino.Direct {
+		ino.Direct[i] = sb.DataStart + uint32(i)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := ino.ValidatePointers(sb); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ValidatePointers on a valid bmap inode: %v allocs per run, want 0", n)
+	}
+	for what, set := range map[string]func(*Inode){
+		"direct[7]":       func(i *Inode) { i.Direct[7] = sb.NumBlocks },
+		"indirect":        func(i *Inode) { i.Indirect = 1 },
+		"double-indirect": func(i *Inode) { i.DblIndir = sb.NumBlocks + 9 },
+	} {
+		bad := *ino
+		set(&bad)
+		err := bad.ValidatePointers(sb)
+		if !errors.Is(err, fserr.ErrCorrupt) || !strings.Contains(err.Error(), what+" pointer") {
+			t.Errorf("%s out of range: err=%v, want ErrCorrupt naming it", what, err)
+		}
+	}
+}
+
 func TestDirentRoundTrip(t *testing.T) {
 	names := []string{"a", "hello.txt", string(make([]byte, 0)), ""}
 	_ = names
@@ -361,7 +392,7 @@ func TestFindFreeProperty(t *testing.T) {
 		}
 		got, ok := FindFree(bm, hint%limit, limit)
 		if !ok {
-			return CountSet(bm, limit) == limit
+			return CountSet(bm, 0, limit) == limit
 		}
 		return got < limit && !TestBit(bm, got)
 	}
@@ -376,11 +407,73 @@ func TestCountSet(t *testing.T) {
 	SetBit(bm, 7)
 	SetBit(bm, 8)
 	SetBit(bm, 127)
-	if got := CountSet(bm, 128); got != 4 {
+	if got := CountSet(bm, 0, 128); got != 4 {
 		t.Errorf("CountSet = %d, want 4", got)
 	}
-	if got := CountSet(bm, 8); got != 2 {
-		t.Errorf("CountSet(limit 8) = %d, want 2", got)
+	if got := CountSet(bm, 0, 8); got != 2 {
+		t.Errorf("CountSet(hi 8) = %d, want 2", got)
+	}
+	if got := CountSet(bm, 7, 9); got != 2 {
+		t.Errorf("CountSet(7,9) = %d, want 2", got)
+	}
+	if got := CountSet(bm, 100, 1000); got != 1 {
+		t.Errorf("CountSet past the end = %d, want 1 (bits bm does not store are not counted)", got)
+	}
+}
+
+// TestBitmapScansMatchPerBit holds the byte- and word-at-a-time scans to the
+// one-bit-at-a-time definition on random bitmaps and ranges, including ranges
+// that start and end inside a byte or a 64-bit word.
+func TestBitmapScansMatchPerBit(t *testing.T) {
+	f := func(seed int64, a, b uint16, dense bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		bm := make([]byte, 96)
+		nbits := uint32(len(bm) * 8)
+		for i := range bm {
+			if dense {
+				bm[i] = 0xff
+			}
+		}
+		for i := 0; i < rng.Intn(40); i++ {
+			bit := uint32(rng.Intn(int(nbits)))
+			if dense {
+				ClearBit(bm, bit)
+			} else {
+				SetBit(bm, bit)
+			}
+		}
+		lo, hi := uint32(a)%nbits, uint32(b)%(nbits+64) // hi may run past the end
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		var wantCount uint32
+		wantClear, wantSet := hi, hi
+		for i := lo; i < hi && i < nbits; i++ {
+			if TestBit(bm, i) {
+				wantCount++
+				if wantSet == hi {
+					wantSet = i
+				}
+			} else if wantClear == hi {
+				wantClear = i
+			}
+		}
+		if got := CountSet(bm, lo, hi); got != wantCount {
+			t.Logf("CountSet(%d,%d) = %d, want %d", lo, hi, got, wantCount)
+			return false
+		}
+		if got, ok := FirstClear(bm, lo, hi); ok != (wantClear != hi) || (ok && got != wantClear) {
+			t.Logf("FirstClear(%d,%d) = (%d,%v), want %d", lo, hi, got, ok, wantClear)
+			return false
+		}
+		if got, ok := NextSet(bm, lo, hi); ok != (wantSet != hi) || (ok && got != wantSet) {
+			t.Logf("NextSet(%d,%d) = (%d,%v), want %d", lo, hi, got, ok, wantSet)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
 	}
 }
 

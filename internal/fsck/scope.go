@@ -2,6 +2,7 @@ package fsck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
@@ -44,6 +45,39 @@ func (s *Scope) Has(blk uint32) bool {
 
 // Len returns the number of blocks in scope.
 func (s *Scope) Len() int { return len(s.m) }
+
+// PrefetchRanges returns, as ascending coalesced runs, the blocks a check
+// scoped to sc reads for certain: the scope itself, minus the journal region
+// (nothing reads the journal through a recovery view), plus the bitmap
+// blocks bitmapCoverage adds. A recovery plan hands them to the view's
+// prefetch crew, so what the crew reads tracks the scope too.
+func (s *Scope) PrefetchRanges(sb *disklayout.Superblock) []blockdev.BlockRange {
+	ibm, bbm := bitmapCoverage(sb, s)
+	blks := make([]uint32, 0, len(s.m)+len(ibm)+len(bbm))
+	for blk := range s.m {
+		if blk < sb.JournalStart || blk >= sb.JournalStart+sb.JournalLen {
+			blks = append(blks, blk)
+		}
+	}
+	for rel := range ibm {
+		blks = append(blks, sb.InodeBitmapStart+rel)
+	}
+	for rel := range bbm {
+		blks = append(blks, sb.BlockBitmapStart+rel)
+	}
+	slices.Sort(blks)
+	var out []blockdev.BlockRange
+	for _, blk := range blks {
+		switch n := len(out); {
+		case n > 0 && blk < out[n-1].Start+out[n-1].Len: // in scope and a needed bitmap block
+		case n > 0 && blk == out[n-1].Start+out[n-1].Len:
+			out[n-1].Len++
+		default:
+			out = append(out, blockdev.BlockRange{Start: blk, Len: 1})
+		}
+	}
+	return out
+}
 
 // CheckScoped verifies the regions of the image implicated by sc using the
 // parallel scan engine. The superblock is always checked; bitmap blocks are

@@ -30,7 +30,7 @@ func (s *Shadow) extentList(rec *disklayout.Inode) ([]disklayout.Extent, []uint3
 	var exts []disklayout.Extent
 	var nodes []uint32
 	var prevEnd uint64
-	err := rec.ExtentWalk(s.sb, s.readBlock,
+	err := rec.ExtentWalk(s.sb, s.peekBlock,
 		func(nblk uint32) error {
 			nodes = append(nodes, nblk)
 			return nil
@@ -198,45 +198,31 @@ func (s *Shadow) freeExtents(rec *disklayout.Inode) error {
 }
 
 // seedSpace computes the free-block count and total extent slack for the
-// attached image; allocBlock's ENOSPC guard compares the two. Records that
-// fail to decode or walk are skipped — their operations will surface the
-// corruption with a precise error when touched.
+// attached image; allocBlock's ENOSPC guard compares the two. It reads the
+// bitmaps and the table blocks that hold an allocated inode, nothing else.
+// Records that fail to decode or walk are skipped — their operations will
+// surface the corruption with a precise error when touched.
 func (s *Shadow) seedSpace() error {
 	s.physFree, s.slack = 0, 0
-	for blk := s.sb.DataStart; blk < s.sb.NumBlocks; blk++ {
-		used, err := s.blockBit(blk)
-		if err != nil {
-			return err
-		}
-		if !used {
-			s.physFree++
-		}
-	}
-	for blk := s.sb.InodeTableStart; blk < s.sb.InodeTableStart+s.sb.InodeTableLen; blk++ {
-		b, err := s.readBlock(blk)
-		if err != nil {
-			return err
-		}
-		base := (blk - s.sb.InodeTableStart) * disklayout.InodesPerBlock
-		for i := 0; i < disklayout.InodesPerBlock; i++ {
-			ino := base + uint32(i)
-			if ino >= s.sb.NumInodes {
-				break
-			}
-			rec, err := disklayout.DecodeInode(b[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize])
-			if err != nil || rec.IsFree() || !rec.IsExtents() {
-				continue
-			}
-			exts, nodes, err := s.extentList(rec)
-			if err != nil {
-				continue
-			}
-			s.slack += extentSlack(exts, len(nodes))
-		}
-	}
-	if err := s.assert(s.physFree >= s.slack,
-		"free blocks %d below extent slack %d", s.physFree, s.slack); err != nil {
+	err := disklayout.ScanBitmap(s.peekBlock, s.sb.BlockBitmapStart, s.sb.DataStart, s.sb.NumBlocks,
+		func(bm []byte, _, from, to uint32) bool {
+			s.physFree += int64(to - from - disklayout.CountSet(bm, from, to))
+			return true
+		})
+	if err != nil {
 		return err
 	}
-	return nil
+	err = s.sb.ForEachAllocatedInode(s.peekBlock, func(_ uint32, rec *disklayout.Inode) {
+		if rec.IsFree() || !rec.IsExtents() {
+			return
+		}
+		if exts, nodes, err := s.extentList(rec); err == nil {
+			s.slack += extentSlack(exts, len(nodes))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	return s.assert(s.physFree >= s.slack,
+		"free blocks %d below extent slack %d", s.physFree, s.slack)
 }

@@ -133,17 +133,28 @@ func (s *Shadow) assert(cond bool, format string, args ...any) error {
 	return fmt.Errorf("shadowfs: check failed: "+format+": %w", append(args, fserr.ErrCorrupt)...)
 }
 
-// readBlock reads through the overlay, validating the block number first.
-func (s *Shadow) readBlock(blk uint32) ([]byte, error) {
+// peekBlock reads through the overlay, validating the block number first.
+// A block the overlay holds comes back as the overlay's own slice, so the
+// caller may only look at it; writeBlock never modifies a stored slice (it
+// replaces it), so what was peeked stays a consistent image of the block.
+func (s *Shadow) peekBlock(blk uint32) ([]byte, error) {
 	if err := s.assert(blk < s.sb.NumBlocks, "block %d beyond image end %d", blk, s.sb.NumBlocks); err != nil {
 		return nil, err
 	}
 	if b, ok := s.overlay[blk]; ok {
-		cp := make([]byte, disklayout.BlockSize)
-		copy(cp, b)
-		return cp, nil
+		return b, nil
 	}
 	return s.dev.ReadBlock(blk)
+}
+
+// readBlock is peekBlock for callers that go on to modify the block: what it
+// returns is always the caller's own copy.
+func (s *Shadow) readBlock(blk uint32) ([]byte, error) {
+	b, err := s.peekBlock(blk)
+	if _, held := s.overlay[blk]; held && err == nil {
+		b = append([]byte(nil), b...)
+	}
+	return b, err
 }
 
 // writeBlock stores a block in the overlay — never on the device.
@@ -175,7 +186,7 @@ func (s *Shadow) readInode(ino uint32) (*disklayout.Inode, error) {
 		return nil, err
 	}
 	blk, off := s.sb.InodeLoc(ino)
-	b, err := s.readBlock(blk)
+	b, err := s.peekBlock(blk)
 	if err != nil {
 		return nil, err
 	}
@@ -230,10 +241,28 @@ func (s *Shadow) writeInode(ino uint32, rec *disklayout.Inode) error {
 	return s.writeBlock(blk, b, true)
 }
 
+// firstClear returns the lowest clear bit in [lo, hi) of the bitmap at
+// start, or ErrNoSpace: one peek per bitmap block up to the first with room,
+// nothing remembered between calls. Lowest-free-first is what keeps replay's
+// inode and block choices identical to the base's.
+func (s *Shadow) firstClear(start, lo, hi uint32) (uint32, error) {
+	found := hi
+	err := disklayout.ScanBitmap(s.peekBlock, start, lo, hi, func(bm []byte, base, from, to uint32) bool {
+		if bit, ok := disklayout.FirstClear(bm, from, to); ok {
+			found = base + bit
+		}
+		return found == hi
+	})
+	if err == nil && found == hi {
+		err = fserr.ErrNoSpace
+	}
+	return found, err
+}
+
 // inodeBit reads inode ino's allocation bit.
 func (s *Shadow) inodeBit(ino uint32) (bool, error) {
 	blk := s.sb.InodeBitmapStart + ino/disklayout.BitsPerBlock
-	b, err := s.readBlock(blk)
+	b, err := s.peekBlock(blk)
 	if err != nil {
 		return false, err
 	}
@@ -277,20 +306,9 @@ func (s *Shadow) allocInode(typ, perm uint16) (uint32, *disklayout.Inode, error)
 			return 0, nil, err
 		}
 	} else {
-		found := false
-		for i := uint32(1); i < s.sb.NumInodes; i++ {
-			allocated, err := s.inodeBit(i)
-			if err != nil {
-				return 0, nil, err
-			}
-			if !allocated {
-				ino = i
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, nil, fserr.ErrNoSpace
+		var err error
+		if ino, err = s.firstClear(s.sb.InodeBitmapStart, 1, s.sb.NumInodes); err != nil {
+			return 0, nil, err
 		}
 	}
 	// Paranoia: the record under a free bit must be a free record.
@@ -322,7 +340,7 @@ func (s *Shadow) freeInode(ino uint32, rec *disklayout.Inode) error {
 // blockBit reads a data block's allocation bit.
 func (s *Shadow) blockBit(blk uint32) (bool, error) {
 	bmBlk := s.sb.BlockBitmapStart + blk/disklayout.BitsPerBlock
-	b, err := s.readBlock(bmBlk)
+	b, err := s.peekBlock(bmBlk)
 	if err != nil {
 		return false, err
 	}
@@ -364,23 +382,17 @@ func (s *Shadow) allocBlock(meta bool) (uint32, error) {
 // allocBlockRaw is allocBlock without the slack reserve — for demotion's
 // spine blocks, whose cost the model has already charged.
 func (s *Shadow) allocBlockRaw(meta bool) (uint32, error) {
-	for blk := s.sb.DataStart; blk < s.sb.NumBlocks; blk++ {
-		used, err := s.blockBit(blk)
-		if err != nil {
-			return 0, err
-		}
-		if used {
-			continue
-		}
-		if err := s.setBlockBit(blk, true); err != nil {
-			return 0, err
-		}
-		if err := s.writeBlock(blk, make([]byte, disklayout.BlockSize), meta); err != nil {
-			return 0, err
-		}
-		return blk, nil
+	blk, err := s.firstClear(s.sb.BlockBitmapStart, s.sb.DataStart, s.sb.NumBlocks)
+	if err != nil {
+		return 0, err
 	}
-	return 0, fserr.ErrNoSpace
+	if err := s.setBlockBit(blk, true); err != nil {
+		return 0, err
+	}
+	if err := s.writeBlock(blk, make([]byte, disklayout.BlockSize), meta); err != nil {
+		return 0, err
+	}
+	return blk, nil
 }
 
 // freeBlock releases a data block, validating the region and bit state.
@@ -408,7 +420,7 @@ func (s *Shadow) freeBlock(blk uint32) error {
 
 // readPtr loads slot i of an indirect block, validating the pointer.
 func (s *Shadow) readPtr(blk uint32, i int64) (uint32, error) {
-	b, err := s.readBlock(blk)
+	b, err := s.peekBlock(blk)
 	if err != nil {
 		return 0, err
 	}
