@@ -142,7 +142,7 @@ func BenchmarkRecoveryLatency(b *testing.B) {
 	for _, logLen := range []int{8, 64, 512, 2048} {
 		b.Run(fmt.Sprintf("log%d", logLen), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.RecoveryLatency(logLen, int64(i+1), false)
+				res, err := experiments.RecoveryLatency(logLen, int64(i+1))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -457,8 +457,8 @@ func BenchmarkShadowReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Update == nil {
-			b.Fatal("no update")
+		if res.Manifest == nil {
+			b.Fatal("no handoff")
 		}
 	}
 	b.ReportMetric(float64(len(recorded)), "replayedops/op")
@@ -475,7 +475,7 @@ func BenchmarkPanicContainment(b *testing.B) {
 	})
 	dev := blockdev.NewMem(4096)
 	mkfs.Format(dev, mkfs.Options{})
-	sup, err := core.Mount(dev, core.Config{Base: basefs.Options{Injector: reg}, SkipFsckInRecovery: true})
+	sup, err := core.Mount(dev, core.Config{Base: basefs.Options{Injector: reg}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -266,9 +266,8 @@ func pctDelta(a, b time.Duration) float64 {
 	return (float64(b) - float64(a)) / float64(a) * 100
 }
 
-// fsckScale prints the E13 series: the parallel checker's worker scaling,
-// the region-scoped check vs image size, and the recovery fsck stage at
-// pool sizes 1 vs 8.
+// fsckScale prints the E13 series: the parallel checker's worker scaling
+// and the region-scoped check vs image size.
 func fsckScale(seed int64) {
 	fmt.Println("== E13: parallel, region-scoped fsck ==")
 	fmt.Printf("(per-read device service time %v; image %d blocks)\n",
@@ -296,13 +295,6 @@ func fsckScale(seed int64) {
 		fmt.Printf("%-12d %10d %12d %12d %11.1fx %14v %14v\n",
 			r.ImageBlocks, r.GapBlocks, r.FullReads, r.ScopedReads, r.ReadRatio, r.FullTime, r.ScopedTime)
 	}
-	fmt.Println()
-
-	fmt.Println("-- recovery fsck stage: FsckWorkers 1 vs 8 --")
-	fr, err := experiments.RecoveryFsckStage(512, seed, experiments.FsckIOLatency)
-	check(err)
-	fmt.Printf("fsck stage: %v (1 worker) -> %v (8 workers), %.2fx; recovery wall %v -> %v\n",
-		fr.FsckSeq, fr.FsckPar, fr.Speedup, fr.WallSeq, fr.WallPar)
 	fmt.Println()
 }
 
@@ -416,7 +408,7 @@ func recovery(seed int64) {
 		"log ops", "plan", "reboot", "fsck", "shadow mount", "replay", "hand-off", "total")
 	var traces []telemetry.TraceSnapshot
 	for _, n := range []int{8, 32, 128, 512, 2048} {
-		r, err := experiments.RecoveryLatency(n, seed, false)
+		r, err := experiments.RecoveryLatency(n, seed)
 		check(err)
 		ph := r.Phases
 		fmt.Printf("%-10d %12v %12v %12v %12v %12v %12v %12v\n",
@@ -430,9 +422,9 @@ func recovery(seed int64) {
 	}
 	fmt.Println()
 
-	fmt.Println("== E12: pipelined vs sequential recovery engine ==")
+	fmt.Println("== E12: recovery with RecoveryWorkers 1 vs the default ==")
 	fmt.Printf("(per-IO device service time %v armed at detonation)\n", experiments.RecoveryIOLatency)
-	fmt.Printf("%-10s %14s %14s %10s\n", "gap ops", "sequential", "pipelined", "speedup")
+	fmt.Printf("%-10s %14s %14s %10s\n", "gap ops", "workers 1", "default", "speedup")
 	for _, n := range []int{512, 2048, 10000} {
 		r, err := experiments.RecoveryPipeline(n, seed, experiments.RecoveryIOLatency)
 		check(err)

@@ -3,186 +3,119 @@
 // recovery input (the recorded operation sequence with the base's outcomes,
 // as dumped by core.FS.DumpLog), re-executes the sequence on the shadow in
 // constrained mode, and reports every discrepancy between the base's
-// recorded behavior and the shadow's. With -apply, the shadow's sealed
-// update is written back to the image, producing the recovered state.
-//
-// With -stream, the replay runs through the incremental Replayer instead:
-// the op sequence is consumed in batches, the resulting block images are
-// emitted as sealed handoff chunks as replay progresses, and the chunk
-// stream plus final manifest are verified and assembled exactly as the
-// recovery engine's install stage would — with per-stage timings printed
-// from a telemetry sink.
+// recorded behavior and the shadow's, with the time each stage took. With
+// -apply, the shadow's sealed handoff is written back to the image, producing
+// the recovered state.
 //
 // Usage:
 //
-//	shadowreplay -img disk.img -trace trace.bin [-stream] [-apply] [-stop]
+//	shadowreplay -img disk.img -trace trace.bin [-apply] [-stop]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/fsapi"
-	"repro/internal/handoff"
 	"repro/internal/mkfs"
 	"repro/internal/oplog"
 	"repro/internal/shadowfs"
-	"repro/internal/telemetry"
 )
 
 func main() {
 	img := flag.String("img", "", "filesystem image (trusted on-disk state)")
 	trace := flag.String("trace", "", "serialized recovery input (core.FS.DumpLog output)")
-	apply := flag.Bool("apply", false, "write the shadow's update back to the image")
+	apply := flag.Bool("apply", false, "write the shadow's handoff back to the image")
 	stop := flag.Bool("stop", false, "abort on the first discrepancy")
-	stream := flag.Bool("stream", false, "replay incrementally through the chunked handoff path")
 	flag.Parse()
 	if *img == "" || *trace == "" {
 		fmt.Fprintln(os.Stderr, "shadowreplay: -img and -trace are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	dev, err := blockdev.OpenFile(*img, 0, false)
-	check(err)
+	if err := run(os.Stdout, *img, *trace, *apply, *stop); err != nil {
+		fmt.Fprintf(os.Stderr, "shadowreplay: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(w io.Writer, img, trace string, apply, stop bool) error {
+	dev, err := blockdev.OpenFile(img, 0, false)
+	if err != nil {
+		return err
+	}
 	defer dev.Close()
 
 	// The image must first reach its stable point: replay the journal as a
 	// mount would.
 	_, st, err := mkfs.Recover(dev)
-	check(err)
+	if err != nil {
+		return err
+	}
 	if st.Committed > 0 {
-		fmt.Printf("journal: replayed %d transactions\n", st.Committed)
+		fmt.Fprintf(w, "journal: replayed %d transactions\n", st.Committed)
 	}
 
-	raw, err := os.ReadFile(*trace)
-	check(err)
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		return err
+	}
 	ops, fds, clock, err := oplog.DecodeSequence(raw)
-	check(err)
-	fmt.Printf("trace: %d operations, %d stable-point descriptors, clock %d\n",
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "trace: %d operations, %d stable-point descriptors, clock %d\n",
 		len(ops), len(fds), clock)
 
-	if *stream {
-		streamReplay(dev, ops, fds, clock, *img, *apply, *stop)
-		return
-	}
-
+	t := time.Now()
 	sh, err := shadowfs.New(dev, shadowfs.Options{})
-	check(err)
+	if err != nil {
+		return err
+	}
+	fsckDur := time.Since(t)
+	t = time.Now()
 	res, err := sh.Replay(shadowfs.ReplayInput{
 		Ops:               ops,
 		BaseFDs:           fds,
 		StartClock:        clock,
-		StopOnDiscrepancy: *stop,
+		StopOnDiscrepancy: stop,
 	})
+	replayDur := time.Since(t)
 	if res != nil {
-		fmt.Printf("replayed %d operations (%d skipped), %d runtime checks, %d overlay blocks\n",
+		fmt.Fprintf(w, "replayed %d operations (%d skipped), %d runtime checks, %d overlay blocks\n",
 			res.OpsReplayed, res.OpsSkipped, res.ChecksRun, res.OverlayBlocks)
 		if len(res.Discrepancies) == 0 {
-			fmt.Println("no discrepancies: the base's recorded behavior matches the shadow")
+			fmt.Fprintln(w, "no discrepancies: the base's recorded behavior matches the shadow")
 		} else {
-			fmt.Printf("%d discrepancies (bugs in the base or missing conditions in the shadow):\n",
+			fmt.Fprintf(w, "%d discrepancies (bugs in the base or missing conditions in the shadow):\n",
 				len(res.Discrepancies))
 			for _, d := range res.Discrepancies {
-				fmt.Println("  ", d)
+				fmt.Fprintln(w, "  ", d)
 			}
 		}
 	}
-	check(err)
-
-	if *apply {
-		for _, blk := range res.Update.SortedBlocks() {
-			check(dev.WriteBlock(blk, res.Update.Blocks[blk]))
-		}
-		check(dev.Flush())
-		fmt.Printf("applied %d blocks to %s\n", len(res.Update.Blocks), *img)
+	if err != nil {
+		return err
 	}
-}
-
-// streamReplayBatch is the feed granularity, matching the recovery engine.
-const streamReplayBatch = 256
-
-// streamReplay drives the incremental Replayer over the decoded sequence,
-// collecting sealed chunks as they are emitted, then verifies and assembles
-// the stream the way the engine's install stage would. Stage durations are
-// recorded in (and printed from) an isolated telemetry sink, so the output
-// matches the recovery.stage.* histograms a live supervisor exports.
-func streamReplay(dev blockdev.Device, ops []*oplog.Op, fds map[fsapi.FD]uint32,
-	clock uint64, img string, apply, stop bool) {
-	sink := telemetry.New()
-	observe := func(stage string, d time.Duration) {
-		sink.Histogram("recovery.stage." + stage + "_ns").Observe(d)
-	}
-
-	t := time.Now()
-	sh, err := shadowfs.New(dev, shadowfs.Options{})
-	observe("fsck", time.Since(t))
-	check(err)
-	rep := shadowfs.NewReplayer(sh, shadowfs.ReplayerKey{}, stop)
-
-	var chunks []*handoff.Chunk
-	t = time.Now()
-	check(rep.Seed(fds, clock))
-	for i := 0; i < len(ops); i += streamReplayBatch {
-		end := i + streamReplayBatch
-		if end > len(ops) {
-			end = len(ops)
-		}
-		check(rep.Feed(ops[i:end]))
-		if c := rep.EmitChunk(); c != nil {
-			chunks = append(chunks, c)
-		}
-	}
-	last, manifest, _, err := rep.Finish(nil)
-	check(err)
-	if last != nil {
-		chunks = append(chunks, last)
-	}
-	observe("replay", time.Since(t))
-
-	t = time.Now()
-	update, err := handoff.Assemble(chunks, manifest)
-	observe("install", time.Since(t))
-	check(err)
-
-	blocks := 0
-	for _, c := range chunks {
-		blocks += len(c.Blocks)
-	}
-	fmt.Printf("streamed %d chunks (%d block images, %d net blocks), manifest chain %#x verified\n",
-		len(chunks), blocks, len(update.Blocks), manifest.Chain)
-	fmt.Printf("replayed %d operations (%d skipped), %d overlay blocks\n",
-		rep.OpsReplayed(), rep.OpsSkipped(), sh.OverlayBlocks())
-	if ds := rep.Discrepancies(); len(ds) > 0 {
-		fmt.Printf("%d discrepancies:\n", len(ds))
-		for _, d := range ds {
-			fmt.Println("  ", d)
-		}
-	} else {
-		fmt.Println("no discrepancies: the base's recorded behavior matches the shadow")
-	}
-
-	fmt.Println("-- per-stage timings (telemetry) --")
-	snap := sink.Snapshot()
-	for _, stage := range []string{"fsck", "replay", "install"} {
-		h := snap.Histograms["recovery.stage."+stage+"_ns"]
-		fmt.Printf("  %-8s %12v\n", stage, time.Duration(h.Sum))
-	}
+	fmt.Fprintf(w, "stages: fsck %v, replay %v\n", fsckDur, replayDur)
 
 	if apply {
-		for _, blk := range update.SortedBlocks() {
-			check(dev.WriteBlock(blk, update.Blocks[blk]))
+		blocks := 0
+		for _, c := range res.Chunks {
+			for _, blk := range c.SortedBlocks() {
+				if err := dev.WriteBlock(blk, c.Blocks[blk]); err != nil {
+					return err
+				}
+			}
+			blocks += len(c.Blocks)
 		}
-		check(dev.Flush())
-		fmt.Printf("applied %d blocks to %s\n", len(update.Blocks), img)
+		if err := dev.Flush(); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "applied %d blocks to %s\n", blocks, img)
 	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shadowreplay: %v\n", err)
-		os.Exit(1)
-	}
+	return nil
 }

@@ -8,31 +8,6 @@ import (
 	"repro/internal/handoff"
 )
 
-// Absorb is the base's metadata-downloading interface (§3.2): it re-verifies
-// the shadow's update and places every block into the buffer cache marked
-// dirty, restores the descriptor table, and continues the logical clock. It
-// "reuses existing logic to place them into its cache" — Install is the same
-// entry point every internal path uses — so the trusted surface stays small.
-//
-// Absorb is called on a freshly mounted instance during recovery, before any
-// new operations are admitted. It adopts the update's block slices (the
-// cache serves them directly), so the caller must pass an update it owns —
-// the single defensive copy lives at the handoff-sealing boundary.
-func (fs *FS) Absorb(u *handoff.Update) error {
-	if err := u.Verify(); err != nil {
-		return fmt.Errorf("basefs: absorb rejected: %w", err)
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for _, blk := range u.SortedBlocks() {
-		if err := fs.checkAbsorbRange(blk); err != nil {
-			return err
-		}
-		fs.bc.Install(blk, u.Blocks[blk], u.Meta[blk])
-	}
-	return fs.restoreLocked(u.FDs, u.Clock)
-}
-
 func (fs *FS) checkAbsorbRange(blk uint32) error {
 	if blk == 0 || blk >= fs.sb.NumBlocks {
 		return fmt.Errorf("basefs: absorb block %d out of range: %w", blk, fserr.ErrCorrupt)
@@ -44,7 +19,7 @@ func (fs *FS) checkAbsorbRange(blk uint32) error {
 }
 
 // restoreLocked installs the recovered descriptor table and continues the
-// logical clock; the final step of both monolithic and streaming absorption.
+// logical clock; the final step of absorption.
 // Each inode must decode and be allocated in the absorbed state; that read
 // goes through the just-installed buffers.
 func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
@@ -75,12 +50,19 @@ func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
 	return nil
 }
 
-// AbsorbChunk installs one sealed chunk of a streaming handoff while the
-// shadow may still be replaying the tail. Chunks must arrive in index order;
-// each is verified individually, and its checksum is recorded so
+// AbsorbChunk and AbsorbManifest are the base's metadata-downloading
+// interface (§3.2). They are called on a freshly mounted instance during
+// recovery, before any new operations are admitted, and "reuse existing logic
+// to place [blocks] into its cache": Install is the same entry point every
+// internal path uses, so the trusted surface stays small.
+//
+// AbsorbChunk installs one sealed chunk of the handoff stream, marked dirty,
+// while the shadow may still be replaying the tail. Chunks must arrive in
+// index order; each is verified individually, and its checksum is recorded so
 // AbsorbManifest can later prove the stream arrived complete and unreordered.
-// Freed blocks retract earlier installs. Like Absorb, block slices are
-// adopted, not copied.
+// Freed blocks retract earlier installs. Block slices are adopted, not copied
+// (the cache serves them directly), so the caller must pass a chunk it owns:
+// the single defensive copy is made where the shadow seals the chunk.
 func (fs *FS) AbsorbChunk(c *handoff.Chunk) error {
 	if err := c.Verify(); err != nil {
 		return fmt.Errorf("basefs: absorb rejected: %w", err)
@@ -107,9 +89,9 @@ func (fs *FS) AbsorbChunk(c *handoff.Chunk) error {
 	return nil
 }
 
-// AbsorbManifest finalizes a streaming handoff: it verifies the manifest's
-// chained checksum against the chunks actually absorbed, then restores the
-// descriptor table and clock exactly as the monolithic path does.
+// AbsorbManifest finalizes the handoff: it verifies the manifest's chained
+// checksum against the chunks actually absorbed, then restores the descriptor
+// table and continues the logical clock.
 func (fs *FS) AbsorbManifest(m *handoff.Manifest) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

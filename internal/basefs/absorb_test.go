@@ -14,8 +14,8 @@ import (
 	"repro/internal/shadowfs"
 )
 
-// buildUpdate has a shadow produce a real metadata update for a fresh image.
-func buildUpdate(t *testing.T, dev *blockdev.Mem) *handoff.Update {
+// buildStream has a shadow produce a real one-chunk handoff for a fresh image.
+func buildStream(t *testing.T, dev *blockdev.Mem) (*handoff.Chunk, *handoff.Manifest) {
 	t.Helper()
 	sh, err := shadowfs.New(dev, shadowfs.Options{SkipFsck: true})
 	if err != nil {
@@ -28,28 +28,14 @@ func buildUpdate(t *testing.T, dev *blockdev.Mem) *handoff.Update {
 	if _, err := sh.WriteAt(fd, 0, []byte("from the shadow")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sh.Replay(shadowfs.ReplayInput{BaseFDs: map[fsapi.FD]uint32{}})
+	c, m, _, err := shadowfs.NewReplayer(sh, shadowfs.ReplayerKey{}, false).Finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The replay above seeds nothing; package the live overlay instead.
-	_ = res
-	blocks, meta := sh.Overlay()
-	u := handoff.NewUpdate()
-	for blk, data := range blocks {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		u.Blocks[blk] = cp
-		if meta[blk] {
-			u.Meta[blk] = true
-		}
+	if c == nil || len(m.FDs) != 1 {
+		t.Fatalf("handoff = chunk %v, fds %+v", c, m.FDs)
 	}
-	for fdv, ino := range sh.OpenFDs() {
-		u.FDs = append(u.FDs, handoff.FDEntry{FD: fdv, Ino: ino})
-	}
-	u.Clock = sh.Clock()
-	u.Seal()
-	return u
+	return c, m
 }
 
 func TestAbsorbInstallsShadowState(t *testing.T) {
@@ -57,23 +43,23 @@ func TestAbsorbInstallsShadowState(t *testing.T) {
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64}); err != nil {
 		t.Fatal(err)
 	}
-	u := buildUpdate(t, dev)
+	c, m := buildStream(t, dev)
 	fs, err := Mount(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Kill()
-	if err := fs.Absorb(u); err != nil {
-		t.Fatalf("Absorb: %v", err)
+	if err := fs.AbsorbChunk(c); err != nil {
+		t.Fatalf("AbsorbChunk: %v", err)
 	}
-	if fs.Clock() != u.Clock {
-		t.Errorf("clock = %d, want %d", fs.Clock(), u.Clock)
+	if err := fs.AbsorbManifest(m); err != nil {
+		t.Fatalf("AbsorbManifest: %v", err)
+	}
+	if fs.Clock() != m.Clock {
+		t.Errorf("clock = %d, want %d", fs.Clock(), m.Clock)
 	}
 	// The absorbed descriptor works immediately.
-	if len(u.FDs) != 1 {
-		t.Fatalf("update fds = %+v", u.FDs)
-	}
-	got, err := fs.ReadAt(u.FDs[0].FD, 0, 100)
+	got, err := fs.ReadAt(m.FDs[0].FD, 0, 100)
 	if err != nil || string(got) != "from the shadow" {
 		t.Fatalf("read through absorbed fd = (%q, %v)", got, err)
 	}
@@ -99,26 +85,25 @@ func TestAbsorbInstallsShadowState(t *testing.T) {
 	}
 }
 
-// TestAbsorbChunkStream splits a real shadow update into a chunk stream
-// (including a retraction) and verifies the streaming absorb path ends in
-// the same state the monolithic path would, with the manifest catching a
-// truncated stream.
+// TestAbsorbChunkStream splits a real shadow handoff into a two-chunk stream
+// (including a retraction) and verifies absorbing it ends in the state the
+// one chunk describes, with the manifest catching a truncated stream.
 func TestAbsorbChunkStream(t *testing.T) {
 	dev := blockdev.NewMem(4096)
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64}); err != nil {
 		t.Fatal(err)
 	}
-	u := buildUpdate(t, dev)
-	blks := u.SortedBlocks()
+	whole, wm := buildStream(t, dev)
+	blks := whole.SortedBlocks()
 	if len(blks) < 2 {
-		t.Fatalf("update too small to stream: %d blocks", len(blks))
+		t.Fatalf("handoff too small to split: %d blocks", len(blks))
 	}
 	// Chunk 0: first half plus a decoy block later retracted. Chunk 1: rest.
 	decoy := blks[len(blks)-1] + 1
 	c0 := handoff.NewChunk(0)
 	for _, blk := range blks[:len(blks)/2] {
-		c0.Blocks[blk] = u.Blocks[blk]
-		c0.Meta[blk] = u.Meta[blk]
+		c0.Blocks[blk] = whole.Blocks[blk]
+		c0.Meta[blk] = whole.Meta[blk]
 	}
 	decoyData := make([]byte, disklayout.BlockSize)
 	for i := range decoyData {
@@ -128,17 +113,13 @@ func TestAbsorbChunkStream(t *testing.T) {
 	c0.Seal()
 	c1 := handoff.NewChunk(1)
 	for _, blk := range blks[len(blks)/2:] {
-		c1.Blocks[blk] = u.Blocks[blk]
-		c1.Meta[blk] = u.Meta[blk]
+		c1.Blocks[blk] = whole.Blocks[blk]
+		c1.Meta[blk] = whole.Meta[blk]
 	}
 	c1.Freed = []uint32{decoy}
 	c1.Seal()
-	m := &handoff.Manifest{
-		NumChunks: 2,
-		Chain:     handoff.ChainSums([]uint32{c0.Sum, c1.Sum}),
-		FDs:       u.FDs,
-		Clock:     u.Clock,
-	}
+	m := sealedManifest(wm.FDs, c0, c1)
+	m.Clock = wm.Clock
 	m.Seal()
 
 	fs, err := Mount(dev, Options{})
@@ -146,10 +127,6 @@ func TestAbsorbChunkStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Kill()
-	// Out-of-order chunk is rejected before anything is installed.
-	if err := fs.AbsorbChunk(c1); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Fatalf("out-of-order chunk: %v", err)
-	}
 	if err := fs.AbsorbChunk(c0); err != nil {
 		t.Fatalf("chunk 0: %v", err)
 	}
@@ -163,10 +140,10 @@ func TestAbsorbChunkStream(t *testing.T) {
 	if err := fs.AbsorbManifest(m); err != nil {
 		t.Fatalf("manifest: %v", err)
 	}
-	if fs.Clock() != u.Clock {
-		t.Errorf("clock = %d, want %d", fs.Clock(), u.Clock)
+	if fs.Clock() != m.Clock {
+		t.Errorf("clock = %d, want %d", fs.Clock(), m.Clock)
 	}
-	got, err := fs.ReadAt(u.FDs[0].FD, 0, 100)
+	got, err := fs.ReadAt(m.FDs[0].FD, 0, 100)
 	if err != nil || string(got) != "from the shadow" {
 		t.Fatalf("read through absorbed fd = (%q, %v)", got, err)
 	}
@@ -186,58 +163,121 @@ func TestAbsorbChunkStream(t *testing.T) {
 	}
 }
 
-func TestAbsorbRejections(t *testing.T) {
-	dev := blockdev.NewMem(4096)
-	sb, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
+// sealedChunk is a sealed chunk of zeroed blocks at the given stream index.
+func sealedChunk(index int, blks ...uint32) *handoff.Chunk {
+	c := handoff.NewChunk(index)
+	for _, blk := range blks {
+		c.Blocks[blk] = make([]byte, disklayout.BlockSize)
 	}
-	fs, err := Mount(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Kill()
+	c.Seal()
+	return c
+}
 
-	// Unsealed update.
-	u := handoff.NewUpdate()
-	u.Blocks[sb.DataStart] = make([]byte, disklayout.BlockSize)
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("unsealed: %v", err)
+// sealedManifest closes the stream made of exactly the given chunks.
+func sealedManifest(fds []handoff.FDEntry, chunks ...*handoff.Chunk) *handoff.Manifest {
+	sums := make([]uint32, len(chunks))
+	for i, c := range chunks {
+		sums[i] = c.Sum
 	}
-	// Journal-region write.
-	u = handoff.NewUpdate()
-	u.Blocks[sb.JournalStart] = make([]byte, disklayout.BlockSize)
-	u.Seal()
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("journal write: %v", err)
+	m := &handoff.Manifest{NumChunks: len(chunks), Chain: handoff.ChainSums(sums), FDs: fds}
+	m.Seal()
+	return m
+}
+
+// mustOK fails the test on an error from a case's set-up step.
+func mustOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Superblock write.
-	u = handoff.NewUpdate()
-	u.Blocks[0] = make([]byte, disklayout.BlockSize)
-	u.Seal()
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("superblock write: %v", err)
+}
+
+// TestAbsorbRejections: everything the base refuses at the hand-off boundary.
+// Each case runs on its own fresh mount and returns the error of the call
+// that must be refused; earlier calls in a case must succeed.
+func TestAbsorbRejections(t *testing.T) {
+	fd := func(fd fsapi.FD, ino uint32) handoff.FDEntry { return handoff.FDEntry{FD: fd, Ino: ino} }
+	cases := []struct {
+		name string
+		run  func(t *testing.T, fs *FS, sb *disklayout.Superblock) error
+	}{
+		{"bad checksum", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			c := sealedChunk(0, sb.DataStart)
+			c.Blocks[sb.DataStart][7] ^= 1
+			return fs.AbsorbChunk(c)
+		}},
+		{"short block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			c := handoff.NewChunk(0)
+			c.Blocks[sb.DataStart] = []byte{1, 2, 3}
+			c.Seal()
+			return fs.AbsorbChunk(c)
+		}},
+		{"block 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbChunk(sealedChunk(0, 0))
+		}},
+		{"block past the image", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbChunk(sealedChunk(0, sb.NumBlocks+5))
+		}},
+		{"journal-region block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbChunk(sealedChunk(0, sb.JournalStart))
+		}},
+		{"freed journal-region block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			c := handoff.NewChunk(0)
+			c.Freed = []uint32{sb.JournalStart}
+			c.Seal()
+			return fs.AbsorbChunk(c)
+		}},
+		{"out-of-order index", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbChunk(sealedChunk(1, sb.DataStart))
+		}},
+		{"duplicate chunk", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			c := sealedChunk(0, sb.DataStart)
+			mustOK(t, fs.AbsorbChunk(c))
+			return fs.AbsorbChunk(c)
+		}},
+		{"missing chunk against the manifest chain", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			c0, c1 := sealedChunk(0, sb.DataStart), sealedChunk(1, sb.DataStart+1)
+			mustOK(t, fs.AbsorbChunk(c0))
+			return fs.AbsorbManifest(sealedManifest(nil, c0, c1))
+		}},
+		{"manifest bad checksum", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			m := sealedManifest(nil)
+			m.Clock++
+			return fs.AbsorbManifest(m)
+		}},
+		{"duplicate fd", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			f, err := fs.Create("/f", 0o644)
+			mustOK(t, err)
+			st, err := fs.Fstat(f)
+			mustOK(t, err)
+			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, st.Ino), fd(0, st.Ino)}))
+		}},
+		{"fd to inode 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, 0)}))
+		}},
+		{"fd to directory", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, sb.RootIno)}))
+		}},
+		{"fd to unallocated inode", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, 17)}))
+		}},
 	}
-	// Out-of-range block.
-	u = handoff.NewUpdate()
-	u.Blocks[sb.NumBlocks+5] = make([]byte, disklayout.BlockSize)
-	u.Seal()
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("out of range: %v", err)
-	}
-	// Descriptor to a free inode.
-	u = handoff.NewUpdate()
-	u.FDs = []handoff.FDEntry{{FD: 0, Ino: 17}}
-	u.Seal()
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("fd to free inode: %v", err)
-	}
-	// Descriptor to a directory.
-	u = handoff.NewUpdate()
-	u.FDs = []handoff.FDEntry{{FD: 0, Ino: sb.RootIno}}
-	u.Seal()
-	if err := fs.Absorb(u); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("fd to directory: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := blockdev.NewMem(4096)
+			sb, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, err := Mount(dev, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fs.Kill()
+			if err := tc.run(t, fs, sb); !errors.Is(err, fserr.ErrCorrupt) {
+				t.Errorf("absorb = %v, want ErrCorrupt", err)
+			}
+		})
 	}
 }
 

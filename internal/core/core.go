@@ -103,36 +103,18 @@ type Config struct {
 	// MaxReplayRetries bounds naive replay's re-execution attempts before it
 	// degrades to crash-restart.
 	MaxReplayRetries int
-	// SkipFsckInRecovery skips the shadow's image check during recovery (for
-	// phase-isolating benchmarks only).
-	SkipFsckInRecovery bool
-	// SequentialRecovery disables the pipelined recovery engine: contained
-	// reboot, shadow replay, and hand-off run strictly one after another as
-	// separate stages. The default engine overlaps the reboot with the
-	// shadow's replay (they work from independent read-only views of the
-	// post-replay device state) and streams the hand-off in chunks, so
-	// recovery latency approaches max(reboot, replay) + install instead of
-	// their sum. This knob exists for the E12 comparison and for isolating
-	// stage costs.
-	SequentialRecovery bool
-	// RecoveryPrefetchWorkers sizes the background crew that reads the frozen
-	// recovery view ahead of a pipelined recovery's fsck and replay stages
+	// RecoveryWorkers bounds the parallelism one recovery may use; 0 selects
+	// the default (8). Above 1 the shadow's stage runs beside the contained
+	// reboot (they work from independent read-only views of the post-replay
+	// device state), the image check overlaps the replay and has this many
+	// workers, and a crew of this size reads the frozen view ahead of both
 	// (the planned check's read set: the scope for a scoped check, the device
-	// for a full one), so they pay the device's per-IO service time at crew
-	// parallelism instead of serially. 0 selects the default (8); negative
-	// disables prefetching. Ignored in SequentialRecovery
-	// mode, which by definition runs no background work.
-	RecoveryPrefetchWorkers int
-	// FsckWorkers sizes the parallel checker's worker pool for recovery-time
-	// and scrub-time image verification. 0 selects the default (8); 1 keeps
-	// the scan single-threaded (still one read per table block, where the
-	// sequential baseline pays one per inode). SequentialRecovery mode
-	// ignores it and runs the plain sequential checker.
-	FsckWorkers int
-	// DisableScopedFsck forces every recovery to verify the full image even
-	// when a verified baseline plus the touched-block set would allow a
-	// region-scoped check. For comparisons and belt-and-suspenders setups.
-	DisableScopedFsck bool
+	// for a full one), so recovery latency approaches max(reboot, replay) +
+	// install. At 1 the same stages run on the recovering goroutine, one
+	// after another, with nothing spawned: reboot, check, replay, install.
+	// The order of device calls is then reproducible, which the torture
+	// tier needs.
+	RecoveryWorkers int
 	// ScrubInterval enables the online background scrubber: every interval,
 	// the parallel checker runs over a frozen snapshot-plus-committed-journal
 	// view, publishing scrub.* telemetry; a corrupt finding trips the
@@ -140,7 +122,7 @@ type Config struct {
 	// baseline. Requires the device to implement blockdev.Snapshotter.
 	// 0 (the default) disables scrubbing.
 	ScrubInterval time.Duration
-	// ScrubWorkers sizes the scrubber's checker pool; 0 inherits FsckWorkers.
+	// ScrubWorkers sizes the scrubber's checker pool; 0 inherits RecoveryWorkers.
 	ScrubWorkers int
 	// ExternalScrub creates the scrubber without starting its internal timer:
 	// an external scheduler (the volume manager's shared scrub worker pool)
@@ -162,14 +144,11 @@ func (c *Config) fill() {
 	if c.MaxReplayRetries == 0 {
 		c.MaxReplayRetries = 3
 	}
-	if c.RecoveryPrefetchWorkers == 0 {
-		c.RecoveryPrefetchWorkers = 8
-	}
-	if c.FsckWorkers <= 0 {
-		c.FsckWorkers = 8
+	if c.RecoveryWorkers <= 0 {
+		c.RecoveryWorkers = 8
 	}
 	if c.ScrubWorkers <= 0 {
-		c.ScrubWorkers = c.FsckWorkers
+		c.ScrubWorkers = c.RecoveryWorkers
 	}
 	if c.NoTelemetry {
 		c.Telemetry = nil
@@ -183,17 +162,16 @@ func (c *Config) fill() {
 // its wall clock. The recovering goroutine spends Wall on, in order: Plan,
 // Reboot, the hand-off (Absorb plus InstallWait) and Resume. The shadow's
 // stage (ShadowStage, made of Fsck, ShadowMount and Replay) runs beside
-// Reboot in the pipelined engine, where the part of it that outlasts Reboot
+// Reboot when RecoveryWorkers > 1, where the part of it that outlasts Reboot
 // is what InstallWait measures, and inline between Reboot and the hand-off
-// in sequential mode, where InstallWait is zero. So
+// at RecoveryWorkers 1, where InstallWait is zero. So
 //
-//	sequential: Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
-//	pipelined:  Wall = Plan + Reboot + Absorb + InstallWait + Resume
+//	workers 1:  Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
+//	workers >1: Wall = Plan + Reboot + Absorb + InstallWait + Resume
 //	            Plan + max(Reboot, ShadowStage) + Resume <= Wall
 //
-// up to bookkeeping between the clocks (microseconds). In the pipelined
-// engine Fsck overlaps ShadowMount + Replay, so ShadowStage is less than the
-// three's sum.
+// up to bookkeeping between the clocks (microseconds). With workers > 1 Fsck
+// overlaps ShadowMount + Replay, so ShadowStage is less than the three's sum.
 type RecoveryPhases struct {
 	Plan        time.Duration // fence, kill, freeze the recovery input and the shadow's view
 	Reboot      time.Duration // journal replay + fresh mount
@@ -209,7 +187,7 @@ type RecoveryPhases struct {
 }
 
 // Total returns the end-to-end recovery latency: the measured wall clock
-// when available, the sequential stage sum otherwise (recoveries that
+// when available, the stage sum otherwise (recoveries that
 // degraded before the end, and zero values).
 func (p RecoveryPhases) Total() time.Duration {
 	if p.Wall > 0 {

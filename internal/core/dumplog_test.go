@@ -14,7 +14,7 @@ import (
 // TestDumpLogOfflineReplay is the cmd/shadowreplay flow end to end: run a
 // session on a file-backed image, sync (stable point), run more operations,
 // dump the log, crash — then replay the dump offline against the image and
-// apply the shadow's update, recovering the post-crash state.
+// apply the shadow's handoff, recovering the post-crash state.
 func TestDumpLogOfflineReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "disk.img")
 	dev, err := blockdev.OpenFile(path, 2048, true)
@@ -68,10 +68,12 @@ func TestDumpLogOfflineReplay(t *testing.T) {
 	if len(res.Discrepancies) != 0 {
 		t.Fatalf("discrepancies: %v", res.Discrepancies)
 	}
-	// Apply the update to the image, as shadowreplay -apply does.
-	for _, blk := range res.Update.SortedBlocks() {
-		if err := dev.WriteBlock(blk, res.Update.Blocks[blk]); err != nil {
-			t.Fatal(err)
+	// Apply the handoff to the image, as shadowreplay -apply does.
+	for _, c := range res.Chunks {
+		for _, blk := range c.SortedBlocks() {
+			if err := dev.WriteBlock(blk, c.Blocks[blk]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := dev.Flush(); err != nil {

@@ -33,8 +33,9 @@ import (
 // stages therefore run concurrently, and the shadow streams its result out
 // as sealed chunks that the install stage absorbs into the fresh base as
 // they arrive. Recovery latency approaches max(reboot, replay) + install
-// instead of their sum. Config.SequentialRecovery collapses the graph back
-// to the straight line for comparison.
+// instead of their sum. There is one graph: Config.RecoveryWorkers == 1 runs
+// the same stages on the recovering goroutine, one after another, with
+// nothing spawned (reboot, then fsck, then replay, then install).
 
 // replayFeedBatch is the op-count granularity of the incremental replay: a
 // chunk is emitted (at most) every replayFeedBatch ops, bounding both the
@@ -78,9 +79,8 @@ type recoveryPlan struct {
 	// released when the engine is done with the cold stage.
 	prefetch *blockdev.Prefetched
 
-	// check validates the frozen view; chosen at plan time (scoped, parallel,
-	// or sequential — see planFsck). Nil when the check is skipped (config or
-	// warm resume).
+	// check validates the frozen view; chosen at plan time (scoped or full,
+	// see planFsck). Nil on a warm resume, which skips the check.
 	check func() *fsck.Report
 	// touchedOld is the touched-block set drained when this plan claimed the
 	// scoped-check baseline; merged back if the recovery fails so no write
@@ -183,41 +183,34 @@ func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 // every block the journal overlay rewrites, and the superblock.
 func (r *FS) planFsck(p *recoveryPlan, sb *disklayout.Superblock, over map[uint32][]byte) {
 	var sc *fsck.Scope
-	if !r.cfg.SkipFsckInRecovery {
-		p.touchedOld = r.touched.snapshotAndReset()
-		if !r.cfg.SequentialRecovery && r.verified.Load() && !r.cfg.DisableScopedFsck {
-			sc = fsck.NewScope()
-			sc.Add(0)
-			for blk := range p.touchedOld {
-				sc.Add(blk)
-			}
-			for blk := range over {
-				sc.Add(blk)
-			}
+	p.touchedOld = r.touched.snapshotAndReset()
+	if r.verified.Load() {
+		sc = fsck.NewScope()
+		sc.Add(0)
+		for blk := range p.touchedOld {
+			sc.Add(blk)
+		}
+		for blk := range over {
+			sc.Add(blk)
 		}
 	}
-	if !r.cfg.SequentialRecovery && r.cfg.RecoveryPrefetchWorkers > 0 {
+	workers := r.cfg.RecoveryWorkers
+	if workers > 1 {
 		// Pipeline the view's IO too: a worker crew reads ahead of fsck and
 		// replay, so their serial blocking reads stop paying the device's
 		// per-IO service time. A scoped check reads the scope, so the crew
 		// fetches the scope; only a full check is worth streaming the image.
 		if sc != nil {
-			p.prefetch = blockdev.NewPrefetchedRanges(p.view, r.cfg.RecoveryPrefetchWorkers, sc.PrefetchRanges(sb))
+			p.prefetch = blockdev.NewPrefetchedRanges(p.view, workers, sc.PrefetchRanges(sb))
 		} else {
-			p.prefetch = blockdev.NewPrefetched(p.view, r.cfg.RecoveryPrefetchWorkers)
+			p.prefetch = blockdev.NewPrefetched(p.view, workers)
 		}
 		p.view = p.prefetch
 	}
-	if r.cfg.SkipFsckInRecovery {
-		return
-	}
-	view, workers := p.view, r.cfg.FsckWorkers
-	switch {
-	case r.cfg.SequentialRecovery:
-		p.check = func() *fsck.Report { return fsck.Check(view) }
-	case sc != nil:
+	view := p.view
+	if sc != nil {
 		p.check = func() *fsck.Report { return fsck.CheckScoped(view, sc, workers) }
-	default:
+	} else {
 		p.check = func() *fsck.Report { return fsck.CheckParallel(view, workers) }
 	}
 }
@@ -237,7 +230,7 @@ func (r *FS) noteFsck(rep *fsck.Report) {
 // failed or degraded recovery the baseline is revoked and the drained
 // touched set merged back — over-scoping the next check is safe, losing a
 // block from it is not. A successful recovery that actually checked the
-// image (p.check non-nil: warm resumes and SkipFsckInRecovery never do)
+// image (p.check non-nil: a warm resume does not)
 // establishes a fresh baseline — every write after the frozen view went
 // through a fence created over the same touched set, so the superset
 // invariant holds from the view onward — and ends any scrub corruption
@@ -279,46 +272,39 @@ type replayOutcome struct {
 
 // runReplayStage validates the image (cold path), replays the recorded gap
 // incrementally, and emits sealed chunks through emit as it goes. It never
-// touches supervisor state mutated by the concurrent reboot; emit must be
-// safe for the engine's chosen plumbing (channel send or slice append).
+// touches supervisor state mutated by the concurrent reboot, and emit must
+// not block on the caller.
 //
-// With overlapFsck, the cold path checks the image *concurrently* with the
-// replay (the pFSCK-style decomposition): replay proceeds optimistically
+// With RecoveryWorkers > 1 the cold path checks the image *concurrently* with
+// the replay (the pFSCK-style decomposition): replay proceeds optimistically
 // over the unvalidated view while fsck walks the same frozen, read-only
-// blocks, and the stage only reports success once both agree. A failed
-// check surfaces exactly like the sequential fsck-first error — the engine
-// discards the partially-absorbed base — so the overlap changes latency,
-// never the contract that nothing recovered ever came from a corrupt image.
-func (r *FS) runReplayStage(p *recoveryPlan, overlapFsck bool, emit func(*handoff.Chunk)) *replayOutcome {
+// blocks, and the stage only reports success once both agree. At 1 the check
+// runs first and gates the replay. A failed check surfaces the same way in
+// both — the engine discards the partially-absorbed base — so the overlap
+// changes latency, never the contract that nothing recovered ever came from
+// a corrupt image.
+func (r *FS) runReplayStage(p *recoveryPlan, emit func(*handoff.Chunk)) *replayOutcome {
 	out := &replayOutcome{}
 	defer func(t0 time.Time) { out.stageDur = time.Since(t0) }(time.Now())
 	rep := p.rep
 	var fsckCh chan error
 	if rep == nil {
-		switch {
-		case p.check != nil && overlapFsck:
-			fsckCh = make(chan error, 1)
-			go func() {
-				t := time.Now()
-				frep := p.check()
-				out.fsckDur = time.Since(t) // joined before out is read
-				r.noteFsck(frep)
-				fsckCh <- frep.Err()
-			}()
-		case p.check != nil:
-			// Sequential mode: the check gates the stage up front, exactly the
-			// pre-pipeline ordering.
+		check := func() error {
 			t := time.Now()
 			frep := p.check()
-			out.fsckDur = time.Since(t)
+			out.fsckDur = time.Since(t) // joined before out is read
 			r.noteFsck(frep)
-			if err := frep.Err(); err != nil {
-				out.errWhat, out.err = "shadow fsck", err
-				return out
-			}
+			return frep.Err()
 		}
-		// The plan's check (or its configured absence) owns image validation;
-		// the shadow mount never duplicates it.
+		if r.cfg.RecoveryWorkers > 1 {
+			fsckCh = make(chan error, 1)
+			go func() { fsckCh <- check() }()
+		} else if err := check(); err != nil {
+			out.errWhat, out.err = "shadow fsck", err
+			return out
+		}
+		// The plan's check owns image validation; the shadow mount never
+		// duplicates it.
 		t := time.Now()
 		sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
 		out.mountDur = time.Since(t)
@@ -425,35 +411,25 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	defer plan.release()
 
 	note := ""
-	switch {
-	case plan.rep != nil:
+	if plan.rep != nil {
 		note = "warm resume"
-	case r.cfg.SkipFsckInRecovery:
-		note = "fsck skipped"
 	}
 
-	// Launch the replay stage concurrently with the reboot. The chunk
-	// channel is drained by the install stage once the mount completes; its
-	// buffer only smooths production, it is not load-bearing.
-	pipelined := plan.err == nil && !r.cfg.SequentialRecovery
-	var chunkCh chan *handoff.Chunk
-	var outCh chan *replayOutcome
-	if pipelined {
-		chunkCh = make(chan *handoff.Chunk, 64)
-		outCh = make(chan *replayOutcome, 1)
-		go func() {
-			out := r.runReplayStage(plan, true, func(c *handoff.Chunk) { chunkCh <- c })
-			close(chunkCh)
-			outCh <- out
-		}()
+	// The shadow's stage. With RecoveryWorkers > 1 it runs beside the reboot
+	// and the install loop absorbs its chunks as they arrive; at 1 it runs on
+	// this goroutine once the reboot is done and the loop finds the stream
+	// complete. Either way the stage must never block on the loop, so the
+	// channel holds the whole stream: at most one chunk per feed batch and a
+	// last one from Finish.
+	overlap := plan.err == nil && r.cfg.RecoveryWorkers > 1
+	chunkCh := make(chan *handoff.Chunk, len(plan.ops)/replayFeedBatch+2)
+	var out *replayOutcome // written by stage, read after chunkCh is seen closed
+	stage := func() {
+		out = r.runReplayStage(plan, func(c *handoff.Chunk) { chunkCh <- c })
+		close(chunkCh)
 	}
-	// drain joins the replay goroutine on paths that abandon its output.
-	drain := func() {
-		if pipelined {
-			for range chunkCh {
-			}
-			<-outCh
-		}
+	if overlap {
+		go stage()
 	}
 
 	// Contained reboot: fresh instance from trusted on-disk state (journal
@@ -465,7 +441,10 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	r.observeStage("reboot", ph.Reboot)
 	if err != nil {
 		// The device itself is unusable; nothing recovers this.
-		drain()
+		if overlap {
+			for range chunkCh { // join the stage; its output is abandoned
+			}
+		}
 		r.fsckTrust(plan, false)
 		r.tel.Event("degrade", "recovery failed: remount: %v", err)
 		r.failOp(inflight)
@@ -484,51 +463,38 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	// rewrite is byte-idempotent and the retained overlay stays valid.
 	// newBase.MountReplay() exposes the replay for post-mortems.
 
-	// Hand-off: absorb sealed chunks as they stream out of the shadow. In
-	// sequential mode the replay stage runs here instead, after the reboot.
-	// Absorb counts only time inside the base's absorb calls; what the
-	// pipelined loop spends blocked on the stream is InstallWait.
-	var out *replayOutcome
+	// Hand-off: absorb sealed chunks as they stream out of the shadow.
+	// Absorb counts only time inside the base's absorb calls; what the loop
+	// spends blocked on a stage that is still running is InstallWait.
+	if !overlap {
+		tr.BeginPhase(telemetry.PhaseShadowExec)
+		tr.Note("%s", note)
+		stage()
+	}
+	tr.BeginPhase(telemetry.PhaseHandoff)
 	var installErr error
 	dirty := false // has newBase absorbed any part of the stream?
-	absorb := func(c *handoff.Chunk) {
-		t := time.Now()
-		installErr = newBase.AbsorbChunk(c)
-		ph.Absorb += time.Since(t)
-		dirty = true // a failed absorb may have installed a prefix
-	}
-	if pipelined {
-		tr.BeginPhase(telemetry.PhaseHandoff)
-		t = time.Now()
-		for c := range chunkCh {
-			ph.InstallWait += time.Since(t)
-			if installErr == nil { // else keep draining so the producer never blocks
-				absorb(c)
-			}
+	var wait time.Duration
+	t = time.Now()
+	for c := range chunkCh {
+		wait += time.Since(t)
+		if installErr == nil { // else keep receiving: the close joins the stage
 			t = time.Now()
+			installErr = newBase.AbsorbChunk(c)
+			ph.Absorb += time.Since(t)
+			dirty = true // a failed absorb may have installed a prefix
 		}
-		out = <-outCh
-		ph.InstallWait += time.Since(t)
-	} else {
-		tr.BeginPhase(telemetry.PhaseShadowExec)
-		if note != "" {
-			tr.Note("%s", note)
-		}
-		var buf []*handoff.Chunk
-		out = r.runReplayStage(plan, false, func(c *handoff.Chunk) { buf = append(buf, c) })
-		tr.BeginPhase(telemetry.PhaseHandoff)
-		for _, c := range buf {
-			if absorb(c); installErr != nil {
-				break
-			}
-		}
+		t = time.Now()
+	}
+	if overlap { // an inline stage had finished before the loop began
+		ph.InstallWait = wait + time.Since(t)
 	}
 	ph.Fsck, ph.ShadowMount, ph.Replay, ph.ShadowStage = out.fsckDur, out.mountDur, out.replayDur, out.stageDur
 	r.observeStage("fsck", ph.Fsck)
 	r.observeStage("shadow_mount", ph.ShadowMount)
 	r.observeStage("replay", ph.Replay)
 	r.observeStage("install_wait", ph.InstallWait)
-	if pipelined {
+	if overlap {
 		// The overlapped stage's time is reported as its own span; the
 		// orchestrator's handoff span covers the whole drain window.
 		tr.AddSpan(telemetry.PhaseShadowExec, out.stageDur, note)

@@ -218,23 +218,20 @@ func TestFaultDuringRecoveryPipeline(t *testing.T) {
 }
 
 // TestSequentialRecoveryMatchesPipelined runs the same faulty workload
-// through both engines and checks each against the bug-free specification:
-// the pipeline is a latency optimization, never a semantic change.
+// through the engine with and without its parallelism and checks each
+// against the bug-free specification: the overlap is a latency optimization,
+// never a semantic change.
 func TestSequentialRecoveryMatchesPipelined(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		name := "pipelined"
-		if sequential {
-			name = "sequential"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, workers := range []int{0, 1} { // 0 selects the default
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg := faultinject.NewRegistry(4)
 			reg.Arm(&faultinject.Specimen{
 				ID: "det-crash", Class: faultinject.Crash, Deterministic: true,
 				Prob: 1.0, Op: "create", Point: "entry", PathSubstr: "trigger",
 			})
 			fs, _, sb := newSupervised(t, Config{
-				Base:               basefs.Options{Injector: reg},
-				SequentialRecovery: sequential,
+				Base:            basefs.Options{Injector: reg},
+				RecoveryWorkers: workers,
 			})
 			trace := workload.Generate(workload.Config{
 				Profile: workload.MetaHeavy, Seed: 42, NumOps: 400, Superblock: sb, SyncEvery: 120,

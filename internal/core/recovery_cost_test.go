@@ -148,17 +148,14 @@ func TestRecoveryIOIndependentOfImageSize(t *testing.T) {
 // RecoveryPhases documents, so a recovery's time is attributable from its
 // phases alone: no stage hides another's work and none is counted twice.
 func TestRecoveryStagesPartitionWall(t *testing.T) {
-	for _, sequential := range []bool{true, false} {
-		name := "pipelined"
-		if sequential {
-			name = "sequential"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, workers := range []int{1, 0} { // 0 selects the default
+		sequential := workers == 1
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			sink := telemetry.New()
 			fs, _, _ := newSupervised(t, Config{
-				Base:               basefs.Options{Injector: plantTwoFaults(5)},
-				SequentialRecovery: sequential,
-				Telemetry:          sink,
+				Base:            basefs.Options{Injector: plantTwoFaults(5)},
+				RecoveryWorkers: workers,
+				Telemetry:       sink,
 			})
 			// A gap big enough that the bookkeeping between the clocks
 			// (microseconds) is far below the tolerance.
@@ -190,7 +187,7 @@ func TestRecoveryStagesPartitionWall(t *testing.T) {
 				within("Plan+Reboot+Fsck+ShadowMount+Replay+Absorb+Resume",
 					ph.Plan+ph.Reboot+ph.Fsck+ph.ShadowMount+ph.Replay+ph.Absorb+ph.Resume)
 				if ph.InstallWait != 0 {
-					t.Errorf("InstallWait = %v in sequential mode, want 0", ph.InstallWait)
+					t.Errorf("InstallWait = %v at one worker, want 0", ph.InstallWait)
 				}
 			} else {
 				within("Plan+Reboot+Absorb+InstallWait+Resume",

@@ -24,8 +24,8 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 		Op: "mkdir", Point: "entry", PathSubstr: "boom2", MaxFires: 1,
 	})
 	fs, _, _ := newSupervised(t, Config{
-		Base:        basefs.Options{Injector: reg},
-		FsckWorkers: 4,
+		Base:            basefs.Options{Injector: reg},
+		RecoveryWorkers: 4,
 	})
 	for i := 0; i < 5; i++ {
 		if err := fs.Mkdir(fmt.Sprintf("/pre-%d", i), 0o755); err != nil {
@@ -68,36 +68,6 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 		if _, err := fs.Stat(p); err != nil {
 			t.Errorf("Stat(%s): %v", p, err)
 		}
-	}
-}
-
-// TestDisableScopedFsckForcesFullChecks is the knob's contract: every
-// recovery verifies the whole image.
-func TestDisableScopedFsckForcesFullChecks(t *testing.T) {
-	reg := faultinject.NewRegistry(52)
-	reg.Arm(&faultinject.Specimen{
-		ID: "boom", Class: faultinject.Crash, Deterministic: true,
-		Op: "mkdir", Point: "entry", PathSubstr: "boom", MaxFires: 2,
-	})
-	fs, _, _ := newSupervised(t, Config{
-		Base:              basefs.Options{Injector: reg},
-		DisableScopedFsck: true,
-	})
-	for i := 0; i < 2; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/boom-%d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Mkdir(fmt.Sprintf("/between-%d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		// Push writes to the device so the next fault cannot warm-reuse.
-		if err := fs.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := fs.Stats()
-	if st.Recoveries != 2 || st.FsckFull != 2 || st.FsckScoped != 0 {
-		t.Errorf("recoveries=%d full=%d scoped=%d, want 2/2/0", st.Recoveries, st.FsckFull, st.FsckScoped)
 	}
 }
 

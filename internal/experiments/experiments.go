@@ -151,7 +151,7 @@ type RecoveryResult struct {
 // recorded operations: a workload runs (no sync, so nothing truncates the
 // log), then a deterministic crash fires and the recovery is timed by the
 // supervisor's own phase instrumentation.
-func RecoveryLatency(logLen int, seed int64, skipFsck bool) (RecoveryResult, error) {
+func RecoveryLatency(logLen int, seed int64) (RecoveryResult, error) {
 	res := RecoveryResult{LogLen: logLen}
 	dev, sb, err := newImage(ImageBlocks)
 	if err != nil {
@@ -164,9 +164,8 @@ func RecoveryLatency(logLen int, seed int64, skipFsck bool) (RecoveryResult, err
 	})
 	sink := telemetry.New() // isolated: repeated series must not pollute Default
 	sup, err := core.Mount(dev, core.Config{
-		Base:               basefs.Options{Injector: reg},
-		SkipFsckInRecovery: skipFsck,
-		Telemetry:          sink,
+		Base:      basefs.Options{Injector: reg},
+		Telemetry: sink,
 	})
 	if err != nil {
 		return res, err

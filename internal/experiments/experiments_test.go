@@ -38,11 +38,11 @@ func TestThroughputShape(t *testing.T) {
 }
 
 func TestRecoveryLatencyScalesWithLog(t *testing.T) {
-	small, err := RecoveryLatency(16, 3, false)
+	small, err := RecoveryLatency(16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := RecoveryLatency(512, 3, false)
+	large, err := RecoveryLatency(512, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

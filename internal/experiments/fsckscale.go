@@ -1,6 +1,6 @@
 package experiments
 
-// E13 — the parallel, region-scoped checker. Three harnesses:
+// E13 — the parallel, region-scoped checker. Two harnesses:
 //
 //   - FsckParallelScale: sequential Check vs CheckParallel at increasing
 //     worker counts on one populated image, with a per-read device service
@@ -9,9 +9,6 @@ package experiments
 //   - ScopedFsckScale: full check vs region-scoped check across image sizes
 //     with the same small write gap. The full check's cost grows with the
 //     image; the scoped check's cost tracks the gap, staying near-constant.
-//   - RecoveryFsckStage: the same comparison measured where it matters — the
-//     recovery engine's fsck stage (recovery.stage.fsck_ns) with FsckWorkers
-//     1 vs 8 on an otherwise identical fault.
 
 import (
 	"fmt"
@@ -20,12 +17,9 @@ import (
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/disklayout"
-	"repro/internal/faultinject"
 	"repro/internal/fsck"
 	"repro/internal/mkfs"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -183,80 +177,4 @@ func ScopedFsckScale(imageSizes []uint32, gapOps, numOps int, seed int64, worker
 		})
 	}
 	return res, nil
-}
-
-// RecoveryFsckResult compares the recovery engine's fsck stage at two
-// worker-pool sizes on an identical fault.
-type RecoveryFsckResult struct {
-	LogLen  int
-	FsckSeq time.Duration // FsckWorkers: 1
-	FsckPar time.Duration // FsckWorkers: 8
-	Speedup float64
-	WallSeq time.Duration
-	WallPar time.Duration
-}
-
-// RecoveryFsckStage measures recovery.stage.fsck_ns with the checker pool at
-// 1 vs 8 workers (E13). Prefetch is disabled and the scoped check forced off
-// so the stage isolates exactly the checker's own parallelism; the armed
-// per-read latency puts it in the IO-bound regime.
-func RecoveryFsckStage(logLen int, seed int64, ioLat time.Duration) (RecoveryFsckResult, error) {
-	res := RecoveryFsckResult{LogLen: logLen}
-	one, err := recoverFsckOnce(logLen, seed, 1, ioLat)
-	if err != nil {
-		return res, err
-	}
-	eight, err := recoverFsckOnce(logLen, seed, 8, ioLat)
-	if err != nil {
-		return res, err
-	}
-	res.FsckSeq, res.FsckPar = one.Fsck, eight.Fsck
-	res.WallSeq, res.WallPar = one.Total(), eight.Total()
-	if eight.Fsck > 0 {
-		res.Speedup = one.Fsck.Seconds() / eight.Fsck.Seconds()
-	}
-	return res, nil
-}
-
-func recoverFsckOnce(logLen int, seed int64, fsckWorkers int, ioLat time.Duration) (core.RecoveryPhases, error) {
-	var ph core.RecoveryPhases
-	dev, _, err := newImage(ImageBlocks)
-	if err != nil {
-		return ph, err
-	}
-	reg := faultinject.NewRegistry(seed)
-	reg.Arm(&faultinject.Specimen{
-		ID: "e13-crash", Class: faultinject.Crash,
-		Deterministic: true, Op: "setperm", Point: "entry", PathSubstr: "detonate",
-	})
-	sup, err := core.Mount(dev, core.Config{
-		Base:                    basefs.Options{Injector: reg},
-		FsckWorkers:             fsckWorkers,
-		DisableScopedFsck:       true,
-		RecoveryPrefetchWorkers: -1,
-		Telemetry:               telemetry.New(), // isolated
-	})
-	if err != nil {
-		return ph, err
-	}
-	defer sup.Kill()
-	if err := feedGap(sup, logLen, seed); err != nil {
-		return ph, err
-	}
-	if ioLat > 0 {
-		plan := blockdev.NewFaultPlan(seed)
-		plan.ReadLatency, plan.WriteLatency = ioLat, ioLat
-		dev.SetFaults(plan)
-	}
-	if err := sup.SetPerm("/detonate-missing", 0o600); err == nil {
-		return ph, fmt.Errorf("experiments: detonation op unexpectedly succeeded")
-	}
-	st := sup.Stats()
-	if st.Recoveries != 1 || st.Degradations != 0 || len(st.Phases) != 1 {
-		return ph, fmt.Errorf("experiments: expected 1 clean recovery, got %+v", st)
-	}
-	if st.FsckFull != 1 || st.FsckScoped != 0 {
-		return ph, fmt.Errorf("experiments: expected 1 full check, got full=%d scoped=%d", st.FsckFull, st.FsckScoped)
-	}
-	return st.Phases[0], nil
 }

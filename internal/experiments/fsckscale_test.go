@@ -39,12 +39,4 @@ func TestFsckScaleSmoke(t *testing.T) {
 	if scoped[0].GapBlocks == 0 {
 		t.Error("gap session touched no blocks")
 	}
-
-	rec, err := RecoveryFsckStage(100, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.FsckSeq <= 0 || rec.FsckPar <= 0 {
-		t.Errorf("fsck stage unmeasured: seq=%v par=%v", rec.FsckSeq, rec.FsckPar)
-	}
 }

@@ -1,7 +1,8 @@
 package experiments
 
-// E12 — recovery latency of the staged, overlapping engine vs the sequential
-// pipeline, as a function of the recorded-gap size, plus the warm-replayer
+// E12 — recovery latency of the staged engine with its overlap (the default
+// RecoveryWorkers) vs the same stages run one after another (RecoveryWorkers
+// 1), as a function of the recorded-gap size, plus the warm-replayer
 // repeat-fault measurement. The workload phase runs at memory speed; a
 // per-IO device service time is armed just before the detonation so only
 // the recovery pays it, modeling a fast NVMe device without slowing the
@@ -26,21 +27,22 @@ const RecoveryIOLatency = 10 * time.Microsecond
 // PipelineResult is one row of the E12 gap-size series.
 type PipelineResult struct {
 	LogLen     int
-	Sequential core.RecoveryPhases
-	Pipelined  core.RecoveryPhases
-	Speedup    float64 // sequential wall / pipelined wall
+	Sequential core.RecoveryPhases // RecoveryWorkers 1
+	Pipelined  core.RecoveryPhases // the default
+	Speedup    float64             // sequential wall / pipelined wall
 }
 
-// RecoveryPipeline measures one gap size under both engines (E12). The same
-// seed gives both runs the same workload, so the recorded gap and the
-// on-disk state at detonation are identical; only the engine differs.
+// RecoveryPipeline measures one gap size at RecoveryWorkers 1 and at the
+// default (E12). The same seed gives both runs the same workload, so the
+// recorded gap and the on-disk state at detonation are identical; only the
+// recovery's parallelism differs.
 func RecoveryPipeline(logLen int, seed int64, ioLat time.Duration) (PipelineResult, error) {
 	res := PipelineResult{LogLen: logLen}
-	seq, err := recoverOnce(logLen, seed, true, ioLat)
+	seq, err := recoverOnce(logLen, seed, 1, ioLat)
 	if err != nil {
 		return res, err
 	}
-	pip, err := recoverOnce(logLen, seed, false, ioLat)
+	pip, err := recoverOnce(logLen, seed, 0, ioLat)
 	if err != nil {
 		return res, err
 	}
@@ -54,7 +56,7 @@ func RecoveryPipeline(logLen int, seed int64, ioLat time.Duration) (PipelineResu
 // recoverOnce runs a workload to the target gap size, arms the device
 // service time, detonates a deterministic crash, and returns the recovery's
 // phase breakdown.
-func recoverOnce(logLen int, seed int64, sequential bool, ioLat time.Duration) (core.RecoveryPhases, error) {
+func recoverOnce(logLen int, seed int64, workers int, ioLat time.Duration) (core.RecoveryPhases, error) {
 	var ph core.RecoveryPhases
 	dev, _, err := newImage(ImageBlocks)
 	if err != nil {
@@ -66,9 +68,9 @@ func recoverOnce(logLen int, seed int64, sequential bool, ioLat time.Duration) (
 		Deterministic: true, Op: "setperm", Point: "entry", PathSubstr: "detonate",
 	})
 	sup, err := core.Mount(dev, core.Config{
-		Base:               basefs.Options{Injector: reg},
-		SequentialRecovery: sequential,
-		Telemetry:          telemetry.New(), // isolated
+		Base:            basefs.Options{Injector: reg},
+		RecoveryWorkers: workers,
+		Telemetry:       telemetry.New(), // isolated
 	})
 	if err != nil {
 		return ph, err

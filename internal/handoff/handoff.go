@@ -4,20 +4,18 @@
 //
 // The paper stresses that this interface "requires a lean, well-defined, and
 // thoroughly tested interface" (§4.3) because it is trusted code shared
-// between the two worlds. The Update is therefore a plain value: block
-// images keyed by block number plus a descriptor table, deep-copied and
-// self-checksummed when it crosses the isolation boundary, and re-validated
-// by the base before absorption.
+// between the two worlds. What crosses is therefore plain values in one
+// format: a stream of sealed Chunks (block images keyed by block number,
+// deep-copied by the shadow when it emits them) closed by a sealed Manifest
+// (the descriptor table, the clock, and a chain over the chunks' checksums).
+// The base re-validates each before absorbing it.
 package handoff
 
 import (
 	"encoding/binary"
-	"fmt"
-	"sort"
 
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
-	"repro/internal/fserr"
 )
 
 // FDEntry restores one application-visible file descriptor.
@@ -26,117 +24,18 @@ type FDEntry struct {
 	Ino uint32
 }
 
-// Update is the shadow's complete output for one recovery: every block the
-// replayed operation sequence would have written (metadata and buffered
-// data), the descriptor table as of the end of the sequence, and the
-// logical clock so timestamps continue seamlessly.
-type Update struct {
-	// Blocks maps block numbers to their correct contents.
-	Blocks map[uint32][]byte
-	// Meta marks which blocks are filesystem metadata (journaled by the
-	// base's next sync rather than written in ordered-data mode).
-	Meta map[uint32]bool
-	// FDs is the recovered descriptor table.
-	FDs []FDEntry
-	// Clock is the logical time after the last replayed operation.
-	Clock uint64
-	// Sum is the integrity checksum over the rest of the update; computed by
-	// Seal, verified by Verify.
-	Sum uint32
+// chain is a running checksum over a sequence of byte strings.
+type chain struct {
+	acc uint32
+	// hdr is scratch for acc's bytes. The CRC call makes its argument escape,
+	// so as a field it costs one allocation per chain where a local would
+	// cost one per fold.
+	hdr [4]byte
 }
 
-// NewUpdate returns an empty update.
-func NewUpdate() *Update {
-	return &Update{Blocks: make(map[uint32][]byte), Meta: make(map[uint32]bool)}
-}
-
-// SortedBlocks returns the update's block numbers in ascending order, the
-// canonical iteration order for checksumming and installation.
-func (u *Update) SortedBlocks() []uint32 {
-	out := make([]uint32, 0, len(u.Blocks))
-	for blk := range u.Blocks {
-		out = append(out, blk)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (u *Update) checksum() uint32 {
-	var acc uint32
-	var w [16]byte
-	fold := func(b []byte) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], acc)
-		acc = disklayout.Checksum(append(hdr[:], b...))
-	}
-	for _, blk := range u.SortedBlocks() {
-		binary.LittleEndian.PutUint32(w[:4], blk)
-		meta := uint32(0)
-		if u.Meta[blk] {
-			meta = 1
-		}
-		binary.LittleEndian.PutUint32(w[4:8], meta)
-		fold(w[:8])
-		fold(u.Blocks[blk])
-	}
-	for _, e := range u.FDs {
-		binary.LittleEndian.PutUint64(w[:8], uint64(e.FD))
-		binary.LittleEndian.PutUint32(w[8:12], e.Ino)
-		fold(w[:12])
-	}
-	binary.LittleEndian.PutUint64(w[:8], u.Clock)
-	fold(w[:8])
-	return acc
-}
-
-// Seal computes and stores the integrity checksum. The shadow calls it once
-// the update is complete.
-func (u *Update) Seal() { u.Sum = u.checksum() }
-
-// Verify reports whether the update is internally consistent: checksum
-// matches, every block is full-size, and the descriptor table is free of
-// duplicates. The base calls this before absorbing anything.
-func (u *Update) Verify() error {
-	for blk, data := range u.Blocks {
-		if len(data) != disklayout.BlockSize {
-			return fmt.Errorf("handoff: block %d has %d bytes: %w", blk, len(data), fserr.ErrCorrupt)
-		}
-	}
-	seen := make(map[fsapi.FD]bool, len(u.FDs))
-	for _, e := range u.FDs {
-		if seen[e.FD] {
-			return fmt.Errorf("handoff: duplicate fd %d: %w", e.FD, fserr.ErrCorrupt)
-		}
-		if e.Ino == 0 {
-			return fmt.Errorf("handoff: fd %d maps to inode 0: %w", e.FD, fserr.ErrCorrupt)
-		}
-		seen[e.FD] = true
-	}
-	if got := u.checksum(); got != u.Sum {
-		return fmt.Errorf("handoff: checksum %#x, want %#x: %w", got, u.Sum, fserr.ErrCorrupt)
-	}
-	return nil
-}
-
-// Clone deep-copies the update. The supervisor clones at the isolation
-// boundary so the base can never alias the shadow's memory (the moral
-// equivalent of the process boundary in the paper's design).
-func (u *Update) Clone() *Update {
-	cp := &Update{
-		Blocks: make(map[uint32][]byte, len(u.Blocks)),
-		Meta:   make(map[uint32]bool, len(u.Meta)),
-		FDs:    make([]FDEntry, len(u.FDs)),
-		Clock:  u.Clock,
-		Sum:    u.Sum,
-	}
-	for blk, data := range u.Blocks {
-		nd := make([]byte, len(data))
-		copy(nd, data)
-		cp.Blocks[blk] = nd
-	}
-	for blk, m := range u.Meta {
-		cp.Meta[blk] = m
-	}
-	copy(cp.FDs, u.FDs)
-	return cp
+// fold replaces acc with the CRC32C of acc's four little-endian bytes
+// followed by b, computed without joining the two.
+func (c *chain) fold(b []byte) {
+	binary.LittleEndian.PutUint32(c.hdr[:], c.acc)
+	c.acc = disklayout.ChecksumUpdate(disklayout.Checksum(c.hdr[:]), b)
 }

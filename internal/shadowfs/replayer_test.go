@@ -1,6 +1,7 @@
 package shadowfs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/fsapi"
@@ -27,10 +28,67 @@ func recordedTrace(t *testing.T, n int) []*oplog.Op {
 	return recorded
 }
 
+// foldStream verifies a chunk stream against its manifest the way the base
+// does on absorb (each chunk's seal, index order, the manifest's chain) and
+// folds it into the block images the base would hold afterwards: a later
+// chunk overrides an earlier one, a freed block is retracted.
+func foldStream(t *testing.T, chunks []*handoff.Chunk, m *handoff.Manifest) (blocks map[uint32][]byte, meta map[uint32]bool) {
+	t.Helper()
+	blocks, meta = map[uint32][]byte{}, map[uint32]bool{}
+	sums := make([]uint32, 0, len(chunks))
+	for i, c := range chunks {
+		if err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Index != i {
+			t.Fatalf("chunk at position %d has index %d", i, c.Index)
+		}
+		for blk, data := range c.Blocks {
+			blocks[blk], meta[blk] = data, c.Meta[blk]
+		}
+		for _, blk := range c.Freed {
+			delete(blocks, blk)
+			delete(meta, blk)
+		}
+		sums = append(sums, c.Sum)
+	}
+	if err := m.Verify(sums); err != nil {
+		t.Fatal(err)
+	}
+	return blocks, meta
+}
+
+// requireSameHandoff fails unless two folded streams and their manifests
+// carry the same block images, metadata flags, descriptors and clock.
+func requireSameHandoff(t *testing.T, got, want []*handoff.Chunk, gotM, wantM *handoff.Manifest) {
+	t.Helper()
+	gotB, gotMeta := foldStream(t, got, gotM)
+	wantB, wantMeta := foldStream(t, want, wantM)
+	if len(gotB) != len(wantB) {
+		t.Fatalf("stream carries %d blocks, one-shot replay %d", len(gotB), len(wantB))
+	}
+	for blk, data := range wantB {
+		gd, ok := gotB[blk]
+		if !ok {
+			t.Fatalf("block %d missing from stream", blk)
+		}
+		if string(gd) != string(data) {
+			t.Fatalf("block %d differs between stream and one-shot replay", blk)
+		}
+		if gotMeta[blk] != wantMeta[blk] {
+			t.Fatalf("block %d meta flag differs", blk)
+		}
+	}
+	if !reflect.DeepEqual(gotM.FDs, wantM.FDs) || gotM.Clock != wantM.Clock {
+		t.Fatalf("manifest (fds %v, clock %d), one-shot replay (fds %v, clock %d)",
+			gotM.FDs, gotM.Clock, wantM.FDs, wantM.Clock)
+	}
+}
+
 // TestReplayerStreamEquivalentToMonolithic drives the same recorded trace
 // through (a) the one-shot Replay and (b) the incremental Replayer with a
-// chunk emitted every few batches, then checks the assembled stream equals
-// the monolithic update block for block.
+// chunk emitted every batch, then checks the folded stream equals the
+// one-chunk stream block for block.
 func TestReplayerStreamEquivalentToMonolithic(t *testing.T) {
 	recorded := recordedTrace(t, 400)
 
@@ -69,29 +127,7 @@ func TestReplayerStreamEquivalentToMonolithic(t *testing.T) {
 	if len(chunks) < 2 {
 		t.Fatalf("stream produced %d chunks; want several for a meaningful test", len(chunks))
 	}
-	got, err := handoff.Assemble(chunks, m)
-	if err != nil {
-		t.Fatalf("Assemble: %v", err)
-	}
-	want := monoRes.Update
-	if len(got.Blocks) != len(want.Blocks) {
-		t.Fatalf("stream carries %d blocks, monolithic %d", len(got.Blocks), len(want.Blocks))
-	}
-	for blk, data := range want.Blocks {
-		gd, ok := got.Blocks[blk]
-		if !ok {
-			t.Fatalf("block %d missing from stream", blk)
-		}
-		if string(gd) != string(data) {
-			t.Fatalf("block %d differs between stream and monolithic update", blk)
-		}
-		if got.Meta[blk] != want.Meta[blk] {
-			t.Fatalf("block %d meta flag differs", blk)
-		}
-	}
-	if got.Sum != want.Sum {
-		t.Fatalf("assembled stream seals to %#x, monolithic to %#x", got.Sum, want.Sum)
-	}
+	requireSameHandoff(t, chunks, monoRes.Chunks, m, monoRes.Manifest)
 	if r.OpsReplayed() != monoRes.OpsReplayed {
 		t.Errorf("replayer executed %d ops, monolithic %d", r.OpsReplayed(), monoRes.OpsReplayed)
 	}
@@ -117,9 +153,7 @@ func TestReplayerWarmResumeReplaysOnlySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := handoff.Assemble([]*handoff.Chunk{c1}, m1); err != nil {
-		t.Fatalf("first stream: %v", err)
-	}
+	foldStream(t, []*handoff.Chunk{c1}, m1)
 	firstReplayed := r.OpsReplayed()
 	if r.NextSeq() != 250 {
 		t.Fatalf("NextSeq = %d after first recovery, want 250", r.NextSeq())
@@ -138,10 +172,6 @@ func TestReplayerWarmResumeReplaysOnlySuffix(t *testing.T) {
 	if c2 == nil || c2.Index != 0 {
 		t.Fatal("warm stream did not restart at chunk 0")
 	}
-	got, err := handoff.Assemble([]*handoff.Chunk{c2}, m2)
-	if err != nil {
-		t.Fatalf("warm stream: %v", err)
-	}
 	suffixReplayed := r.OpsReplayed() - firstReplayed
 	if suffixReplayed > len(rest) {
 		t.Errorf("warm resume replayed %d ops, gap suffix is only %d", suffixReplayed, len(rest))
@@ -153,9 +183,7 @@ func TestReplayerWarmResumeReplaysOnlySuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Sum != coldRes.Update.Sum {
-		t.Fatalf("warm-resumed stream seals to %#x, cold full replay to %#x", got.Sum, coldRes.Update.Sum)
-	}
+	requireSameHandoff(t, []*handoff.Chunk{c2}, coldRes.Chunks, m2, coldRes.Manifest)
 }
 
 // TestReplayerMarkConsumed pins the resume-path bookkeeping: an appended

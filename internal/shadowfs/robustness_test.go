@@ -46,9 +46,12 @@ func TestReplayCountsOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OverlayBlocks != len(res.Update.Blocks) || res.OverlayBlocks < 4 {
+	if len(res.Chunks) != 1 {
+		t.Fatalf("one-shot replay produced %d chunks, want 1", len(res.Chunks))
+	}
+	if res.OverlayBlocks != len(res.Chunks[0].Blocks) || res.OverlayBlocks < 4 {
 		// ≥ 2 data + inode table + bitmaps + root dir block
-		t.Errorf("OverlayBlocks = %d (update has %d)", res.OverlayBlocks, len(res.Update.Blocks))
+		t.Errorf("OverlayBlocks = %d (chunk has %d)", res.OverlayBlocks, len(res.Chunks[0].Blocks))
 	}
 }
 
@@ -85,7 +88,7 @@ func TestShadowSequentialFDPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Update.FDs) != 1 || res.Update.FDs[0].FD != 5 {
-		t.Errorf("fd table = %+v, want pinned fd 5", res.Update.FDs)
+	if fds := res.Manifest.FDs; len(fds) != 1 || fds[0].FD != 5 {
+		t.Errorf("fd table = %+v, want pinned fd 5", fds)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
+	"repro/internal/handoff"
 	"repro/internal/mkfs"
 	"repro/internal/model"
 	"repro/internal/oplog"
@@ -187,12 +188,7 @@ func TestShadowReplayConstrainedReproducesState(t *testing.T) {
 			t.Errorf("discrepancy: %s", d)
 		}
 	}
-	if res.Update == nil {
-		t.Fatal("no update produced")
-	}
-	if err := res.Update.Verify(); err != nil {
-		t.Fatalf("update failed verification: %v", err)
-	}
+	foldStream(t, res.Chunks, res.Manifest) // the stream verifies
 	// The shadow's post-replay state must equal the model's final state.
 	gotState, err := difftest.DumpState(s)
 	if err != nil {
@@ -210,7 +206,7 @@ func TestShadowReplayConstrainedReproducesState(t *testing.T) {
 	}
 	// Descriptor tables must agree too.
 	wantFDs := m.OpenFDs()
-	gotFDs := res.Update.FDs
+	gotFDs := res.Manifest.FDs
 	if len(wantFDs) != len(gotFDs) {
 		t.Fatalf("fd tables differ: shadow %d, model %d", len(gotFDs), len(wantFDs))
 	}
@@ -265,7 +261,7 @@ func TestShadowReplayRejectsUnusableRecordedIno(t *testing.T) {
 	}
 }
 
-func TestShadowOverlayBecomesUpdate(t *testing.T) {
+func TestShadowOverlayBecomesStream(t *testing.T) {
 	s, _, _ := freshShadow(t, 4096)
 	fd, err := s.Create("/file", 0o600)
 	if err != nil {
@@ -274,31 +270,28 @@ func TestShadowOverlayBecomesUpdate(t *testing.T) {
 	if _, err := s.WriteAt(fd, 0, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	u, err := s.buildUpdate()
+	c, m, _, err := NewReplayer(s, ReplayerKey{}, false).Finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Verify(); err != nil {
-		t.Fatal(err)
+	blocks, isMeta := foldStream(t, []*handoff.Chunk{c}, m)
+	if len(blocks) == 0 {
+		t.Fatal("stream has no blocks")
 	}
-	if len(u.Blocks) == 0 {
-		t.Fatal("update has no blocks")
-	}
-	if len(u.FDs) != 1 || u.FDs[0].FD != fd {
-		t.Errorf("update fds = %+v", u.FDs)
+	if len(m.FDs) != 1 || m.FDs[0].FD != fd {
+		t.Errorf("manifest fds = %+v", m.FDs)
 	}
 	// At least one metadata block (inode table / bitmap) and one data block.
 	meta, data := 0, 0
-	for blk := range u.Blocks {
-		if u.Meta[blk] {
+	for blk := range blocks {
+		if isMeta[blk] {
 			meta++
 		} else {
 			data++
 		}
-		_ = blk
 	}
 	if meta == 0 || data == 0 {
-		t.Errorf("update block mix: %d meta, %d data", meta, data)
+		t.Errorf("stream block mix: %d meta, %d data", meta, data)
 	}
 }
 

@@ -273,9 +273,9 @@ func TestCorpusBitmapReadFaultContained(t *testing.T) {
 
 // TestCorpusPipelinedRecoveryRace replays the environment of PR 5's
 // prefetch re-pin race (a Prefetched view pinned blocks after Release)
-// through the campaign's fault case shape, but with the pipelined recovery
-// engine and its prefetch crew enabled — the configuration the sequential
-// campaign tiers deliberately avoid. Run under -race in CI, the old bug
+// through the campaign's fault case shape, but with the recovery engine's
+// overlap and its prefetch crew enabled — what the campaign tiers, which run
+// the engine on one worker, deliberately avoid. Run under -race in CI, the old bug
 // trips the detector; on any tree the RAE contract must still hold.
 func TestCorpusPipelinedRecoveryRace(t *testing.T) {
 	sb, err := geometry()
@@ -288,10 +288,9 @@ func TestCorpusPipelinedRecoveryRace(t *testing.T) {
 	}
 	reg := faultinject.NewRegistry(7)
 	fs, err := core.Mount(dev, core.Config{
-		Base:                    basefs.Options{Injector: reg},
-		FsckWorkers:             2,
-		RecoveryPrefetchWorkers: 2,
-		NoTelemetry:             true,
+		Base:            basefs.Options{Injector: reg},
+		RecoveryWorkers: 2,
+		NoTelemetry:     true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,6 +69,18 @@ func seamForWindow(window []*oplog.Op) string {
 	return ""
 }
 
+// faultCaseConfig is the supervisor every fault case mounts: the production
+// recovery engine on one worker and single-worker queues, so that only one
+// goroutine at a time touches the device and a seeded fault plan meets the
+// same device calls on every run.
+func faultCaseConfig(reg *faultinject.Registry) core.Config {
+	return core.Config{
+		Base:            basefs.Options{QueueWorkers: 1, QueueDepth: 1, Injector: reg},
+		RecoveryWorkers: 1,
+		NoTelemetry:     true,
+	}
+}
+
 // runFaultCase executes one unit window under the live RAE supervisor with
 // one fault class armed, then checks the supervisor's contract:
 //
@@ -80,9 +92,9 @@ func seamForWindow(window []*oplog.Op) string {
 //     the window never touched) must survive, and the final on-disk image
 //     must pass a full fsck.
 //
-// Returns nil when the case passes. Determinism: the supervisor runs with
-// sequential recovery, single-worker queues and no prefetch, and the fault
-// plan's seed derives from (unit seed, class, salt).
+// Returns nil when the case passes. Determinism: the supervisor is
+// faultCaseConfig's, and the fault plan's seed derives from (unit seed,
+// class, salt).
 func runFaultCase(id caseID, pl *plan, sb *disklayout.Superblock, class Class, salt int) (*Failure, error) {
 	fail := func(kind, locus, detail string) *Failure {
 		return &Failure{
@@ -100,17 +112,7 @@ func runFaultCase(id caseID, pl *plan, sb *disklayout.Superblock, class Class, s
 	if class == ClassInjectCrash {
 		reg = faultinject.NewRegistry(deriveSeed(id.seed, int64(class), int64(salt)))
 	}
-	fs, err := core.Mount(dev, core.Config{
-		Base: basefs.Options{
-			QueueWorkers: 1,
-			QueueDepth:   1,
-			Injector:     reg,
-		},
-		SequentialRecovery:      true,
-		FsckWorkers:             1,
-		RecoveryPrefetchWorkers: -1,
-		NoTelemetry:             true,
-	})
+	fs, err := core.Mount(dev, faultCaseConfig(reg))
 	if err != nil {
 		return nil, fmt.Errorf("core mount: %w", err)
 	}

@@ -4,6 +4,14 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/difftest"
+	"repro/internal/faultinject"
+	"repro/internal/mkfs"
+	"repro/internal/model"
+	"repro/internal/oplog"
 )
 
 // TestReducedTierDeterministic is the CI smoke contract: two runs from the
@@ -215,5 +223,88 @@ func TestShrinkKeepsNonReproducing(t *testing.T) {
 	}
 	if attempts > 6 {
 		t.Errorf("attempts %d exceeded budget 6", attempts)
+	}
+}
+
+// TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb pins what the campaign
+// covers since its supervisor became the production engine on one worker:
+// two faults in one mounted case, the second after a durable point, so the
+// second recovery is a cold one over a verified baseline. It must run the
+// region-scoped check and install a gap longer than one feed batch through
+// AbsorbChunk/AbsorbManifest, and the result must equal the specification.
+func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
+	sb, err := geometry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := blockdev.NewMem(devBlocks)
+	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: devInodes, JournalBlocks: devJournal}); err != nil {
+		t.Fatal(err)
+	}
+	reg := faultinject.NewRegistry(1)
+	fs, err := core.Mount(dev, faultCaseConfig(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Kill()
+	m := model.New(sb)
+	both := func(op *oplog.Op) {
+		t.Helper()
+		got, want := mustClone(op), mustClone(op)
+		if err := safeOpApply(fs, got); err != nil {
+			t.Fatal(err)
+		}
+		_ = oplog.Apply(m, want)
+		if d := difftest.CompareOutcome(got, want); len(d) > 0 {
+			t.Fatalf("%s: %s", op, d[0])
+		}
+	}
+	crashNextMkdir := func() {
+		reg.Arm(&faultinject.Specimen{
+			ID: "two-faults", Class: faultinject.Crash, Deterministic: true, MaxFires: 1, Op: "mkdir",
+		})
+	}
+
+	both(&oplog.Op{Kind: oplog.KCreate, Path: "/f", Perm: 0o644})
+	crashNextMkdir()
+	both(&oplog.Op{Kind: oplog.KMkdir, Path: "/first", Perm: 0o755})
+	if st := fs.Stats(); st.Recoveries != 1 || st.FsckFull != 1 || st.FsckScoped != 0 {
+		t.Fatalf("first fault: recoveries=%d full=%d scoped=%d, want 1/1/0", st.Recoveries, st.FsckFull, st.FsckScoped)
+	}
+	// A durable point moves the device under the retained shadow, so the
+	// second recovery cannot resume it warm and must check the image again.
+	if err := syncBoth(fs, m); err != nil {
+		t.Fatal(err)
+	}
+	const gap = 300 // more than one feed batch of 256 ops: at least two chunks
+	for i := 0; i < gap; i++ {
+		both(&oplog.Op{Kind: oplog.KWrite, FD: 0, Off: int64(i), Data: []byte{byte(i)}})
+	}
+	crashNextMkdir()
+	both(&oplog.Op{Kind: oplog.KMkdir, Path: "/second", Perm: 0o755})
+
+	st := fs.Stats()
+	if st.Recoveries != 2 || st.Degradations != 0 || st.AppFailures != 0 {
+		t.Fatalf("recoveries=%d degradations=%d appFailures=%d, want 2/0/0", st.Recoveries, st.Degradations, st.AppFailures)
+	}
+	if st.FsckScoped != 1 || st.FsckFull != 1 {
+		t.Errorf("second fault: scoped=%d full=%d, want 1/1", st.FsckScoped, st.FsckFull)
+	}
+	if st.OpsReused != 0 || st.OpsReplayed < gap {
+		t.Errorf("replayed %d ops and reused %d, want a cold replay of the %d-op gap", st.OpsReplayed, st.OpsReused, gap)
+	}
+	if ph := st.Phases[1]; ph.Absorb <= 0 || ph.InstallWait != 0 {
+		t.Errorf("second hand-off: Absorb=%v InstallWait=%v, want chunks absorbed on the recovering goroutine", ph.Absorb, ph.InstallWait)
+	}
+	got, err := difftest.DumpState(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := difftest.DumpState(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range difftest.CompareStates(got, want) {
+		t.Errorf("state: %s", d)
 	}
 }
