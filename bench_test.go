@@ -1,23 +1,23 @@
-// Package repro's root bench suite regenerates every quantitative artifact
-// as a testing.B benchmark, one per experiment in EXPERIMENTS.md:
+// Package repro's root bench suite regenerates the paper-claim experiments
+// as testing.B benchmarks, one per experiment in EXPERIMENTS.md:
 //
 //	BenchmarkTable1Classify          E1  Table 1 classification
+//	BenchmarkFigure1Tally            E2  Figure 1 bugs per year
 //	BenchmarkBaseVsShadowThroughput  E3  Figure 2's base ≫ shadow contrast
 //	BenchmarkRecoveryLatency         E4  recovery cost vs recorded-log length
 //	BenchmarkAvailabilityUnderBugs   E5  RAE vs baselines under bug arrivals
 //	BenchmarkRecordingOverhead       E6  common-case supervision cost
+//	BenchmarkTelemetryOverhead       E6  the same loop with telemetry off and on
 //	BenchmarkDifferentialThroughput  E7  §4.3 testing-phase throughput
-//	BenchmarkFsck                    E8  image-validation cost
 //
-// plus micro-benchmarks for the substrates (journal commit, buffer cache,
-// shadow replay) that back the ablation discussion in EXPERIMENTS.md.
+// Per-layer costs (journal commit, shadow replay, fsck, recovery, concurrent
+// supervision) are rows of the regression benchmark in benchmark/.
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run '^$' -bench . -benchmem
 package repro
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/basefs"
@@ -25,12 +25,7 @@ import (
 	"repro/internal/bugstudy"
 	"repro/internal/core"
 	"repro/internal/difftest"
-	"repro/internal/disklayout"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
-	"repro/internal/fsapi"
-	"repro/internal/fsck"
-	"repro/internal/journal"
 	"repro/internal/mkfs"
 	"repro/internal/model"
 	"repro/internal/oplog"
@@ -274,70 +269,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkSupervisorOverheadParallel measures supervision cost under
-// goroutine concurrency: a read-mostly per-worker mix (1 write per 16 ops,
-// private file per worker) driven through b.RunParallel against the raw base
-// and the RAE supervisor. Compare ns/op between the two sub-benchmarks; the
-// delta is the fence + recording cost on the concurrent common case. Scale
-// workers with -cpu to sweep contention levels.
-func BenchmarkSupervisorOverheadParallel(b *testing.B) {
-	for _, sysName := range []string{"base", "rae"} {
-		b.Run(sysName, func(b *testing.B) {
-			dev := blockdev.NewMem(experiments.ImageBlocks)
-			if _, err := mkfs.Format(dev, mkfs.Options{}); err != nil {
-				b.Fatal(err)
-			}
-			var fs fsapi.FS
-			var cleanup func()
-			switch sysName {
-			case "base":
-				base, err := basefs.Mount(dev, basefs.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fs, cleanup = base, base.Kill
-			case "rae":
-				sup, err := core.Mount(dev, core.Config{NoTelemetry: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fs, cleanup = sup, sup.Kill
-			}
-			var nextID atomic.Int64
-			payload := make([]byte, 64)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id := nextID.Add(1)
-				fd, err := fs.Create(fmt.Sprintf("/par%d", id), 0o644)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				i := 0
-				for pb.Next() {
-					if i%16 == 0 {
-						if _, err := fs.WriteAt(fd, int64(i%8)*64, payload); err != nil {
-							b.Error(err)
-							return
-						}
-					} else {
-						if _, err := fs.ReadAt(fd, 0, len(payload)); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-					i++
-				}
-				if err := fs.Close(fd); err != nil {
-					b.Error(err)
-				}
-			})
-			b.StopTimer()
-			cleanup()
-		})
-	}
-}
-
 // BenchmarkDifferentialThroughput is E7: how fast the §4.3 testing phase
 // (base and shadow in lockstep with outcome comparison) can grind traces.
 func BenchmarkDifferentialThroughput(b *testing.B) {
@@ -366,135 +297,4 @@ func BenchmarkDifferentialThroughput(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(len(trace)), "fsops/op")
-}
-
-// BenchmarkFsck is E8's cost axis: full-image validation over a populated
-// image (the shadow pays this once per recovery).
-func BenchmarkFsck(b *testing.B) {
-	dev := blockdev.NewMem(experiments.ImageBlocks)
-	sb, _ := mkfs.Format(dev, mkfs.Options{})
-	base, err := basefs.Mount(dev, basefs.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.Generate(workload.Config{
-		Profile: workload.Soup, Seed: 4, NumOps: 1500, Superblock: sb,
-	})
-	for _, rec := range trace {
-		op := rec.Clone()
-		op.Errno, op.RetFD, op.RetIno, op.RetN = 0, 0, 0, 0
-		_ = oplog.Apply(base, op)
-	}
-	if err := base.Unmount(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := fsck.Check(dev)
-		if !rep.Clean() {
-			b.Fatal("populated image not clean")
-		}
-	}
-}
-
-// BenchmarkJournalCommit measures the WAL's commit path (substrate micro).
-// Allocations per op must stay flat as payload size grows: the streaming
-// CRC32C folds payload blocks into the commit checksum without
-// concatenating them.
-func BenchmarkJournalCommit(b *testing.B) {
-	sb, _ := disklayout.Geometry(4096, 512, 256)
-	dev := blockdev.NewMem(sb.NumBlocks)
-	dev.WriteBlock(0, disklayout.EncodeSuperblock(sb))
-	jsb := make([]byte, disklayout.BlockSize)
-	journal.EncodeJSB(jsb, 1, 1)
-	dev.WriteBlock(sb.JournalStart, jsb)
-	j, err := journal.New(dev, sb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, disklayout.BlockSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := &journal.Tx{}
-		for k := uint32(0); k < 8; k++ {
-			tx.Add(sb.DataStart+k, payload)
-		}
-		if err := j.Commit(tx); err != nil {
-			b.Fatal(err)
-		}
-		if err := j.Checkpointed(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(8, "blocks/op")
-}
-
-// BenchmarkShadowReplay measures the shadow's constrained re-execution in
-// isolation (the dominant recovery phase in E4).
-func BenchmarkShadowReplay(b *testing.B) {
-	sb, _ := disklayout.Geometry(experiments.ImageBlocks, 0, 0)
-	trace := workload.Generate(workload.Config{
-		Profile: workload.MetaHeavy, Seed: 5, NumOps: 256, Superblock: sb,
-	})
-	var recorded []*oplog.Op
-	for _, op := range trace {
-		if op.Kind.Mutating() && op.Kind != oplog.KFsync && op.Kind != oplog.KSync {
-			recorded = append(recorded, op)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dev := blockdev.NewMem(experiments.ImageBlocks)
-		mkfs.Format(dev, mkfs.Options{})
-		sh, err := shadowfs.New(dev, shadowfs.Options{SkipFsck: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res, err := sh.Replay(shadowfs.ReplayInput{Ops: recorded, StopOnDiscrepancy: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Manifest == nil {
-			b.Fatal("no handoff")
-		}
-	}
-	b.ReportMetric(float64(len(recorded)), "replayedops/op")
-}
-
-// BenchmarkPanicContainment measures the supervisor's detection envelope on
-// the fault path: one contained panic + full RAE recovery per iteration,
-// with an empty log (the floor of E4).
-func BenchmarkPanicContainment(b *testing.B) {
-	reg := faultinject.NewRegistry(1)
-	reg.Arm(&faultinject.Specimen{
-		ID: "bench", Class: faultinject.Crash, Deterministic: true,
-		Op: "setperm", Point: "entry", PathSubstr: "detonate",
-	})
-	dev := blockdev.NewMem(4096)
-	mkfs.Format(dev, mkfs.Options{})
-	sup, err := core.Mount(dev, core.Config{Base: basefs.Options{Injector: reg}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer sup.Kill()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sup.SetPerm("/detonate", 0o600); err == nil {
-			b.Fatal("detonation op found a file?")
-		}
-		// Keep the log empty so every iteration measures the same
-		// empty-log recovery floor (the recovered in-flight op is recorded
-		// and would otherwise accumulate across iterations).
-		b.StopTimer()
-		if err := sup.Sync(); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-	if sup.Stats().Recoveries != int64(b.N) {
-		b.Fatalf("recoveries %d != N %d", sup.Stats().Recoveries, b.N)
-	}
 }

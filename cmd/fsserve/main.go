@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/fserr"
 	"repro/internal/fswire"
@@ -60,7 +59,7 @@ func main() {
 	}
 
 	m, err := volmgr.New(volmgr.Config{
-		PoolBlocks:        uint32(*volumes) * experiments.MultiTenantVolumeBlocks,
+		PoolBlocks:        uint32(*volumes) * volmgr.ServingVolumeBlocks,
 		CacheBudgetBlocks: 96 * *volumes,
 		CacheMinPerVolume: 32,
 	})
@@ -69,7 +68,7 @@ func main() {
 
 	vols := make([]*volmgr.Volume, *volumes)
 	for i := range vols {
-		vc := volmgr.VolumeConfig{Blocks: experiments.MultiTenantVolumeBlocks}
+		vc := volmgr.VolumeConfig{Blocks: volmgr.ServingVolumeBlocks}
 		if *smoke && i == 0 {
 			// The storm: a recurring deterministic crash on every mkdir of a
 			// "box" directory — the metaheavy profile creates them steadily,
@@ -118,7 +117,7 @@ func main() {
 func runSmoke(m *volmgr.Manager, vols []*volmgr.Volume, addr string, clients, ops int, seed int64, window, batch int) bool {
 	// The geometry is deterministic for a given device size, so one throwaway
 	// format yields the superblock every client's workload generator needs.
-	sb, err := mkfs.Format(blockdev.NewMem(experiments.MultiTenantVolumeBlocks), mkfs.Options{})
+	sb, err := mkfs.Format(blockdev.NewMem(volmgr.ServingVolumeBlocks), mkfs.Options{})
 	check(err)
 
 	type clientResult struct {

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/fswire"
 	"repro/internal/mkfs"
@@ -61,7 +60,7 @@ func main() {
 		budget = 96 * *volumes
 	}
 	cfg := volmgr.Config{
-		PoolBlocks:        uint32(*volumes) * experiments.MultiTenantVolumeBlocks,
+		PoolBlocks:        uint32(*volumes) * volmgr.ServingVolumeBlocks,
 		CacheBudgetBlocks: budget,
 		CacheMinPerVolume: 32,
 		RebalanceInterval: 25 * time.Millisecond,
@@ -80,7 +79,7 @@ func main() {
 
 	vols := make([]*volmgr.Volume, *volumes)
 	for i := range vols {
-		vc := volmgr.VolumeConfig{Blocks: experiments.MultiTenantVolumeBlocks}
+		vc := volmgr.VolumeConfig{Blocks: volmgr.ServingVolumeBlocks}
 		if *storm && i == 0 {
 			reg := faultinject.NewRegistry(*seed)
 			reg.Arm(&faultinject.Specimen{
@@ -130,7 +129,7 @@ func main() {
 
 	// The geometry is deterministic for a given device size, so one throwaway
 	// format yields the superblock every tenant's workload generator needs.
-	sb, err := mkfs.Format(blockdev.NewMem(experiments.MultiTenantVolumeBlocks), mkfs.Options{})
+	sb, err := mkfs.Format(blockdev.NewMem(volmgr.ServingVolumeBlocks), mkfs.Options{})
 	check(err)
 
 	start := time.Now()

@@ -38,22 +38,16 @@ import (
 type Options struct {
 	// CacheBlocks bounds clean buffers in the buffer cache (default 1024).
 	CacheBlocks int
-	// CacheInodes bounds the inode cache (default 1024).
-	CacheInodes int
 	// CacheDentries bounds the dentry cache (default 4096).
 	CacheDentries int
 	// QueueWorkers is the async block layer's worker count (default 4).
 	QueueWorkers int
 	// QueueDepth is the submission queue depth (default 64).
 	QueueDepth int
-	// CachePolicy selects the buffer-cache replacement policy: "" or "lru"
-	// for plain LRU, "2q" for the scan-resistant 2Q policy the paper names
-	// among the base's sophisticated caching machinery.
-	CachePolicy string
 	// LegacyLayout forces new regular files onto the per-block direct/indirect
 	// pointer tree instead of extents. Existing extent files remain readable
-	// either way; this is the ablation knob the extent benchmarks compare
-	// against.
+	// either way. Only tests set it: the twin-layout differential and the
+	// bmap-upgrade tests.
 	LegacyLayout bool
 	// ExtraChecks enables the expensive validations the base normally skips
 	// (pointer validation on every inode load, dirent re-validation on every
@@ -89,12 +83,12 @@ type Options struct {
 	Telemetry *telemetry.Sink
 }
 
+// inodeCacheSize bounds the inode cache.
+const inodeCacheSize = 1024
+
 func (o *Options) fill() {
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 1024
-	}
-	if o.CacheInodes == 0 {
-		o.CacheInodes = 1024
 	}
 	if o.CacheDentries == 0 {
 		o.CacheDentries = 4096
@@ -240,9 +234,6 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 	}
 	q := blockdev.NewQueue(dev, opts.QueueWorkers, opts.QueueDepth)
 	bc := cache.NewBufferCache(q, opts.CacheBlocks)
-	if opts.CachePolicy == "2q" {
-		bc.SetPolicy(opts.CacheBlocks)
-	}
 	// The journal drives its IO through the async queue: transaction blocks
 	// overlap across workers and its flushes are counted with the rest of
 	// the base's device flushes.
@@ -256,7 +247,7 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		queue:       q,
 		sb:          sb,
 		bc:          bc,
-		ic:          cache.NewInodeCache(opts.CacheInodes),
+		ic:          cache.NewInodeCache(inodeCacheSize),
 		dc:          cache.NewDentryCache(opts.CacheDentries),
 		jnl:         jnl,
 		unstable:    make(map[uint32][]byte),

@@ -428,54 +428,3 @@ func TestWarnChannel(t *testing.T) {
 		t.Error("warning not recorded")
 	}
 }
-
-func TestTwoQCachePolicyOption(t *testing.T) {
-	dev := blockdev.NewMem(4096)
-	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64}); err != nil {
-		t.Fatal(err)
-	}
-	fs, err := Mount(dev, Options{CachePolicy: "2q", CacheBlocks: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Kill()
-	// Workload with a hot set and a one-pass scan: everything must stay
-	// correct under the alternate policy.
-	for i := 0; i < 8; i++ {
-		fd, err := fs.Create("/hot"+itoa(i), 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.WriteAt(fd, 0, bytes.Repeat([]byte{byte(i)}, 2000)); err != nil {
-			t.Fatal(err)
-		}
-		fs.Close(fd)
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Scan: create and read many one-touch files.
-	for i := 0; i < 100; i++ {
-		fd, err := fs.Create("/scan"+itoa(i), 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs.WriteAt(fd, 0, []byte("once"))
-		fs.Close(fd)
-	}
-	// Hot files intact.
-	for i := 0; i < 8; i++ {
-		fd, err := fs.Open("/hot" + itoa(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fs.ReadAt(fd, 0, 2000)
-		if err != nil || len(got) != 2000 || got[0] != byte(i) {
-			t.Fatalf("hot file %d damaged under 2q: %v", i, err)
-		}
-		fs.Close(fd)
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -55,8 +55,8 @@ type Buf struct {
 	elem *list.Element
 }
 
-// bufShard is one lock stripe of the cache: an independent map + LRU + 2Q
-// over the block numbers that hash to it. Every invariant the cache
+// bufShard is one lock stripe of the cache: an independent map + LRU over
+// the block numbers that hash to it. Every invariant the cache
 // maintains (dirty/unstable/pinned exclusion from eviction, the clean-buffer
 // bound, identity-checked map deletes) holds per shard; block numbers never
 // migrate between shards, so no cross-shard ordering exists and no operation
@@ -68,11 +68,7 @@ type bufShard struct {
 	maxClean int
 	hits     int64
 	misses   int64
-	// policy, when set, drives admission/eviction (2Q); the LRU list remains
-	// the backstop bound. Policy victims are honored only when clean,
-	// stable, and unpinned.
-	policy *TwoQ
-	_      [24]byte // keep neighboring shards' hot words off one cache line
+	_        [32]byte // keep neighboring shards' hot words off one cache line
 }
 
 // BufferCache is a write-back block cache with LRU eviction of clean,
@@ -209,43 +205,6 @@ func (c *BufferCache) SetTelemetry(s *telemetry.Sink) {
 	c.telLockWait = s.Histogram("cache.shard.lock_wait")
 }
 
-// SetPolicy installs a 2Q replacement policy of the given total capacity,
-// split evenly across shards (capacity <= 0 reverts to plain LRU). Each
-// shard gets its own 2Q instance so policy state never crosses stripes.
-func (c *BufferCache) SetPolicy(capacity int) {
-	per := 0
-	if capacity > 0 {
-		per = capacity / len(c.shards)
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		c.lock(s)
-		if capacity <= 0 {
-			s.policy = nil
-		} else {
-			s.policy = NewTwoQ(per)
-		}
-		s.mu.Unlock()
-	}
-}
-
-// touchPolicyLocked routes a reference through the shard's policy and applies
-// its eviction decisions to evictable buffers.
-func (s *bufShard) touchPolicyLocked(blk uint32) {
-	if s.policy == nil {
-		return
-	}
-	for _, victim := range s.policy.Touch(blk) {
-		if b, ok := s.bufs[victim]; ok && !b.dirty && !b.unstable && b.pins == 0 {
-			if b.elem != nil {
-				s.lru.Remove(b.elem)
-				b.elem = nil
-			}
-			delete(s.bufs, victim)
-		}
-	}
-}
-
 // Get returns the cached buffer for blk, reading through the async queue on
 // a miss. The buffer is returned pinned; the caller must Release it.
 func (c *BufferCache) Get(blk uint32) (*Buf, error) {
@@ -258,7 +217,6 @@ func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 		}
 		s.hits++
 		c.telHits.Inc()
-		s.touchPolicyLocked(blk)
 		s.mu.Unlock()
 		return b, nil
 	}
@@ -281,7 +239,6 @@ func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 	}
 	b := &Buf{Blk: blk, Data: data, pins: 1}
 	s.bufs[blk] = b
-	s.touchPolicyLocked(blk)
 	s.evictLocked()
 	return b, nil
 }
@@ -301,7 +258,6 @@ func (c *BufferCache) GetZero(blk uint32) *Buf {
 	}
 	b := &Buf{Blk: blk, Data: make([]byte, disklayout.BlockSize), pins: 1}
 	s.bufs[blk] = b
-	s.touchPolicyLocked(blk)
 	s.evictLocked()
 	return b
 }
@@ -529,7 +485,6 @@ func (c *BufferCache) Peek(blk uint32) *Buf {
 	}
 	s.hits++
 	c.telHits.Inc()
-	s.touchPolicyLocked(blk)
 	return b
 }
 
@@ -547,7 +502,6 @@ func (c *BufferCache) InstallClean(blk uint32, data []byte) {
 	}
 	b := &Buf{Blk: blk, Data: data}
 	s.bufs[blk] = b
-	s.touchPolicyLocked(blk)
 	s.maybeCacheLocked(b)
 }
 
@@ -558,9 +512,6 @@ func (c *BufferCache) Drop(blk uint32) {
 	s := c.shardFor(blk)
 	c.lock(s)
 	defer s.mu.Unlock()
-	if s.policy != nil {
-		s.policy.Forget(blk)
-	}
 	if b, ok := s.bufs[blk]; ok {
 		if b.elem != nil {
 			s.lru.Remove(b.elem)

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
@@ -17,6 +18,15 @@ func newShardedBC(t *testing.T, blocks uint32) (*BufferCache, *blockdev.Mem) {
 	q := blockdev.NewQueue(dev, 2, 16)
 	t.Cleanup(q.Close)
 	return NewBufferCache(q, 256), dev
+}
+
+// TestBufShardSize pins the shard's footprint: the pad keeps each shard at
+// 80 bytes so the shard array's layout on the cache-hit path never moves
+// when a field is added or removed.
+func TestBufShardSize(t *testing.T) {
+	if got := unsafe.Sizeof(bufShard{}); got != 80 {
+		t.Fatalf("unsafe.Sizeof(bufShard{}) = %d, want 80", got)
+	}
 }
 
 func TestShardCountBounds(t *testing.T) {

@@ -135,13 +135,13 @@ func TestWarmStateInvalidatedBySync(t *testing.T) {
 	}
 }
 
-// TestFaultDuringRecoveryPipeline hammers the pipelined engine from many
+// TestFaultDuringPipelinedRecovery hammers the pipelined engine from many
 // goroutines: faults detected while another goroutine's recovery is mid-
 // flight (including mid-replay, since the replay stage runs concurrently
 // with the reboot) must be superseded by the generation counter and retried
 // against the recovered base, never double-recovered and never surfaced to
 // the application. Run under -race in CI.
-func TestFaultDuringRecoveryPipeline(t *testing.T) {
+func TestFaultDuringPipelinedRecovery(t *testing.T) {
 	reg := faultinject.NewRegistry(3)
 	reg.Arm(&faultinject.Specimen{
 		ID: "crash-burst", Class: faultinject.Crash, Deterministic: true,

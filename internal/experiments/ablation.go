@@ -35,7 +35,6 @@ func ablations() []struct {
 		{"tiny-buffer-cache", basefs.Options{CacheBlocks: 8}},
 		{"single-queue-worker", basefs.Options{QueueWorkers: 1, QueueDepth: 1}},
 		{"extra-checks-on", basefs.Options{ExtraChecks: true}},
-		{"2q-buffer-cache", basefs.Options{CachePolicy: "2q"}},
 		{"all-weakened", basefs.Options{
 			CacheDentries: 16, CacheBlocks: 8, QueueWorkers: 1, QueueDepth: 1, ExtraChecks: true,
 		}},

@@ -1,10 +1,11 @@
-// Package experiments implements the measurement harnesses behind every
-// quantitative artifact in EXPERIMENTS.md: common-case throughput of base
-// vs shadow vs RAE vs NVP-3 (E3, E6), recovery latency decomposed into the
-// paper's phases as a function of the recorded-sequence length (E4), and
-// availability under a bug-arrival process for RAE against the baselines
-// (E5). The same functions drive cmd/shadowbench and the root bench suite,
-// so printed tables and testing.B numbers come from one code path.
+// Package experiments implements the harnesses that reproduce the paper's
+// claims in EXPERIMENTS.md: common-case throughput of base vs shadow vs RAE
+// vs NVP-3 (E3, E6), recovery latency decomposed into the paper's phases as
+// a function of the recorded-sequence length (E4), and availability under a
+// bug-arrival process for RAE against the baselines (E5). The same
+// functions drive cmd/shadowbench and the root bench suite, so printed
+// tables and testing.B numbers come from one code path. Performance of the
+// layers this repository adds is measured by benchmark/, not here.
 package experiments
 
 import (

@@ -138,25 +138,3 @@ func TestLatencyTailShape(t *testing.T) {
 		t.Errorf("recoveries invisible in the tail: max %v", buggy.Max)
 	}
 }
-
-// TestFsyncHeavyFlushBudget pins the durability-path regression boundary:
-// one fsync must average well under the old 6 device flushes — the
-// single-flush-pair commit plus deferred checkpointing budgets 2 for the
-// common case plus amortized checkpoint flushes.
-func TestFsyncHeavyFlushBudget(t *testing.T) {
-	r, err := FsyncHeavy(100, 4, 10, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.FlushesPerSync >= 3.0 {
-		t.Errorf("flushes/sync = %.2f, want < 3.0 (pre-group-commit path cost 6)", r.FlushesPerSync)
-	}
-	if r.FsyncsPerSec <= 0 || r.ConcFlushes <= 0 {
-		t.Errorf("concurrent phase did not run: %+v", r)
-	}
-	// Group commit + shared sync rounds: 40 concurrent fsyncs must need far
-	// fewer than 40 commit pairs.
-	if r.ConcFlushes >= int64(r.Fsyncs)*2 {
-		t.Errorf("no coalescing: %d flushes for %d concurrent fsyncs", r.ConcFlushes, r.Fsyncs)
-	}
-}

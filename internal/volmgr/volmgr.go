@@ -94,6 +94,10 @@ func (c *Config) fill() error {
 	return nil
 }
 
+// ServingVolumeBlocks is the per-tenant device size (32 MiB) the serving
+// binaries give every volume of their in-memory fleet.
+const ServingVolumeBlocks = 8192
+
 // VolumeConfig parameterizes one volume.
 type VolumeConfig struct {
 	// Blocks is the volume's device size (default 16384 = 64 MiB).

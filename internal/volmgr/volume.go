@@ -49,8 +49,8 @@ type Volume struct {
 	adm  *admission
 
 	// opLat lives on the FLEET sink under volmgr.op_ns.<name>: per-tenant
-	// latency distributions side by side in one rollup, which is how E14
-	// measures a healthy tenant's p99 while a storm hits its neighbor.
+	// latency distributions side by side in one rollup, which is how an
+	// operator reads a healthy tenant's p99 while a storm hits its neighbor.
 	opLat  *telemetry.Histogram
 	volOps *telemetry.Counter
 
