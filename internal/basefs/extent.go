@@ -359,9 +359,10 @@ func (fs *FS) freeBlockPhys(blk uint32) error {
 // --- data path -------------------------------------------------------------
 
 // extWriteBlocks is the extent branch of WriteAt's block loop: overwrites of
-// mapped blocks go through the cache, writes into unmapped blocks are charged
-// and buffered for sync-time allocation. Returns bytes written and the error
-// that stopped a short write.
+// mapped blocks go through the cache (reading the device only to merge a
+// partial block), writes into unmapped blocks are charged and buffered for
+// sync-time allocation. Returns bytes written and the error that stopped a
+// short write.
 func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int, error) {
 	st, err := fs.extState(ci)
 	if err != nil {
@@ -389,9 +390,17 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			copy(nb[boff:], src)
 			st.bufs[bi] = nb
 		} else if phys := extentFor(st.exts, bi); phys != 0 {
-			buf, gerr := fs.bc.Get(phys)
-			if gerr != nil {
-				return written, gerr
+			// A full-block overwrite replaces every byte, so an uncached
+			// block needs no device read first; a partial one merges into
+			// the old content and must read it.
+			buf := fs.bc.Peek(phys)
+			if buf == nil && chunk == disklayout.BlockSize {
+				buf = fs.bc.GetZero(phys)
+			} else if buf == nil {
+				var gerr error
+				if buf, gerr = fs.bc.Get(phys); gerr != nil {
+					return written, gerr
+				}
 			}
 			copy(buf.Data[boff:], src)
 			fs.bc.MarkDirty(buf)
@@ -454,7 +463,7 @@ func (fs *FS) extReadInto(ci *cache.CachedInode, off int64, out []byte) error {
 		for i := range run {
 			bufs[i] = run[i].dst
 		}
-		err := blockdev.ReadVec(fs.dev, []blockdev.Run{{Blk: run[0].phys, Bufs: bufs}})
+		err := fs.dev.ReadVec([]blockdev.Run{{Blk: run[0].phys, Bufs: bufs}})
 		if err != nil {
 			run = run[:0]
 			return err

@@ -1,12 +1,14 @@
 package basefs
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
+	"repro/internal/fsapi"
 	"repro/internal/mkfs"
 )
 
@@ -87,26 +89,36 @@ func TestFsyncFlushBudget(t *testing.T) {
 }
 
 // TestExtentVectoringCutsDeviceCalls pins the extent layout's device-call
-// claim: delayed allocation plus the vectored device path move a 4 MiB
-// sequential file (1024 blocks) in at least 10x fewer device write calls,
-// and read it back cold in at least 10x fewer read calls, than the legacy
-// per-block pointer tree.
+// budget: delayed allocation, coalesced write-back and the vectored read path
+// move a 4 MiB sequential file (1024 blocks) in at most a tenth as many
+// device write calls as blocks, and read it back cold in at most a tenth as
+// many read calls.
 func TestExtentVectoringCutsDeviceCalls(t *testing.T) {
-	extW, extR := sequentialFileCalls(t, Options{})
-	bmapW, bmapR := sequentialFileCalls(t, Options{LegacyLayout: true})
-	if extW*10 >= bmapW {
-		t.Errorf("write calls: extent %d vs bmap %d, want >= 10x fewer", extW, bmapW)
+	const budget = 1024 / 10
+	w, r := SequentialFileCalls(t, MountBare)
+	if w > budget {
+		t.Errorf("write calls: %d for 1024 blocks, want <= %d", w, budget)
 	}
-	if extR*10 >= bmapR {
-		t.Errorf("read calls: extent %d vs bmap %d, want >= 10x fewer", extR, bmapR)
+	if r > budget {
+		t.Errorf("cold read calls: %d for 1024 blocks, want <= %d", r, budget)
 	}
 }
 
-// sequentialFileCalls writes one 4 MiB file in 256 KiB chunks and syncs,
+// MountBare mounts dev as a bare base filesystem, for SequentialFileCalls.
+func MountBare(dev blockdev.Device) (fsapi.FS, func() error, error) {
+	fs, err := Mount(dev, Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return fs, fs.Unmount, nil
+}
+
+// SequentialFileCalls writes one 4 MiB file in 256 KiB chunks and syncs,
 // remounts to empty the buffer cache, and reads the file back. It returns
 // the device write calls of the write+sync and the read calls of the cold
-// read-back.
-func sequentialFileCalls(t *testing.T, opts Options) (writeCalls, readCalls int64) {
+// read-back. mount returns the filesystem over dev and its unmount; the
+// supervisor's twin of this trace mounts through core.Mount.
+func SequentialFileCalls(t *testing.T, mount func(blockdev.Device) (fsapi.FS, func() error, error)) (writeCalls, readCalls int64) {
 	t.Helper()
 	const fileBytes, chunk = 4 << 20, 256 << 10
 	dev := blockdev.NewMem(2*fileBytes/disklayout.BlockSize + 4096)
@@ -117,7 +129,7 @@ func sequentialFileCalls(t *testing.T, opts Options) (writeCalls, readCalls int6
 	for i := range buf {
 		buf[i] = byte(i * 7)
 	}
-	fs, err := Mount(dev, opts)
+	fs, unmount, err := mount(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +150,14 @@ func sequentialFileCalls(t *testing.T, opts Options) (writeCalls, readCalls int6
 	if err := fs.Close(fd); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Unmount(); err != nil {
+	if err := unmount(); err != nil {
 		t.Fatal(err)
 	}
 
-	fs, err = Mount(dev, opts)
-	if err != nil {
+	if fs, unmount, err = mount(dev); err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Unmount()
+	defer unmount()
 	r0 := dev.Stats().ReadCalls.Load()
 	if fd, err = fs.Open("/big"); err != nil {
 		t.Fatal(err)
@@ -161,4 +172,64 @@ func sequentialFileCalls(t *testing.T, opts Options) (writeCalls, readCalls int6
 		}
 	}
 	return writeCalls, dev.Stats().ReadCalls.Load() - r0
+}
+
+// TestFullBlockOverwriteSkipsRead pins the overwrite path: rewriting a whole
+// mapped block that is not cached replaces every byte, so it must not read
+// the device first, while a 100-byte overwrite merges into the old content
+// and must read exactly its one block.
+func TestFullBlockOverwriteSkipsRead(t *testing.T) {
+	dev := blockdev.NewMem(4096)
+	if _, err := mkfs.Format(dev, mkfs.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mount(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := fs.Create("/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt(fd, 0, make([]byte, 4*disklayout.BlockSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	if fs, err = Mount(dev, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Unmount()
+	if fd, err = fs.Open("/f"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		off, n int
+		reads  int64
+	}{
+		{off: disklayout.BlockSize, n: disklayout.BlockSize, reads: 0},
+		{off: 2*disklayout.BlockSize + 7, n: 100, reads: 1},
+	} {
+		r0 := dev.Stats().Reads.Load()
+		if _, err := fs.WriteAt(fd, int64(c.off), bytes.Repeat([]byte{0xA5}, c.n)); err != nil {
+			t.Fatal(err)
+		}
+		if got := dev.Stats().Reads.Load() - r0; got != c.reads {
+			t.Errorf("%d-byte overwrite of an uncached block: %d device reads, want %d", c.n, got, c.reads)
+		}
+	}
+	got, err := fs.ReadAt(fd, 0, 4*disklayout.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 4*disklayout.BlockSize)
+	copy(want[disklayout.BlockSize:], bytes.Repeat([]byte{0xA5}, disklayout.BlockSize))
+	copy(want[2*disklayout.BlockSize+7:], bytes.Repeat([]byte{0xA5}, 100))
+	if !bytes.Equal(got, want) {
+		t.Error("file content after the overwrites differs from the written bytes")
+	}
 }

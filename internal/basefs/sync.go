@@ -260,28 +260,37 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 			return err
 		}
 	}
-	// Delalloc runs first so the large vectored writes overlap the per-block
-	// write-back below.
+	// Delalloc runs first so the large vectored writes overlap the cached
+	// data's write-back below, which goes home in contiguous runs too: the
+	// snapshot is sorted, so each run of adjacent blocks is one request.
 	var vecReqs []*blockdev.Request
 	for _, r := range runs {
 		vecReqs = append(vecReqs, fs.queue.WriteVecAsync(r.Blk, r.Bufs))
 	}
-	var reqs []*struct {
-		snap cache.DirtySnap
-		req  interface{ Wait() error }
+	type dataRun struct {
+		snaps []cache.DirtySnap
+		req   *blockdev.Request
 	}
-	for _, s := range data {
-		r := fs.queue.WriteAsync(s.Blk, s.Data)
-		reqs = append(reqs, &struct {
-			snap cache.DirtySnap
-			req  interface{ Wait() error }
-		}{s, r})
+	var dataRuns []dataRun
+	for i := 0; i < len(data); {
+		j := i + 1
+		for j < len(data) && data[j].Blk == data[j-1].Blk+1 {
+			j++
+		}
+		bufs := make([][]byte, j-i)
+		for k := range bufs {
+			bufs[k] = data[i+k].Data
+		}
+		dataRuns = append(dataRuns, dataRun{data[i:j], fs.queue.WriteVecAsync(data[i].Blk, bufs)})
+		i = j
 	}
-	for _, r := range reqs {
+	for _, r := range dataRuns {
 		if err := r.req.Wait(); err != nil {
 			return fmt.Errorf("basefs: sync data write-back: %w", err)
 		}
-		fs.bc.MarkCleanVer(r.snap.Buf, r.snap.Ver)
+		for _, s := range r.snaps {
+			fs.bc.MarkCleanVer(s.Buf, s.Ver)
+		}
 	}
 	for _, r := range vecReqs {
 		if err := r.Wait(); err != nil {

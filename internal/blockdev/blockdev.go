@@ -11,9 +11,12 @@
 package blockdev
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,13 +25,16 @@ import (
 	"repro/internal/fserr"
 )
 
-// Device is the minimal synchronous block interface. Offsets are block
-// numbers; every transfer is exactly one block.
+// Device is the synchronous block interface. Offsets are block numbers;
+// ReadBlock and WriteBlock move exactly one block, ReadVec and WriteVec move
+// contiguous multi-block runs in one device-level call each (see Run).
 type Device interface {
 	// ReadBlock reads block blk into a fresh buffer of BlockSize bytes.
 	ReadBlock(blk uint32) ([]byte, error)
 	// WriteBlock writes one block. The buffer must be BlockSize bytes.
 	WriteBlock(blk uint32, data []byte) error
+	VecReader
+	VecWriter
 	// NumBlocks returns the device capacity in blocks.
 	NumBlocks() uint32
 	// Flush makes all completed writes durable.
@@ -227,83 +233,19 @@ func (d *Mem) NumBlocks() uint32 {
 	return uint32(len(d.blocks))
 }
 
-// ReadBlock implements Device.
+// ReadBlock implements Device as a one-block run, so single blocks and runs
+// share one fault surface.
 func (d *Mem) ReadBlock(blk uint32) ([]byte, error) {
-	d.mu.RLock()
-	faults := d.faults
-	if int(blk) >= len(d.blocks) {
-		d.mu.RUnlock()
-		d.stats.ReadErrors.Add(1)
-		return nil, fmt.Errorf("blockdev: read of block %d beyond device end %d: %w", blk, len(d.blocks), fserr.ErrIO)
-	}
 	buf := make([]byte, disklayout.BlockSize)
-	if d.blocks[blk] != nil {
-		copy(buf, d.blocks[blk])
-	}
-	d.mu.RUnlock()
-
-	d.stats.Reads.Add(1)
-	d.stats.ReadCalls.Add(1)
-	if faults != nil {
-		if faults.ReadLatency > 0 {
-			time.Sleep(faults.ReadLatency)
-		}
-		faults.mu.Lock()
-		badSector := faults.ReadErrBlocks[blk]
-		faults.mu.Unlock()
-		if badSector || faults.roll(faults.ReadErrProb) {
-			d.stats.ReadErrors.Add(1)
-			return nil, fmt.Errorf("blockdev: injected read error on block %d: %w", blk, fserr.ErrIO)
-		}
-		corrupt := faults.roll(faults.CorruptReadProb)
-		if !corrupt {
-			faults.mu.Lock()
-			corrupt = faults.CorruptBlocks[blk]
-			faults.mu.Unlock()
-		}
-		if corrupt {
-			bit := faults.pick(disklayout.BlockSize * 8)
-			buf[bit/8] ^= 1 << (bit % 8)
-		}
+	if err := d.ReadVec([]Run{{Blk: blk, Bufs: [][]byte{buf}}}); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
-// WriteBlock implements Device.
+// WriteBlock implements Device as a one-block run.
 func (d *Mem) WriteBlock(blk uint32, data []byte) error {
-	if len(data) != disklayout.BlockSize {
-		return fmt.Errorf("blockdev: write of %d bytes, want %d: %w", len(data), disklayout.BlockSize, fserr.ErrInvalid)
-	}
-	d.mu.Lock()
-	faults := d.faults
-	if int(blk) >= len(d.blocks) {
-		d.mu.Unlock()
-		d.stats.WriteErrors.Add(1)
-		return fmt.Errorf("blockdev: write of block %d beyond device end %d: %w", blk, len(d.blocks), fserr.ErrIO)
-	}
-	if faults != nil && faults.WriteLatency > 0 {
-		d.mu.Unlock()
-		time.Sleep(faults.WriteLatency)
-		d.mu.Lock()
-		if int(blk) >= len(d.blocks) {
-			d.mu.Unlock()
-			return fmt.Errorf("blockdev: write of block %d beyond device end %d: %w", blk, len(d.blocks), fserr.ErrIO)
-		}
-	}
-	if faults != nil && faults.roll(faults.WriteErrProb) {
-		d.mu.Unlock()
-		d.stats.WriteErrors.Add(1)
-		return fmt.Errorf("blockdev: injected write error on block %d: %w", blk, fserr.ErrIO)
-	}
-	d.store(blk, data, faults != nil && faults.roll(faults.TornWriteProb))
-	hook := d.onWrite
-	d.mu.Unlock()
-	d.stats.Writes.Add(1)
-	d.stats.WriteCalls.Add(1)
-	if hook != nil {
-		hook(blk)
-	}
-	return nil
+	return d.WriteVec([]Run{{Blk: blk, Bufs: [][]byte{data}}})
 }
 
 // store overwrites block blk with data, or with only its first half when the
@@ -417,44 +359,18 @@ func (d *File) NumBlocks() uint32 { return d.n }
 // Stats returns the device's traffic counters.
 func (d *File) Stats() *Stats { return &d.stat }
 
-// ReadBlock implements Device.
+// ReadBlock implements Device as a one-block run.
 func (d *File) ReadBlock(blk uint32) ([]byte, error) {
-	if blk >= d.n {
-		d.stat.ReadErrors.Add(1)
-		return nil, fmt.Errorf("blockdev: read of block %d beyond device end %d: %w", blk, d.n, fserr.ErrIO)
-	}
 	buf := make([]byte, disklayout.BlockSize)
-	d.mu.Lock()
-	_, err := d.f.ReadAt(buf, int64(blk)*disklayout.BlockSize)
-	d.mu.Unlock()
-	if err != nil {
-		d.stat.ReadErrors.Add(1)
-		return nil, fmt.Errorf("blockdev: read block %d: %v: %w", blk, err, fserr.ErrIO)
+	if err := d.ReadVec([]Run{{Blk: blk, Bufs: [][]byte{buf}}}); err != nil {
+		return nil, err
 	}
-	d.stat.Reads.Add(1)
-	d.stat.ReadCalls.Add(1)
 	return buf, nil
 }
 
-// WriteBlock implements Device.
+// WriteBlock implements Device as a one-block run.
 func (d *File) WriteBlock(blk uint32, data []byte) error {
-	if len(data) != disklayout.BlockSize {
-		return fmt.Errorf("blockdev: write of %d bytes, want %d: %w", len(data), disklayout.BlockSize, fserr.ErrInvalid)
-	}
-	if blk >= d.n {
-		d.stat.WriteErrors.Add(1)
-		return fmt.Errorf("blockdev: write of block %d beyond device end %d: %w", blk, d.n, fserr.ErrIO)
-	}
-	d.mu.Lock()
-	_, err := d.f.WriteAt(data, int64(blk)*disklayout.BlockSize)
-	d.mu.Unlock()
-	if err != nil {
-		d.stat.WriteErrors.Add(1)
-		return fmt.Errorf("blockdev: write block %d: %v: %w", blk, err, fserr.ErrIO)
-	}
-	d.stat.Writes.Add(1)
-	d.stat.WriteCalls.Add(1)
-	return nil
+	return d.WriteVec([]Run{{Blk: blk, Bufs: [][]byte{data}}})
 }
 
 // Flush implements Device.
@@ -552,14 +468,25 @@ func (o *Overlay) Flush() error {
 // memory speed. Only correct over views whose logical content cannot change
 // — exactly what the recovery plan's overlay construction guarantees.
 //
+// Device reads are exact: while the cache lives, every block is read once,
+// by whoever asks first, and every prefetch span is read in one call. A
+// reader claims the blocks it will fetch in an in-flight set, and a reader
+// that wants a claimed block waits for the claim to settle instead of
+// reading it again. A consumer that misses inside a span no reader has
+// taken yet takes the whole span, as the crew would have. Only a failed
+// read is repeated, by the consumer that needs the block, so it surfaces
+// the error.
+//
 // Safe for concurrent use. Writes and flushes are rejected (the underlying
 // view is read-only by contract).
 type Prefetched struct {
-	dev    Device
-	mu     sync.RWMutex
-	blocks map[uint32][]byte
+	dev      Device
+	mu       sync.RWMutex
+	blocks   map[uint32][]byte
+	inflight map[uint32]chan struct{} // the claim's done channel per block
 
-	spans   []BlockRange  // chunked work list the crew claims from
+	spans   []BlockRange  // ascending chunked work list the crew claims from
+	taken   []bool        // spans a reader has claimed; guarded by mu
 	next    atomic.Uint32 // next span index the worker crew will fetch
 	stopped atomic.Bool
 	done    sync.WaitGroup
@@ -586,10 +513,10 @@ func NewPrefetched(dev Device, workers int) *Prefetched {
 // — the extent-keyed variant: a caller that knows where the live data sits
 // (an extent walk, a recovery plan's touched set) prefetches exactly that,
 // so the crew's IO tracks live data instead of device size. Ranges are
-// clipped to the device and fetched in order; blocks outside them are still
-// served by read-through.
+// clipped to the device and fetched in ascending order; blocks outside them
+// are still served by read-through.
 func NewPrefetchedRanges(dev Device, workers int, ranges []BlockRange) *Prefetched {
-	p := &Prefetched{dev: dev, blocks: make(map[uint32][]byte)}
+	p := &Prefetched{dev: dev, blocks: make(map[uint32][]byte), inflight: make(map[uint32]chan struct{})}
 	n := dev.NumBlocks()
 	for _, r := range ranges {
 		if r.Start >= n {
@@ -608,6 +535,8 @@ func NewPrefetchedRanges(dev Device, workers int, ranges []BlockRange) *Prefetch
 			p.spans = append(p.spans, BlockRange{Start: r.Start + off, Len: l})
 		}
 	}
+	slices.SortFunc(p.spans, func(a, b BlockRange) int { return cmp.Compare(a.Start, b.Start) })
+	p.taken = make([]bool, len(p.spans))
 	if workers < 1 {
 		workers = 1
 	}
@@ -620,97 +549,194 @@ func NewPrefetchedRanges(dev Device, workers int, ranges []BlockRange) *Prefetch
 				if i >= len(p.spans) || p.stopped.Load() {
 					return
 				}
-				p.fetchSpan(p.spans[i])
+				p.mu.Lock()
+				c := p.takeSpanLocked(i)
+				p.mu.Unlock()
+				p.load(c)
 			}
 		}()
 	}
 	return p
 }
 
-// fetchSpan pulls one span into the cache, coalescing the blocks not yet
-// cached into ranged reads. A failed ranged read falls back to per-block
-// reads so one bad sector doesn't forfeit its neighbors (and consumers
-// re-read and surface the error themselves, as before).
-func (p *Prefetched) fetchSpan(span BlockRange) {
-	missing := make([]uint32, 0, span.Len)
-	p.mu.RLock()
-	for b := span.Start; b < span.Start+span.Len; b++ {
-		if _, have := p.blocks[b]; !have {
-			missing = append(missing, b)
-		}
+// spanOf returns the index of the span holding blk, or -1.
+func (p *Prefetched) spanOf(blk uint32) int {
+	i := sort.Search(len(p.spans), func(i int) bool { return p.spans[i].Start > blk }) - 1
+	if i >= 0 && blk < p.spans[i].Start+p.spans[i].Len {
+		return i
 	}
-	p.mu.RUnlock()
-	for i := 0; i < len(missing); {
+	return -1
+}
+
+// claim is a set of blocks one reader has taken to fetch, in ascending
+// order, and the channel closed once all of them have settled.
+type claim struct {
+	blks []uint32
+	done chan struct{}
+}
+
+// takeSpanLocked claims span i for the caller unless a reader already has.
+// Caller holds p.mu.
+func (p *Prefetched) takeSpanLocked(i int) claim {
+	if p.taken[i] {
+		return claim{}
+	}
+	p.taken[i] = true
+	return p.claimLocked(p.spans[i].Start, p.spans[i].Len)
+}
+
+// claimLocked marks every block of [start, start+n) that is neither cached
+// nor in flight as in flight for the caller. Caller holds p.mu.
+func (p *Prefetched) claimLocked(start, n uint32) claim {
+	var c claim
+	for b := start; b < start+n; b++ {
+		if _, have := p.blocks[b]; have {
+			continue
+		}
+		if _, busy := p.inflight[b]; busy {
+			continue
+		}
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
+		p.inflight[b] = c.done
+		c.blks = append(c.blks, b)
+	}
+	return c
+}
+
+// settle ends the claim on the run of blocks from start and caches each
+// buffer unless its read failed (nil) or the cache was released. The
+// stopped check happens under p.mu, which Release also holds to clear the
+// cache, so a late settle can never repopulate the cleared map and pin
+// blocks for the holder's lifetime.
+func (p *Prefetched) settle(start uint32, bufs [][]byte) {
+	p.mu.Lock()
+	for k, buf := range bufs {
+		if buf != nil && !p.stopped.Load() {
+			p.blocks[start+uint32(k)] = buf
+		}
+		delete(p.inflight, start+uint32(k))
+	}
+	p.mu.Unlock()
+}
+
+// load reads a claim's blocks, coalescing adjacent ones into ranged reads,
+// settles them and wakes the claim's waiters. A failed ranged read falls
+// back to per-block reads so one bad sector doesn't forfeit its neighbors; a
+// block that still fails settles uncached, and the consumer that needs it
+// reads it again and surfaces the error.
+func (p *Prefetched) load(c claim) {
+	mine := c.blks
+	for i := 0; i < len(mine); {
 		j := i + 1
-		for j < len(missing) && missing[j] == missing[j-1]+1 {
+		for j < len(mine) && mine[j] == mine[j-1]+1 {
 			j++
 		}
-		start, count := missing[i], j-i
+		start, count := mine[i], j-i
 		backing := make([]byte, count*disklayout.BlockSize)
 		bufs := make([][]byte, count)
 		for k := range bufs {
 			bufs[k] = backing[k*disklayout.BlockSize : (k+1)*disklayout.BlockSize]
 		}
-		if err := ReadVec(p.dev, []Run{{Blk: start, Bufs: bufs}}); err != nil {
-			for k := 0; k < count; k++ {
-				buf, err := p.dev.ReadBlock(start + uint32(k))
-				if err != nil {
-					continue
+		if err := p.dev.ReadVec([]Run{{Blk: start, Bufs: bufs}}); err != nil {
+			for k := range bufs {
+				bufs[k] = nil
+				if count == 1 {
+					continue // the failed read was this block's own
 				}
-				p.install(start+uint32(k), buf)
-			}
-		} else {
-			for k := 0; k < count; k++ {
-				p.install(start+uint32(k), bufs[k])
+				if b, err := p.dev.ReadBlock(start + uint32(k)); err == nil {
+					bufs[k] = b
+				}
 			}
 		}
+		p.settle(start, bufs)
 		i = j
 	}
-}
-
-// install caches one fetched block unless a concurrent fetch beat it there.
-func (p *Prefetched) install(blk uint32, buf []byte) {
-	p.mu.Lock()
-	if _, have := p.blocks[blk]; !have {
-		p.blocks[blk] = buf
+	if c.done != nil {
+		close(c.done)
 	}
-	p.mu.Unlock()
 }
 
-// ReadBlock implements Device: cache hit or read-through (populating the
-// cache, so a consumer running ahead of the prefetch crew still pays each
-// block only once).
+// readInto copies blk into dst: from the cache when some reader has fetched
+// it, after waiting when one is fetching it, by taking its whole span when
+// no reader has, and otherwise by reading the one block here.
+func (p *Prefetched) readInto(blk uint32, dst []byte) error {
+	for {
+		p.mu.RLock()
+		b, ok := p.blocks[blk]
+		p.mu.RUnlock()
+		if ok {
+			copy(dst, b)
+			return nil
+		}
+		p.mu.Lock()
+		if ch, busy := p.inflight[blk]; busy {
+			p.mu.Unlock()
+			<-ch
+			continue
+		}
+		if i := p.spanOf(blk); i >= 0 && !p.taken[i] {
+			c := p.takeSpanLocked(i)
+			p.mu.Unlock()
+			p.load(c)
+			continue
+		}
+		c := p.claimLocked(blk, 1)
+		p.mu.Unlock()
+		if c.done == nil {
+			continue // cached between the two looks
+		}
+		buf, err := p.dev.ReadBlock(blk)
+		if err != nil {
+			buf = nil
+		}
+		p.settle(blk, [][]byte{buf})
+		close(c.done)
+		if err != nil {
+			return err
+		}
+		copy(dst, buf)
+		return nil
+	}
+}
+
+// ReadBlock implements Device: cache hit, a wait on another reader's fetch,
+// or read-through that populates the cache, so a consumer running ahead of
+// the prefetch crew still pays each block only once.
 func (p *Prefetched) ReadBlock(blk uint32) ([]byte, error) {
-	p.mu.RLock()
-	b, ok := p.blocks[blk]
-	p.mu.RUnlock()
-	if ok {
-		cp := make([]byte, disklayout.BlockSize)
-		copy(cp, b)
-		return cp, nil
+	if p.stopped.Load() {
+		return p.dev.ReadBlock(blk)
 	}
-	buf, err := p.dev.ReadBlock(blk)
-	if err != nil {
+	buf := make([]byte, disklayout.BlockSize)
+	if err := p.readInto(blk, buf); err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	switch {
-	case p.stopped.Load():
-		// Released (or racing with Release, which clears the cache under
-		// this same lock): plain pass-through, no re-pinning. The stopped
-		// check must happen under p.mu — checking it before acquiring the
-		// lock leaves a window where Release stops the crew and clears the
-		// cache, and the insert below would then repopulate the cleared map
-		// and pin blocks for the holder's lifetime.
-	case p.blocks[blk] != nil:
-		buf = p.blocks[blk] // first fetch wins; serve the cached image
-	default:
-		p.blocks[blk] = buf
+	return buf, nil
+}
+
+// ReadVec implements VecReader: the blocks of a run that no reader has
+// cached or claimed are fetched in ranged reads, then the run is served
+// from the cache.
+func (p *Prefetched) ReadVec(runs []Run) error {
+	if p.stopped.Load() {
+		return p.dev.ReadVec(runs)
 	}
-	p.mu.Unlock()
-	cp := make([]byte, disklayout.BlockSize)
-	copy(cp, buf)
-	return cp, nil
+	for _, r := range runs {
+		if err := validateRun(r, p.dev.NumBlocks()); err != nil {
+			return err
+		}
+		p.mu.Lock()
+		c := p.claimLocked(r.Blk, uint32(len(r.Bufs)))
+		p.mu.Unlock()
+		p.load(c)
+		for i, buf := range r.Bufs {
+			if err := p.readInto(r.Blk+uint32(i), buf); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // WriteBlock implements Device and always fails.
@@ -720,6 +746,11 @@ func (p *Prefetched) WriteBlock(blk uint32, data []byte) error {
 
 // NumBlocks implements Device.
 func (p *Prefetched) NumBlocks() uint32 { return p.dev.NumBlocks() }
+
+// WriteVec implements VecWriter and always fails.
+func (p *Prefetched) WriteVec(runs []Run) error {
+	return fmt.Errorf("blockdev: run write through prefetched read-only view: %w", fserr.ErrReadOnly)
+}
 
 // Flush implements Device and always fails.
 func (p *Prefetched) Flush() error {

@@ -51,6 +51,33 @@ func (d *Instrumented) WriteBlock(blk uint32, data []byte) error {
 	return err
 }
 
+// ReadVec implements VecReader: one timed call, counted in blocks.
+func (d *Instrumented) ReadVec(runs []Run) error {
+	t := telemetry.StartTimer(d.hRead)
+	err := d.dev.ReadVec(runs)
+	t.Stop()
+	d.reads.Add(runBlocks(runs))
+	return err
+}
+
+// WriteVec implements VecWriter: one timed call, counted in blocks.
+func (d *Instrumented) WriteVec(runs []Run) error {
+	t := telemetry.StartTimer(d.hWrite)
+	err := d.dev.WriteVec(runs)
+	t.Stop()
+	d.writes.Add(runBlocks(runs))
+	return err
+}
+
+// runBlocks counts the blocks the runs name.
+func runBlocks(runs []Run) int64 {
+	n := 0
+	for _, r := range runs {
+		n += len(r.Bufs)
+	}
+	return int64(n)
+}
+
 // NumBlocks implements Device.
 func (d *Instrumented) NumBlocks() uint32 { return d.dev.NumBlocks() }
 

@@ -231,3 +231,59 @@ func TestPrefetchedRangesReadsOnlyTheRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchedReadsEachBlockOnce pins the in-flight set: with the crew and
+// several consumers (single blocks and runs) all asking for the same blocks
+// of a slow device at once, every block is read from the device exactly
+// once, and every consumer gets its content.
+func TestPrefetchedReadsEachBlockOnce(t *testing.T) {
+	const blocks = 256
+	dev := NewMem(blocks)
+	for blk := uint32(0); blk < blocks; blk++ {
+		buf := make([]byte, 4096)
+		buf[0] = byte(blk)
+		if err := dev.WriteBlock(blk, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := NewFaultPlan(1)
+	plan.ReadLatency = 100 * time.Microsecond
+	dev.SetFaults(plan)
+	before := dev.Stats().Reads.Load()
+	p := NewPrefetched(dev, 3)
+	defer p.Release()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < blocks; i += 8 {
+				blk := uint32((i*5 + w*64) % blocks)
+				if w%2 == 0 {
+					b, err := p.ReadBlock(blk)
+					if err != nil || b[0] != byte(blk) {
+						t.Errorf("block %d: (%x, %v)", blk, b[0], err)
+					}
+					continue
+				}
+				r := Run{Blk: blk &^ 7, Bufs: make([][]byte, 8)}
+				for k := range r.Bufs {
+					r.Bufs[k] = make([]byte, 4096)
+				}
+				if err := p.ReadVec([]Run{r}); err != nil {
+					t.Error(err)
+				}
+				for k, b := range r.Bufs {
+					if b[0] != byte(r.Blk+uint32(k)) {
+						t.Errorf("run block %d: %x", r.Blk+uint32(k), b[0])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	p.done.Wait()
+	if got := dev.Stats().Reads.Load() - before; got != blocks {
+		t.Errorf("device read %d blocks for a %d-block device, want each exactly once", got, blocks)
+	}
+}

@@ -63,8 +63,11 @@ const (
 	OpWrite
 	OpFlush
 	// OpWriteVec writes the contiguous run [Blk, Blk+len(Bufs)) in one
-	// device-level call when the device supports it.
+	// device-level call.
 	OpWriteVec
+	// OpReadVec reads the contiguous run [Blk, Blk+len(Bufs)) into Bufs in
+	// one device-level call.
+	OpReadVec
 )
 
 // Request is one queued block IO.
@@ -72,7 +75,7 @@ type Request struct {
 	Kind OpKind
 	Blk  uint32
 	Data []byte   // payload for writes; result buffer for reads
-	Bufs [][]byte // payload run for OpWriteVec, one buffer per block
+	Bufs [][]byte // run for OpWriteVec and OpReadVec, one buffer per block
 	Err  error
 	done chan struct{}
 	// epoch is the flush epoch this request was submitted under.
@@ -118,9 +121,14 @@ func (q *Queue) worker() {
 			q.tel.writes.Inc()
 		case OpWriteVec:
 			t := telemetry.StartTimer(q.tel.hWrite)
-			r.Err = WriteVec(q.dev, []Run{{Blk: r.Blk, Bufs: r.Bufs}})
+			r.Err = q.dev.WriteVec([]Run{{Blk: r.Blk, Bufs: r.Bufs}})
 			t.Stop()
 			q.tel.writes.Add(int64(len(r.Bufs)))
+		case OpReadVec:
+			t := telemetry.StartTimer(q.tel.hRead)
+			r.Err = q.dev.ReadVec([]Run{{Blk: r.Blk, Bufs: r.Bufs}})
+			t.Stop()
+			q.tel.reads.Add(int64(len(r.Bufs)))
 		case OpFlush:
 			t := telemetry.StartTimer(q.tel.hFlush)
 			r.Err = q.dev.Flush()
@@ -241,6 +249,34 @@ func (d *QueueDevice) ReadBlock(blk uint32) ([]byte, error) { return d.q.Read(bl
 
 // WriteBlock implements Device.
 func (d *QueueDevice) WriteBlock(blk uint32, data []byte) error { return d.q.Write(blk, data) }
+
+// ReadVec implements VecReader: each run is one queued request, and all of
+// them are in flight at once.
+func (d *QueueDevice) ReadVec(runs []Run) error {
+	return d.vec(OpReadVec, runs)
+}
+
+// WriteVec implements VecWriter: each run is one queued request, and all of
+// them are in flight at once.
+func (d *QueueDevice) WriteVec(runs []Run) error {
+	return d.vec(OpWriteVec, runs)
+}
+
+// vec submits one request per run and waits for all of them, returning the
+// first error in run order.
+func (d *QueueDevice) vec(kind OpKind, runs []Run) error {
+	reqs := make([]*Request, len(runs))
+	for i, r := range runs {
+		reqs[i] = d.q.Submit(&Request{Kind: kind, Blk: r.Blk, Bufs: r.Bufs})
+	}
+	var first error
+	for _, r := range reqs {
+		if err := r.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
 
 // NumBlocks implements Device.
 func (d *QueueDevice) NumBlocks() uint32 { return d.n }

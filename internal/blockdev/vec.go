@@ -4,7 +4,11 @@ package blockdev
 // a single device-level call — the syscall-coalescing primitive under the
 // extent data path: the base filesystem turns each allocated extent run into
 // one Run, so a 4 MiB sequential write costs a handful of device calls
-// instead of a thousand.
+// instead of a thousand. Runs are part of Device itself, so every wrapper
+// between the filesystem and the leaf decides what a run means to it: the
+// read-only views reject written runs, the pass-through wrappers forward
+// them, and a device with no native run path says so by calling
+// ReadVecPerBlock/WriteVecPerBlock.
 //
 // Fault semantics are per block within a run: the deterministic block maps
 // (ReadErrBlocks, CorruptBlocks) and the probabilistic error/corruption
@@ -33,25 +37,21 @@ type Run struct {
 	Bufs [][]byte
 }
 
-// VecReader is implemented by devices that can read a multi-block run in
-// one device-level call.
+// VecReader reads multi-block runs, each in one device-level call. Buffers
+// must be pre-allocated BlockSize slices.
 type VecReader interface {
 	ReadVec(runs []Run) error
 }
 
-// VecWriter is implemented by devices that can write a multi-block run in
-// one device-level call.
+// VecWriter writes multi-block runs, each in one device-level call. A device
+// that fails mid-run may have persisted the blocks before the failure.
 type VecWriter interface {
 	WriteVec(runs []Run) error
 }
 
-// ReadVec reads every run from dev, using the device's vectored path when it
-// has one and falling back to per-block reads otherwise. Buffers must be
-// pre-allocated BlockSize slices.
-func ReadVec(dev Device, runs []Run) error {
-	if vr, ok := dev.(VecReader); ok {
-		return vr.ReadVec(runs)
-	}
+// ReadVecPerBlock reads every run from dev one ReadBlock at a time: the run
+// path of a device that has no native one.
+func ReadVecPerBlock(dev Device, runs []Run) error {
 	for _, r := range runs {
 		for i, buf := range r.Bufs {
 			b, err := dev.ReadBlock(r.Blk + uint32(i))
@@ -64,11 +64,9 @@ func ReadVec(dev Device, runs []Run) error {
 	return nil
 }
 
-// WriteVec writes every run to dev, vectored when possible.
-func WriteVec(dev Device, runs []Run) error {
-	if vw, ok := dev.(VecWriter); ok {
-		return vw.WriteVec(runs)
-	}
+// WriteVecPerBlock writes every run to dev one WriteBlock at a time: the run
+// path of a device that has no native one.
+func WriteVecPerBlock(dev Device, runs []Run) error {
 	for _, r := range runs {
 		for i, buf := range r.Bufs {
 			if err := dev.WriteBlock(r.Blk+uint32(i), buf); err != nil {
@@ -185,14 +183,18 @@ func (d *Mem) WriteVec(runs []Run) error {
 	return nil
 }
 
-// ReadVec implements VecReader with one pread-equivalent per run.
+// ReadVec implements VecReader with one pread-equivalent per run. A
+// one-block run is read straight into its buffer.
 func (d *File) ReadVec(runs []Run) error {
 	for _, r := range runs {
 		if err := validateRun(r, d.n); err != nil {
 			d.stat.ReadErrors.Add(1)
 			return err
 		}
-		flat := make([]byte, len(r.Bufs)*disklayout.BlockSize)
+		flat := r.Bufs[0]
+		if len(r.Bufs) > 1 {
+			flat = make([]byte, len(r.Bufs)*disklayout.BlockSize)
+		}
 		d.mu.Lock()
 		_, err := d.f.ReadAt(flat, int64(r.Blk)*disklayout.BlockSize)
 		d.mu.Unlock()
@@ -201,24 +203,30 @@ func (d *File) ReadVec(runs []Run) error {
 			d.stat.ReadErrors.Add(1)
 			return fmt.Errorf("blockdev: read run [%d,+%d): %v: %w", r.Blk, len(r.Bufs), err, fserr.ErrIO)
 		}
-		for i, buf := range r.Bufs {
-			copy(buf, flat[i*disklayout.BlockSize:])
+		if len(r.Bufs) > 1 {
+			for i, buf := range r.Bufs {
+				copy(buf, flat[i*disklayout.BlockSize:])
+			}
 		}
 		d.stat.Reads.Add(int64(len(r.Bufs)))
 	}
 	return nil
 }
 
-// WriteVec implements VecWriter with one pwrite-equivalent per run.
+// WriteVec implements VecWriter with one pwrite-equivalent per run. A
+// one-block run is written straight from its buffer.
 func (d *File) WriteVec(runs []Run) error {
 	for _, r := range runs {
 		if err := validateRun(r, d.n); err != nil {
 			d.stat.WriteErrors.Add(1)
 			return err
 		}
-		flat := make([]byte, len(r.Bufs)*disklayout.BlockSize)
-		for i, buf := range r.Bufs {
-			copy(flat[i*disklayout.BlockSize:], buf)
+		flat := r.Bufs[0]
+		if len(r.Bufs) > 1 {
+			flat = make([]byte, len(r.Bufs)*disklayout.BlockSize)
+			for i, buf := range r.Bufs {
+				copy(flat[i*disklayout.BlockSize:], buf)
+			}
 		}
 		d.mu.Lock()
 		_, err := d.f.WriteAt(flat, int64(r.Blk)*disklayout.BlockSize)
@@ -235,7 +243,12 @@ func (d *File) WriteVec(runs []Run) error {
 
 // ReadVec implements VecReader by delegating; the read-only wrapper adds no
 // block-level behavior.
-func (r *ReadOnly) ReadVec(runs []Run) error { return ReadVec(r.dev, runs) }
+func (r *ReadOnly) ReadVec(runs []Run) error { return r.dev.ReadVec(runs) }
+
+// WriteVec implements VecWriter and always fails, as WriteBlock does.
+func (r *ReadOnly) WriteVec(runs []Run) error {
+	return fmt.Errorf("blockdev: shadow attempted run write: %w", fserr.ErrReadOnly)
+}
 
 // ReadVec implements VecReader: contiguous sub-runs of non-overridden blocks
 // delegate to the underlying device in single calls; overridden blocks are
@@ -257,11 +270,16 @@ func (o *Overlay) ReadVec(runs []Run) error {
 				}
 				j++
 			}
-			if err := ReadVec(o.dev, []Run{{Blk: blk, Bufs: r.Bufs[i:j]}}); err != nil {
+			if err := o.dev.ReadVec([]Run{{Blk: blk, Bufs: r.Bufs[i:j]}}); err != nil {
 				return err
 			}
 			i = j
 		}
 	}
 	return nil
+}
+
+// WriteVec implements VecWriter and always fails.
+func (o *Overlay) WriteVec(runs []Run) error {
+	return fmt.Errorf("blockdev: run write through read-only overlay: %w", fserr.ErrReadOnly)
 }

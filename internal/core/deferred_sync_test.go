@@ -41,6 +41,12 @@ func (d *journalWriteFailer) WriteBlock(blk uint32, data []byte) error {
 	return d.Mem.WriteBlock(blk, data)
 }
 
+// WriteVec sends runs through WriteBlock, so a run the fence forwards meets
+// the same journal-region filter as a single block.
+func (d *journalWriteFailer) WriteVec(runs []blockdev.Run) error {
+	return blockdev.WriteVecPerBlock(d, runs)
+}
+
 // newDeferredSyncHarness mounts a supervised FS on a journalWriteFailer with
 // a one-shot crash specimen armed on the sync seam, and some un-synced state
 // so the deferred re-run has a transaction to commit.

@@ -72,6 +72,38 @@ func (f *fencedDevice) WriteBlock(blk uint32, data []byte) error {
 	return f.dev.WriteBlock(blk, data)
 }
 
+// ReadVec implements blockdev.Device: one guard, one forwarded call.
+func (f *fencedDevice) ReadVec(runs []blockdev.Run) error {
+	if err := f.guard("run read"); err != nil {
+		return err
+	}
+	return f.dev.ReadVec(runs)
+}
+
+// WriteVec implements blockdev.Device: one guard and one forwarded call,
+// with the generation and the touched set covering every block of every run
+// before any of them reaches the device, as WriteBlock does for one block.
+// A run torn by a failure mid-way has still recorded all its blocks, so the
+// next scoped check examines the ones that did land.
+func (f *fencedDevice) WriteVec(runs []blockdev.Run) error {
+	if err := f.guard("run write"); err != nil {
+		return err
+	}
+	var n uint64
+	for _, r := range runs {
+		n += uint64(len(r.Bufs))
+		if f.touched != nil {
+			for i := range r.Bufs {
+				f.touched.record(r.Blk + uint32(i))
+			}
+		}
+	}
+	if f.gen != nil {
+		f.gen.Add(n)
+	}
+	return f.dev.WriteVec(runs)
+}
+
 // NumBlocks implements blockdev.Device.
 func (f *fencedDevice) NumBlocks() uint32 { return f.dev.NumBlocks() }
 

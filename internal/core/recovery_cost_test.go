@@ -114,19 +114,9 @@ func TestRecoveryIOIndependentOfImageSize(t *testing.T) {
 		}
 	}
 
-	// A block the prefetch crew and one of its consumers ask for at the same
-	// moment is read twice. Such repeats only add, and to a run's own reads,
-	// so the run with the fewest reads out of five is what the recovery needs.
-	fewest := func(blocks uint32) cost {
-		best := measure(blocks)
-		for i := 0; i < 4; i++ {
-			if c := measure(blocks); c.readBlocks < best.readBlocks {
-				best = c
-			}
-		}
-		return best
-	}
-	small, big := fewest(32<<20/4096), fewest(256<<20/4096)
+	// The prefetch crew and its consumers never read one block twice, so one
+	// measurement per size is exact.
+	small, big := measure(32<<20/4096), measure(256<<20/4096)
 	t.Logf("32 MiB: %+v", small)
 	t.Logf("256 MiB: %+v", big)
 	if d := big.readCalls - small.readCalls; d < 0 || d > maxExtraReads {

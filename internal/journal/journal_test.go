@@ -312,6 +312,8 @@ func (d *nullDev) ReadBlock(blk uint32) ([]byte, error) {
 	return make([]byte, disklayout.BlockSize), nil
 }
 func (d *nullDev) WriteBlock(blk uint32, data []byte) error { return nil }
+func (d *nullDev) ReadVec(runs []blockdev.Run) error        { return blockdev.ReadVecPerBlock(d, runs) }
+func (d *nullDev) WriteVec(runs []blockdev.Run) error       { return nil }
 func (d *nullDev) Flush() error                             { return nil }
 func (d *nullDev) NumBlocks() uint32                        { return d.n }
 

@@ -50,17 +50,19 @@ func TestLogConcurrentAppendSnapshot(t *testing.T) {
 // TestLogWatermarkExcludesUnfinishedAppends checks the watermark contract
 // under concurrency: every op with Seq < Watermark() is fully inserted, so
 // StableAt at that watermark never strands a claimed-but-invisible op, and
-// ops at or above it survive the truncation.
+// ops at or above it survive the truncation. Each writer stops after
+// perWriter appends, so a truncator starved of CPU on a loaded host cannot
+// let the log, and the snapshot every round copies, grow without bound.
 func TestLogWatermarkExcludesUnfinishedAppends(t *testing.T) {
 	l := NewLog()
-	const writers = 4
+	const writers, perWriter = 4, 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; i < perWriter; i++ {
 				select {
 				case <-stop:
 					return
@@ -98,17 +100,19 @@ func TestLogWatermarkExcludesUnfinishedAppends(t *testing.T) {
 // writers append and a truncator advances the stable point, checking every
 // returned suffix is dense from its requested floor and never contains a
 // truncated op. Run with -race: the suffix deep-copies happen outside the
-// shard locks, and this test is the proof that is safe.
+// shard locks, and this test is the proof that is safe. Each writer stops
+// after perWriter appends, so a truncator starved of CPU on a loaded host
+// cannot let the log grow without bound.
 func TestLogSnapshotSinceConcurrent(t *testing.T) {
 	l := NewLog()
-	const writers = 4
+	const writers, perWriter = 4, 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; i < perWriter; i++ {
 				select {
 				case <-stop:
 					return
@@ -141,11 +145,12 @@ func TestLogSnapshotSinceConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// Deterministic equivalence: a quiet log's SnapshotSince(s) must be
-	// exactly Snapshot() filtered to Seq >= s.
-	all, _, _ := l.Snapshot()
-	if len(all) == 0 {
-		t.Skip("log drained completely; nothing to compare")
+	// exactly Snapshot() filtered to Seq >= s. The quiet appends leave a
+	// suffix to compare even when the rounds drained every writer's op.
+	for i := 0; i < 8; i++ {
+		l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/quiet/f%d", i)})
 	}
+	all, _, _ := l.Snapshot()
 	mid := all[len(all)/2].Seq
 	suffix, _, _ := l.SnapshotSince(mid)
 	want := 0

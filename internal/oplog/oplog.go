@@ -336,16 +336,22 @@ func NewLog() *Log {
 
 // Append records a completed operation (the op's outcome fields must already
 // be filled). Non-mutating kinds are ignored.
+//
+// The log copies the op struct but adopts o.Data: from the call on, the
+// payload belongs to the log, and nobody may mutate it. Its producer,
+// core.FS.WriteAt, has already made the payload a private copy of the
+// caller's buffer, so copying it again here would only add a second copy of
+// every write. Snapshots still hand out deep copies.
 func (l *Log) Append(o *Op) {
 	if !o.Kind.Mutating() {
 		return
 	}
 	tm := telemetry.StartTimer(l.telAppendNs)
-	cp := o.Clone()
+	cp := *o
 	s := &l.shards[shardIndex()]
 	s.mu.Lock()
 	cp.Seq = l.next.Add(1) - 1
-	s.ops = append(s.ops, cp)
+	s.ops = append(s.ops, &cp)
 	s.mu.Unlock()
 	n := l.length.Add(1)
 	for {
@@ -462,8 +468,9 @@ func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 //
 // Ops below seq are filtered under the shard locks by reference; the deep
 // copies happen after the shard locks are released (safe because recorded
-// ops are immutable after Append — the log owns its clones — and stableMu,
-// held throughout, excludes concurrent truncation from retiring them).
+// ops are immutable after Append — the log owns its copies and their
+// payloads — and stableMu, held throughout, excludes concurrent truncation
+// from retiring them).
 func (l *Log) SnapshotSince(seq uint64) (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 	l.stableMu.Lock()
 	defer l.stableMu.Unlock()

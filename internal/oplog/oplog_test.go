@@ -2,6 +2,7 @@ package oplog
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,32 @@ func TestLogApproxBytesGrowsWithPayload(t *testing.T) {
 	l.Append(&Op{Kind: KWrite, Data: make([]byte, 100000)})
 	if l.ApproxBytes() < small+100000 {
 		t.Errorf("ApproxBytes = %d after big write (was %d)", l.ApproxBytes(), small)
+	}
+}
+
+// TestAppendAdoptsPayload pins the log's ownership rule: Append adopts a
+// write's payload instead of copying it, so recording a 64 KiB write
+// allocates no more than recording an empty one. The 1 KiB of slack absorbs
+// runtime noise; a copied payload would cost 64 KiB.
+func TestAppendAdoptsPayload(t *testing.T) {
+	perAppend := func(size int) uint64 {
+		const n = 256
+		ops := make([]*Op, n)
+		for i := range ops {
+			ops[i] = &Op{Kind: KWrite, Data: make([]byte, size)}
+		}
+		l := NewLog()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, o := range ops {
+			l.Append(o)
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / n
+	}
+	empty, big := perAppend(0), perAppend(64<<10)
+	if big > empty+1024 {
+		t.Errorf("appending a 64 KiB write allocates %d B, an empty one %d B: the payload was copied", big, empty)
 	}
 }
 

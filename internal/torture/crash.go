@@ -16,11 +16,14 @@ import (
 )
 
 // writeRec is one recorded block write during the crash window: the block
-// number and the post-write content read back synchronously (the base runs a
-// single queue worker during enumeration, so read-back is exact).
+// number, the post-write content read back synchronously (the base runs a
+// single queue worker during enumeration, so read-back is exact), and the
+// device call that carried it. Every block of a multi-block run is its own
+// record, so the enumeration cuts between the blocks of one call.
 type writeRec struct {
 	blk  uint32
 	data []byte
+	call int64
 }
 
 // fileExpect is what a durability boundary promises about one file.
@@ -168,7 +171,7 @@ func runCrashEnum(id caseID, pl *plan, sb *disklayout.Superblock) (unitResult, e
 			return
 		}
 		recMu.Lock()
-		recs = append(recs, writeRec{blk: blk, data: data})
+		recs = append(recs, writeRec{blk: blk, data: data, call: dev.Stats().WriteCalls.Load()})
 		recMu.Unlock()
 	})
 	recCount := func() int {
@@ -254,6 +257,7 @@ func runCrashEnum(id caseID, pl *plan, sb *disklayout.Superblock) (unitResult, e
 	// Enumerate crash and torn images. img carries base + recs[:k] as k
 	// advances; each checked image is an isolated snapshot because recovery
 	// mutates it.
+	res.writes = recs
 	img := base
 	for k := 1; k <= len(recs); k++ {
 		rec := recs[k-1]

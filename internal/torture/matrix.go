@@ -36,9 +36,11 @@ type Unit struct {
 }
 
 // unitResult carries a unit's case count and failures back to the driver.
+// writes lists the crash enumeration's recorded writes, one per crash point.
 type unitResult struct {
 	cases    int
 	failures []*Failure
+	writes   []writeRec
 }
 
 // mix64 is the SplitMix64 finalizer, the same derivation blockdev.FaultPlan
