@@ -12,7 +12,7 @@
 //     mount, cache Install) — the paper's "reused" trust;
 //   - untrusted: the performance-oriented base and its machinery, whose
 //     bugs RAE exists to mask;
-//   - harness: workloads, experiments, injection — test apparatus.
+//   - harness: workloads, injection, differential testing — test apparatus.
 //
 // Usage: trustreport [-root .]
 package main
@@ -46,7 +46,6 @@ var trustClass = map[string]string{
 	"internal/faultinject": "harness",
 	"internal/workload":    "harness",
 	"internal/difftest":    "harness",
-	"internal/experiments": "harness",
 	"internal/bugstudy":    "harness",
 }
 

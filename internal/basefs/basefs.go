@@ -38,8 +38,6 @@ import (
 type Options struct {
 	// CacheBlocks bounds clean buffers in the buffer cache (default 1024).
 	CacheBlocks int
-	// CacheDentries bounds the dentry cache (default 4096).
-	CacheDentries int
 	// QueueWorkers is the async block layer's worker count (default 4).
 	QueueWorkers int
 	// QueueDepth is the submission queue depth (default 64).
@@ -49,10 +47,6 @@ type Options struct {
 	// either way. Only tests set it: the twin-layout differential and the
 	// bmap-upgrade tests.
 	LegacyLayout bool
-	// ExtraChecks enables the expensive validations the base normally skips
-	// (pointer validation on every inode load, dirent re-validation on every
-	// scan). Used for ablations; the shadow always checks.
-	ExtraChecks bool
 	// Injector is the armed bug registry; nil plants no bugs.
 	Injector *faultinject.Registry
 	// OnWarn, when set, receives every WARN record as it is emitted.
@@ -83,15 +77,15 @@ type Options struct {
 	Telemetry *telemetry.Sink
 }
 
-// inodeCacheSize bounds the inode cache.
-const inodeCacheSize = 1024
+// inodeCacheSize and dentryCacheSize bound the inode and dentry caches.
+const (
+	inodeCacheSize  = 1024
+	dentryCacheSize = 4096
+)
 
 func (o *Options) fill() {
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 1024
-	}
-	if o.CacheDentries == 0 {
-		o.CacheDentries = 4096
 	}
 	if o.QueueWorkers == 0 {
 		o.QueueWorkers = 4
@@ -248,7 +242,7 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		sb:          sb,
 		bc:          bc,
 		ic:          cache.NewInodeCache(inodeCacheSize),
-		dc:          cache.NewDentryCache(opts.CacheDentries),
+		dc:          cache.NewDentryCache(dentryCacheSize),
 		jnl:         jnl,
 		unstable:    make(map[uint32][]byte),
 		fds:         make(map[fsapi.FD]*fdEntry),

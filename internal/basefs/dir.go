@@ -49,10 +49,6 @@ func (fs *FS) dirScan(dir *cache.CachedInode, name string) (ino uint32, blkIdx i
 		for s := 0; s < disklayout.DirentsPerBlock; s++ {
 			d, derr := disklayout.DecodeDirent(buf.Data[s*disklayout.DirentSize:])
 			if derr != nil {
-				if fs.opts.ExtraChecks {
-					fs.bc.Release(buf)
-					return 0, 0, 0, fmt.Errorf("basefs: directory %d block %d slot %d: %w", dir.Ino, bi, s, derr)
-				}
 				continue // performance posture: skip undecodable entries
 			}
 			if d.Ino != 0 && d.Name == name {

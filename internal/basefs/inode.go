@@ -10,8 +10,8 @@ import (
 
 // getInode returns the cached inode for ino, reading through the inode cache
 // and buffer cache on a miss. Decode always verifies the record checksum;
-// pointer validation is skipped unless ExtraChecks (the base's performance
-// posture).
+// pointer validation is left to sync validation, fsck and the shadow (the
+// base's performance posture).
 func (fs *FS) getInode(ino uint32) (*cache.CachedInode, error) {
 	if ino == 0 || ino >= fs.sb.NumInodes {
 		return nil, fmt.Errorf("basefs: inode %d out of range: %w", ino, fserr.ErrCorrupt)
@@ -28,11 +28,6 @@ func (fs *FS) getInode(ino uint32) (*cache.CachedInode, error) {
 	fs.bc.Release(buf)
 	if err != nil {
 		return nil, fmt.Errorf("basefs: inode %d: %w", ino, err)
-	}
-	if fs.opts.ExtraChecks {
-		if err := rec.ValidatePointers(fs.sb); err != nil {
-			return nil, fmt.Errorf("basefs: inode %d: %w", ino, err)
-		}
 	}
 	ci := &cache.CachedInode{Ino: ino, Inode: *rec}
 	return fs.ic.Put(ci), nil

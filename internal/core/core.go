@@ -29,7 +29,7 @@
 // closed gate retry against the recovered base, so applications never
 // observe the failure even mid-burst.
 //
-// The package also hosts the baselines the experiments compare against:
+// The package also hosts the baselines RAE is tested against:
 // crash-restart (fail everything back to the application), naive replay
 // (Membrane-style re-execution on the base itself, which re-triggers
 // deterministic bugs), and 3-version voting (NVP).
@@ -196,7 +196,7 @@ func (p RecoveryPhases) Total() time.Duration {
 	return p.Plan + p.Reboot + p.Fsck + p.ShadowMount + p.Replay + p.Absorb + p.Resume
 }
 
-// Stats aggregates supervisor activity for the experiments.
+// Stats aggregates supervisor activity.
 type Stats struct {
 	OpsExecuted    int64
 	OpsRecorded    int64

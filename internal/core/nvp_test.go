@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/basefs"
+	"repro/internal/difftest"
 	"repro/internal/faultinject"
 	"repro/internal/fserr"
 	"repro/internal/oplog"
@@ -23,11 +24,29 @@ func TestNVP3AgreesOnCleanWorkload(t *testing.T) {
 		_ = n.Do(op)
 	}
 	st := n.Stats()
+	if st.Ops != int64(len(trace)) {
+		t.Errorf("NVP counted %d ops, want %d", st.Ops, len(trace))
+	}
 	if st.Disagreement != 0 {
 		t.Errorf("clean workload produced %d disagreements", st.Disagreement)
 	}
 	if st.VersionsDead != 0 {
 		t.Errorf("%d versions died on a clean workload", st.VersionsDead)
+	}
+	// Every version executed every op: the base and the shadow end in the
+	// model's state.
+	want, err := difftest.DumpState(n.versions[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range n.versions[:2] {
+		got, err := difftest.DumpState(v)
+		if err != nil {
+			t.Fatalf("%s: %v", n.name[i], err)
+		}
+		for _, d := range difftest.CompareStates(got, want) {
+			t.Errorf("%s: %s", n.name[i], d)
+		}
 	}
 }
 

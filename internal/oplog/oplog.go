@@ -504,7 +504,7 @@ func (l *Log) Len() int { return int(l.length.Load()) }
 func (l *Log) PeakLen() int { return int(l.peak.Load()) }
 
 // ApproxBytes estimates the log's memory footprint (op structs plus write
-// payloads), reported by the recording-overhead experiment.
+// payloads).
 func (l *Log) ApproxBytes() int {
 	total := 0
 	for i := range l.shards {

@@ -11,7 +11,7 @@ import (
 // Snapshot is a point-in-time export of a sink: every named instrument, the
 // retained event journal, and the retained recovery traces. It serializes
 // to JSON (machine consumption, cmd/fsstats -json, the HTTP endpoint) and
-// renders as human text (cmd/shadowbench, cmd/fsstats).
+// renders as human text (cmd/fsstats).
 type Snapshot struct {
 	Time        time.Time               `json:"time"`
 	Uptime      time.Duration           `json:"uptime"`

@@ -9,9 +9,8 @@
 // the base's (§2.3), recovery latency is linear in op-log length (§4.3) —
 // and this package makes those numbers visible from the running system
 // rather than only from one-shot experiment harnesses: cmd/fsstats dumps a
-// snapshot from a live or completed run, cmd/shadowbench prints one after
-// every series, and cmd/raedemo prints the per-phase trace of every masked
-// bug.
+// snapshot from a live or completed run, and cmd/raedemo prints the
+// per-phase trace of every masked bug.
 //
 // Cost model: every instrument type (*Sink, *Counter, *Gauge, *Histogram,
 // *Trace) is nil-safe, so a disabled instrumentation point is a single

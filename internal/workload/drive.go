@@ -14,14 +14,14 @@ type DriveStats struct {
 	// Matched counts ops whose executed outcome equals the oracle record —
 	// same errno and, for allocating ops, same descriptor/inode/byte-count
 	// numbers. This is the "completed as specified" definition the
-	// availability experiment uses.
+	// availability test uses.
 	Matched int
 	// Errors counts ops that returned a nonzero errno.
 	Errors int
 }
 
 // Drive applies an oracle trace to any fsapi.FS through the oplog executor.
-// It is the one driver seam shared by the CLIs, the experiments, and the
+// It is the one driver seam shared by the CLIs, the tests, and the
 // serving layers: because the target is the interface, the same trace drives
 // a raw base filesystem, a supervised core.FS, a volmgr tenant, or a remote
 // fswire client identically. Each record is cloned and its recorded outcome

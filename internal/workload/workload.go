@@ -1,6 +1,6 @@
 // Package workload generates deterministic filesystem operation traces for
-// the throughput, recovery, availability, and differential-testing
-// experiments.
+// the recovery, availability, and differential-testing tests, the torture
+// campaign and the command-line tools.
 //
 // Each generator drives a private specification-model instance while it
 // generates, so the emitted trace is self-consistent (descriptor numbers
