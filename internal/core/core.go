@@ -222,6 +222,10 @@ type Stats struct {
 	TotalDowntime  time.Duration
 	Phases         []RecoveryPhases
 	PeakLogLen     int
+
+	// ForcedStablePoints counts the stable points the supervisor forced
+	// because the op log reached its bound; StablePoints includes them.
+	ForcedStablePoints int64
 }
 
 // counters holds the supervisor's live tallies. Every field is an atomic so
@@ -230,6 +234,7 @@ type counters struct {
 	opsExecuted    atomic.Int64
 	opsRecorded    atomic.Int64
 	stablePoints   atomic.Int64
+	forcedStable   atomic.Int64
 	recoveries     atomic.Int64
 	degradations   atomic.Int64
 	panicsCaught   atomic.Int64
@@ -306,6 +311,8 @@ type FS struct {
 	// lets the consumer reject a capture made by a round on an abandoned
 	// instance.
 	roundStable atomic.Pointer[roundStable]
+	// forcing is set while a forced stable point runs (see forceStable).
+	forcing atomic.Bool
 	// fdmu stripes execute+append for per-descriptor mutations (writes,
 	// close), keyed by descriptor number: conflicting ops on one descriptor
 	// record in execution order, independent descriptors never contend.
@@ -372,6 +379,7 @@ func Mount(dev blockdev.Device, cfg Config) (*FS, error) {
 	fs.gate = newGate(fs.tel)
 	fs.warns.next = cfg.Base.OnWarn
 	fs.log.SetTelemetry(fs.tel)
+	fs.tel.Counter("oplog.forced_stable_points") // reads 0 until forceStable feeds it
 	fs.touched = newTouchedSet()
 	var snap blockdev.Snapshotter
 	if cfg.ScrubInterval > 0 || cfg.ExternalScrub {
@@ -443,6 +451,8 @@ func (r *FS) Stats() Stats {
 		TouchedBlocks:  r.touched.size(),
 		TotalDowntime:  time.Duration(r.cnt.downtimeNs.Load()),
 		PeakLogLen:     r.log.PeakLen(),
+
+		ForcedStablePoints: r.cnt.forcedStable.Load(),
 	}
 	r.postMu.Lock()
 	s.Phases = append([]RecoveryPhases(nil), r.phases...)

@@ -202,51 +202,92 @@ func (r *FS) do(op *oplog.Op) {
 		base := r.base.Load() // snapshot: an abandoned frozen goroutine must
 		// keep using the instance it started on, not the one recovery installs
 		unlock := r.lockRecord(op)
-		// Execute on a shallow copy: if the watchdog abandons a frozen
-		// operation, the stuck goroutine keeps mutating only the copy's
-		// outcome fields, never the op whose outcome recovery decides. The
-		// payload is shared — it is private to the supervisor (copied at the
-		// facade) and the base only reads it.
-		attempt := *op
-		flt := r.capture(func() error { return oplog.Apply(base, &attempt) })
-		if flt == nil {
-			op.Errno, op.RetFD, op.RetIno, op.RetN = attempt.Errno, attempt.RetFD, attempt.RetIno, attempt.RetN
-			op.RetData = attempt.RetData
-			r.afterSuccess(op)
+		if flt := r.execute(base, op); flt != nil {
 			unlock()
 			r.gate.exit(si)
-			return
+			if r.recoverExclusive(flt, op, gen) {
+				return
+			}
+			continue
 		}
+		full := r.afterSuccess(op)
 		unlock()
 		r.gate.exit(si)
-		if r.recoverExclusive(flt, op, gen) {
+		if full {
+			r.forceStable()
+		}
+		return
+	}
+}
+
+// execute applies op to base under the detection envelope. On success op
+// carries the outcome; on a fault its outcome fields are zero, for recovery
+// or the retry to decide.
+func (r *FS) execute(base *basefs.FS, op *oplog.Op) *fault {
+	if r.cfg.Watchdog == 0 {
+		// No goroutine can be abandoned mid-operation: apply in place.
+		flt := r.capture(func() error { return oplog.Apply(base, op) })
+		if flt != nil {
+			op.Errno, op.RetFD, op.RetIno, op.RetN = 0, 0, 0, 0
+		}
+		return flt
+	}
+	// Execute on a shallow copy: if the watchdog abandons a frozen
+	// operation, the stuck goroutine keeps mutating only the copy's outcome
+	// fields, never the op whose outcome recovery decides. The payload is
+	// shared — it is private to the supervisor (copied at the facade) and
+	// the base only reads it.
+	attempt := *op
+	flt := r.capture(func() error { return oplog.Apply(base, &attempt) })
+	if flt == nil {
+		op.Errno, op.RetFD, op.RetIno, op.RetN = attempt.Errno, attempt.RetFD, attempt.RetIno, attempt.RetN
+		op.RetData = attempt.RetData
+	}
+	return flt
+}
+
+// doSync executes an application's sync/fsync.
+func (r *FS) doSync(op *oplog.Op) {
+	r.cnt.opsExecuted.Add(1)
+	r.syncRound(op)
+}
+
+// syncRound runs one sync/fsync. All stable-point bookkeeping — watermark
+// capture under ns, truncation after the round persists — happens in the
+// sync-round hooks (see mountBase), driven by the base's round protocol:
+// concurrent syncs coalesce onto shared rounds, and every durable round is
+// a stable point regardless of which caller's goroutine led it.
+func (r *FS) syncRound(op *oplog.Op) {
+	for {
+		si := r.gate.enter()
+		gen := r.gen.Load()
+		flt := r.execute(r.base.Load(), op)
+		r.gate.exit(si)
+		if flt == nil || r.recoverExclusive(flt, op, gen) {
 			return
 		}
 	}
 }
 
-// doSync executes a sync/fsync. All stable-point bookkeeping — watermark
-// capture under ns, truncation after the round persists — happens in the
-// sync-round hooks (see mountBase), driven by the base's round protocol:
-// concurrent syncs coalesce onto shared rounds, and every durable round is
-// a stable point regardless of which caller's goroutine led it.
-func (r *FS) doSync(op *oplog.Op) {
-	r.cnt.opsExecuted.Add(1)
-	for {
-		si := r.gate.enter()
-		gen := r.gen.Load()
-		base := r.base.Load()
-		attempt := *op
-		flt := r.capture(func() error { return oplog.Apply(base, &attempt) })
-		if flt == nil {
-			op.Errno = attempt.Errno
-			r.gate.exit(si)
-			return
-		}
-		r.gate.exit(si)
-		if r.recoverExclusive(flt, op, gen) {
-			return
-		}
+// forceStable runs a forced stable point: a sync round the supervisor
+// issues because an append filled the op log (see DESIGN.md "Forced stable
+// points"). The goroutine that made the append runs it once that op's
+// outcome is settled and its record locks and gate slot are released, so
+// the round never changes the op's result, needs no goroutine of its own,
+// and slows only the caller that filled the log. One round runs at a time;
+// appends that fill the log meanwhile go on without one. A fault inside the
+// round is recovered like any sync's, and a round that fails is retried at
+// the log's next bound crossing.
+func (r *FS) forceStable() {
+	if !r.forcing.CompareAndSwap(false, true) {
+		return
+	}
+	defer r.forcing.Store(false)
+	op := &oplog.Op{Kind: oplog.KSync}
+	r.syncRound(op)
+	if op.Errno == 0 {
+		r.cnt.forcedStable.Add(1)
+		r.tel.Counter("oplog.forced_stable_points").Inc()
 	}
 }
 
@@ -272,18 +313,17 @@ func (r *FS) runProbe(op *oplog.Op, exec func(base *basefs.FS) *fault) (recovere
 	}
 }
 
-// afterSuccess records a completed operation. Syncs are never appended to
-// the log (the shadow does not re-execute them), and their stable-point
-// bookkeeping already ran inside the round via the OnSyncDurable hook —
-// including on the recovery paths that re-run a sync exclusively.
-func (r *FS) afterSuccess(op *oplog.Op) {
-	if op.Kind == oplog.KSync || op.Kind == oplog.KFsync {
-		return
+// afterSuccess records a completed operation and reports whether the append
+// filled the log. Syncs are never appended to the log (the shadow does not
+// re-execute them), and their stable-point bookkeeping already ran inside
+// the round via the OnSyncDurable hook — including on the recovery paths
+// that re-run a sync exclusively.
+func (r *FS) afterSuccess(op *oplog.Op) (full bool) {
+	if op.Kind == oplog.KSync || op.Kind == oplog.KFsync || !op.Kind.Mutating() {
+		return false
 	}
-	if op.Kind.Mutating() {
-		r.log.Append(op)
-		r.cnt.opsRecorded.Add(1)
-	}
+	r.cnt.opsRecorded.Add(1)
+	return r.log.Append(op)
 }
 
 // withInjectionDisabled runs supervisor support code with the bug registry

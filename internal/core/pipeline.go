@@ -420,7 +420,8 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	// this goroutine once the reboot is done and the loop finds the stream
 	// complete. Either way the stage must never block on the loop, so the
 	// channel holds the whole stream: at most one chunk per feed batch and a
-	// last one from Finish.
+	// last one from Finish. The op log's bound (oplog.MaxOps, enforced by
+	// forced stable points) keeps that to about 18 chunks.
 	overlap := plan.err == nil && r.cfg.RecoveryWorkers > 1
 	chunkCh := make(chan *handoff.Chunk, len(plan.ops)/replayFeedBatch+2)
 	var out *replayOutcome // written by stage, read after chunkCh is seen closed

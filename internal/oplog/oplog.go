@@ -261,11 +261,20 @@ func (o *Op) String() string {
 // mutex; Snapshot merges the segments by sequence number.
 const logShards = 16
 
+// The log's bound: once it holds MaxOps ops, or MaxBytes of adopted write
+// payload, Append reports it full and the supervisor forces a stable point.
+// Both limit what a recovery replays and what the log keeps in memory.
+const (
+	MaxOps   = 4096
+	MaxBytes = 8 << 20
+)
+
 // logShard is one append segment, padded so two shards' mutexes never share
-// a cache line.
+// a cache line. Ops are stored by value: recording one costs no allocation
+// once the backing array has grown, and the log's bound keeps it small.
 type logShard struct {
 	mu  sync.Mutex
-	ops []*Op
+	ops []Op
 	_   [24]byte
 }
 
@@ -295,6 +304,8 @@ type Log struct {
 	// not-yet-inserted sequence.
 	next   atomic.Uint64
 	length atomic.Int64
+	// bytes is the write payload the recorded ops hold.
+	bytes  atomic.Int64
 	peak   atomic.Int64
 	shards [logShards]logShard
 
@@ -342,18 +353,24 @@ func NewLog() *Log {
 // core.FS.WriteAt, has already made the payload a private copy of the
 // caller's buffer, so copying it again here would only add a second copy of
 // every write. Snapshots still hand out deep copies.
-func (l *Log) Append(o *Op) {
+//
+// Append reports whether this op filled the log: its length reached a
+// multiple of MaxOps, or its payload crossed a multiple of MaxBytes. Each
+// crossing is reported once, so a stable point that fails is retried at the
+// next crossing, not on every op after it.
+func (l *Log) Append(o *Op) (full bool) {
 	if !o.Kind.Mutating() {
-		return
+		return false
 	}
 	tm := telemetry.StartTimer(l.telAppendNs)
-	cp := *o
 	s := &l.shards[shardIndex()]
 	s.mu.Lock()
-	cp.Seq = l.next.Add(1) - 1
-	s.ops = append(s.ops, &cp)
+	s.ops = append(s.ops, *o)
+	s.ops[len(s.ops)-1].Seq = l.next.Add(1) - 1
 	s.mu.Unlock()
 	n := l.length.Add(1)
+	size := int64(len(o.Data))
+	b := l.bytes.Add(size)
 	for {
 		p := l.peak.Load()
 		if n <= p || l.peak.CompareAndSwap(p, n) {
@@ -363,6 +380,7 @@ func (l *Log) Append(o *Op) {
 	l.telAppends.Inc()
 	l.telLen.Set(n)
 	tm.Stop()
+	return n%MaxOps == 0 || (b-size)/MaxBytes != b/MaxBytes
 }
 
 // lockAll acquires every shard lock in index order; unlockAll releases them.
@@ -403,21 +421,20 @@ func (l *Log) Watermark() uint64 {
 func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) {
 	l.stableMu.Lock()
 	defer l.stableMu.Unlock()
-	var removed int64
+	var removed, freed int64
 	for i := range l.shards {
 		s := &l.shards[i]
 		s.mu.Lock()
 		kept := s.ops[:0]
-		for _, o := range s.ops {
-			if o.Seq < watermark {
+		for j := range s.ops {
+			if o := &s.ops[j]; o.Seq < watermark {
 				removed++
+				freed += int64(len(o.Data))
 			} else {
-				kept = append(kept, o)
+				kept = append(kept, *o)
 			}
 		}
-		for j := len(kept); j < len(s.ops); j++ {
-			s.ops[j] = nil
-		}
+		clear(s.ops[len(kept):]) // release the discarded payloads
 		s.ops = kept
 		s.mu.Unlock()
 	}
@@ -430,6 +447,7 @@ func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) 
 		l.stableSeq = watermark
 	}
 	n := l.length.Add(-removed)
+	l.bytes.Add(-freed)
 	l.telTruncation.Inc()
 	l.telLen.Set(n)
 }
@@ -469,16 +487,18 @@ func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 // Ops below seq are filtered under the shard locks by reference; the deep
 // copies happen after the shard locks are released (safe because recorded
 // ops are immutable after Append — the log owns its copies and their
-// payloads — and stableMu, held throughout, excludes concurrent truncation
-// from retiring them).
+// payloads, and a concurrent Append writes only past a segment's length —
+// and stableMu, held throughout, excludes the truncation that compacts
+// segments in place).
 func (l *Log) SnapshotSince(seq uint64) (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 	l.stableMu.Lock()
 	defer l.stableMu.Unlock()
 	var refs []*Op
 	l.lockAll()
 	for i := range l.shards {
-		for _, o := range l.shards[i].ops {
-			if o.Seq >= seq {
+		s := &l.shards[i]
+		for j := range s.ops {
+			if o := &s.ops[j]; o.Seq >= seq {
 				refs = append(refs, o)
 			}
 		}
@@ -503,17 +523,6 @@ func (l *Log) Len() int { return int(l.length.Load()) }
 // recovery-cost studies.
 func (l *Log) PeakLen() int { return int(l.peak.Load()) }
 
-// ApproxBytes estimates the log's memory footprint (op structs plus write
-// payloads).
-func (l *Log) ApproxBytes() int {
-	total := 0
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		for _, o := range s.ops {
-			total += 96 + len(o.Path) + len(o.Path2) + len(o.Data)
-		}
-		s.mu.Unlock()
-	}
-	return total
-}
+// Bytes returns the write payload held by the recorded ops, the quantity
+// MaxBytes bounds.
+func (l *Log) Bytes() int { return int(l.bytes.Load()) }

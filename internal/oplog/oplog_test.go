@@ -166,10 +166,48 @@ func TestLogStableTruncates(t *testing.T) {
 func TestLogApproxBytesGrowsWithPayload(t *testing.T) {
 	l := NewLog()
 	l.Append(&Op{Kind: KWrite, Data: make([]byte, 1000)})
-	small := l.ApproxBytes()
+	l.Append(&Op{Kind: KMkdir, Path: "/d"})
+	if l.Bytes() != 1000 {
+		t.Fatalf("Bytes = %d, want 1000", l.Bytes())
+	}
 	l.Append(&Op{Kind: KWrite, Data: make([]byte, 100000)})
-	if l.ApproxBytes() < small+100000 {
-		t.Errorf("ApproxBytes = %d after big write (was %d)", l.ApproxBytes(), small)
+	if l.Bytes() != 101000 {
+		t.Errorf("Bytes = %d after big write, want 101000", l.Bytes())
+	}
+	l.StableAt(2, nil, 0) // discards the first write and the mkdir
+	if l.Bytes() != 100000 {
+		t.Errorf("Bytes = %d after truncation, want 100000", l.Bytes())
+	}
+}
+
+// TestLogBoundReportsEachCrossing pins Append's full report: it fires when
+// the length reaches a multiple of MaxOps or the payload crosses a multiple
+// of MaxBytes, once per crossing, so a stable point that fails is retried at
+// the next crossing rather than on every op.
+func TestLogBoundReportsEachCrossing(t *testing.T) {
+	l := NewLog()
+	var fulls []int
+	for i := 1; i <= 2*MaxOps+1; i++ {
+		if l.Append(&Op{Kind: KMkdir, Path: "/d"}) {
+			fulls = append(fulls, i)
+		}
+	}
+	if len(fulls) != 2 || fulls[0] != MaxOps || fulls[1] != 2*MaxOps {
+		t.Fatalf("full reported at appends %v, want [%d %d]", fulls, MaxOps, 2*MaxOps)
+	}
+	l.Stable(nil, 0)
+	payload := make([]byte, MaxBytes/3+1)
+	var byteFulls []int
+	for i := 1; i <= 7; i++ {
+		if l.Append(&Op{Kind: KWrite, Data: payload}) {
+			byteFulls = append(byteFulls, i)
+		}
+	}
+	if len(byteFulls) != 2 || byteFulls[0] != 3 || byteFulls[1] != 6 {
+		t.Fatalf("byte bound reported at appends %v, want [3 6]", byteFulls)
+	}
+	if l.Append(&Op{Kind: KStatProbe, Path: "/d"}) {
+		t.Error("a probe, which is never recorded, reported the log full")
 	}
 }
 
