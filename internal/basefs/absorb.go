@@ -28,6 +28,7 @@ func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
 	// stale per-file extent state is invalidated wholesale.
 	fs.delMu.Lock()
 	fs.delalloc = make(map[uint32]*delFile)
+	clear(fs.pending)
 	fs.delMu.Unlock()
 	if err := fs.seedAccounting(); err != nil {
 		return fmt.Errorf("basefs: absorb accounting: %w", err)

@@ -133,10 +133,11 @@ type FS struct {
 	// dataBlocks caches sb.DataBlocks() (the model's capacity).
 	dataBlocks int64
 
-	// delMu guards the delalloc map itself; each delFile's contents are
-	// guarded by its inode's lock (data path) or the namespace write lock.
+	// delMu guards delalloc and pending (the files the next sync round
+	// visits); a delFile's contents follow its inode's locks (see delFile).
 	delMu    sync.Mutex
 	delalloc map[uint32]*delFile
+	pending  map[uint32]*delFile
 
 	// syncMu guards the sync-round coordination state (see syncShared):
 	// concurrent fsyncs coalesce onto rounds instead of serializing whole
@@ -247,6 +248,7 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		unstable:    make(map[uint32][]byte),
 		fds:         make(map[fsapi.FD]*fdEntry),
 		delalloc:    make(map[uint32]*delFile),
+		pending:     make(map[uint32]*delFile),
 		dataBlocks:  int64(sb.DataBlocks()),
 		mountReplay: rst,
 		opts:        opts,

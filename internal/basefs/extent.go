@@ -31,6 +31,7 @@ package basefs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/blockdev"
@@ -144,12 +145,13 @@ func (c *extCounters) spineBudget() int64 {
 	return b
 }
 
-// delFile is the per-inode delayed-allocation state. The delalloc map itself
-// is guarded by fs.delMu; a delFile's contents are guarded by the inode's
-// data lock (ci.Mu under the shared namespace lock) or the exclusive
-// namespace lock, exactly like the inode fields they shadow.
+// delFile is the per-inode delayed-allocation state. The delalloc and
+// pending maps are guarded by fs.delMu; a delFile's contents are guarded by
+// the inode's data lock (ci.Mu under the shared namespace lock) or the
+// exclusive namespace lock, exactly like the inode fields they shadow.
 type delFile struct {
 	seeded bool
+	queued bool // in fs.pending
 	// exts is the current mapped extent list, sorted by FileOff; nodes is the
 	// overflow node chain backing its tail.
 	exts  []disklayout.Extent
@@ -180,6 +182,23 @@ func (fs *FS) delFileFor(ino uint32) *delFile {
 func (fs *FS) dropDelFile(ino uint32) {
 	fs.delMu.Lock()
 	delete(fs.delalloc, ino)
+	delete(fs.pending, ino)
+	fs.delMu.Unlock()
+}
+
+// setPending queues st at its first buffer and dequeues it once it has no
+// buffers and no frozen generation; a re-created file keeps its new entry.
+func (fs *FS) setPending(ino uint32, st *delFile, on bool) {
+	if st.queued == on {
+		return
+	}
+	st.queued = on
+	fs.delMu.Lock()
+	if on {
+		fs.pending[ino] = st
+	} else if fs.pending[ino] == st {
+		delete(fs.pending, ino)
+	}
 	fs.delMu.Unlock()
 }
 
@@ -389,6 +408,7 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			copy(nb, b)
 			copy(nb[boff:], src)
 			st.bufs[bi] = nb
+			fs.setPending(ci.Ino, st, true)
 		} else if phys := extentFor(st.exts, bi); phys != 0 {
 			// A full-block overwrite replaces every byte, so an uncached
 			// block needs no device read first; a partial one merges into
@@ -412,6 +432,7 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			nb := make([]byte, disklayout.BlockSize)
 			copy(nb[boff:], src)
 			st.bufs[bi] = nb
+			fs.setPending(ci.Ino, st, true)
 		}
 		written += int(chunk)
 		pos += chunk
@@ -559,6 +580,7 @@ func (fs *FS) extZeroTail(ci *cache.CachedInode, size int64) error {
 			nb[i] = 0
 		}
 		st.bufs[bi] = nb
+		fs.setPending(ci.Ino, st, true)
 		return nil
 	}
 	if phys := extentFor(st.exts, bi); phys != 0 {
@@ -583,16 +605,22 @@ func (fs *FS) truncateExtents(ci *cache.CachedInode, keep int64) error {
 	if err != nil {
 		return err
 	}
+	// A block carries one charge wherever it lives (a buffer may copy a
+	// frozen or mapped block), released by the last loop that holds it.
 	for idx := range st.bufs {
 		if idx >= keep {
 			delete(st.bufs, idx)
-			fs.unchargeIdx(st, idx)
+			if _, frozen := st.flushing[idx]; !frozen && extentFor(st.exts, idx) == 0 {
+				fs.unchargeIdx(st, idx)
+			}
 		}
 	}
 	for idx := range st.flushing {
 		if idx >= keep {
 			delete(st.flushing, idx)
-			fs.unchargeIdx(st, idx)
+			if extentFor(st.exts, idx) == 0 {
+				fs.unchargeIdx(st, idx)
+			}
 		}
 	}
 	var out []disklayout.Extent
@@ -802,28 +830,28 @@ type delRetire struct {
 }
 
 // materializeDelalloc runs in sync Phase A under the exclusive namespace
-// lock: every file's pending buffers are frozen, physical runs are allocated
+// lock: the pending files' buffers are frozen, physical runs are allocated
 // for them (FindFreeRun — this is where delayed allocation pays off), and
 // the new extents are installed in the inodes so this round's metadata
 // snapshot covers them. Ordered-mode crash safety holds by construction: the
 // data runs are written in Phase B strictly before the journal commit that
 // makes the new extents (and bitmap bits) durable, so a crash between them
 // leaves the blocks free and the extents absent — never a mapped block with
-// stale contents.
+// stale contents. Only fs.pending is visited, in inode order.
 func (fs *FS) materializeDelalloc() ([]blockdev.Run, []delRetire, error) {
 	fs.delMu.Lock()
-	inos := make([]uint32, 0, len(fs.delalloc))
-	for ino := range fs.delalloc {
+	inos := make([]uint32, 0, len(fs.pending))
+	for ino := range fs.pending {
 		inos = append(inos, ino)
 	}
 	fs.delMu.Unlock()
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 
 	var runs []blockdev.Run
 	var rets []delRetire
 	for _, ino := range inos {
 		fs.delMu.Lock()
-		st := fs.delalloc[ino]
+		st := fs.pending[ino]
 		fs.delMu.Unlock()
 		if st == nil {
 			continue
@@ -835,8 +863,9 @@ func (fs *FS) materializeDelalloc() ([]blockdev.Run, []delRetire, error) {
 				st.bufs[idx] = b
 			}
 		}
-		st.flushing = make(map[int64][]byte)
+		clear(st.flushing)
 		if len(st.bufs) == 0 {
+			fs.setPending(ino, st, false)
 			continue
 		}
 		ci, err := fs.getAllocInode(ino)
@@ -859,7 +888,7 @@ func (fs *FS) materializeDelalloc() ([]blockdev.Run, []delRetire, error) {
 // runs for them, installs the resulting extent list, and builds the vectored
 // write-back runs.
 func (fs *FS) materializeFile(ci *cache.CachedInode, st *delFile) ([]blockdev.Run, *delRetire, error) {
-	st.flushing, st.bufs = st.bufs, make(map[int64][]byte)
+	st.flushing, st.bufs = st.bufs, st.flushing // flushing is empty here
 	idxs := make([]int64, 0, len(st.flushing))
 	for idx := range st.flushing {
 		idxs = append(idxs, idx)
@@ -954,6 +983,9 @@ func (fs *FS) retireDelalloc(rets []delRetire) {
 				fs.bc.InstallClean(p, b)
 			}
 			delete(ret.st.flushing, idx)
+		}
+		if len(ret.st.bufs) == 0 {
+			fs.setPending(ret.ci.Ino, ret.st, false)
 		}
 		ret.ci.Mu.Unlock()
 	}

@@ -48,7 +48,7 @@ func (fs *FS) getAllocInode(ino uint32) (*cache.CachedInode, error) {
 }
 
 // markInodeDirty flags the cached inode for write-back at the next sync.
-func (fs *FS) markInodeDirty(ci *cache.CachedInode) { ci.Dirty = true }
+func (fs *FS) markInodeDirty(ci *cache.CachedInode) { fs.ic.MarkDirty(ci) }
 
 // writeInodeBack serializes a cached inode into its inode-table block buffer
 // (the sync path calls this for every dirty inode).
@@ -122,11 +122,10 @@ func (fs *FS) freeInode(ci *cache.CachedInode) error {
 
 	gen := ci.Inode.Generation
 	ci.Inode = disklayout.Inode{Generation: gen}
-	ci.Dirty = true
+	fs.markInodeDirty(ci)
 	if err := fs.writeInodeBack(ci); err != nil {
 		return err
 	}
-	ci.Dirty = false
 	fs.ic.Drop(ci.Ino)
 	return nil
 }

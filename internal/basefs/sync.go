@@ -126,10 +126,10 @@ func (fs *FS) runRoundAsLeader(r *syncRound) {
 // protocol, so fs.unstable and the journal cursor see no concurrent rounds.
 //
 // Phase A holds fs.mu exclusively but performs no IO: validate, snapshot
-// dirty state (content copies + versions), and pass the pre-persist barrier.
-// Phases B-D run without fs.mu, so readers and writers proceed while the IO
-// is in flight; buffers are retired by version so a concurrent re-dirty is
-// never lost.
+// dirty state (copies + versions) from sets kept as state turns dirty, so it
+// costs what the round writes, and pass the pre-persist barrier. Phases B-D
+// run without fs.mu, so readers and writers proceed while the IO is in
+// flight; buffers are retired by version so a concurrent re-dirty is kept.
 func (fs *FS) runSyncRound(ckpt bool) error {
 	flushes := 0
 	defer func() {
@@ -187,7 +187,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		if err := fs.writeInodeBack(ci); err != nil {
 			return err
 		}
-		ci.Dirty = false
+		fs.ic.MarkClean(ci)
 	}
 
 	// Partition the dirty snapshot.

@@ -15,6 +15,7 @@ import (
 	"container/list"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,10 +44,11 @@ type Buf struct {
 	// evicted — a re-read would see the stale home copy — so it stays out of
 	// the LRU until MarkStable.
 	unstable bool
-	// dropped marks a buffer removed from the cache (block freed) while
-	// still pinned. It must never re-enter the LRU: the block number may
-	// have been reallocated to a different, live buffer.
+	// dropped marks a buffer the cache no longer maps (block freed, or
+	// evicted). A pin may outlive that, but it never re-enters the LRU and
+	// snapshots skip it: its block may map to a different, live buffer.
 	dropped bool
+	indexed bool // in the shard's dirty index
 	// ver counts dirtyings. The sync path snapshots (content, ver) under the
 	// filesystem lock, performs IO outside it, and then clears dirty only if
 	// ver is unchanged — a concurrent re-dirty keeps the buffer dirty.
@@ -62,13 +64,16 @@ type Buf struct {
 // migrate between shards, so no cross-shard ordering exists and no operation
 // ever takes two shard locks.
 type bufShard struct {
-	mu       sync.Mutex
-	bufs     map[uint32]*Buf
+	mu   sync.Mutex
+	bufs map[uint32]*Buf
+	// dirty lists each dirty buffer of bufs from its first dirtying until a
+	// snapshot finds it clean or dropped: re-dirtying a hot block is free.
+	dirty    []*Buf
 	lru      *list.List // least-recently-used at the front
 	maxClean int
 	hits     int64
 	misses   int64
-	_        [32]byte // keep neighboring shards' hot words off one cache line
+	_        [8]byte // keep neighboring shards' hot words off one cache line
 }
 
 // BufferCache is a write-back block cache with LRU eviction of clean,
@@ -89,7 +94,7 @@ type BufferCache struct {
 // shardCount picks the stripe width: enough shards to spread GOMAXPROCS
 // writers, but never so many that a shard's clean-buffer bound drops below 8
 // (tiny test caches get exactly one shard and behave like the unsharded
-// cache), and capped so full-cache sweeps (snapshot, purge) stay cheap.
+// cache), and capped so whole-cache reads (budget, length, hits) stay cheap.
 func shardCount(maxClean int) int {
 	n := runtime.GOMAXPROCS(0)
 	s := 1
@@ -283,6 +288,9 @@ func (c *BufferCache) MarkDirtyMeta(b *Buf) {
 }
 
 func (s *bufShard) markDirtyLocked(b *Buf) {
+	if !b.indexed {
+		s.dirty, b.indexed = append(s.dirty, b), true
+	}
 	b.dirty = true
 	b.ver++
 	if b.elem != nil {
@@ -325,25 +333,9 @@ func (s *bufShard) evictLocked() {
 		// buffer, never a successor that reused the block number.
 		if cur, ok := s.bufs[b.Blk]; ok && cur == b {
 			delete(s.bufs, b.Blk)
+			b.dropped = true
 		}
 	}
-}
-
-// DirtyBlocks returns a snapshot of all dirty buffers. The buffers stay
-// dirty; the sync path clears them with MarkClean after committing.
-func (c *BufferCache) DirtyBlocks() []*Buf {
-	var out []*Buf
-	for i := range c.shards {
-		s := &c.shards[i]
-		c.lock(s)
-		for _, b := range s.bufs {
-			if b.dirty {
-				out = append(out, b)
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // DirtySnap is one dirty buffer captured by SnapshotDirty: a stable copy of
@@ -356,20 +348,20 @@ type DirtySnap struct {
 	Data []byte
 }
 
-// SnapshotDirty captures every dirty buffer — block number, meta flag,
-// version, and a copy of the content — shard by shard. The sync path
-// snapshots while holding the filesystem lock (quiescing writers), performs
-// IO on the copies outside all locks, and retires each buffer with
-// MarkCleanVer/MarkJournaled so a concurrent re-dirty is never lost.
+// SnapshotDirty copies every dirty buffer (block, meta flag, version,
+// content) out of each shard's dirty index. The sync path snapshots under the
+// filesystem lock, does IO on the copies outside all locks, and retires each
+// buffer with MarkCleanVer/MarkJournaled so a concurrent re-dirty is kept.
 func (c *BufferCache) SnapshotDirty() []DirtySnap {
 	var out []DirtySnap
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
-		for _, b := range s.bufs {
-			if !b.dirty {
-				continue
-			}
+		s.dirty = slices.DeleteFunc(s.dirty, func(b *Buf) bool {
+			b.indexed = b.dirty && !b.dropped
+			return !b.indexed
+		})
+		for _, b := range s.dirty {
 			cp := make([]byte, len(b.Data))
 			copy(cp, b.Data)
 			out = append(out, DirtySnap{Buf: b, Blk: b.Blk, Meta: b.meta, Ver: b.ver, Data: cp})
@@ -466,6 +458,9 @@ func (c *BufferCache) Install(blk uint32, data []byte, meta bool) {
 	b.meta = meta
 	b.dirty = true
 	b.ver++
+	if !b.indexed {
+		s.dirty, b.indexed = append(s.dirty, b), true
+	}
 }
 
 // Peek returns the cached buffer for blk pinned, or nil without performing

@@ -73,8 +73,8 @@ func TestBufferCacheDirtyNeverEvicted(t *testing.T) {
 	if b2.Data[0] != 0xEE {
 		t.Error("dirty buffer was evicted and reread from disk")
 	}
-	if len(c.DirtyBlocks()) != 1 {
-		t.Errorf("DirtyBlocks = %d, want 1", len(c.DirtyBlocks()))
+	if n := len(c.SnapshotDirty()); n != 1 {
+		t.Errorf("SnapshotDirty = %d buffers, want 1", n)
 	}
 }
 
@@ -354,8 +354,8 @@ func TestDropWhilePinnedDoesNotResurrect(t *testing.T) {
 		t.Fatalf("live dirty buffer lost: got %p (data[0]=%#x), want %p", got, got.Data[0], fresh)
 	}
 	var dirty bool
-	for _, b := range c.DirtyBlocks() {
-		if b.Blk == 5 {
+	for _, s := range c.SnapshotDirty() {
+		if s.Blk == 5 && s.Buf == fresh {
 			dirty = true
 		}
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/disklayout"
@@ -18,8 +19,9 @@ type CachedInode struct {
 	// Inode is the decoded on-disk record. Guarded by Mu for data fields and
 	// by the filesystem lock for namespace fields.
 	Inode disklayout.Inode
-	// Dirty reports that Inode differs from the inode table block.
-	Dirty bool
+	// Dirty reports that Inode differs from the table block; see MarkDirty.
+	Dirty   bool
+	indexed bool // in the cache's dirty set
 	// Opens counts open file descriptors referencing this inode; an inode
 	// with Nlink==0 is deallocated when Opens drops to zero.
 	Opens int
@@ -31,6 +33,8 @@ type CachedInode struct {
 type InodeCache struct {
 	mu     sync.Mutex
 	inodes map[uint32]*CachedInode
+	// dirty lists each dirty cached inode until DirtyInodes finds it clean or gone.
+	dirty  []*CachedInode
 	max    int
 	hits   int64
 	misses int64
@@ -85,7 +89,32 @@ func (c *InodeCache) Put(ci *CachedInode) *CachedInode {
 		c.evictLocked()
 	}
 	c.inodes[ci.Ino] = ci
+	if ci.Dirty && !ci.indexed {
+		c.dirty, ci.indexed = append(c.dirty, ci), true
+	}
 	return ci
+}
+
+// MarkDirty flags ci for write-back at the next sync (DirtyInodes skips an
+// inode no longer cached). Callers serialize MarkDirty and MarkClean per
+// inode, so a flag already set is read without the cache lock.
+func (c *InodeCache) MarkDirty(ci *CachedInode) {
+	if ci.Dirty {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ci.Dirty = true
+	if !ci.indexed {
+		c.dirty, ci.indexed = append(c.dirty, ci), true
+	}
+}
+
+// MarkClean clears ci's dirty flag once its record is in the table block.
+func (c *InodeCache) MarkClean(ci *CachedInode) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ci.Dirty = false
 }
 
 func (c *InodeCache) evictLocked() {
@@ -106,17 +135,15 @@ func (c *InodeCache) Drop(ino uint32) {
 	delete(c.inodes, ino)
 }
 
-// DirtyInodes returns all dirty cached inodes for the sync path.
+// DirtyInodes returns the dirty cached inodes, sweeping the rest out of the set.
 func (c *InodeCache) DirtyInodes() []*CachedInode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var out []*CachedInode
-	for _, ci := range c.inodes {
-		if ci.Dirty {
-			out = append(out, ci)
-		}
-	}
-	return out
+	c.dirty = slices.DeleteFunc(c.dirty, func(ci *CachedInode) bool {
+		ci.indexed = ci.Dirty && c.inodes[ci.Ino] == ci
+		return !ci.indexed
+	})
+	return slices.Clone(c.dirty)
 }
 
 // Purge empties the cache (contained reboot). Open and dirty inodes are
@@ -125,6 +152,10 @@ func (c *InodeCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.inodes = make(map[uint32]*CachedInode)
+	for _, ci := range c.dirty {
+		ci.indexed = false
+	}
+	c.dirty = nil
 }
 
 // Len returns the number of cached inodes.
