@@ -183,19 +183,44 @@ type FS struct {
 	telExtMatBlocks   *telemetry.Counter
 	telExtMatRuns     *telemetry.Counter
 	telExtDemotions   *telemetry.Counter
-	opHist            map[string]*telemetry.Histogram
+	opHist            [numOps]*telemetry.Histogram
 }
 
-// opNames enumerates the fsapi operations instrumented with per-op latency
-// histograms ("basefs.op.<name>").
-var opNames = []string{
+// opID names an fsapi operation instrumented with a per-op latency histogram
+// ("basefs.op.<name>", name from opNames).
+type opID uint8
+
+const (
+	opMkdir opID = iota
+	opRmdir
+	opCreate
+	opOpen
+	opClose
+	opReadAt
+	opWriteAt
+	opTruncate
+	opUnlink
+	opRename
+	opLink
+	opSymlink
+	opReadlink
+	opStat
+	opFstat
+	opReaddir
+	opSetPerm
+	opFsync
+	opSync
+	numOps
+)
+
+var opNames = [numOps]string{
 	"mkdir", "rmdir", "create", "open", "close", "readat", "writeat",
 	"truncate", "unlink", "rename", "link", "symlink", "readlink",
 	"stat", "fstat", "readdir", "setperm", "fsync", "sync",
 }
 
 // opTimer starts a latency timer for op; inert when telemetry is disabled.
-func (fs *FS) opTimer(op string) telemetry.Timer {
+func (fs *FS) opTimer(op opID) telemetry.Timer {
 	return telemetry.StartTimer(fs.opHist[op])
 }
 
@@ -268,9 +293,8 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		fs.telExtMatBlocks = tel.Counter("extent.delalloc.materialized_blocks")
 		fs.telExtMatRuns = tel.Counter("extent.delalloc.write_runs")
 		fs.telExtDemotions = tel.Counter("extent.demotions")
-		fs.opHist = make(map[string]*telemetry.Histogram, len(opNames))
-		for _, op := range opNames {
-			fs.opHist[op] = tel.Histogram("basefs.op." + op)
+		for op, name := range opNames {
+			fs.opHist[op] = tel.Histogram("basefs.op." + name)
 		}
 		q.SetTelemetry(tel)
 		bc.SetTelemetry(tel)

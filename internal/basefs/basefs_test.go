@@ -428,3 +428,33 @@ func TestWarnChannel(t *testing.T) {
 		t.Error("warning not recorded")
 	}
 }
+
+// TestWalkPathAllocs pins the hit path's path walk: a 3-component path whose
+// dentries and inodes are cached resolves without allocating, because the
+// splitter appends into a stack array.
+func TestWalkPathAllocs(t *testing.T) {
+	fs, _ := newFS(t)
+	for _, d := range []string{"/a", "/a/b"} {
+		if err := fs.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fd, err := fs.Create("/a/b/c", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.walkPath("/a/b/c"); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fs.walkPath("/a/b/c"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cached walkPath allocates %v times, want 0", allocs)
+	}
+}

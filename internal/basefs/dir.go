@@ -240,9 +240,14 @@ func (fs *FS) walk(comps []string) (*cache.CachedInode, error) {
 	return cur, nil
 }
 
+// pathDepth is the component count walkPath and walkParent split into an
+// array on the stack; a deeper path spills to the heap.
+const pathDepth = 16
+
 // walkPath is walk over a raw path string.
 func (fs *FS) walkPath(path string) (*cache.CachedInode, error) {
-	comps, err := fsapi.SplitPath(path)
+	var buf [pathDepth]string
+	comps, err := fsapi.SplitPath(buf[:0], path)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +256,8 @@ func (fs *FS) walkPath(path string) (*cache.CachedInode, error) {
 
 // walkParent resolves path to (parent directory, final component).
 func (fs *FS) walkParent(path string) (*cache.CachedInode, string, error) {
-	dir, base, err := fsapi.SplitDirBase(path)
+	var buf [pathDepth]string
+	dir, base, err := fsapi.SplitDirBase(buf[:0], path)
 	if err != nil {
 		return nil, "", err
 	}

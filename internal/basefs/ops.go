@@ -10,7 +10,7 @@ import (
 
 // Mkdir implements fsapi.FS.
 func (fs *FS) Mkdir(path string, perm uint16) error {
-	t := fs.opTimer("mkdir")
+	t := fs.opTimer(opMkdir)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -52,7 +52,7 @@ func (fs *FS) Mkdir(path string, perm uint16) error {
 
 // Rmdir implements fsapi.FS.
 func (fs *FS) Rmdir(path string) error {
-	t := fs.opTimer("rmdir")
+	t := fs.opTimer(opRmdir)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -101,7 +101,7 @@ func (fs *FS) Rmdir(path string) error {
 
 // Create implements fsapi.FS.
 func (fs *FS) Create(path string, perm uint16) (fsapi.FD, error) {
-	t := fs.opTimer("create")
+	t := fs.opTimer(opCreate)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -152,7 +152,7 @@ func (fs *FS) Create(path string, perm uint16) (fsapi.FD, error) {
 
 // Open implements fsapi.FS.
 func (fs *FS) Open(path string) (fsapi.FD, error) {
-	t := fs.opTimer("open")
+	t := fs.opTimer(opOpen)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -185,7 +185,7 @@ func (fs *FS) allocFDLocked() fsapi.FD {
 
 // Close implements fsapi.FS.
 func (fs *FS) Close(fd fsapi.FD) error {
-	t := fs.opTimer("close")
+	t := fs.opTimer(opClose)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -227,7 +227,7 @@ func (fs *FS) lookupFD(fd fsapi.FD) (*cache.CachedInode, error) {
 // ReadAt implements fsapi.FS. Reads of holes return zeros; reads never
 // update atime (noatime semantics).
 func (fs *FS) ReadAt(fd fsapi.FD, off int64, n int) ([]byte, error) {
-	t := fs.opTimer("readat")
+	t := fs.opTimer(opReadAt)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -285,7 +285,7 @@ func (fs *FS) ReadAt(fd fsapi.FD, off int64, n int) ([]byte, error) {
 // WriteAt implements fsapi.FS, block by block so a mid-write ENOSPC yields
 // the same short-write outcome as the specification model.
 func (fs *FS) WriteAt(fd fsapi.FD, off int64, data []byte) (int, error) {
-	t := fs.opTimer("writeat")
+	t := fs.opTimer(opWriteAt)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -364,7 +364,7 @@ func (fs *FS) WriteAt(fd fsapi.FD, off int64, data []byte) (int, error) {
 
 // Truncate implements fsapi.FS.
 func (fs *FS) Truncate(path string, size int64) error {
-	t := fs.opTimer("truncate")
+	t := fs.opTimer(opTruncate)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -432,7 +432,7 @@ func (fs *FS) Truncate(path string, size int64) error {
 // Unlink implements fsapi.FS. An inode that is still open survives as an
 // orphan until its last descriptor closes.
 func (fs *FS) Unlink(path string) error {
-	t := fs.opTimer("unlink")
+	t := fs.opTimer(opUnlink)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -478,18 +478,18 @@ func (fs *FS) Unlink(path string) error {
 
 // Rename implements fsapi.FS.
 func (fs *FS) Rename(oldPath, newPath string) error {
-	t := fs.opTimer("rename")
+	t := fs.opTimer(opRename)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.fire(&faultinject.Site{Op: "rename", Point: "entry", Path: oldPath}); err != nil {
 		return err
 	}
-	oldComps, err := fsapi.SplitPath(oldPath)
+	oldComps, err := fsapi.SplitPath(nil, oldPath)
 	if err != nil {
 		return err
 	}
-	newComps, err := fsapi.SplitPath(newPath)
+	newComps, err := fsapi.SplitPath(nil, newPath)
 	if err != nil {
 		return err
 	}
@@ -613,7 +613,7 @@ func pathEqual(a, b []string) bool {
 
 // Link implements fsapi.FS.
 func (fs *FS) Link(oldPath, newPath string) error {
-	t := fs.opTimer("link")
+	t := fs.opTimer(opLink)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -650,7 +650,7 @@ func (fs *FS) Link(oldPath, newPath string) error {
 
 // Symlink implements fsapi.FS. The target occupies one data block.
 func (fs *FS) Symlink(target, linkPath string) error {
-	t := fs.opTimer("symlink")
+	t := fs.opTimer(opSymlink)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -702,7 +702,7 @@ func (fs *FS) Symlink(target, linkPath string) error {
 
 // Readlink implements fsapi.FS.
 func (fs *FS) Readlink(path string) (string, error) {
-	t := fs.opTimer("readlink")
+	t := fs.opTimer(opReadlink)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -738,7 +738,7 @@ func (fs *FS) statOf(ci *cache.CachedInode) fsapi.Stat {
 
 // Stat implements fsapi.FS.
 func (fs *FS) Stat(path string) (fsapi.Stat, error) {
-	t := fs.opTimer("stat")
+	t := fs.opTimer(opStat)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -755,7 +755,7 @@ func (fs *FS) Stat(path string) (fsapi.Stat, error) {
 
 // Fstat implements fsapi.FS.
 func (fs *FS) Fstat(fd fsapi.FD) (fsapi.Stat, error) {
-	t := fs.opTimer("fstat")
+	t := fs.opTimer(opFstat)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -770,7 +770,7 @@ func (fs *FS) Fstat(fd fsapi.FD) (fsapi.Stat, error) {
 
 // Readdir implements fsapi.FS.
 func (fs *FS) Readdir(path string) ([]fsapi.DirEntry, error) {
-	t := fs.opTimer("readdir")
+	t := fs.opTimer(opReaddir)
 	defer t.Stop()
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -789,7 +789,7 @@ func (fs *FS) Readdir(path string) ([]fsapi.DirEntry, error) {
 
 // SetPerm implements fsapi.FS.
 func (fs *FS) SetPerm(path string, perm uint16) error {
-	t := fs.opTimer("setperm")
+	t := fs.opTimer(opSetPerm)
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

@@ -19,7 +19,7 @@ import (
 // fsync is a global stable point the supervisor can truncate the operation
 // log at.
 func (fs *FS) Fsync(fd fsapi.FD) error {
-	t := fs.opTimer("fsync")
+	t := fs.opTimer(opFsync)
 	defer t.Stop()
 	fs.mu.RLock()
 	_, ok := fs.fds[fd]
@@ -38,7 +38,7 @@ func (fs *FS) Fsync(fd fsapi.FD) error {
 // included) equals the in-memory state, which is the supervisor's cue to
 // discard recorded operations.
 func (fs *FS) Sync() error {
-	t := fs.opTimer("sync")
+	t := fs.opTimer(opSync)
 	defer t.Stop()
 	return fs.syncShared(false)
 }

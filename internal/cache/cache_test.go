@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -398,4 +399,39 @@ func TestUnstableBufferNeverEvicted(t *testing.T) {
 		t.Fatal("unstable buffer evicted; Get reread the stale home copy")
 	}
 	c.MarkStable(7)
+}
+
+// TestDentryCacheConcurrentCounts runs lookups, adds and invalidations from
+// 8 goroutines at once: a lookup takes only the read lock, and the hit and
+// miss counters still account for every lookup exactly (run under -race).
+func TestDentryCacheConcurrentCounts(t *testing.T) {
+	c := NewDentryCache(64)
+	const workers, iters = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				name := fmt.Sprintf("n%d", i%40)
+				c.Lookup(uint32(w%3), name)
+				switch i % 10 {
+				case 0:
+					c.Add(uint32(w%3), name, uint32(i))
+				case 5:
+					c.Invalidate(uint32(w%3), name)
+				case 9:
+					c.AddNegative(uint32(w%3), name)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	hits, misses := c.HitRate()
+	if hits+misses != workers*iters {
+		t.Fatalf("hits %d + misses %d = %d, want %d lookups", hits, misses, hits+misses, workers*iters)
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("hits %d, misses %d: want both", hits, misses)
+	}
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/telemetry"
 )
@@ -15,8 +16,8 @@ type DentryCache struct {
 	mu      sync.RWMutex
 	entries map[dentryKey]dentryVal
 	max     int
-	hits    int64
-	misses  int64
+	// hits and misses are atomics so a lookup needs only the read lock.
+	hits, misses atomic.Int64
 
 	telHits, telMisses *telemetry.Counter
 }
@@ -57,16 +58,14 @@ func NewDentryCache(max int) *DentryCache {
 func (c *DentryCache) Lookup(parent uint32, name string) (ino uint32, negative, found bool) {
 	c.mu.RLock()
 	v, ok := c.entries[dentryKey{parent, name}]
-	c.mu.RUnlock()
-	c.mu.Lock()
 	if ok {
-		c.hits++
+		c.hits.Add(1)
 		c.telHits.Inc()
 	} else {
-		c.misses++
+		c.misses.Add(1)
 		c.telMisses.Inc()
 	}
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	if !ok {
 		return 0, false, false
 	}
@@ -127,7 +126,5 @@ func (c *DentryCache) Len() int {
 
 // HitRate returns hits and misses since creation.
 func (c *DentryCache) HitRate() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.hits.Load(), c.misses.Load()
 }

@@ -509,30 +509,31 @@ func (r *FS) SetCacheBudget(blocks int) {
 // CacheBudget returns the current base instance's clean-buffer bound.
 func (r *FS) CacheBudget() int { return r.base.Load().CacheBudget() }
 
-// lockRecord acquires the record lock(s) covering op, returning the unlock.
-// Holding the lock across execute+append keeps the recorded order a valid
-// serialization for conflicting operations; independent operations take
-// disjoint locks and proceed in parallel.
-func (r *FS) lockRecord(op *oplog.Op) func() {
+// lockRecord acquires the record lock(s) covering op; unlockRecord releases
+// them. Holding the lock across execute+append keeps the recorded order a
+// valid serialization for conflicting operations; independent operations
+// take disjoint locks and proceed in parallel.
+func (r *FS) lockRecord(op *oplog.Op) {
 	switch op.Kind {
 	case oplog.KWrite:
-		mu := &r.fdmu[uint32(op.FD)&(fdStripes-1)]
-		mu.Lock()
-		return mu.Unlock
+		r.fdmu[uint32(op.FD)&(fdStripes-1)].Lock()
 	case oplog.KClose:
 		// Close mutates both the namespace (fd table, possible deferred
 		// unlink) and the descriptor: take both, ns first (lock order shared
 		// with the sync leader).
 		r.ns.Lock()
-		mu := &r.fdmu[uint32(op.FD)&(fdStripes-1)]
-		mu.Lock()
-		return func() {
-			mu.Unlock()
-			r.ns.Unlock()
-		}
+		r.fdmu[uint32(op.FD)&(fdStripes-1)].Lock()
 	default:
 		r.ns.Lock()
-		return r.ns.Unlock
+	}
+}
+
+func (r *FS) unlockRecord(op *oplog.Op) {
+	if op.Kind == oplog.KWrite || op.Kind == oplog.KClose {
+		r.fdmu[uint32(op.FD)&(fdStripes-1)].Unlock()
+	}
+	if op.Kind != oplog.KWrite {
+		r.ns.Unlock()
 	}
 }
 
@@ -540,63 +541,38 @@ func (r *FS) lockRecord(op *oplog.Op) func() {
 
 // Mkdir implements fsapi.FS.
 func (r *FS) Mkdir(path string, perm uint16) error {
-	op := &oplog.Op{Kind: oplog.KMkdir, Path: path, Perm: perm}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KMkdir, Path: path, Perm: perm})
 	return op.Err()
 }
 
 // Rmdir implements fsapi.FS.
 func (r *FS) Rmdir(path string) error {
-	op := &oplog.Op{Kind: oplog.KRmdir, Path: path}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KRmdir, Path: path})
 	return op.Err()
 }
 
 // Create implements fsapi.FS.
 func (r *FS) Create(path string, perm uint16) (fsapi.FD, error) {
-	op := &oplog.Op{Kind: oplog.KCreate, Path: path, Perm: perm}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KCreate, Path: path, Perm: perm})
 	return op.RetFD, op.Err()
 }
 
 // Open implements fsapi.FS.
 func (r *FS) Open(path string) (fsapi.FD, error) {
-	op := &oplog.Op{Kind: oplog.KOpen, Path: path}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KOpen, Path: path})
 	return op.RetFD, op.Err()
 }
 
 // Close implements fsapi.FS.
 func (r *FS) Close(fd fsapi.FD) error {
-	op := &oplog.Op{Kind: oplog.KClose, FD: fd}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KClose, FD: fd})
 	return op.Err()
 }
 
-// ReadAt implements fsapi.FS. Reads are not recorded, but they enter the
-// gate and run under the same detection envelope: a read that trips a bug
-// triggers recovery and is satisfied by the shadow.
+// ReadAt implements fsapi.FS. Reads are not recorded; see probe.
 func (r *FS) ReadAt(fd fsapi.FD, off int64, n int) ([]byte, error) {
-	op := &oplog.Op{Kind: oplog.KReadProbe, FD: fd, Off: off, Size: int64(n)}
-	var data []byte
-	var rerr error
-	recovered := r.runProbe(op, func(base *basefs.FS) *fault {
-		return r.capture(func() error {
-			var err error
-			data, err = base.ReadAt(fd, off, n)
-			rerr = err
-			return err
-		})
-	})
-	if !recovered {
-		return data, rerr
-	}
-	if op.Errno != 0 {
-		return nil, op.Err()
-	}
-	// The shadow executed the in-flight read during recovery; its bytes are
-	// the authoritative result.
-	return op.RetData, nil
+	c := r.probe(call{op: oplog.Op{Kind: oplog.KReadProbe, FD: fd, Off: off, Size: int64(n)}})
+	return c.op.RetData, c.err
 }
 
 // WriteAt implements fsapi.FS. The payload is copied at the facade boundary:
@@ -606,151 +582,70 @@ func (r *FS) ReadAt(fd fsapi.FD, off int64, n int) ([]byte, error) {
 func (r *FS) WriteAt(fd fsapi.FD, off int64, data []byte) (int, error) {
 	buf := make([]byte, len(data))
 	copy(buf, data)
-	op := &oplog.Op{Kind: oplog.KWrite, FD: fd, Off: off, Data: buf}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KWrite, FD: fd, Off: off, Data: buf})
 	return op.RetN, op.Err()
 }
 
 // Truncate implements fsapi.FS.
 func (r *FS) Truncate(path string, size int64) error {
-	op := &oplog.Op{Kind: oplog.KTruncate, Path: path, Size: size}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KTruncate, Path: path, Size: size})
 	return op.Err()
 }
 
 // Unlink implements fsapi.FS.
 func (r *FS) Unlink(path string) error {
-	op := &oplog.Op{Kind: oplog.KUnlink, Path: path}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KUnlink, Path: path})
 	return op.Err()
 }
 
 // Rename implements fsapi.FS.
 func (r *FS) Rename(oldPath, newPath string) error {
-	op := &oplog.Op{Kind: oplog.KRename, Path: oldPath, Path2: newPath}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KRename, Path: oldPath, Path2: newPath})
 	return op.Err()
 }
 
 // Link implements fsapi.FS.
 func (r *FS) Link(oldPath, newPath string) error {
-	op := &oplog.Op{Kind: oplog.KLink, Path: oldPath, Path2: newPath}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KLink, Path: oldPath, Path2: newPath})
 	return op.Err()
 }
 
 // Symlink implements fsapi.FS.
 func (r *FS) Symlink(target, linkPath string) error {
-	op := &oplog.Op{Kind: oplog.KSymlink, Path: linkPath, Path2: target}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KSymlink, Path: linkPath, Path2: target})
 	return op.Err()
 }
 
-// Readlink implements fsapi.FS.
+// Readlink implements fsapi.FS. A recovery answers it as a stat probe of
+// the link.
 func (r *FS) Readlink(path string) (string, error) {
-	op := &oplog.Op{Kind: oplog.KStatProbe, Path: path}
-	var target string
-	var ferr error
-	recovered := r.runProbe(op, func(base *basefs.FS) *fault {
-		return r.capture(func() error {
-			var err error
-			target, err = base.Readlink(path)
-			ferr = err
-			return err
-		})
-	})
-	if !recovered {
-		return target, ferr
-	}
-	if op.Errno != 0 {
-		return "", op.Err()
-	}
-	// Re-read through the recovered base with injection gated so a
-	// deterministic specimen cannot re-fire inside the retry.
-	var target2 string
-	var ferr2 error
-	r.withInjectionDisabled(func() { target2, ferr2 = r.base.Load().Readlink(path) })
-	return target2, ferr2
+	c := r.probe(call{op: oplog.Op{Kind: oplog.KStatProbe, Path: path}, probe: probeReadlink})
+	return c.target, c.err
 }
 
 // Stat implements fsapi.FS.
 func (r *FS) Stat(path string) (fsapi.Stat, error) {
-	op := &oplog.Op{Kind: oplog.KStatProbe, Path: path}
-	var st fsapi.Stat
-	var serr error
-	recovered := r.runProbe(op, func(base *basefs.FS) *fault {
-		return r.capture(func() error {
-			var err error
-			st, err = base.Stat(path)
-			serr = err
-			return err
-		})
-	})
-	if !recovered {
-		return st, serr
-	}
-	if op.Errno != 0 {
-		return fsapi.Stat{}, op.Err()
-	}
-	var st2 fsapi.Stat
-	var serr2 error
-	r.withInjectionDisabled(func() { st2, serr2 = r.base.Load().Stat(path) })
-	return st2, serr2
+	c := r.probe(call{op: oplog.Op{Kind: oplog.KStatProbe, Path: path}, probe: probeStat})
+	return c.stat, c.err
 }
 
-// Fstat implements fsapi.FS. Like every other read it enters the gate and
-// the detection envelope; after a recovery the descriptor is still valid
-// (the hand-off reconstructs the fd table), so the probe retries against
+// Fstat implements fsapi.FS. After a recovery the descriptor is still valid
+// (the hand-off reconstructs the fd table), so the probe re-runs against
 // the recovered base.
 func (r *FS) Fstat(fd fsapi.FD) (fsapi.Stat, error) {
-	var st fsapi.Stat
-	var serr error
-	recovered := r.runProbe(nil, func(base *basefs.FS) *fault {
-		return r.capture(func() error {
-			var err error
-			st, err = base.Fstat(fd)
-			serr = err
-			return err
-		})
-	})
-	if !recovered {
-		return st, serr
-	}
-	var st2 fsapi.Stat
-	var serr2 error
-	r.withInjectionDisabled(func() { st2, serr2 = r.base.Load().Fstat(fd) })
-	return st2, serr2
+	c := r.probe(call{op: oplog.Op{Kind: oplog.KStatProbe, FD: fd}, probe: probeFstat})
+	return c.stat, c.err
 }
 
 // Readdir implements fsapi.FS.
 func (r *FS) Readdir(path string) ([]fsapi.DirEntry, error) {
-	op := &oplog.Op{Kind: oplog.KReadDirProbe, Path: path}
-	var ents []fsapi.DirEntry
-	var derr error
-	recovered := r.runProbe(op, func(base *basefs.FS) *fault {
-		return r.capture(func() error {
-			var err error
-			ents, err = base.Readdir(path)
-			derr = err
-			return err
-		})
-	})
-	if !recovered {
-		return ents, derr
-	}
-	if op.Errno != 0 {
-		return nil, op.Err()
-	}
-	var ents2 []fsapi.DirEntry
-	var derr2 error
-	r.withInjectionDisabled(func() { ents2, derr2 = r.base.Load().Readdir(path) })
-	return ents2, derr2
+	c := r.probe(call{op: oplog.Op{Kind: oplog.KReadDirProbe, Path: path}, probe: probeReaddir})
+	return c.ents, c.err
 }
 
 // SetPerm implements fsapi.FS.
 func (r *FS) SetPerm(path string, perm uint16) error {
-	op := &oplog.Op{Kind: oplog.KSetPerm, Path: path, Perm: perm}
-	r.do(op)
+	op := r.do(oplog.Op{Kind: oplog.KSetPerm, Path: path, Perm: perm})
 	return op.Err()
 }
 
@@ -758,14 +653,12 @@ func (r *FS) SetPerm(path string, perm uint16) error {
 // leader advances the stable point, followers coalesce inside the base's
 // sync rounds.
 func (r *FS) Fsync(fd fsapi.FD) error {
-	op := &oplog.Op{Kind: oplog.KFsync, FD: fd}
-	r.doSync(op)
+	op := r.do(oplog.Op{Kind: oplog.KFsync, FD: fd})
 	return op.Err()
 }
 
 // Sync implements fsapi.FS.
 func (r *FS) Sync() error {
-	op := &oplog.Op{Kind: oplog.KSync}
-	r.doSync(op)
+	op := r.do(oplog.Op{Kind: oplog.KSync})
 	return op.Err()
 }

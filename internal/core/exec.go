@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/basefs"
+	"repro/internal/fsapi"
 	"repro/internal/fserr"
 	"repro/internal/oplog"
 )
@@ -111,39 +112,95 @@ func (r *FS) mountBase() (*basefs.FS, *fencedDevice, error) {
 	return base, fence, nil
 }
 
-// capture runs f under the supervisor's full detection envelope: panics are
-// contained, WARN emission is observed, results are classified, and the
-// watchdog bounds execution time. It returns nil when the operation
+// probeKind selects the read a call runs in place of applying its op.
+type probeKind uint8
+
+const (
+	applyOp probeKind = iota // a recorded call, a sync, or a ReadAt
+	probeStat
+	probeFstat
+	probeReadlink
+	probeReaddir
+)
+
+// call is one supervised call: the op, which a recorded call appends and a
+// recovery answers, plus the results only a probe returns (a ReadAt's bytes
+// are the op's RetData). The facade keeps it on its stack, so the common
+// case allocates nothing the base does not: capture runs it in place, or on
+// a heap copy when a watchdog goroutine might be abandoned with it.
+type call struct {
+	op     oplog.Op
+	probe  probeKind
+	stat   fsapi.Stat
+	ents   []fsapi.DirEntry
+	target string
+	// err is the base's error: a probe's result, and for every call what
+	// capture classifies.
+	err error
+}
+
+// exec runs c once on base, filling its outcome.
+func (c *call) exec(base *basefs.FS) {
+	switch c.probe {
+	case probeStat:
+		c.stat, c.err = base.Stat(c.op.Path)
+	case probeFstat:
+		c.stat, c.err = base.Fstat(c.op.FD)
+	case probeReadlink:
+		c.target, c.err = base.Readlink(c.op.Path)
+	case probeReaddir:
+		c.ents, c.err = base.Readdir(c.op.Path)
+	default:
+		c.err = oplog.Apply(base, &c.op)
+	}
+}
+
+// reset clears the outcome of an attempt that faulted, for recovery or the
+// retry to decide.
+func (c *call) reset() {
+	c.op.Errno, c.op.RetFD, c.op.RetIno, c.op.RetN, c.op.RetData = 0, 0, 0, 0, nil
+	c.stat, c.ents, c.target, c.err = fsapi.Stat{}, nil, "", nil
+}
+
+// inflight is the op a recovery answers for c. An Fstat has no form the
+// shadow can execute, so it passes none and re-runs on the recovered base.
+func (c *call) inflight() *oplog.Op {
+	if c.probe == probeFstat {
+		return nil
+	}
+	return &c.op
+}
+
+// contain runs c on base and returns the value of a panic it raised, or nil.
+func contain(base *basefs.FS, c *call) (pval any) {
+	defer func() { pval = recover() }()
+	c.exec(base)
+	return nil
+}
+
+// capture runs c on base under the supervisor's full detection envelope:
+// panics are contained, WARN emission is observed, results are classified,
+// and the watchdog bounds execution time. It returns nil when the call
 // completed without a detectable error (including ordinary user-level error
-// returns, which are legitimate outcomes). It is safe to call from any
-// number of goroutines; a WARN emitted by a concurrent operation may be
-// attributed to this one, which at worst triggers one recovery the other
-// goroutine would have triggered anyway.
-func (r *FS) capture(f func() error) *fault {
+// returns, which are legitimate outcomes); on a fault, c's outcome is zero.
+// It is safe to call from any number of goroutines; a WARN emitted by a
+// concurrent operation may be attributed to this one, which at worst
+// triggers one recovery the other goroutine would have triggered anyway.
+func (r *FS) capture(base *basefs.FS, c *call) *fault {
 	warnsBefore := r.warns.n.Load()
-
-	type outcome struct {
-		err      error
-		panicked bool
-		pval     any
-	}
-	run := func() (out outcome) {
-		defer func() {
-			if p := recover(); p != nil {
-				out.panicked = true
-				out.pval = p
-			}
-		}()
-		out.err = f()
-		return out
-	}
-
-	var out outcome
+	var pval any
 	if r.cfg.Watchdog > 0 {
-		ch := make(chan outcome, 1)
-		go func() { ch <- run() }()
+		// Run on a heap copy: if the watchdog abandons a frozen call, the
+		// stuck goroutine keeps writing only its copy, never the record whose
+		// outcome recovery decides. The payload is shared; it is private to
+		// the supervisor (copied at the facade) and the base only reads it.
+		cp := new(call)
+		*cp = *c
+		done := make(chan any, 1)
+		go func() { done <- contain(base, cp) }()
 		select {
-		case out = <-ch:
+		case pval = <-done:
+			*c = *cp
 		case <-time.After(r.cfg.Watchdog):
 			r.cnt.freezes.Add(1)
 			r.tel.Event("freeze", "operation exceeded watchdog %v", r.cfg.Watchdog)
@@ -151,122 +208,125 @@ func (r *FS) capture(f func() error) *fault {
 				r.cfg.Watchdog, fserr.ErrIO)}
 		}
 	} else {
-		out = run()
+		// No goroutine can be abandoned mid-call: run in place.
+		pval = contain(base, c)
 	}
 
-	if out.panicked {
+	var flt *fault
+	switch {
+	case pval != nil:
 		r.cnt.panicsCaught.Add(1)
-		r.tel.Event("panic", "contained panic: %v", out.pval)
-		return &fault{kind: "panic", err: fmt.Errorf("core: contained panic: %v", out.pval)}
-	}
-	if r.cfg.EscalateWarns && r.warns.n.Load() > warnsBefore {
+		r.tel.Event("panic", "contained panic: %v", pval)
+		flt = &fault{kind: "panic", err: fmt.Errorf("core: contained panic: %v", pval)}
+	case r.cfg.EscalateWarns && r.warns.n.Load() > warnsBefore:
 		r.cnt.warnsEscalated.Add(1)
 		r.tel.Event("warn-escalated", "WARN(s) during operation escalated to recovery")
-		return &fault{kind: "warn", err: fmt.Errorf("core: WARN escalated to recovery")}
-	}
-	if fserr.IsFault(out.err) {
+		flt = &fault{kind: "warn", err: fmt.Errorf("core: WARN escalated to recovery")}
+	case fserr.IsFault(c.err):
 		r.cnt.faultResults.Add(1)
-		r.tel.Event("fault-result", "operation returned fault: %v", out.err)
-		return &fault{kind: "result", err: out.err}
+		r.tel.Event("fault-result", "operation returned fault: %v", c.err)
+		flt = &fault{kind: "result", err: c.err}
+	default:
+		return nil
 	}
-	return nil
+	c.reset()
+	return flt
 }
 
 // recoverExclusive closes the gate (draining every in-flight operation),
 // checks that no other goroutine recovered since genAtFault was sampled,
 // and runs recovery. It returns false when the fault was superseded — the
 // base instance the op faulted on is already gone — in which case the
-// caller retries against the recovered base.
+// caller retries against the recovered base. Recovery works on a private
+// copy of the in-flight op, because its plan keeps the op; the outcome is
+// copied back, so the caller's op never leaves the caller's stack.
 func (r *FS) recoverExclusive(flt *fault, inflight *oplog.Op, genAtFault uint64) bool {
 	r.gate.close()
 	defer r.gate.open()
 	if r.gen.Load() != genAtFault {
 		return false
 	}
-	r.recoverFrom(flt, inflight)
+	var op *oplog.Op
+	if inflight != nil {
+		op = new(oplog.Op)
+		*op = *inflight
+	}
+	r.recoverFrom(flt, op)
+	if inflight != nil {
+		*inflight = *op
+	}
 	r.gen.Add(1)
 	return true
 }
 
-// do executes one mutating operation with recording and recovery. The op's
-// outcome fields are filled either by the base (common case) or by
-// recovery. An operation that faults while another goroutine's recovery is
-// in flight retries against the recovered base: its failed attempt was
-// never recorded and the faulty instance's in-memory state is discarded
-// wholesale, so the retry is indistinguishable from a fresh call.
-func (r *FS) do(op *oplog.Op) {
-	r.cnt.opsExecuted.Add(1)
+// run executes c on the current base under the detection envelope and
+// reports whether a recovery decided its outcome. A recorded call holds its
+// record locks from execution through its append, so the recorded order is
+// a valid serialization; one whose append filled the log then runs a forced
+// stable point, after its locks and gate slot are released. A call that
+// faults recovers, or, when another goroutine's recovery superseded it,
+// retries against the recovered base: its failed attempt was never recorded
+// and the faulty instance's in-memory state is discarded wholesale, so the
+// retry is indistinguishable from a fresh call.
+//
+// Syncs are not recorded: their stable-point bookkeeping runs inside the
+// base's sync round through the mountBase hooks, so concurrent syncs
+// coalesce onto shared rounds and every durable round is a stable point,
+// whichever caller's goroutine led it.
+func (r *FS) run(c *call) (recovered bool) {
+	record := c.probe == applyOp && recorded(c.op.Kind)
 	for {
 		si := r.gate.enter()
 		gen := r.gen.Load()
 		base := r.base.Load() // snapshot: an abandoned frozen goroutine must
 		// keep using the instance it started on, not the one recovery installs
-		unlock := r.lockRecord(op)
-		if flt := r.execute(base, op); flt != nil {
-			unlock()
-			r.gate.exit(si)
-			if r.recoverExclusive(flt, op, gen) {
-				return
+		if record {
+			r.lockRecord(&c.op)
+		}
+		flt := r.capture(base, c)
+		full := flt == nil && r.afterSuccess(&c.op)
+		if record {
+			r.unlockRecord(&c.op)
+		}
+		r.gate.exit(si)
+		if flt == nil {
+			if full {
+				r.forceStable()
 			}
-			continue
+			return false
 		}
-		full := r.afterSuccess(op)
-		unlock()
-		r.gate.exit(si)
-		if full {
-			r.forceStable()
+		if r.recoverExclusive(flt, c.inflight(), gen) {
+			return true
 		}
-		return
 	}
 }
 
-// execute applies op to base under the detection envelope. On success op
-// carries the outcome; on a fault its outcome fields are zero, for recovery
-// or the retry to decide.
-func (r *FS) execute(base *basefs.FS, op *oplog.Op) *fault {
-	if r.cfg.Watchdog == 0 {
-		// No goroutine can be abandoned mid-operation: apply in place.
-		flt := r.capture(func() error { return oplog.Apply(base, op) })
-		if flt != nil {
-			op.Errno, op.RetFD, op.RetIno, op.RetN = 0, 0, 0, 0
-		}
-		return flt
-	}
-	// Execute on a shallow copy: if the watchdog abandons a frozen
-	// operation, the stuck goroutine keeps mutating only the copy's outcome
-	// fields, never the op whose outcome recovery decides. The payload is
-	// shared — it is private to the supervisor (copied at the facade) and
-	// the base only reads it.
-	attempt := *op
-	flt := r.capture(func() error { return oplog.Apply(base, &attempt) })
-	if flt == nil {
-		op.Errno, op.RetFD, op.RetIno, op.RetN = attempt.Errno, attempt.RetFD, attempt.RetIno, attempt.RetN
-		op.RetData = attempt.RetData
-	}
-	return flt
-}
-
-// doSync executes an application's sync/fsync.
-func (r *FS) doSync(op *oplog.Op) {
+// do runs one application call that is recorded or syncs, and returns its
+// op with the outcome, decided by the base or by a recovery.
+func (r *FS) do(op oplog.Op) oplog.Op {
 	r.cnt.opsExecuted.Add(1)
-	r.syncRound(op)
+	c := call{op: op}
+	r.run(&c)
+	return c.op
 }
 
-// syncRound runs one sync/fsync. All stable-point bookkeeping — watermark
-// capture under ns, truncation after the round persists — happens in the
-// sync-round hooks (see mountBase), driven by the base's round protocol:
-// concurrent syncs coalesce onto shared rounds, and every durable round is
-// a stable point regardless of which caller's goroutine led it.
-func (r *FS) syncRound(op *oplog.Op) {
-	for {
-		si := r.gate.enter()
-		gen := r.gen.Load()
-		flt := r.execute(r.base.Load(), op)
-		r.gate.exit(si)
-		if flt == nil || r.recoverExclusive(flt, op, gen) {
-			return
-		}
+// probe runs one unrecorded read and returns c with its outcome. Reads enter
+// the gate and the detection envelope like every other call: a read that
+// trips a bug triggers recovery. An error from the shadow's execution of the
+// read is then the answer. Otherwise a ReadAt returns the shadow's bytes, and
+// the other reads re-run on the recovered base with injection gated off, so
+// a deterministic specimen cannot re-fire inside the retry.
+func (r *FS) probe(c call) call {
+	if !r.run(&c) {
+		return c
 	}
+	switch {
+	case c.op.Errno != 0:
+		c.op.RetData, c.err = nil, c.op.Err()
+	case c.op.Kind != oplog.KReadProbe:
+		r.withInjectionDisabled(func() { c.exec(r.base.Load()) })
+	}
+	return c
 }
 
 // forceStable runs a forced stable point: a sync round the supervisor
@@ -283,43 +343,26 @@ func (r *FS) forceStable() {
 		return
 	}
 	defer r.forcing.Store(false)
-	op := &oplog.Op{Kind: oplog.KSync}
-	r.syncRound(op)
-	if op.Errno == 0 {
+	c := call{op: oplog.Op{Kind: oplog.KSync}}
+	r.run(&c)
+	if c.op.Errno == 0 {
 		r.cnt.forcedStable.Add(1)
 		r.tel.Counter("oplog.forced_stable_points").Inc()
 	}
 }
 
-// runProbe runs one unrecorded read under the gate with fault recovery.
-// exec executes against the given base instance and returns the captured
-// fault, or nil. On a fault the probe recovers (op, which may be nil,
-// receives the shadow's answer) or — when another goroutine's recovery
-// superseded it — retries exec against the recovered base. Returns whether
-// a recovery decided the outcome.
-func (r *FS) runProbe(op *oplog.Op, exec func(base *basefs.FS) *fault) (recovered bool) {
-	for {
-		si := r.gate.enter()
-		gen := r.gen.Load()
-		base := r.base.Load()
-		flt := exec(base)
-		r.gate.exit(si)
-		if flt == nil {
-			return false
-		}
-		if r.recoverExclusive(flt, op, gen) {
-			return true
-		}
-	}
+// recorded reports whether calls of kind k are appended to the op log.
+// Syncs are not: the shadow does not re-execute them.
+func recorded(k oplog.Kind) bool {
+	return k.Mutating() && k != oplog.KSync && k != oplog.KFsync
 }
 
 // afterSuccess records a completed operation and reports whether the append
-// filled the log. Syncs are never appended to the log (the shadow does not
-// re-execute them), and their stable-point bookkeeping already ran inside
-// the round via the OnSyncDurable hook — including on the recovery paths
-// that re-run a sync exclusively.
+// filled the log. A sync's stable-point bookkeeping already ran inside the
+// round via the OnSyncDurable hook — including on the recovery paths that
+// re-run a sync exclusively.
 func (r *FS) afterSuccess(op *oplog.Op) (full bool) {
-	if op.Kind == oplog.KSync || op.Kind == oplog.KFsync || !op.Kind.Mutating() {
+	if !recorded(op.Kind) {
 		return false
 	}
 	r.cnt.opsRecorded.Add(1)

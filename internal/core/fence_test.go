@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/difftest"
 	"repro/internal/faultinject"
+	"repro/internal/fsapi"
 	"repro/internal/fserr"
 	"repro/internal/model"
 	"repro/internal/oplog"
@@ -207,5 +210,64 @@ func TestWarnDuringSyncVetoesPersist(t *testing.T) {
 	}
 	for _, d := range difftest.CompareStates(gotState, wantState) {
 		t.Errorf("state: %s", d)
+	}
+}
+
+// TestFrozenProbeAnswered puts probes through the watchdog arm. A ReadAt and
+// a Readdir frozen past the watchdog are abandoned, and recovery answers each
+// with the specification's result. The abandoned goroutines wake after their
+// callers have returned and write only their own copies of the call, which
+// the race detector checks.
+func TestFrozenProbeAnswered(t *testing.T) {
+	const freeze = 60 * time.Millisecond
+	reg := faultinject.NewRegistry(5)
+	for _, op := range []string{"readat", "readdir"} {
+		reg.Arm(&faultinject.Specimen{
+			ID: "frozen-" + op, Class: faultinject.Freeze,
+			Deterministic: true, Op: op, Point: "entry",
+			FreezeFor: freeze, MaxFires: 1,
+		})
+	}
+	fs, _, sb := newSupervised(t, Config{
+		Base:     basefs.Options{Injector: reg},
+		Watchdog: 10 * time.Millisecond,
+	})
+	m := model.New(sb)
+	for _, impl := range []fsapi.FS{fs, m} {
+		if err := impl.Mkdir("/d", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := impl.Create("/d/f", 0o644)
+		if err != nil || fd != 0 {
+			t.Fatalf("create = (%d, %v)", fd, err)
+		}
+		if _, err := impl.WriteAt(fd, 0, []byte("frozen, then answered")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		got, err := fs.ReadAt(0, 3, 64)
+		want, _ := m.ReadAt(0, 3, 64)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: ReadAt = (%q, %v), want %q", when, got, err, want)
+		}
+		ents, err := fs.Readdir("/d")
+		wantEnts, _ := m.Readdir("/d")
+		if err != nil || !reflect.DeepEqual(ents, wantEnts) {
+			t.Errorf("%s: Readdir = (%v, %v), want %v", when, ents, err, wantEnts)
+		}
+	}
+	check("frozen")
+	st := fs.Stats()
+	if st.Freezes != 2 || st.Recoveries != 2 || st.AppFailures != 0 {
+		t.Fatalf("freezes %d, recoveries %d, app failures %d; want 2, 2, 0",
+			st.Freezes, st.Recoveries, st.AppFailures)
+	}
+	// Let the abandoned goroutines wake and finish on the dead instance.
+	time.Sleep(2 * freeze)
+	check("after wake")
+	if st := fs.Stats(); st.Freezes != 2 || st.Recoveries != 2 {
+		t.Errorf("after wake: freezes %d, recoveries %d; want 2, 2", st.Freezes, st.Recoveries)
 	}
 }

@@ -167,9 +167,9 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 		tr.BeginPhase(telemetry.PhaseShadowExec)
 		tr.Note("naive replay on base, attempt %d", attempt+1)
 		for _, rec := range ops {
-			op := rec.Clone()
-			op.Errno, op.RetFD, op.RetIno, op.RetN = 0, 0, 0, 0
-			if flt := r.capture(func() error { return oplog.Apply(base, op) }); flt != nil {
+			c := call{op: *rec}
+			c.reset()
+			if flt := r.capture(base, &c); flt != nil {
 				ok = false // the deterministic bug re-fired
 				break
 			}
@@ -181,11 +181,11 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 		tr.SetOpsReplayed(len(ops))
 		tr.BeginPhase(telemetry.PhaseResume)
 		if inflight != nil {
-			attempt := inflight.Clone()
-			if flt := r.capture(func() error { return oplog.Apply(base, attempt) }); flt != nil {
+			c := call{op: *inflight}
+			if flt := r.capture(base, &c); flt != nil {
 				continue
 			}
-			*inflight = *attempt
+			*inflight = c.op
 			r.afterSuccess(inflight)
 		}
 		return "recovered"

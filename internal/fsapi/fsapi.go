@@ -23,11 +23,7 @@
 //     state-changing operation.
 package fsapi
 
-import (
-	"strings"
-
-	"repro/internal/fserr"
-)
+import "repro/internal/fserr"
 
 // FD is an application-visible file descriptor number.
 type FD int
@@ -102,39 +98,47 @@ type FS interface {
 }
 
 // SplitPath normalizes an absolute path into its components, resolving "."
-// and ".." lexically. It rejects relative paths and empty components other
-// than those produced by duplicate slashes. The root is the empty slice.
-func SplitPath(path string) ([]string, error) {
+// and ".." lexically, and appends them to dst. The components are substrings
+// of path, so a caller that passes a buffer with room (a stack array) splits
+// without allocating. It rejects relative paths; empty components, from
+// duplicate or trailing slashes, are skipped. The root appends nothing.
+func SplitPath(dst []string, path string) ([]string, error) {
 	if path == "" || path[0] != '/' {
 		return nil, fserr.ErrInvalid
 	}
-	var comps []string
-	for _, c := range strings.Split(path, "/") {
-		switch c {
+	start := len(dst)
+	for i := 1; i <= len(path); {
+		j := i
+		for j < len(path) && path[j] != '/' {
+			j++
+		}
+		switch c := path[i:j]; c {
 		case "", ".":
 			// skip
 		case "..":
-			if len(comps) == 0 {
-				// ".." at the root stays at the root, as in POSIX.
-				continue
+			// ".." at the root stays at the root, as in POSIX.
+			if len(dst) > start {
+				dst = dst[:len(dst)-1]
 			}
-			comps = comps[:len(comps)-1]
 		default:
-			comps = append(comps, c)
+			dst = append(dst, c)
 		}
+		i = j + 1
 	}
-	return comps, nil
+	return dst, nil
 }
 
-// SplitDirBase normalizes path and separates it into parent components and a
-// final name. Operations that create or remove names use this; targeting the
-// root (no final name) yields ErrInvalid.
-func SplitDirBase(path string) (dir []string, base string, err error) {
-	comps, err := SplitPath(path)
+// SplitDirBase normalizes path like SplitPath, appending to dst, and
+// separates it into parent components and a final name. Operations that
+// create or remove names use this; targeting the root (no final name) yields
+// ErrInvalid.
+func SplitDirBase(dst []string, path string) (dir []string, base string, err error) {
+	start := len(dst)
+	comps, err := SplitPath(dst, path)
 	if err != nil {
 		return nil, "", err
 	}
-	if len(comps) == 0 {
+	if len(comps) == start {
 		return nil, "", fserr.ErrInvalid
 	}
 	return comps[:len(comps)-1], comps[len(comps)-1], nil

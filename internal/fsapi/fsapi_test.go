@@ -25,7 +25,7 @@ func TestSplitPathBasics(t *testing.T) {
 		"/a/":          {"a"},
 	}
 	for path, want := range cases {
-		got, err := SplitPath(path)
+		got, err := SplitPath(nil, path)
 		if err != nil {
 			t.Errorf("SplitPath(%q): %v", path, err)
 			continue
@@ -45,25 +45,25 @@ func TestSplitPathBasics(t *testing.T) {
 
 func TestSplitPathRejectsRelative(t *testing.T) {
 	for _, path := range []string{"", "a", "a/b", "./a", "../a"} {
-		if _, err := SplitPath(path); !errors.Is(err, fserr.ErrInvalid) {
+		if _, err := SplitPath(nil, path); !errors.Is(err, fserr.ErrInvalid) {
 			t.Errorf("SplitPath(%q) = %v, want ErrInvalid", path, err)
 		}
 	}
 }
 
 func TestSplitDirBase(t *testing.T) {
-	dir, base, err := SplitDirBase("/a/b/c")
+	dir, base, err := SplitDirBase(nil, "/a/b/c")
 	if err != nil || base != "c" || len(dir) != 2 || dir[0] != "a" || dir[1] != "b" {
 		t.Errorf("SplitDirBase(/a/b/c) = (%v, %q, %v)", dir, base, err)
 	}
-	dir, base, err = SplitDirBase("/top")
+	dir, base, err = SplitDirBase(nil, "/top")
 	if err != nil || base != "top" || len(dir) != 0 {
 		t.Errorf("SplitDirBase(/top) = (%v, %q, %v)", dir, base, err)
 	}
-	if _, _, err := SplitDirBase("/"); !errors.Is(err, fserr.ErrInvalid) {
+	if _, _, err := SplitDirBase(nil, "/"); !errors.Is(err, fserr.ErrInvalid) {
 		t.Errorf("SplitDirBase(/) = %v, want ErrInvalid", err)
 	}
-	if _, _, err := SplitDirBase("/a/.."); !errors.Is(err, fserr.ErrInvalid) {
+	if _, _, err := SplitDirBase(nil, "/a/.."); !errors.Is(err, fserr.ErrInvalid) {
 		t.Errorf("SplitDirBase(/a/..) = %v, want ErrInvalid (resolves to root)", err)
 	}
 }
@@ -82,12 +82,12 @@ func TestSplitPathIdempotentProperty(t *testing.T) {
 			}, c)
 			path += c + "/"
 		}
-		comps, err := SplitPath(path)
+		comps, err := SplitPath(nil, path)
 		if err != nil {
 			return false
 		}
 		rejoined := "/" + strings.Join(comps, "/")
-		comps2, err := SplitPath(rejoined)
+		comps2, err := SplitPath(nil, rejoined)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestSplitPathNeverEmitsDotComponents(t *testing.T) {
 		for _, s := range segments {
 			path += opts[int(s)%len(opts)] + "/"
 		}
-		comps, err := SplitPath(path)
+		comps, err := SplitPath(nil, path)
 		if err != nil {
 			return false
 		}
@@ -127,6 +127,85 @@ func TestSplitPathNeverEmitsDotComponents(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// referenceSplitPath is SplitPath as it was written over strings.Split: the
+// specification the in-place scanner must match.
+func referenceSplitPath(path string) ([]string, error) {
+	if path == "" || path[0] != '/' {
+		return nil, fserr.ErrInvalid
+	}
+	var comps []string
+	for _, c := range strings.Split(path, "/") {
+		switch c {
+		case "", ".":
+		case "..":
+			if len(comps) > 0 {
+				comps = comps[:len(comps)-1]
+			}
+		default:
+			comps = append(comps, c)
+		}
+	}
+	return comps, nil
+}
+
+// checkSplitMatchesReference splits path into a fresh slice and into a
+// stack-sized buffer that holds a prefix, and compares both with the
+// reference.
+func checkSplitMatchesReference(t *testing.T, path string) {
+	t.Helper()
+	want, wantErr := referenceSplitPath(path)
+	got, err := SplitPath(nil, path)
+	if !errors.Is(err, wantErr) || strings.Join(got, "/") != strings.Join(want, "/") || len(got) != len(want) {
+		t.Fatalf("SplitPath(%q) = (%q, %v), reference (%q, %v)", path, got, err, want, wantErr)
+	}
+	var buf [16]string
+	got, err = SplitPath(append(buf[:0], "prefix"), path)
+	if wantErr != nil {
+		if !errors.Is(err, wantErr) {
+			t.Fatalf("SplitPath(prefix, %q) error %v, want %v", path, err, wantErr)
+		}
+		return
+	}
+	if err != nil || len(got) != len(want)+1 || got[0] != "prefix" || strings.Join(got[1:], "/") != strings.Join(want, "/") {
+		t.Fatalf("SplitPath(prefix, %q) = (%q, %v), want prefix then %q", path, got, err, want)
+	}
+}
+
+func TestSplitPathMatchesReference(t *testing.T) {
+	for _, path := range []string{
+		"/", "//", "//a//", "/.", "/..", "/../..", "/a/../..", "/../a/..",
+		"/a/b/", "/a/b//", "/a/./b/.", ".", "..", "", "a", "a/b", "./a",
+		"/a/.../b", "/.a/..b/", "/a/b/c/../../../../d",
+	} {
+		checkSplitMatchesReference(t, path)
+	}
+}
+
+// TestSplitPathDeepSpills splits a path deeper than a 16-slot stack buffer:
+// append must spill to the heap and keep every component.
+func TestSplitPathDeepSpills(t *testing.T) {
+	var want []string
+	path := ""
+	for i := 0; i < 40; i++ {
+		c := string(rune('a'+i%26)) + strings.Repeat("x", i%3)
+		want = append(want, c)
+		path += "/" + c
+	}
+	var buf [16]string
+	got, err := SplitPath(buf[:0], path+"/./q/..")
+	if err != nil || strings.Join(got, "/") != strings.Join(want, "/") {
+		t.Fatalf("SplitPath(deep) = (%q, %v), want %q", got, err, want)
+	}
+	checkSplitMatchesReference(t, path)
+}
+
+func FuzzSplitPath(f *testing.F) {
+	for _, seed := range []string{"/", "//a//", ".", "/..", "/a/", "", "a/b", "/a/./b/../c"} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkSplitMatchesReference)
 }
 
 func TestClock(t *testing.T) {

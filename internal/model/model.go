@@ -208,7 +208,7 @@ func (m *Model) walk(comps []string) (*node, error) {
 }
 
 func (m *Model) walkPath(path string) (*node, error) {
-	comps, err := fsapi.SplitPath(path)
+	comps, err := fsapi.SplitPath(nil, path)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func (m *Model) walkPath(path string) (*node, error) {
 
 // walkParent resolves path to (parent directory node, final name).
 func (m *Model) walkParent(path string) (*node, string, error) {
-	dir, base, err := fsapi.SplitDirBase(path)
+	dir, base, err := fsapi.SplitDirBase(nil, path)
 	if err != nil {
 		return nil, "", err
 	}
@@ -559,11 +559,11 @@ func (m *Model) Unlink(path string) error {
 
 // Rename implements fsapi.FS.
 func (m *Model) Rename(oldPath, newPath string) error {
-	oldComps, err := fsapi.SplitPath(oldPath)
+	oldComps, err := fsapi.SplitPath(nil, oldPath)
 	if err != nil {
 		return err
 	}
-	newComps, err := fsapi.SplitPath(newPath)
+	newComps, err := fsapi.SplitPath(nil, newPath)
 	if err != nil {
 		return err
 	}

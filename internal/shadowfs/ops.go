@@ -70,7 +70,7 @@ func (s *Shadow) walk(comps []string) (uint32, *disklayout.Inode, error) {
 }
 
 func (s *Shadow) walkPath(path string) (uint32, *disklayout.Inode, error) {
-	comps, err := fsapi.SplitPath(path)
+	comps, err := fsapi.SplitPath(nil, path)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -78,7 +78,7 @@ func (s *Shadow) walkPath(path string) (uint32, *disklayout.Inode, error) {
 }
 
 func (s *Shadow) walkParent(path string) (uint32, *disklayout.Inode, string, error) {
-	dir, base, err := fsapi.SplitDirBase(path)
+	dir, base, err := fsapi.SplitDirBase(nil, path)
 	if err != nil {
 		return 0, nil, "", err
 	}
@@ -555,11 +555,11 @@ func (s *Shadow) Unlink(path string) error {
 
 // Rename implements fsapi.FS.
 func (s *Shadow) Rename(oldPath, newPath string) error {
-	oldComps, err := fsapi.SplitPath(oldPath)
+	oldComps, err := fsapi.SplitPath(nil, oldPath)
 	if err != nil {
 		return err
 	}
-	newComps, err := fsapi.SplitPath(newPath)
+	newComps, err := fsapi.SplitPath(nil, newPath)
 	if err != nil {
 		return err
 	}

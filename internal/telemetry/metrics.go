@@ -124,11 +124,18 @@ const histBuckets = 65
 
 // Histogram is a log2-bucketed latency histogram with lock-free recording.
 // A nil *Histogram is valid and records nothing.
+//
+// A histogram fed by Timers holds 1-in-64 samples, not every timed region
+// (see StartTimer). Its Count is then the number of samples, Sum their total
+// and Max the largest sample; the quantiles are those of the samples. A
+// histogram fed only by Observe is exact.
 type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
+	// starts counts StartTimer calls, to pick the sampled ones.
+	starts atomic.Uint64
 }
 
 // Observe records one duration.
@@ -236,19 +243,29 @@ func (h *Histogram) reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	h.max.Store(0)
+	h.starts.Store(0)
 }
 
+// timerSample is the sampling period of timers: StartTimer reads the clock
+// on the first start of each histogram and then on every timerSample-th.
+const timerSample = 64
+
 // Timer measures one code region into a Histogram. The zero Timer (from a
-// nil histogram) skips the clock reads entirely, so a disabled
-// instrumentation point never calls time.Now.
+// nil histogram, or a start that is not sampled) skips the clock reads
+// entirely, so an instrumentation point that is disabled or not sampled
+// never calls time.Now.
 type Timer struct {
 	h  *Histogram
 	t0 time.Time
 }
 
-// StartTimer begins timing into h; with h nil it returns an inert Timer.
+// StartTimer begins timing into h. It times one start in timerSample,
+// counted per histogram so the choice is deterministic: the first, then
+// every timerSample-th. Other starts, and every start with h nil, return an
+// inert Timer. A per-call clock read was the largest cost the timers put on
+// a cache hit; sampling keeps their quantiles while taking it off the path.
 func StartTimer(h *Histogram) Timer {
-	if h == nil {
+	if h == nil || (h.starts.Add(1)-1)%timerSample != 0 {
 		return Timer{}
 	}
 	return Timer{h: h, t0: time.Now()}

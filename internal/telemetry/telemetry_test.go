@@ -84,6 +84,44 @@ func TestTimer(t *testing.T) {
 	}
 }
 
+// TestTimerSampling pins the timers' 1-in-timerSample sampling: the first
+// start of a histogram is timed, then every timerSample-th, chosen by a
+// per-histogram count; an unsampled start and a nil histogram return the
+// inert Timer without reading the clock. Observe stays exact.
+func TestTimerSampling(t *testing.T) {
+	var h Histogram
+	first := StartTimer(&h)
+	if first.h == nil || first.t0.IsZero() {
+		t.Fatal("first start not timed")
+	}
+	first.Stop()
+	if n := h.Snapshot().Count; n != 1 {
+		t.Fatalf("after first start count = %d, want 1", n)
+	}
+	if tm := StartTimer(&h); tm != (Timer{}) {
+		t.Fatalf("second start timed: %+v", tm)
+	}
+	h.reset()
+	for i := 0; i < 10*timerSample; i++ {
+		StartTimer(&h).Stop()
+	}
+	if n := h.Snapshot().Count; n != 10 {
+		t.Fatalf("%d starts gave count %d, want 10", 10*timerSample, n)
+	}
+	for i := 0; i < 3; i++ {
+		if tm := StartTimer(nil); tm != (Timer{}) {
+			t.Fatalf("nil histogram timed: %+v", tm)
+		}
+	}
+	var exact Histogram
+	for i := 0; i < 100; i++ {
+		exact.Observe(time.Microsecond)
+	}
+	if n := exact.Snapshot().Count; n != 100 {
+		t.Fatalf("Observe count = %d, want 100", n)
+	}
+}
+
 func TestEventRingBounds(t *testing.T) {
 	s := New()
 	const n = eventRingCap + 100
