@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 
 	"repro/internal/fsapi"
@@ -96,12 +95,12 @@ type Client struct {
 	c   net.Conn
 	cfg ClientConfig
 
-	// Request frames queue to a single writer goroutine that packs them into
-	// a buffered stream and issues one write syscall per drain, not per
-	// frame: a pipelining submitter enqueues faster than the kernel round
-	// trip, so bursts coalesce, while a lone synchronous caller still gets
-	// an immediate flush (the queue runs dry right after its frame).
-	wq chan outFrame
+	// Request frames are buffered under wmu by the submitting goroutine and
+	// flushed only by a goroutine about to block on the connection (flushOut):
+	// a pipelined burst leaves in one write syscall, a synchronous call in
+	// exactly one.
+	wmu sync.Mutex
+	bw  *bufio.Writer
 
 	window chan struct{} // in-flight slots; acquire on submit, release on final response
 	dead   chan struct{} // closed by fail: unblocks window waiters on a poisoned client
@@ -126,13 +125,6 @@ type call struct {
 	tag    uint16
 	stream bool
 	ch     chan []byte
-}
-
-// outFrame is one request frame queued for the writer goroutine.
-type outFrame struct {
-	typ     uint8
-	tag     uint16
-	payload []byte
 }
 
 var _ fsapi.FS = (*Client)(nil)
@@ -164,7 +156,7 @@ func NewClientConfig(conn net.Conn, volume string, cfg ClientConfig) (*Client, e
 	c := &Client{
 		c:       conn,
 		cfg:     cfg,
-		wq:      make(chan outFrame, cfg.Window),
+		bw:      bufio.NewWriterSize(conn, 64<<10),
 		window:  make(chan struct{}, cfg.Window),
 		dead:    make(chan struct{}),
 		pending: make(map[uint16]*call),
@@ -172,7 +164,6 @@ func NewClientConfig(conn net.Conn, volume string, cfg ClientConfig) (*Client, e
 	}
 	c.idle = sync.NewCond(&c.mu)
 	go c.readLoop()
-	go c.writeLoop()
 	e := &enc{}
 	e.str(volume)
 	d, err := c.rpc(tAttach, e.b)
@@ -225,51 +216,22 @@ func (c *Client) deadErr() error {
 	return fmt.Errorf("fswire: connection closed: %w", fserr.ErrIO)
 }
 
-// writeLoop is the connection's only writer: it drains queued request frames
-// into a buffered stream and flushes when the queue runs dry, so a pipelined
-// burst of n frames costs ~1 write syscall, not n. A write or flush failure
-// poisons the client; anything still queued is covered by fail closing every
-// pending call.
-func (c *Client) writeLoop() {
-	bw := bufio.NewWriterSize(c.c, 64<<10)
-	for {
-		var f outFrame
-		select {
-		case f = <-c.wq:
-		case <-c.dead:
-			return
-		}
-	drain:
-		for {
-			if _, err := writeFrame(bw, f.typ, f.tag, f.payload); err != nil {
-				c.fail(fmt.Errorf("fswire: connection lost: %w", fserr.ErrIO))
-				return
-			}
-			select {
-			case f = <-c.wq:
-				continue
-			default:
-			}
-			// An empty queue here is often lock-step, not idleness: a
-			// pipelining submitter is one enqueue behind. Yield once before
-			// paying a flush syscall; if the queue is still empty, flush.
-			runtime.Gosched()
-			select {
-			case f = <-c.wq:
-				continue
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			c.fail(fmt.Errorf("fswire: connection lost: %w", fserr.ErrIO))
-			return
-		}
+// flushOut pushes buffered request frames to the socket. Every path that
+// blocks on the connection calls it first — wait, collectStream, Flush and a
+// submit that finds the window full — so no frame can sit in the buffer
+// while its sender waits for the reply. A failure poisons the client.
+func (c *Client) flushOut() {
+	c.wmu.Lock()
+	err := c.bw.Flush()
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(fmt.Errorf("fswire: connection lost: %w", fserr.ErrIO))
 	}
 }
 
 // readLoop dispatches response frames to their tag's waiter and retires
-// window slots as requests complete.
+// window slots as requests complete. A payload is handed over under c.mu,
+// while the call is still pending, so fail cannot close the channel first.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.c, 64<<10)
 	for {
@@ -282,6 +244,16 @@ func (c *Client) readLoop() {
 		cl, ok := c.pending[tag]
 		final := false
 		if ok {
+			// Never blocks for a well-behaved peer: unary calls have cap 1
+			// and exactly one response; stream calls have cap for every
+			// chunk they announced. More than that is a protocol error.
+			select {
+			case cl.ch <- payload:
+			default:
+				c.mu.Unlock()
+				c.fail(fmt.Errorf("fswire: peer sent more responses than requested for tag %d: %w", tag, fserr.ErrIO))
+				return
+			}
 			// A stream stays pending until its final chunk (more-flag 0 at
 			// payload[4]); anything malformed also terminates it.
 			final = !cl.stream || len(payload) < 5 || payload[4] == 0
@@ -294,31 +266,32 @@ func (c *Client) readLoop() {
 			}
 		}
 		c.mu.Unlock()
-		if ok {
-			// Never blocks: unary calls have cap 1 and exactly one response;
-			// stream calls have cap for every chunk the server can send.
-			cl.ch <- payload
-		}
-		if ok && final {
+		if final {
 			<-c.window
 		}
 	}
 }
 
-// submit acquires a window slot and a tag, queues one request frame for the
-// writer, and returns the completion future. chunks > 0 marks a stream
-// request expecting up to that many response frames.
+// submit acquires a window slot and a tag, buffers one request frame, and
+// returns the completion future. chunks > 0 marks a stream request
+// expecting up to that many response frames.
 func (c *Client) submit(typ uint8, payload []byte, chunks int) (*call, error) {
-	// Oversize frames fail just this operation, synchronously — the writer
-	// goroutine must never see one, because there it could only poison the
-	// whole connection.
+	// Oversize frames fail just this operation, before anything is buffered:
+	// a partial frame on the wire could only poison the whole connection.
 	if len(payload)+frameHeader > maxFrame {
 		return nil, fmt.Errorf("fswire: frame too large (%d bytes): %w", len(payload), fserr.ErrTooBig)
 	}
 	select {
 	case c.window <- struct{}{}:
-	case <-c.dead:
-		return nil, c.deadErr()
+	default:
+		// Full window: the replies that free a slot may answer frames still
+		// in the buffer, so flush before blocking.
+		c.flushOut()
+		select {
+		case c.window <- struct{}{}:
+		case <-c.dead:
+			return nil, c.deadErr()
+		}
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -347,55 +320,61 @@ func (c *Client) submit(typ uint8, payload []byte, chunks int) (*call, error) {
 	c.pending[tag] = cl
 	c.mu.Unlock()
 
-	select {
-	case c.wq <- outFrame{typ: typ, tag: tag, payload: payload}:
+	c.wmu.Lock()
+	_, err := writeFrame(c.bw, typ, tag, payload)
+	c.wmu.Unlock()
+	if err == nil {
 		return cl, nil
-	case <-c.dead:
-		// The writer died with the frame unsent. fail may already have
-		// retired this call; clean up whatever is left and report the poison.
-		c.mu.Lock()
-		if _, still := c.pending[tag]; still {
-			delete(c.pending, tag)
-			c.freeTags = append(c.freeTags, tag)
-			if len(c.pending) == 0 {
-				c.idle.Broadcast()
-			}
-		}
-		c.mu.Unlock()
-		<-c.window
-		return nil, c.deadErr()
 	}
+	// The frame never made it out. fail retires every pending call, this one
+	// included; hand its window slot back and report the poison.
+	err = c.fail(fmt.Errorf("fswire: connection lost: %w", fserr.ErrIO))
+	<-c.window
+	return nil, err
+}
+
+// recv returns a call's next payload, flushing the request buffer first if
+// the payload is not already there; ok is false on a poisoned connection.
+func (c *Client) recv(cl *call) (resp []byte, ok bool) {
+	select {
+	case resp, ok = <-cl.ch:
+		return resp, ok
+	default:
+	}
+	c.flushOut()
+	resp, ok = <-cl.ch
+	return resp, ok
 }
 
 // wait blocks for a unary call's response and returns a decoder positioned
 // after the errno word, or the operation's error.
-func (c *Client) wait(cl *call) (*dec, error) {
-	resp, ok := <-cl.ch
+func (c *Client) wait(cl *call) (dec, error) {
+	resp, ok := c.recv(cl)
 	if !ok {
-		return nil, c.deadErr()
+		return dec{}, c.deadErr()
 	}
-	d := &dec{b: resp}
+	d := dec{b: resp}
 	if opErr := errnoErr(d.u32()); opErr != nil {
-		return nil, opErr
+		return dec{}, opErr
 	}
 	if d.bad {
-		return nil, fmt.Errorf("fswire: truncated response: %w", fserr.ErrIO)
+		return dec{}, fmt.Errorf("fswire: truncated response: %w", fserr.ErrIO)
 	}
 	return d, nil
 }
 
 // rpc performs one tagged round trip. It first flushes any coalescing write
 // batch so synchronous calls keep their place in the pipeline's order.
-func (c *Client) rpc(typ uint8, payload []byte) (*dec, error) {
+func (c *Client) rpc(typ uint8, payload []byte) (dec, error) {
 	c.pmu.Lock()
 	ferr := c.flushBatchLocked()
 	c.pmu.Unlock()
 	if ferr != nil {
-		return nil, ferr
+		return dec{}, ferr
 	}
 	cl, err := c.submit(typ, payload, 0)
 	if err != nil {
-		return nil, err
+		return dec{}, err
 	}
 	return c.wait(cl)
 }
@@ -403,7 +382,9 @@ func (c *Client) rpc(typ uint8, payload []byte) (*dec, error) {
 // Flush is the pipeline barrier: it submits any coalescing write batch and
 // blocks until every in-flight request has completed (or the connection
 // dies). The vfs adapter calls it from Sync/Fsync/Close so standard-library
-// callers get write-behind ordering for free.
+// callers get write-behind ordering for free. A request another goroutine
+// submits after Flush has pushed the buffer out is sent no later than that
+// goroutine's own wait for it, which SubmitOp's contract guarantees happens.
 func (c *Client) Flush() error {
 	c.pmu.Lock()
 	ferr := c.flushBatchLocked()
@@ -411,6 +392,7 @@ func (c *Client) Flush() error {
 	if ferr != nil {
 		return ferr
 	}
+	c.flushOut()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.pending) > 0 && !c.closed {
@@ -578,7 +560,7 @@ func (c *Client) submitReadStream(fd fsapi.FD, off int64, n int) (*call, error) 
 func (c *Client) collectStream(cl *call, n int) ([]byte, error) {
 	buf := make([]byte, 0, n)
 	for {
-		resp, ok := <-cl.ch
+		resp, ok := c.recv(cl)
 		if !ok {
 			return nil, c.deadErr()
 		}

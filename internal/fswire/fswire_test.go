@@ -31,6 +31,12 @@ func serve(t *testing.T, backend Backend, opts ...ServerOption) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, ln, backend, opts...)
+}
+
+// serveOn is serve over a caller-supplied listener.
+func serveOn(t *testing.T, ln net.Listener, backend Backend, opts ...ServerOption) string {
+	t.Helper()
 	srv := NewServer(backend, opts...)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()

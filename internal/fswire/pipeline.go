@@ -390,7 +390,7 @@ func (c *Client) flushBatchLocked() error {
 func (b *writeBatch) resolveBatch(c *Client) {
 	b.resolve.Do(func() {
 		err := b.err
-		var d *dec
+		var d dec
 		if err == nil {
 			d, err = c.wait(b.cl)
 		}

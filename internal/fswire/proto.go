@@ -22,13 +22,13 @@
 // with errno:u32 (two's-complement fserr.Errno, 0 = success) followed by the
 // result fields. Tags let a client keep many requests in flight on one
 // connection. The server executes a connection's requests strictly in
-// arrival order (one executor per connection), so a pipelined stream of
-// operations observes exactly the semantics of issuing them sequentially —
-// inode and descriptor allocation order included — while the round trips
-// overlap. tReadStream is the one request answered by multiple frames
-// (chunked, all carrying the request's tag, a more-flag marking continuation);
-// tWriteBatch carries many small writes to one FID in a single frame with
-// per-entry results in the response.
+// arrival order (the connection's reader runs each one itself), so a
+// pipelined stream of operations observes exactly the semantics of issuing
+// them sequentially — inode and descriptor allocation order included — while
+// the round trips overlap. tReadStream is the one request answered by
+// multiple frames (chunked, all carrying the request's tag, a more-flag
+// marking continuation); tWriteBatch carries many small writes to one FID in
+// a single frame with per-entry results in the response.
 //
 // FIDs are server-assigned at execution time, lowest-free-first per
 // connection, and are the fsapi.FD values the client returns: tCreate/tOpen
@@ -41,6 +41,7 @@
 package fswire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -204,9 +205,9 @@ type BatchWriteResult struct {
 // BatchWriter is an optional backend capability: apply a write batch as one
 // uninterrupted critical section. Locked implements it (one lock hold for the
 // whole batch), giving single-threaded backends per-FID atomicity; backends
-// without it fall back to sequential WriteAt calls, which under the server's
-// in-order request executor are still contiguous with respect to the
-// connection's own operation stream.
+// without it fall back to sequential WriteAt calls, which are still
+// contiguous with respect to the connection's own operation stream because
+// the server runs a connection's requests one at a time, in arrival order.
 type BatchWriter interface {
 	WriteAtBatch(fd fsapi.FD, entries []BatchEntry) []BatchWriteResult
 }
@@ -227,27 +228,34 @@ func errnoWord(err error) uint32 { return uint32(int32(fserr.Errno(err))) }
 // errnoErr decodes the response prefix back into the taxonomy sentinel.
 func errnoErr(w uint32) error { return fserr.FromErrno(int(int32(w))) }
 
-// writeFrame sends one frame. Callers serialize access to w themselves.
-func writeFrame(w io.Writer, typ uint8, tag uint16, payload []byte) (int, error) {
+// writeFrame buffers one frame: the 7-byte header is encoded straight into
+// w's free space and the payload follows, so a frame is never assembled in a
+// buffer of its own. Callers serialize access to w and decide when it
+// flushes.
+func writeFrame(w *bufio.Writer, typ uint8, tag uint16, payload []byte) (int, error) {
 	if len(payload)+frameHeader > maxFrame {
 		return 0, fmt.Errorf("fswire: frame too large (%d bytes): %w", len(payload), fserr.ErrTooBig)
 	}
-	hdr := make([]byte, 0, 4+frameHeader+len(payload))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(frameHeader+len(payload)))
+	hdr := binary.LittleEndian.AppendUint32(w.AvailableBuffer(), uint32(frameHeader+len(payload)))
 	hdr = append(hdr, typ)
 	hdr = binary.LittleEndian.AppendUint16(hdr, tag)
-	hdr = append(hdr, payload...)
-	n, err := w.Write(hdr)
-	return n, err
+	if _, err := w.Write(hdr); err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, err
+	}
+	return 4 + frameHeader + len(payload), nil
 }
 
 // readFrame reads one frame, enforcing the size bound before allocating.
-func readFrame(r io.Reader) (typ uint8, tag uint16, payload []byte, n int, err error) {
-	var szb [4]byte
-	if _, err = io.ReadFull(r, szb[:]); err != nil {
+func readFrame(r *bufio.Reader) (typ uint8, tag uint16, payload []byte, n int, err error) {
+	szb, err := r.Peek(4)
+	if err != nil {
 		return 0, 0, nil, 0, err
 	}
-	size := binary.LittleEndian.Uint32(szb[:])
+	size := binary.LittleEndian.Uint32(szb)
+	_, _ = r.Discard(4) // cannot fail: Peek just buffered these 4 bytes
 	if size < frameHeader || size > maxFrame {
 		return 0, 0, nil, 4, fmt.Errorf("fswire: bad frame size %d: %w", size, fserr.ErrInvalid)
 	}

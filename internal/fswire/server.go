@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 
 	"repro/internal/fsapi"
@@ -133,71 +132,40 @@ func (s *Server) Close() error {
 }
 
 // srvConn is one connection's state: the attached filesystem and the FID
-// table mapping server-assigned FIDs to server-side descriptors.
+// table mapping server-assigned FIDs to server-side descriptors. Only the
+// connection's own goroutine touches it, so none of it is locked.
 type srvConn struct {
-	s *Server
-	c net.Conn
+	s  *Server
+	bw *bufio.Writer // response stream, flushed before the reader blocks
+	// out is the response payload buffer, reused across requests: a response
+	// is copied into bw before the next request is decoded.
+	out enc
 
-	wmu sync.Mutex    // serializes response frames
-	bw  *bufio.Writer // response stream; the executor flushes when idle
-
-	mu      sync.Mutex
 	fs      fsapi.FS
 	fids    map[uint32]fsapi.FD
 	fidScan uint32 // low-water mark: every FID below it is bound
 }
 
-// wireReq is one decoded request frame queued for the connection's executor.
-type wireReq struct {
-	typ     uint8
-	tag     uint16
-	payload []byte
-}
+// maxReusedOut caps the response buffer kept between requests; a larger
+// response (a big read) gets a buffer of its own that is then dropped.
+const maxReusedOut = 64 << 10
 
+// handleConn runs one connection. Its goroutine reads each request and
+// executes it before reading the next, strictly in arrival order: this is
+// the ordering contract pipelined clients rely on — a submitted stream of
+// operations executes exactly as if issued sequentially (inode and
+// descriptor allocation order included). Responses carry tags, so the client
+// may await them out of order.
+//
+// Responses accumulate in a buffered stream that is flushed only before the
+// goroutine could block on a read, i.e. when no further request is already
+// buffered: a pipelined burst is answered in about one write syscall, and a
+// lone synchronous request in exactly one.
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
 	s.conns.Add(1)
 	defer s.conns.Add(-1)
-	sc := &srvConn{s: s, c: c, bw: bufio.NewWriterSize(c, 64<<10), fids: make(map[uint32]fsapi.FD)}
-
-	// One executor per connection runs requests strictly in arrival order:
-	// this is the ordering contract pipelined clients rely on — a submitted
-	// stream of operations executes exactly as if issued sequentially
-	// (inode and descriptor allocation order included), while the reader
-	// keeps draining frames so round trips overlap. Responses still carry
-	// tags, so completion can be awaited out of order on the client.
-	//
-	// Responses accumulate in a buffered stream, flushed only when the
-	// request queue runs dry: a pipelined burst answers in ~1 write syscall,
-	// while a lone synchronous request still flushes immediately (the queue
-	// is empty the moment it's handled). The executor always drains the
-	// queue before blocking, so no response can sit unflushed while the
-	// client waits.
-	reqs := make(chan wireReq, 128)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for r := range reqs {
-			switch r.typ {
-			case tAttach:
-				sc.respond(r.typ, r.tag, sc.attach(r.payload))
-			case tReadStream:
-				sc.streamRead(r.tag, r.payload)
-			default:
-				sc.respond(r.typ, r.tag, sc.handle(r.typ, r.payload))
-			}
-			if len(reqs) == 0 {
-				// Often lock-step rather than idleness: the reader is one
-				// enqueue behind. Yield once before paying a flush syscall.
-				runtime.Gosched()
-				if len(reqs) == 0 {
-					sc.flushOut()
-				}
-			}
-		}
-		sc.flushOut()
-	}()
-
+	sc := &srvConn{s: s, bw: bufio.NewWriterSize(c, 64<<10), fids: make(map[uint32]fsapi.FD)}
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
 		typ, tag, payload, nr, err := readFrame(br)
@@ -205,18 +173,23 @@ func (s *Server) handleConn(c net.Conn) {
 			break
 		}
 		s.bytes.Add(int64(nr))
-		reqs <- wireReq{typ: typ, tag: tag, payload: payload}
+		switch typ {
+		case tAttach:
+			sc.respond(typ, tag, sc.attach(payload))
+		case tReadStream:
+			sc.streamRead(tag, payload)
+		default:
+			sc.respond(typ, tag, sc.handle(typ, payload))
+		}
+		if br.Buffered() == 0 && sc.bw.Flush() != nil {
+			break
+		}
 	}
-	close(reqs)
-	<-done // the executor may still touch the fid table
+	_ = sc.bw.Flush() // best effort: the peer stopped sending and may be gone
 
-	sc.mu.Lock()
-	fs, fids := sc.fs, sc.fids
-	sc.fids = make(map[uint32]fsapi.FD)
-	sc.mu.Unlock()
-	if fs != nil {
-		for _, fd := range fids {
-			_ = fs.Close(fd)
+	if sc.fs != nil {
+		for _, fd := range sc.fids {
+			_ = sc.fs.Close(fd)
 		}
 	}
 	c.Close()
@@ -225,18 +198,27 @@ func (s *Server) handleConn(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// respond sends one response frame and maintains the op/byte/err counters.
+// respond buffers one response frame and maintains the op/byte/err counters.
 func (sc *srvConn) respond(typ uint8, tag uint16, payload []byte) {
 	sc.s.ops.Inc()
 	if len(payload) >= 4 && errnoErr(uint32(payload[0])|uint32(payload[1])<<8|uint32(payload[2])<<16|uint32(payload[3])<<24) != nil {
 		sc.s.errs.Inc()
 	}
 	sc.writeRaw(typ, tag, payload)
+	if cap(sc.out.b) > maxReusedOut {
+		sc.out.b = nil
+	}
+}
+
+// resp resets the reused response buffer and returns its encoder.
+func (sc *srvConn) resp() *enc {
+	sc.out.b = sc.out.b[:0]
+	return &sc.out
 }
 
 // respErr builds an errno-only response payload.
-func respErr(err error) []byte {
-	e := &enc{}
+func (sc *srvConn) respErr(err error) []byte {
+	e := sc.resp()
 	e.u32(errnoWord(err))
 	return e.b
 }
@@ -252,9 +234,7 @@ func respErr(err error) []byte {
 // contract.
 func (sc *srvConn) streamRead(tag uint16, body []byte) {
 	sc.s.ops.Inc()
-	sc.mu.Lock()
 	fs := sc.fs
-	sc.mu.Unlock()
 	fail := func(err error) {
 		sc.s.errs.Inc()
 		e := &enc{}
@@ -273,7 +253,7 @@ func (sc *srvConn) streamRead(tag uint16, body []byte) {
 		fail(fserr.ErrInvalid)
 		return
 	}
-	fd, ok := sc.lookupFID(fid)
+	fd, ok := sc.fids[fid]
 	if !ok {
 		fail(fserr.ErrBadFD)
 		return
@@ -307,15 +287,13 @@ func (sc *srvConn) streamRead(tag uint16, body []byte) {
 	}
 }
 
-// writeRaw queues one frame on the buffered response stream, maintaining the
-// byte counter; it reports whether the write succeeded so a stream can stop
+// writeRaw buffers one frame on the response stream, maintaining the byte
+// counter; it reports whether the write succeeded so a stream can stop
 // flooding a dead connection. (With buffering, a failure may only surface at
 // the next flush or once the buffer spills — the connection teardown path
 // covers whatever a stream sends in the meantime.)
 func (sc *srvConn) writeRaw(typ uint8, tag uint16, payload []byte) bool {
-	sc.wmu.Lock()
 	n, err := writeFrame(sc.bw, typ, tag, payload)
-	sc.wmu.Unlock()
 	if err == nil {
 		sc.s.bytes.Add(int64(n))
 		return true
@@ -323,39 +301,22 @@ func (sc *srvConn) writeRaw(typ uint8, tag uint16, payload []byte) bool {
 	return false
 }
 
-// flushOut pushes buffered responses to the socket.
-func (sc *srvConn) flushOut() {
-	sc.wmu.Lock()
-	_ = sc.bw.Flush()
-	sc.wmu.Unlock()
-}
-
 // attach resolves the volume name and binds the connection to it.
 func (sc *srvConn) attach(body []byte) []byte {
 	d := &dec{b: body}
 	name := d.str()
 	if d.err() != nil {
-		return respErr(fserr.ErrInvalid)
+		return sc.respErr(fserr.ErrInvalid)
 	}
 	fs, err := sc.s.backend(name)
 	if err != nil {
-		return respErr(err)
+		return sc.respErr(err)
 	}
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	if sc.fs != nil {
-		return respErr(fserr.ErrBusy) // one attach per connection
+		return sc.respErr(fserr.ErrBusy) // one attach per connection
 	}
 	sc.fs = fs
-	return respErr(nil)
-}
-
-// lookupFID resolves a client FID to the server-side descriptor.
-func (sc *srvConn) lookupFID(fid uint32) (fsapi.FD, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	fd, ok := sc.fids[fid]
-	return fd, ok
+	return sc.respErr(nil)
 }
 
 // allocFID binds fd to the lowest free FID of this connection and returns
@@ -363,8 +324,6 @@ func (sc *srvConn) lookupFID(fid uint32) (fsapi.FD, bool) {
 // POSIX descriptor discipline of a local run, so a sequential trace served
 // remotely yields the same descriptor numbers a local application would see.
 func (sc *srvConn) allocFID(fd fsapi.FD) uint32 {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
 	// Scan from the low-water mark: every FID below it is bound, and
 	// releaseFID drops the mark when a lower number frees — lowest-free
 	// results at amortized O(1) instead of O(open descriptors).
@@ -382,29 +341,25 @@ func (sc *srvConn) allocFID(fd fsapi.FD) uint32 {
 
 // releaseFID unbinds a FID and lowers the allocation mark.
 func (sc *srvConn) releaseFID(fid uint32) {
-	sc.mu.Lock()
 	delete(sc.fids, fid)
 	if fid < sc.fidScan {
 		sc.fidScan = fid
 	}
-	sc.mu.Unlock()
 }
 
 // handle executes one non-attach request and returns the response payload.
 func (sc *srvConn) handle(typ uint8, body []byte) []byte {
-	sc.mu.Lock()
 	fs := sc.fs
-	sc.mu.Unlock()
 	if fs == nil {
-		return respErr(fserr.ErrInvalid) // operation before attach
+		return sc.respErr(fserr.ErrInvalid) // operation before attach
 	}
 	d := &dec{b: body}
-	e := &enc{}
+	e := sc.resp()
 	switch typ {
 	case tMkdir:
 		path, perm := d.str(), d.u16()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		err := fs.Mkdir(path, perm)
 		e.u32(errnoWord(err))
@@ -420,7 +375,7 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 	case tRmdir:
 		path := d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Rmdir(path)))
 	case tCreate, tOpen:
@@ -430,7 +385,7 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 			perm = d.u16()
 		}
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		var fd fsapi.FD
 		var err error
@@ -440,11 +395,11 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 			fd, err = fs.Open(path)
 		}
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		// The server assigns the FID, lowest-free-first per connection,
 		// mirroring the descriptor discipline a local run would have. Because
-		// the executor runs requests in arrival order, allocation happens at
+		// requests run in arrival order, allocation happens at
 		// the moment the outcome is known — so pipelined clients need no
 		// descriptor barrier at all: they learn the number from the response.
 		fid := sc.allocFID(fd)
@@ -460,11 +415,11 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 	case tClose:
 		fid := d.u32()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		err := fs.Close(fd)
 		// Drop the binding on success or EBADF (the server-side descriptor
@@ -477,50 +432,50 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 	case tRead:
 		fid, off, n := d.u32(), int64(d.u64()), d.u32()
 		if d.err() != nil || n > maxFrame-64 {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		data, err := fs.ReadAt(fd, off, int(n))
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.bytes(data)
 	case tWrite:
 		fid, off, data := d.u32(), int64(d.u64()), d.bytes()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		n, err := fs.WriteAt(fd, off, data)
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.u32(uint32(n))
 	case tWriteBatch:
 		fid, count := d.u32(), d.u32()
 		if d.err() != nil || count == 0 || count > maxBatchOps {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		entries := make([]BatchEntry, 0, count)
 		for i := uint32(0); i < count; i++ {
 			off := int64(d.u64())
 			data := d.bytes()
 			if d.err() != nil {
-				return respErr(fserr.ErrInvalid)
+				return sc.respErr(fserr.ErrInvalid)
 			}
 			entries = append(entries, BatchEntry{Off: off, Data: data})
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		// Entries execute in order, each recording its own result — the
 		// outcomes are exactly those of the same WriteAts issued one at a
@@ -541,78 +496,78 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 	case tTrunc:
 		path, size := d.str(), int64(d.u64())
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Truncate(path, size)))
 	case tUnlink:
 		path := d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Unlink(path)))
 	case tRename:
 		oldPath, newPath := d.str(), d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Rename(oldPath, newPath)))
 	case tLink:
 		oldPath, newPath := d.str(), d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Link(oldPath, newPath)))
 	case tSymlink:
 		target, linkPath := d.str(), d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.Symlink(target, linkPath)))
 	case tReadlink:
 		path := d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		target, err := fs.Readlink(path)
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.str(target)
 	case tStat:
 		path := d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		st, err := fs.Stat(path)
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.stat(st)
 	case tFstat:
 		fid := d.u32()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		st, err := fs.Fstat(fd)
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.stat(st)
 	case tReaddir:
 		path := d.str()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		ents, err := fs.Readdir(path)
 		if err != nil {
-			return respErr(err)
+			return sc.respErr(err)
 		}
 		e.u32(errnoWord(nil))
 		e.u32(uint32(len(ents)))
@@ -624,23 +579,23 @@ func (sc *srvConn) handle(typ uint8, body []byte) []byte {
 	case tSetPerm:
 		path, perm := d.str(), d.u16()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
 		e.u32(errnoWord(fs.SetPerm(path, perm)))
 	case tFsync:
 		fid := d.u32()
 		if d.err() != nil {
-			return respErr(fserr.ErrInvalid)
+			return sc.respErr(fserr.ErrInvalid)
 		}
-		fd, ok := sc.lookupFID(fid)
+		fd, ok := sc.fids[fid]
 		if !ok {
-			return respErr(fserr.ErrBadFD)
+			return sc.respErr(fserr.ErrBadFD)
 		}
 		e.u32(errnoWord(fs.Fsync(fd)))
 	case tSync:
 		e.u32(errnoWord(fs.Sync()))
 	default:
-		return respErr(fserr.ErrInvalid)
+		return sc.respErr(fserr.ErrInvalid)
 	}
 	return e.b
 }
