@@ -24,12 +24,12 @@ func (fs *FS) getInode(ino uint32) (*cache.CachedInode, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, err := disklayout.DecodeInode(buf.Data[off : off+disklayout.InodeSize])
+	ci := &cache.CachedInode{Ino: ino}
+	err = ci.Inode.Decode(buf.Data[off : off+disklayout.InodeSize])
 	fs.bc.Release(buf)
 	if err != nil {
 		return nil, fmt.Errorf("basefs: inode %d: %w", ino, err)
 	}
-	ci := &cache.CachedInode{Ino: ino, Inode: *rec}
 	return fs.ic.Put(ci), nil
 }
 

@@ -273,10 +273,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	}
 	var dataRuns []dataRun
 	for i := 0; i < len(data); {
-		j := i + 1
-		for j < len(data) && data[j].Blk == data[j-1].Blk+1 {
-			j++
-		}
+		j := runEnd(i, len(data), func(k int) uint32 { return data[k].Blk })
 		bufs := make([][]byte, j-i)
 		for k := range bufs {
 			bufs[k] = data[i+k].Data
@@ -319,6 +316,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		if cap := fs.jnl.Capacity(); len(chunk) > cap {
 			chunk = meta[:cap]
 		}
+		// The transaction adopts the snapshot's private copies; fs.unstable
+		// keeps them until a checkpoint writes them home.
 		tx := &journal.Tx{}
 		for _, s := range chunk {
 			tx.Add(s.Blk, s.Data)
@@ -379,13 +378,20 @@ func (fs *FS) checkpoint() (int, error) {
 		blks = append(blks, blk)
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	var reqs []interface{ Wait() error }
-	for _, blk := range blks {
-		reqs = append(reqs, fs.queue.WriteAsync(blk, fs.unstable[blk]))
+	// Home in runs of adjacent blocks, one request per run, as in Phase B.
+	var reqs []*blockdev.Request
+	for i := 0; i < len(blks); {
+		j := runEnd(i, len(blks), func(k int) uint32 { return blks[k] })
+		bufs := make([][]byte, j-i)
+		for k := range bufs {
+			bufs[k] = fs.unstable[blks[i+k]]
+		}
+		reqs = append(reqs, fs.queue.WriteVecAsync(blks[i], bufs))
+		i = j
 	}
-	for i, r := range reqs {
+	for _, r := range reqs {
 		if err := r.Wait(); err != nil {
-			return 0, fmt.Errorf("basefs: checkpoint block %d: %w", blks[i], err)
+			return 0, fmt.Errorf("basefs: checkpoint run at block %d: %w", r.Blk, err)
 		}
 	}
 	if err := fs.queue.Flush(); err != nil {
@@ -401,6 +407,16 @@ func (fs *FS) checkpoint() (int, error) {
 		delete(fs.unstable, blk)
 	}
 	return 2, nil // queue flush + journal superblock flush
+}
+
+// runEnd returns the end of the run of adjacent blocks that starts at i in
+// a sorted list of n blocks, blk(k) being the k-th block number.
+func runEnd(i, n int, blk func(int) uint32) int {
+	j := i + 1
+	for j < n && blk(j) == blk(j-1)+1 {
+		j++
+	}
+	return j
 }
 
 // Checkpoint forces a full checkpoint through the sync-round machinery:
@@ -435,17 +451,19 @@ func (fs *FS) validateInodeForPersist(ci *cache.CachedInode) error {
 }
 
 // validateMetaForPersist checks dirty metadata blocks structurally before
-// they can reach the journal: inode-table blocks must hold checksummed
-// records with sane fields.
+// they can reach the journal: every record of a dirty inode-table block,
+// not only the ones this round encoded, must be checksummed with sane
+// fields. Records decode into one stack value, so the pass allocates only
+// when it fails.
 func (fs *FS) validateMetaForPersist(meta []cache.DirtySnap) error {
 	tableStart := fs.sb.InodeTableStart
 	tableEnd := tableStart + fs.sb.InodeTableLen
+	var ino disklayout.Inode
 	for _, b := range meta {
 		if b.Blk >= tableStart && b.Blk < tableEnd {
 			for i := 0; i < disklayout.InodesPerBlock; i++ {
 				rec := b.Data[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize]
-				ino, err := disklayout.DecodeInode(rec)
-				if err != nil {
+				if err := ino.Decode(rec); err != nil {
 					return fmt.Errorf("basefs: sync-validate table block %d record %d: %w", b.Blk, i, err)
 				}
 				if !ino.IsFree() {

@@ -303,7 +303,7 @@ func TestQueueReadWrite(t *testing.T) {
 	q := NewQueue(d, 4, 16)
 	defer q.Close()
 	want := block(0x77)
-	if err := q.Write(9, want); err != nil {
+	if err := q.WriteVecAsync(9, [][]byte{want}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := q.Read(9)
@@ -321,7 +321,7 @@ func TestQueueAsyncWritesAndFlush(t *testing.T) {
 	defer q.Close()
 	var reqs []*Request
 	for i := uint32(0); i < 100; i++ {
-		reqs = append(reqs, q.WriteAsync(i, block(byte(i))))
+		reqs = append(reqs, q.WriteVecAsync(i, [][]byte{block(byte(i))}))
 	}
 	if err := q.Flush(); err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestQueueClosedRejects(t *testing.T) {
 	q := NewQueue(d, 2, 8)
 	q.Close()
 	q.Close() // double close is safe
-	if err := q.Write(0, block(1)); !errors.Is(err, fserr.ErrIO) {
+	if err := q.WriteVecAsync(0, [][]byte{block(1)}).Wait(); !errors.Is(err, fserr.ErrIO) {
 		t.Errorf("write on closed queue: %v, want ErrIO", err)
 	}
 }
@@ -363,7 +363,7 @@ func TestQueueConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				blk := uint32(g*32 + i%32)
-				if err := q.Write(blk, block(byte(g))); err != nil {
+				if err := q.WriteVecAsync(blk, [][]byte{block(byte(g))}).Wait(); err != nil {
 					t.Errorf("write: %v", err)
 					return
 				}
@@ -428,7 +428,7 @@ func TestQueueConcurrentFlushHammer(t *testing.T) {
 			base := uint32(g * 512)
 			for i := 0; i < rounds; i++ {
 				blk := base + uint32(i%256)
-				r := q.WriteAsync(blk, block(byte(i)))
+				r := q.WriteVecAsync(blk, [][]byte{block(byte(i))})
 				if err := q.Flush(); err != nil {
 					t.Errorf("flush: %v", err)
 					return

@@ -41,7 +41,7 @@ func TestQueueOverlapsDeviceLatency(t *testing.T) {
 	start = time.Now()
 	var reqs []*Request
 	for i := uint32(0); i < n; i++ {
-		reqs = append(reqs, q.WriteAsync(i, buf))
+		reqs = append(reqs, q.WriteVecAsync(i, [][]byte{buf}))
 	}
 	for _, r := range reqs {
 		if err := r.Wait(); err != nil {

@@ -60,7 +60,6 @@ type OpKind int
 // Request kinds.
 const (
 	OpRead OpKind = iota
-	OpWrite
 	OpFlush
 	// OpWriteVec writes the contiguous run [Blk, Blk+len(Bufs)) in one
 	// device-level call.
@@ -74,7 +73,7 @@ const (
 type Request struct {
 	Kind OpKind
 	Blk  uint32
-	Data []byte   // payload for writes; result buffer for reads
+	Data []byte   // result buffer for OpRead
 	Bufs [][]byte // run for OpWriteVec and OpReadVec, one buffer per block
 	Err  error
 	done chan struct{}
@@ -114,11 +113,6 @@ func (q *Queue) worker() {
 			r.Data, r.Err = q.dev.ReadBlock(r.Blk)
 			t.Stop()
 			q.tel.reads.Inc()
-		case OpWrite:
-			t := telemetry.StartTimer(q.tel.hWrite)
-			r.Err = q.dev.WriteBlock(r.Blk, r.Data)
-			t.Stop()
-			q.tel.writes.Inc()
 		case OpWriteVec:
 			t := telemetry.StartTimer(q.tel.hWrite)
 			r.Err = q.dev.WriteVec([]Run{{Blk: r.Blk, Bufs: r.Bufs}})
@@ -167,20 +161,10 @@ func (q *Queue) Read(blk uint32) ([]byte, error) {
 	return r.Data, nil
 }
 
-// Write performs a synchronous write via the queue.
-func (q *Queue) Write(blk uint32, data []byte) error {
-	return q.Submit(&Request{Kind: OpWrite, Blk: blk, Data: data}).Wait()
-}
-
-// WriteAsync enqueues a write and returns without waiting; the base's
-// write-back path uses this to overlap IO.
-func (q *Queue) WriteAsync(blk uint32, data []byte) *Request {
-	return q.Submit(&Request{Kind: OpWrite, Blk: blk, Data: data})
-}
-
-// WriteVecAsync enqueues one contiguous run as a single request. The base's
-// extent write-back turns each allocated run into one of these, so a large
-// sequential sync costs a handful of queue round-trips and device calls.
+// WriteVecAsync enqueues one contiguous run as a single request; it is the
+// queue's only write. The base's write-back, journal and checkpoint turn
+// each run of adjacent blocks into one of these, so a large sequential
+// sync costs a handful of queue round-trips and device calls.
 func (q *Queue) WriteVecAsync(blk uint32, bufs [][]byte) *Request {
 	return q.Submit(&Request{Kind: OpWriteVec, Blk: blk, Bufs: bufs})
 }
@@ -232,8 +216,8 @@ func (q *Queue) Close() {
 
 // QueueDevice adapts a Queue to the synchronous Device interface so
 // components written against Device (the journal) drive their IO through
-// the base's async block layer: writes overlap across workers, and every
-// flush is counted by the queued-path telemetry.
+// the base's async block layer: the runs of one WriteVec are in flight at
+// once, and every flush is counted by the queued-path telemetry.
 type QueueDevice struct {
 	q *Queue
 	n uint32
@@ -247,8 +231,10 @@ func (q *Queue) Device() *QueueDevice {
 // ReadBlock implements Device.
 func (d *QueueDevice) ReadBlock(blk uint32) ([]byte, error) { return d.q.Read(blk) }
 
-// WriteBlock implements Device.
-func (d *QueueDevice) WriteBlock(blk uint32, data []byte) error { return d.q.Write(blk, data) }
+// WriteBlock implements Device as a one-block run.
+func (d *QueueDevice) WriteBlock(blk uint32, data []byte) error {
+	return d.q.WriteVecAsync(blk, [][]byte{data}).Wait()
+}
 
 // ReadVec implements VecReader: each run is one queued request, and all of
 // them are in flight at once.
@@ -284,15 +270,9 @@ func (d *QueueDevice) NumBlocks() uint32 { return d.n }
 // Flush implements Device.
 func (d *QueueDevice) Flush() error { return d.q.Flush() }
 
-// WriteAsync exposes the queue's asynchronous write so Device consumers that
-// know about the queue (the journal's batch commit) can overlap payload
-// writes instead of serializing them.
-func (d *QueueDevice) WriteAsync(blk uint32, data []byte) *Request {
-	return d.q.WriteAsync(blk, data)
-}
-
-// AsyncWriter is implemented by devices that can overlap writes; callers
-// fall back to synchronous WriteBlock when the assertion fails.
+// AsyncWriter is implemented by no device in this module: the journal
+// writes each commit as one run. It stays only because the benchmark
+// module's decorator test still names it.
 type AsyncWriter interface {
 	WriteAsync(blk uint32, data []byte) *Request
 }

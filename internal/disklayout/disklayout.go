@@ -341,18 +341,30 @@ func PutInode(b []byte, ino *Inode) {
 	le.PutUint32(b[InodeSize-4:], Checksum(b[:InodeSize-4]))
 }
 
-// DecodeInode parses and validates one inode record. The checksum is always
-// verified; geometry validation (pointer ranges) is the caller's job because
-// it needs the superblock.
+// DecodeInode parses and validates one inode record into a new Inode (see
+// Decode).
 func DecodeInode(b []byte) (*Inode, error) {
+	ino := new(Inode)
+	if err := ino.Decode(b); err != nil {
+		return nil, err
+	}
+	return ino, nil
+}
+
+// Decode parses and validates one inode record into ino, so a caller that
+// does not keep the record can decode into a stack value. The checksum,
+// type and size are always verified; geometry validation (pointer ranges)
+// is the caller's job because it needs the superblock. On error ino may
+// hold a partial decode.
+func (ino *Inode) Decode(b []byte) error {
 	if len(b) < InodeSize {
-		return nil, fmt.Errorf("inode: got %d bytes, want %d: %w", len(b), InodeSize, fserr.ErrCorrupt)
+		return fmt.Errorf("inode: got %d bytes, want %d: %w", len(b), InodeSize, fserr.ErrCorrupt)
 	}
 	le := binary.LittleEndian
 	if got, want := le.Uint32(b[InodeSize-4:]), Checksum(b[:InodeSize-4]); got != want {
-		return nil, fmt.Errorf("inode: checksum %#x, want %#x: %w", got, want, fserr.ErrCorrupt)
+		return fmt.Errorf("inode: checksum %#x, want %#x: %w", got, want, fserr.ErrCorrupt)
 	}
-	ino := &Inode{
+	*ino = Inode{
 		Mode:  le.Uint16(b[0:]),
 		Nlink: le.Uint16(b[2:]),
 		UID:   le.Uint32(b[4:]),
@@ -372,12 +384,12 @@ func DecodeInode(b []byte) (*Inode, error) {
 	ino.Generation = le.Uint32(b[off+8:])
 	ino.Flags = le.Uint32(b[off+12:])
 	if t := ino.Type(); t > TypeSym {
-		return nil, fmt.Errorf("inode: unknown type %d: %w", t, fserr.ErrCorrupt)
+		return fmt.Errorf("inode: unknown type %d: %w", t, fserr.ErrCorrupt)
 	}
 	if ino.Size < 0 || ino.Size > MaxFileSize {
-		return nil, fmt.Errorf("inode: size %d out of range: %w", ino.Size, fserr.ErrCorrupt)
+		return fmt.Errorf("inode: size %d out of range: %w", ino.Size, fserr.ErrCorrupt)
 	}
-	return ino, nil
+	return nil
 }
 
 // ValidatePointers checks that every block pointer in ino lies in the data

@@ -151,13 +151,13 @@ func scanTableBlock(src *cachedReader, sb *disklayout.Superblock, blk uint32) {
 	}
 	inRange := func(p uint32) bool { return p >= sb.DataStart && p < sb.NumBlocks }
 	base := (blk - sb.InodeTableStart) * disklayout.InodesPerBlock
+	var rec disklayout.Inode // never kept: decode each record in place
 	for s := 0; s < disklayout.InodesPerBlock; s++ {
 		ino := base + uint32(s)
 		if ino < 1 || ino >= sb.NumInodes {
 			continue
 		}
-		rec, err := disklayout.DecodeInode(b[s*disklayout.InodeSize : (s+1)*disklayout.InodeSize])
-		if err != nil || rec.IsFree() {
+		if err := rec.Decode(b[s*disklayout.InodeSize : (s+1)*disklayout.InodeSize]); err != nil || rec.IsFree() {
 			continue
 		}
 		if rec.IsExtents() {

@@ -209,17 +209,18 @@ type Tx struct {
 
 // Add appends a block write to the transaction, replacing any earlier write
 // to the same target so a transaction never carries two versions of a block.
+// The transaction adopts data without copying it: the caller must not
+// modify data after the call, and the slice is written as the payload as it
+// stands at commit time. The sync path hands over its private snapshot copy.
 func (t *Tx) Add(blk uint32, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	for i, tgt := range t.Targets {
 		if tgt == blk {
-			t.Blocks[i] = cp
+			t.Blocks[i] = data
 			return
 		}
 	}
 	t.Targets = append(t.Targets, blk)
-	t.Blocks = append(t.Blocks, cp)
+	t.Blocks = append(t.Blocks, data)
 }
 
 // Len returns the number of payload blocks in the transaction.
@@ -303,9 +304,11 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 	defer t.Stop()
 
 	// Merge, later writes to the same target winning, preserving arrival
-	// order otherwise. Payloads were already copied by Tx.Add.
+	// order otherwise. Payloads are the callers' adopted slices (see
+	// Tx.Add). run holds the header block first and then the payloads,
+	// which is their order in the region.
 	var targets []uint32
-	var blocks [][]byte
+	run := [][]byte{j.hdrBuf}
 	idx := make(map[uint32]int)
 	for _, r := range batch {
 		for i, tgt := range r.tx.Targets {
@@ -315,12 +318,12 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 					tgt, len(data), fserr.ErrInvalid)
 			}
 			if at, ok := idx[tgt]; ok {
-				blocks[at] = data
+				run[1+at] = data
 				continue
 			}
 			idx[tgt] = len(targets)
 			targets = append(targets, tgt)
-			blocks = append(blocks, data)
+			run = append(run, data)
 		}
 	}
 	n := uint32(len(targets))
@@ -342,31 +345,15 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 	}
 	le.PutUint32(hdr[disklayout.BlockSize-4:], disklayout.Checksum(hdr[:disklayout.BlockSize-4]))
 
-	// Header and payloads overlap across queue workers when the device
-	// supports async submission; the flush below is the ordering point.
-	aw, _ := j.dev.(blockdev.AsyncWriter)
-	var reqs []*blockdev.Request
-	write := func(blk uint32, data []byte) error {
-		if aw != nil {
-			reqs = append(reqs, aw.WriteAsync(blk, data))
-			return nil
-		}
-		return j.dev.WriteBlock(blk, data)
-	}
-	if err := write(j.start+j.head, hdr); err != nil {
-		return fmt.Errorf("journal: write header: %w", err)
-	}
+	// Header and payloads are contiguous in the region, so they go out as
+	// one run: one device call, every block still its own crash point. The
+	// flush below is the ordering point.
 	payloadCRC := uint32(0)
-	for i, data := range blocks {
-		if err := write(j.start+j.head+1+uint32(i), data); err != nil {
-			return fmt.Errorf("journal: write payload %d: %w", i, err)
-		}
+	for _, data := range run[1:] {
 		payloadCRC = disklayout.ChecksumUpdate(payloadCRC, data)
 	}
-	for _, r := range reqs {
-		if err := r.Wait(); err != nil {
-			return fmt.Errorf("journal: write tx blocks: %w", err)
-		}
+	if err := j.dev.WriteVec([]blockdev.Run{{Blk: j.start + j.head, Bufs: run}}); err != nil {
+		return fmt.Errorf("journal: write header and payloads: %w", err)
 	}
 	if err := j.dev.Flush(); err != nil {
 		return fmt.Errorf("journal: flush before commit record: %w", err)

@@ -376,13 +376,61 @@ func TestTxAddDeduplicatesTargets(t *testing.T) {
 	}
 }
 
-func TestTxAddCopiesPayload(t *testing.T) {
+// TestTxAddAdoptsPayload pins Add's ownership rule: the transaction keeps
+// the caller's slice, not a copy, including when a later Add replaces an
+// earlier write to the same target.
+func TestTxAddAdoptsPayload(t *testing.T) {
 	tx := &Tx{}
-	buf := fill(7)
-	tx.Add(100, buf)
-	buf[0] = 99
-	if tx.Blocks[0][0] != 7 {
-		t.Error("Tx aliases the caller's buffer")
+	first, second := fill(7), fill(8)
+	tx.Add(100, first)
+	if &tx.Blocks[0][0] != &first[0] {
+		t.Error("Add copied the payload instead of adopting it")
+	}
+	tx.Add(100, second)
+	if tx.Len() != 1 || &tx.Blocks[0][0] != &second[0] {
+		t.Error("replacing Add copied the payload instead of adopting it")
+	}
+}
+
+// TestCommitIsOneRun pins the write shape of a commit: the header and the
+// payloads are contiguous in the region and go out as one run, then the
+// commit record. Two device calls and two flushes whatever the size of the
+// transaction, and every block still reaches the device as its own write,
+// in region order, so each remains a crash point.
+func TestCommitIsOneRun(t *testing.T) {
+	dev, sb := setup(t)
+	j := mustNew(t, dev, sb)
+	const n = 5
+	tx := &Tx{}
+	for i := uint32(0); i < n; i++ {
+		tx.Add(sb.DataStart+i, fill(0x10+byte(i)))
+	}
+	var order []uint32
+	dev.SetWriteHook(func(blk uint32) { order = append(order, blk) })
+	before := dev.Stats().Snapshot()
+	if err := j.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetWriteHook(nil)
+	after := dev.Stats().Snapshot()
+	if calls, blocks, flushes := after.WriteCalls-before.WriteCalls, after.Writes-before.Writes,
+		after.Flushes-before.Flushes; calls != 2 || blocks != n+2 || flushes != 2 {
+		t.Errorf("commit of %d payloads: %d write calls, %d blocks, %d flushes; want 2, %d, 2",
+			n, calls, blocks, flushes, n+2)
+	}
+	for i, blk := range order {
+		if want := sb.JournalStart + chainStart + uint32(i); blk != want {
+			t.Fatalf("write %d went to block %d, want %d (order %v)", i, blk, want, order)
+		}
+	}
+	crash := dev.Snapshot()
+	if st, err := Replay(crash, sb); err != nil || st.Blocks != n {
+		t.Fatalf("replay: %+v, %v; want %d blocks", st, err, n)
+	}
+	for i := uint32(0); i < n; i++ {
+		if got, _ := crash.ReadBlock(sb.DataStart + i); got[0] != 0x10+byte(i) {
+			t.Errorf("payload %d replayed as %#x", i, got[0])
+		}
 	}
 }
 
