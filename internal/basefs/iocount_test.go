@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
@@ -47,8 +48,10 @@ func createWriteFsync(fs *FS, name string) error {
 // One fsync must average well under the old 6 device flushes: the
 // single-flush-pair commit plus deferred checkpointing budgets 2 for the
 // common case plus amortized checkpoint flushes. Concurrent fsyncs must
-// share sync rounds and journal commits (group commit), so they need fewer
-// than one commit pair each.
+// coalesce onto sync rounds, whose one commit carries every waiter's
+// metadata, so they need fewer than one commit pair each. A 1 ms device
+// write latency keeps each round in flight long enough for followers to
+// pile up, and every fsynced file must survive a crash snapshot.
 func TestFsyncFlushBudget(t *testing.T) {
 	fs, dev := mountFsyncImage(t)
 	const syncs = 100
@@ -60,11 +63,14 @@ func TestFsyncFlushBudget(t *testing.T) {
 	}
 	perSync := float64(dev.Stats().Flushes.Load()-before) / syncs
 	if perSync >= 3.0 {
-		t.Errorf("flushes/sync = %.2f, want < 3.0 (pre-group-commit path cost 6)", perSync)
+		t.Errorf("flushes/sync = %.2f, want < 3.0 (the per-block commit path cost 6)", perSync)
 	}
 
 	fs2, dev2 := mountFsyncImage(t)
 	const workers, perWorker = 4, 10
+	plan := blockdev.NewFaultPlan(1)
+	plan.WriteLatency = time.Millisecond
+	dev2.SetFaults(plan)
 	before = dev2.Stats().Flushes.Load()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
@@ -78,6 +84,7 @@ func TestFsyncFlushBudget(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	dev2.SetFaults(nil)
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
@@ -85,6 +92,24 @@ func TestFsyncFlushBudget(t *testing.T) {
 	}
 	if flushes := dev2.Stats().Flushes.Load() - before; flushes >= 2*workers*perWorker {
 		t.Errorf("no coalescing: %d flushes for %d concurrent fsyncs", flushes, workers*perWorker)
+	}
+	crashed, err := Mount(dev2.Snapshot(), Options{})
+	if err != nil {
+		t.Fatalf("mount after crash: %v", err)
+	}
+	defer crashed.Kill()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			name := fmt.Sprintf("/w%d-%d", w, i)
+			fd, err := crashed.Open(name)
+			if err != nil {
+				t.Fatalf("fsynced %s lost after crash: %v", name, err)
+			}
+			if got, _ := crashed.ReadAt(fd, 0, 64); string(got) != "fsync-heavy payload" {
+				t.Errorf("%s after crash = %q", name, got)
+			}
+			crashed.Close(fd)
+		}
 	}
 }
 

@@ -309,8 +309,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 
 	// --- Phase C: journal metadata in capacity-bounded transactions. ---
 	// Commit is the durable point; home locations are written lazily by a
-	// later checkpoint. Each commit costs two flushes (one pair), shared
-	// with any concurrent committers via the journal's group commit.
+	// later checkpoint. Each commit costs two flushes (one pair), shared by
+	// every fsync that coalesced onto this round.
 	for len(meta) > 0 {
 		chunk := meta
 		if cap := fs.jnl.Capacity(); len(chunk) > cap {

@@ -61,27 +61,24 @@ type Journal struct {
 	start uint32 // first block of the journal region
 	len   uint32 // region length in blocks
 
-	// mu guards the persistent cursor and the live-target set. Physical
-	// commits are serialized by the group-commit leader, but Checkpointed
-	// and Contains may be called concurrently with a commit in flight.
+	// mu serializes commits and checkpoints and guards the persistent
+	// cursor, the live-target set and the scratch buffers; the accessors
+	// (Contains, SpaceLeft, LiveTxs) may be called concurrently with a
+	// commit in flight.
 	mu      sync.Mutex
 	head    uint32 // next free block, relative to start
 	txid    uint64 // next transaction id
 	live    map[uint32]struct{}
 	liveTxs int
 
-	// Group-commit coordinator: concurrent Commit callers append to pending;
-	// the first becomes leader and drains batches while followers wait on
-	// their buffered error channels.
-	gcMu    sync.Mutex
-	pending []*commitReq
-	leading bool
-
 	// Reused scratch blocks so commit is allocation-free per transaction.
 	hdrBuf, cmtBuf, jsbBuf []byte
+	// run is the scratch header+payload run one commit writes; it is
+	// cleared after the write so the journal keeps no payload reference.
+	run [][]byte
 
 	telCommits, telBlocks, telCheckpoints *telemetry.Counter
-	telCommitLatency, telBatch            *telemetry.Histogram
+	telCommitLatency                      *telemetry.Histogram
 }
 
 // SetTelemetry installs commit instrumentation ("journal.*") from s.
@@ -93,7 +90,6 @@ func (j *Journal) SetTelemetry(s *telemetry.Sink) {
 	j.telBlocks = s.Counter("journal.committed_blocks")
 	j.telCheckpoints = s.Counter("journal.checkpoints")
 	j.telCommitLatency = s.Histogram("journal.commit.latency")
-	j.telBatch = s.Histogram("journal.group.batch_size")
 }
 
 // New attaches to the journal region described by sb on dev, reading the
@@ -201,10 +197,12 @@ func (j *Journal) Contains(blk uint32) bool {
 }
 
 // Tx is one journal transaction under construction: a set of home-location
-// block writes that must become durable atomically.
+// block writes that must become durable atomically. It is built only through
+// Add, so it never carries two writes to one target and every target has
+// its payload.
 type Tx struct {
-	Targets []uint32 // home block numbers
-	Blocks  [][]byte // payloads, same length as Targets
+	targets []uint32 // home block numbers
+	blocks  [][]byte // payloads, same length as targets
 }
 
 // Add appends a block write to the transaction, replacing any earlier write
@@ -213,37 +211,31 @@ type Tx struct {
 // modify data after the call, and the slice is written as the payload as it
 // stands at commit time. The sync path hands over its private snapshot copy.
 func (t *Tx) Add(blk uint32, data []byte) {
-	for i, tgt := range t.Targets {
+	for i, tgt := range t.targets {
 		if tgt == blk {
-			t.Blocks[i] = data
+			t.blocks[i] = data
 			return
 		}
 	}
-	t.Targets = append(t.Targets, blk)
-	t.Blocks = append(t.Blocks, data)
+	t.targets = append(t.targets, blk)
+	t.blocks = append(t.blocks, data)
 }
 
 // Len returns the number of payload blocks in the transaction.
-func (t *Tx) Len() int { return len(t.Targets) }
+func (t *Tx) Len() int { return len(t.targets) }
 
 // ErrJournalFull reports a transaction too large for the remaining region;
 // the caller must checkpoint and retry.
 var ErrJournalFull = fmt.Errorf("journal: region full: %w", fserr.ErrNoSpace)
 
-// commitReq is one caller's transaction waiting for the group-commit leader.
-type commitReq struct {
-	tx   *Tx
-	errc chan error
-}
-
 // Commit durably appends the transaction and returns once it is replay-safe:
 // header and payloads are written and flushed, then the commit record is
-// written and flushed — two device flushes, shared by every caller that
-// coalesced into the same physical transaction. Concurrent Commit calls are
-// batched by a leader/follower protocol: the first caller in becomes leader
-// and commits the merged batch while later arrivals wait; a batch is bounded
-// by the region's single-transaction capacity, beyond which the leader
-// starts another physical transaction.
+// written and flushed — two device flushes per call.
+//
+// Commits are serialized under the journal's lock and are not batched here.
+// The only caller is the base's sync-round leader, and rounds run one at a
+// time: concurrent fsyncs coalesce onto sync rounds above the journal, so
+// one commit already carries every waiter's metadata.
 //
 // After Commit returns nil the transaction stays live (replayed by any
 // subsequent Replay) until Checkpointed retires it, so the caller may lazily
@@ -256,77 +248,15 @@ func (j *Journal) Commit(tx *Tx) error {
 		return fmt.Errorf("journal: transaction of %d blocks exceeds max %d: %w",
 			tx.Len(), maxTargets, fserr.ErrInvalid)
 	}
-	req := &commitReq{tx: tx, errc: make(chan error, 1)}
-	j.gcMu.Lock()
-	j.pending = append(j.pending, req)
-	if j.leading {
-		// A leader is committing; it will pick this request up in its next
-		// batch. Wait as a follower.
-		j.gcMu.Unlock()
-		return <-req.errc
-	}
-	j.leading = true
-	for len(j.pending) > 0 {
-		batch := j.takeBatchLocked()
-		j.gcMu.Unlock()
-		err := j.commitBatch(batch)
-		for _, r := range batch {
-			r.errc <- err
+	for i, data := range tx.blocks {
+		if len(data) != disklayout.BlockSize {
+			return fmt.Errorf("journal: payload for block %d is %d bytes: %w",
+				tx.targets[i], len(data), fserr.ErrInvalid)
 		}
-		j.gcMu.Lock()
 	}
-	j.leading = false
-	j.gcMu.Unlock()
-	return <-req.errc
-}
-
-// takeBatchLocked pops the next batch off the pending list: as many requests
-// as fit one physical transaction, always at least one. Called with gcMu
-// held.
-func (j *Journal) takeBatchLocked() []*commitReq {
-	var batch []*commitReq
-	total := 0
-	for len(j.pending) > 0 {
-		r := j.pending[0]
-		if len(batch) > 0 && total+r.tx.Len() > j.Capacity() {
-			break
-		}
-		batch = append(batch, r)
-		total += r.tx.Len()
-		j.pending = j.pending[1:]
-	}
-	return batch
-}
-
-// commitBatch merges a batch into one physical transaction and writes it.
-func (j *Journal) commitBatch(batch []*commitReq) error {
 	t := telemetry.StartTimer(j.telCommitLatency)
 	defer t.Stop()
-
-	// Merge, later writes to the same target winning, preserving arrival
-	// order otherwise. Payloads are the callers' adopted slices (see
-	// Tx.Add). run holds the header block first and then the payloads,
-	// which is their order in the region.
-	var targets []uint32
-	run := [][]byte{j.hdrBuf}
-	idx := make(map[uint32]int)
-	for _, r := range batch {
-		for i, tgt := range r.tx.Targets {
-			data := r.tx.Blocks[i]
-			if len(data) != disklayout.BlockSize {
-				return fmt.Errorf("journal: payload for block %d is %d bytes: %w",
-					tgt, len(data), fserr.ErrInvalid)
-			}
-			if at, ok := idx[tgt]; ok {
-				run[1+at] = data
-				continue
-			}
-			idx[tgt] = len(targets)
-			targets = append(targets, tgt)
-			run = append(run, data)
-		}
-	}
-	n := uint32(len(targets))
+	n := uint32(tx.Len())
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -340,7 +270,7 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 	le.PutUint32(hdr[0:], headerMagic)
 	le.PutUint64(hdr[4:], j.txid)
 	le.PutUint32(hdr[12:], n)
-	for i, tgt := range targets {
+	for i, tgt := range tx.targets {
 		le.PutUint32(hdr[16+4*i:], tgt)
 	}
 	le.PutUint32(hdr[disklayout.BlockSize-4:], disklayout.Checksum(hdr[:disklayout.BlockSize-4]))
@@ -349,10 +279,13 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 	// one run: one device call, every block still its own crash point. The
 	// flush below is the ordering point.
 	payloadCRC := uint32(0)
-	for _, data := range run[1:] {
+	for _, data := range tx.blocks {
 		payloadCRC = disklayout.ChecksumUpdate(payloadCRC, data)
 	}
-	if err := j.dev.WriteVec([]blockdev.Run{{Blk: j.start + j.head, Bufs: run}}); err != nil {
+	j.run = append(append(j.run[:0], hdr), tx.blocks...)
+	err := j.dev.WriteVec([]blockdev.Run{{Blk: j.start + j.head, Bufs: j.run}})
+	clear(j.run)
+	if err != nil {
 		return fmt.Errorf("journal: write header and payloads: %w", err)
 	}
 	if err := j.dev.Flush(); err != nil {
@@ -376,12 +309,11 @@ func (j *Journal) commitBatch(batch []*commitReq) error {
 	j.head += n + 2
 	j.txid++
 	j.liveTxs++
-	for _, tgt := range targets {
+	for _, tgt := range tx.targets {
 		j.live[tgt] = struct{}{}
 	}
 	j.telCommits.Inc()
 	j.telBlocks.Add(int64(n))
-	j.telBatch.ObserveNs(int64(len(batch)))
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
@@ -242,17 +241,14 @@ func TestTornJSBFallsBackToScan(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalescesFlushes: N concurrent committers must share flush
-// pairs instead of paying two device flushes each, and every write must
-// still be replayable.
-func TestGroupCommitCoalescesFlushes(t *testing.T) {
+// TestConcurrentCommitsEachPayTwoFlushes: Commit does not batch, so N
+// concurrent committers are serialized under the journal's lock, each pays
+// exactly its own flush pair, and every write is replayable. Coalescing
+// concurrent fsyncs is the base's sync rounds' job (basefs
+// TestFsyncFlushBudget).
+func TestConcurrentCommitsEachPayTwoFlushes(t *testing.T) {
 	dev, sb := setup(t)
 	j := mustNew(t, dev, sb)
-	// Give writes a service time so followers genuinely pile up while the
-	// leader's flush pair is in flight.
-	plan := blockdev.NewFaultPlan(1)
-	plan.WriteLatency = time.Millisecond
-	dev.SetFaults(plan)
 	const workers = 8
 	before := dev.Stats().Snapshot().Flushes
 	start := make(chan struct{})
@@ -270,23 +266,21 @@ func TestGroupCommitCoalescesFlushes(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	dev.SetFaults(nil)
 	for w, err := range errs {
 		if err != nil {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	flushes := dev.Stats().Snapshot().Flushes - before
-	if flushes >= 2*workers {
-		t.Errorf("no coalescing: %d flushes for %d concurrent commits", flushes, workers)
+	if flushes := dev.Stats().Snapshot().Flushes - before; flushes != 2*workers {
+		t.Errorf("%d flushes for %d concurrent commits, want %d", flushes, workers, 2*workers)
 	}
 	crash := dev.Snapshot()
 	st, err := Replay(crash, sb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Blocks != workers {
-		t.Fatalf("replay applied %d blocks, want %d", st.Blocks, workers)
+	if st.Committed != workers || st.Blocks != workers {
+		t.Fatalf("replay applied %d txs, %d blocks, want %d each", st.Committed, st.Blocks, workers)
 	}
 	for w := uint32(0); w < workers; w++ {
 		got, _ := crash.ReadBlock(sb.DataStart + w)
@@ -356,8 +350,8 @@ func TestCommitAllocationBounded(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perCommit := (after.TotalAlloc - before.TotalAlloc) / rounds
-	// Bookkeeping (batch list, merge map, error channel) is a few KiB; the
-	// old per-block concatenation alone was payloads*(BlockSize+4) ≈ 66 KiB.
+	// Bookkeeping is a few hundred bytes; the old per-block concatenation
+	// alone was payloads*(BlockSize+4) ≈ 66 KiB.
 	if perCommit > 16*1024 {
 		t.Errorf("commit of %d blocks allocates %d bytes; checksumming is not streaming", payloads, perCommit)
 	}
@@ -371,7 +365,7 @@ func TestTxAddDeduplicatesTargets(t *testing.T) {
 	if tx.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tx.Len())
 	}
-	if tx.Blocks[0][0] != 3 {
+	if tx.blocks[0][0] != 3 {
 		t.Error("duplicate Add did not replace payload")
 	}
 }
@@ -383,11 +377,11 @@ func TestTxAddAdoptsPayload(t *testing.T) {
 	tx := &Tx{}
 	first, second := fill(7), fill(8)
 	tx.Add(100, first)
-	if &tx.Blocks[0][0] != &first[0] {
+	if &tx.blocks[0][0] != &first[0] {
 		t.Error("Add copied the payload instead of adopting it")
 	}
 	tx.Add(100, second)
-	if tx.Len() != 1 || &tx.Blocks[0][0] != &second[0] {
+	if tx.Len() != 1 || &tx.blocks[0][0] != &second[0] {
 		t.Error("replacing Add copied the payload instead of adopting it")
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // TestLogConcurrentAppendSnapshot appends from many goroutines and checks
 // that Snapshot sees a dense, strictly increasing sequence with no op lost
-// or duplicated across the shards. Run with -race.
+// or duplicated between concurrent appenders. Run with -race.
 func TestLogConcurrentAppendSnapshot(t *testing.T) {
 	l := NewLog()
 	const (
@@ -99,10 +99,10 @@ func TestLogWatermarkExcludesUnfinishedAppends(t *testing.T) {
 // TestLogSnapshotSinceConcurrent hammers SnapshotSince from readers while
 // writers append and a truncator advances the stable point, checking every
 // returned suffix is dense from its requested floor and never contains a
-// truncated op. Run with -race: the suffix deep-copies happen outside the
-// shard locks, and this test is the proof that is safe. Each writer stops
-// after perWriter appends, so a truncator starved of CPU on a loaded host
-// cannot let the log grow without bound.
+// truncated op. Run with -race: the suffix deep-copies race appends and
+// truncations for the log's lock. Each writer stops after perWriter
+// appends, so a truncator starved of CPU on a loaded host cannot let the
+// log grow without bound.
 func TestLogSnapshotSinceConcurrent(t *testing.T) {
 	l := NewLog()
 	const writers, perWriter = 4, 20000

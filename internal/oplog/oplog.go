@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
@@ -255,12 +253,6 @@ func (o *Op) String() string {
 	}
 }
 
-// logShards is the stripe count of the log's per-shard segments. Appends
-// from different goroutines land on different shards (goroutine-affine
-// hashing), so recording never funnels concurrent writers through one
-// mutex; Snapshot merges the segments by sequence number.
-const logShards = 16
-
 // The log's bound: once it holds MaxOps ops, or MaxBytes of adopted write
 // payload, Append reports it full and the supervisor forces a stable point.
 // Both limit what a recovery replays and what the log keeps in memory.
@@ -269,48 +261,28 @@ const (
 	MaxBytes = 8 << 20
 )
 
-// logShard is one append segment, padded so two shards' mutexes never share
-// a cache line. Ops are stored by value: recording one costs no allocation
-// once the backing array has grown, and the log's bound keeps it small.
-type logShard struct {
-	mu  sync.Mutex
-	ops []Op
-	_   [24]byte
-}
-
-// shardIndex picks a shard for the calling goroutine. Goroutine stacks are
-// distinct allocations, so the address of a local is a cheap proxy for
-// goroutine identity (the same trick telemetry's sharded counters use).
-func shardIndex() uint32 {
-	var probe byte
-	h := uint32(uintptr(unsafe.Pointer(&probe)) >> 4)
-	h *= 2654435761 // Knuth multiplicative hash
-	return (h >> 16) & (logShards - 1)
-}
-
 // Log is the supervisor's record of operations since the last stable point,
 // together with the descriptor table and logical clock captured at that
 // point — everything the shadow needs to reconstruct state from trusted
 // on-disk contents.
 //
-// Recording is lock-striped: the sequence number comes from one atomic, the
-// op lands in a goroutine-affine shard, and only Snapshot/Watermark/Stable
-// touch every shard. The total order that shadow replay needs is the Seq
-// order; the supervisor guarantees it is a valid serialization by holding
-// its per-resource record locks across execute+append for conflicting ops.
+// One mutex guards everything. An append claims its sequence number and
+// stores the op under it, so ops sit in Seq order and a sequence number is
+// never visible before its op. The total order that shadow replay needs is
+// the Seq order; the supervisor guarantees it is a valid serialization by
+// holding its per-resource record locks across execute+append for
+// conflicting ops.
 type Log struct {
-	// next is the next sequence number; claimed inside a shard lock so that
-	// Watermark (which holds all shard locks) never observes a claimed-but-
-	// not-yet-inserted sequence.
-	next   atomic.Uint64
-	length atomic.Int64
+	mu sync.Mutex
+	// ops are the recorded ops since the stable point, in Seq order. They
+	// are held by value: recording one costs no allocation once the backing
+	// array has grown, and the log's bound keeps it small.
+	ops  []Op
+	next uint64 // next sequence number
 	// bytes is the write payload the recorded ops hold.
-	bytes  atomic.Int64
-	peak   atomic.Int64
-	shards [logShards]logShard
+	bytes int64
+	peak  int
 
-	// stableMu guards the stable-point snapshot (descriptor table + clock).
-	stableMu   sync.Mutex
 	baseFDs    map[fsapi.FD]uint32
 	startClock uint64
 	// stableSeq is the watermark of the most recent truncation: every op with
@@ -363,52 +335,40 @@ func (l *Log) Append(o *Op) (full bool) {
 		return false
 	}
 	tm := telemetry.StartTimer(l.telAppendNs)
-	s := &l.shards[shardIndex()]
-	s.mu.Lock()
-	s.ops = append(s.ops, *o)
-	s.ops[len(s.ops)-1].Seq = l.next.Add(1) - 1
-	s.mu.Unlock()
-	n := l.length.Add(1)
 	size := int64(len(o.Data))
-	b := l.bytes.Add(size)
-	for {
-		p := l.peak.Load()
-		if n <= p || l.peak.CompareAndSwap(p, n) {
-			break
-		}
-	}
+	l.mu.Lock()
+	l.ops = append(l.ops, *o)
+	l.ops[len(l.ops)-1].Seq = l.next
+	l.next++
+	n := len(l.ops)
+	l.peak = max(l.peak, n)
+	l.bytes += size
+	b := l.bytes
+	l.mu.Unlock()
 	l.telAppends.Inc()
-	l.telLen.Set(n)
+	l.telLen.Set(int64(n))
 	tm.Stop()
 	return n%MaxOps == 0 || (b-size)/MaxBytes != b/MaxBytes
 }
 
-// lockAll acquires every shard lock in index order; unlockAll releases them.
-func (l *Log) lockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Lock()
-	}
-}
-
-func (l *Log) unlockAll() {
-	for i := range l.shards {
-		l.shards[i].mu.Unlock()
-	}
-}
-
 // Watermark returns a sequence-number upper bound W such that every op with
 // Seq < W has been fully appended — and, because the supervisor appends
-// after executing, fully executed on the base. It holds all shard locks for
-// the read, so no claimed-but-uninserted sequence can hide below W; any op
-// appended after Watermark returns necessarily claims Seq >= W. The sync
-// leader reads the watermark before issuing the base sync and truncates with
-// StableAt afterwards: exactly the ops known executed before the sync's
-// snapshot are discarded.
+// after executing, fully executed on the base. A sequence number is claimed
+// and its op stored under one lock, so no claimed-but-uninserted sequence
+// can hide below W; any op appended after Watermark returns necessarily
+// claims Seq >= W. The sync leader reads the watermark before issuing the
+// base sync and truncates with StableAt afterwards: exactly the ops known
+// executed before the sync's snapshot are discarded.
 func (l *Log) Watermark() uint64 {
-	l.lockAll()
-	w := l.next.Load()
-	l.unlockAll()
-	return w
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.next
+}
+
+// at returns the index of the first recorded op with Seq >= seq. Called
+// with l.mu held.
+func (l *Log) at(seq uint64) int {
+	return sort.Search(len(l.ops), func(i int) bool { return l.ops[i].Seq >= seq })
 }
 
 // StableAt marks a durable point covering every op with Seq < watermark:
@@ -419,37 +379,24 @@ func (l *Log) Watermark() uint64 {
 // because replaying a durable write is idempotent and the shadow never
 // re-executes syncs.
 func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) {
-	l.stableMu.Lock()
-	defer l.stableMu.Unlock()
-	var removed, freed int64
-	for i := range l.shards {
-		s := &l.shards[i]
-		s.mu.Lock()
-		kept := s.ops[:0]
-		for j := range s.ops {
-			if o := &s.ops[j]; o.Seq < watermark {
-				removed++
-				freed += int64(len(o.Data))
-			} else {
-				kept = append(kept, *o)
-			}
-		}
-		clear(s.ops[len(kept):]) // release the discarded payloads
-		s.ops = kept
-		s.mu.Unlock()
+	l.mu.Lock()
+	cut := l.at(watermark)
+	for i := range l.ops[:cut] {
+		l.bytes -= int64(len(l.ops[i].Data))
 	}
-	l.baseFDs = make(map[fsapi.FD]uint32, len(fds))
+	kept := copy(l.ops, l.ops[cut:])
+	clear(l.ops[kept:]) // release the discarded payloads
+	l.ops = l.ops[:kept]
+	// Snapshots copy baseFDs, so the log's own map is reused.
+	clear(l.baseFDs)
 	for fd, ino := range fds {
 		l.baseFDs[fd] = ino
 	}
 	l.startClock = clock
-	if watermark > l.stableSeq {
-		l.stableSeq = watermark
-	}
-	n := l.length.Add(-removed)
-	l.bytes.Add(-freed)
+	l.stableSeq = max(l.stableSeq, watermark)
+	l.mu.Unlock()
 	l.telTruncation.Inc()
-	l.telLen.Set(n)
+	l.telLen.Set(int64(kept))
 }
 
 // StableSeq returns the watermark of the most recent truncation: the first
@@ -457,8 +404,8 @@ func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) 
 // generation it keys the recovery engine's warm replayer — if it moved, the
 // on-disk stable point the replayer was reconstructing from is gone.
 func (l *Log) StableSeq() uint64 {
-	l.stableMu.Lock()
-	defer l.stableMu.Unlock()
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	return l.stableSeq
 }
 
@@ -473,8 +420,8 @@ func (l *Log) Stable(fds map[fsapi.FD]uint32, clock uint64) {
 }
 
 // Snapshot returns the recovery input: the ops since the stable point (deep
-// copies, merged across shards in sequence order), the descriptor table at
-// the stable point, and the clock then.
+// copies, in sequence order), the descriptor table at the stable point, and
+// the clock then.
 func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 	return l.SnapshotSince(0)
 }
@@ -484,31 +431,18 @@ func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 // calls this with its next-unconsumed sequence so a repeated fault copies
 // only the new suffix, not the whole gap.
 //
-// Ops below seq are filtered under the shard locks by reference; the deep
-// copies happen after the shard locks are released (safe because recorded
-// ops are immutable after Append — the log owns its copies and their
-// payloads, and a concurrent Append writes only past a segment's length —
-// and stableMu, held throughout, excludes the truncation that compacts
-// segments in place).
+// The range is deep-copied under the lock. That holds appenders off for the
+// copy, which costs nothing in practice: the supervisor snapshots only with
+// the recovery gate closed (planRecovery, finishCrashRestart, naiveReplay),
+// when no operation can append, and DumpLog is a tool's entry point.
 func (l *Log) SnapshotSince(seq uint64) (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
-	l.stableMu.Lock()
-	defer l.stableMu.Unlock()
-	var refs []*Op
-	l.lockAll()
-	for i := range l.shards {
-		s := &l.shards[i]
-		for j := range s.ops {
-			if o := &s.ops[j]; o.Seq >= seq {
-				refs = append(refs, o)
-			}
-		}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tail := l.ops[l.at(seq):]
+	ops = make([]*Op, len(tail))
+	for i := range tail {
+		ops[i] = tail[i].Clone()
 	}
-	l.unlockAll()
-	ops = make([]*Op, len(refs))
-	for i, o := range refs {
-		ops[i] = o.Clone()
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
 	fds = make(map[fsapi.FD]uint32, len(l.baseFDs))
 	for fd, ino := range l.baseFDs {
 		fds[fd] = ino
@@ -517,12 +451,24 @@ func (l *Log) SnapshotSince(seq uint64) (ops []*Op, fds map[fsapi.FD]uint32, clo
 }
 
 // Len returns the number of recorded operations since the stable point.
-func (l *Log) Len() int { return int(l.length.Load()) }
+func (l *Log) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.ops)
+}
 
 // PeakLen returns the largest log length observed, an experiment metric for
 // recovery-cost studies.
-func (l *Log) PeakLen() int { return int(l.peak.Load()) }
+func (l *Log) PeakLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.peak
+}
 
 // Bytes returns the write payload held by the recorded ops, the quantity
 // MaxBytes bounds.
-func (l *Log) Bytes() int { return int(l.bytes.Load()) }
+func (l *Log) Bytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return int(l.bytes)
+}

@@ -237,6 +237,29 @@ func TestAppendAdoptsPayload(t *testing.T) {
 	}
 }
 
+// TestAppendSteadyStateAllocs pins that the log holds ops by value and
+// compacts in place: once a warm-up fill has grown the backing array, a
+// cycle of appends and a truncation allocates nothing.
+func TestAppendSteadyStateAllocs(t *testing.T) {
+	const cycle = 256
+	l := NewLog()
+	op := &Op{Kind: KWrite, FD: 3, Data: make([]byte, 64)}
+	fds := map[fsapi.FD]uint32{3: 7}
+	run := func() {
+		for i := 0; i < cycle; i++ {
+			l.Append(op)
+		}
+		l.StableAt(l.Watermark(), fds, 1)
+	}
+	run() // warm-up fill
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("%d appends plus StableAt allocate %.1f times, want 0", cycle, allocs)
+	}
+	if l.Len() != 0 || l.Bytes() != 0 {
+		t.Errorf("after StableAt: Len %d, Bytes %d, want 0, 0", l.Len(), l.Bytes())
+	}
+}
+
 func TestErrnoRoundTripProperty(t *testing.T) {
 	f := func(n uint8) bool {
 		err := fserr.FromErrno(int(n))
