@@ -4,12 +4,14 @@
 //
 // Architecturally it is the left side of the paper's Figure 2: a VFS-style
 // operation layer over a dentry cache, an inode cache, a write-back buffer
-// cache, a write-ahead journal for metadata, and an asynchronous multi-queue
-// block layer. Runtime checks are minimal by default ("due to performance
-// concerns, runtime checks are commonly disabled in the base", §2.3); the
-// few cheap ones that exist (inode checksums on decode, block-pointer bounds
-// before IO, and pre-persist sync validation) are the error detectors that
-// hand control to the RAE supervisor.
+// cache and a write-ahead journal for metadata. IO is asynchronous in the
+// write-back sense: dirty buffers wait for a sync round. Every device call,
+// a round's writes and a cache miss alike, runs on the caller's goroutine.
+// Runtime checks are minimal by default ("due to performance concerns,
+// runtime checks are commonly disabled in the base", §2.3); the few cheap
+// ones that exist (inode checksums on decode, block-pointer bounds before
+// IO, and pre-persist sync validation) are the error detectors that hand
+// control to the RAE supervisor.
 //
 // The package also implements the base-side half of the RAE contract:
 //   - fault-injection seams on every operation path (see Seams),
@@ -38,10 +40,6 @@ import (
 type Options struct {
 	// CacheBlocks bounds clean buffers in the buffer cache (default 1024).
 	CacheBlocks int
-	// QueueWorkers is the async block layer's worker count (default 4).
-	QueueWorkers int
-	// QueueDepth is the submission queue depth (default 64).
-	QueueDepth int
 	// LegacyLayout forces new regular files onto the per-block direct/indirect
 	// pointer tree instead of extents. Existing extent files remain readable
 	// either way. Only tests set it: the twin-layout differential and the
@@ -71,9 +69,9 @@ type Options struct {
 	// covered is now recoverable from disk.
 	OnSyncDurable func()
 	// Telemetry, when set, instruments the mount: per-op latency histograms,
-	// cache hit/miss counters, queue IO counters, journal commit metrics,
-	// replayed-transaction counts, and WARN events all flow into this sink.
-	// Nil leaves the mount uninstrumented at zero cost.
+	// cache hit/miss counters, device IO ("blockdev.base.*"), journal commit
+	// metrics, replayed-transaction counts, and WARN events all flow into
+	// this sink. Nil leaves the mount uninstrumented at zero cost.
 	Telemetry *telemetry.Sink
 }
 
@@ -86,12 +84,6 @@ const (
 func (o *Options) fill() {
 	if o.CacheBlocks == 0 {
 		o.CacheBlocks = 1024
-	}
-	if o.QueueWorkers == 0 {
-		o.QueueWorkers = 4
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 64
 	}
 }
 
@@ -112,14 +104,13 @@ type fdEntry struct {
 type FS struct {
 	// mu is the namespace lock: exclusive for mutations, shared for lookups
 	// and data-path operations (which further serialize per inode).
-	mu    sync.RWMutex
-	dev   blockdev.Device
-	queue *blockdev.Queue
-	sb    *disklayout.Superblock
-	bc    *cache.BufferCache
-	ic    *cache.InodeCache
-	dc    *cache.DentryCache
-	jnl   *journal.Journal
+	mu  sync.RWMutex
+	dev blockdev.Device
+	sb  *disklayout.Superblock
+	bc  *cache.BufferCache
+	ic  *cache.InodeCache
+	dc  *cache.DentryCache
+	jnl *journal.Journal
 
 	// allocMu serializes bitmap scans so concurrent data-path allocations
 	// don't double-allocate. It also guards usedData.
@@ -231,6 +222,7 @@ var _ fsapi.FS = (*FS)(nil)
 // supervisor calls Kill on the faulty instance and Mount on a fresh one.
 func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 	opts.fill()
+	dev = blockdev.Instrument(dev, opts.Telemetry, "base")
 	sb, rst, err := mkfs.Recover(dev)
 	if err != nil {
 		return nil, fmt.Errorf("basefs: mount recovery: %w", err)
@@ -252,19 +244,13 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 	if err := dev.Flush(); err != nil {
 		return nil, fmt.Errorf("basefs: mount flush: %w", err)
 	}
-	q := blockdev.NewQueue(dev, opts.QueueWorkers, opts.QueueDepth)
-	bc := cache.NewBufferCache(q, opts.CacheBlocks)
-	// The journal drives its IO through the async queue: transaction blocks
-	// overlap across workers and its flushes are counted with the rest of
-	// the base's device flushes.
-	jnl, err := journal.New(q.Device(), sb)
+	bc := cache.NewBufferCache(dev, opts.CacheBlocks)
+	jnl, err := journal.New(dev, sb)
 	if err != nil {
-		q.Close()
 		return nil, fmt.Errorf("basefs: mount journal: %w", err)
 	}
 	fs := &FS{
 		dev:         dev,
-		queue:       q,
 		sb:          sb,
 		bc:          bc,
 		ic:          cache.NewInodeCache(inodeCacheSize),
@@ -280,7 +266,6 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 	}
 	fs.clock.Store(sb.LastClock)
 	if err := fs.seedAccounting(); err != nil {
-		q.Close()
 		return nil, fmt.Errorf("basefs: mount accounting: %w", err)
 	}
 	if tel := opts.Telemetry; tel != nil {
@@ -296,7 +281,6 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		for op, name := range opNames {
 			fs.opHist[op] = tel.Histogram("basefs.op." + name)
 		}
-		q.SetTelemetry(tel)
 		bc.SetTelemetry(tel)
 		fs.ic.SetTelemetry(tel)
 		fs.dc.SetTelemetry(tel)
@@ -320,8 +304,8 @@ func (fs *FS) JournalLiveTxs() int { return fs.jnl.LiveTxs() }
 
 // Unmount closes every remaining descriptor (releasing any open-unlinked
 // orphans, as a kernel does at shutdown), syncs and fully checkpoints the
-// journal, marks the filesystem clean, and stops the block queue. The
-// filesystem must not be used afterwards.
+// journal and marks the filesystem clean. The filesystem must not be used
+// afterwards.
 func (fs *FS) Unmount() error {
 	for fd := range fs.OpenFDs() {
 		if err := fs.Close(fd); err != nil {
@@ -348,7 +332,6 @@ func (fs *FS) Unmount() error {
 		return fmt.Errorf("basefs: unmount flush: %w", err)
 	}
 	fs.killed.Store(true)
-	fs.queue.Close()
 	return nil
 }
 
@@ -362,7 +345,6 @@ func (fs *FS) Kill() {
 		return
 	}
 	fs.bcPurge()
-	fs.queue.Close()
 }
 
 func (fs *FS) bcPurge() {

@@ -35,7 +35,7 @@ func TestEveryCrashPointDuringSyncIsRecoverable(t *testing.T) {
 	var snaps []*blockdev.Mem
 	capture := false
 	dev.SetWriteHook(func(uint32) {
-		// The hook fires on queue-worker goroutines concurrently.
+		// The hook fires on whichever goroutine issues the write.
 		snapMu.Lock()
 		if capture {
 			snaps = append(snaps, dev.Snapshot())

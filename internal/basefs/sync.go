@@ -31,7 +31,7 @@ func (fs *FS) Fsync(fd fsapi.FD) error {
 }
 
 // Sync implements fsapi.FS: ordered-mode write-back. Data blocks go straight
-// home through the async queue; metadata blocks are validated, journaled,
+// home in vectored runs; metadata blocks are validated, journaled,
 // and committed — but NOT checkpointed: committed transactions accumulate in
 // the journal and are written to their home locations only when the region
 // runs low or at unmount. After Sync returns nil the on-disk image (journal
@@ -260,39 +260,24 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 			return err
 		}
 	}
-	// Delalloc runs first so the large vectored writes overlap the cached
-	// data's write-back below, which goes home in contiguous runs too: the
-	// snapshot is sorted, so each run of adjacent blocks is one request.
-	var vecReqs []*blockdev.Request
-	for _, r := range runs {
-		vecReqs = append(vecReqs, fs.queue.WriteVecAsync(r.Blk, r.Bufs))
-	}
-	type dataRun struct {
-		snaps []cache.DirtySnap
-		req   *blockdev.Request
-	}
-	var dataRuns []dataRun
-	for i := 0; i < len(data); {
-		j := runEnd(i, len(data), func(k int) uint32 { return data[k].Blk })
-		bufs := make([][]byte, j-i)
-		for k := range bufs {
-			bufs[k] = data[i+k].Data
-		}
-		dataRuns = append(dataRuns, dataRun{data[i:j], fs.queue.WriteVecAsync(data[i].Blk, bufs)})
-		i = j
-	}
-	for _, r := range dataRuns {
-		if err := r.req.Wait(); err != nil {
-			return fmt.Errorf("basefs: sync data write-back: %w", err)
-		}
-		for _, s := range r.snaps {
-			fs.bc.MarkCleanVer(s.Buf, s.Ver)
-		}
-	}
-	for _, r := range vecReqs {
-		if err := r.Wait(); err != nil {
+	// Delalloc runs first, then the cached data, each as one vectored call:
+	// the snapshot is sorted, so each run of adjacent blocks is one run. A
+	// buffer is marked clean only once its write has succeeded; a failed
+	// round leaves every snapshotted block dirty for the next one.
+	if len(runs) > 0 {
+		if err := fs.dev.WriteVec(runs); err != nil {
 			return fmt.Errorf("basefs: sync delalloc write-back: %w", err)
 		}
+	}
+	dataRuns := runsOf(len(data), func(k int) uint32 { return data[k].Blk },
+		func(k int) []byte { return data[k].Data })
+	if len(dataRuns) > 0 {
+		if err := fs.dev.WriteVec(dataRuns); err != nil {
+			return fmt.Errorf("basefs: sync data write-back: %w", err)
+		}
+	}
+	for _, s := range data {
+		fs.bc.MarkCleanVer(s.Buf, s.Ver)
 	}
 	fs.retireDelalloc(rets)
 	// Data needs a flush barrier before the commit record, but when a commit
@@ -301,7 +286,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// the device, so the journal's first flush covers them. Only a data-only
 	// round pays its own flush.
 	if (len(data) > 0 || len(runs) > 0) && len(meta) == 0 {
-		if err := fs.queue.Flush(); err != nil {
+		if err := fs.dev.Flush(); err != nil {
 			return fmt.Errorf("basefs: sync data flush: %w", err)
 		}
 		flushes++
@@ -378,23 +363,13 @@ func (fs *FS) checkpoint() (int, error) {
 		blks = append(blks, blk)
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	// Home in runs of adjacent blocks, one request per run, as in Phase B.
-	var reqs []*blockdev.Request
-	for i := 0; i < len(blks); {
-		j := runEnd(i, len(blks), func(k int) uint32 { return blks[k] })
-		bufs := make([][]byte, j-i)
-		for k := range bufs {
-			bufs[k] = fs.unstable[blks[i+k]]
-		}
-		reqs = append(reqs, fs.queue.WriteVecAsync(blks[i], bufs))
-		i = j
+	// Home in runs of adjacent blocks, one vectored call, as in Phase B.
+	runs := runsOf(len(blks), func(k int) uint32 { return blks[k] },
+		func(k int) []byte { return fs.unstable[blks[k]] })
+	if err := fs.dev.WriteVec(runs); err != nil {
+		return 0, fmt.Errorf("basefs: checkpoint write-back: %w", err)
 	}
-	for _, r := range reqs {
-		if err := r.Wait(); err != nil {
-			return 0, fmt.Errorf("basefs: checkpoint run at block %d: %w", r.Blk, err)
-		}
-	}
-	if err := fs.queue.Flush(); err != nil {
+	if err := fs.dev.Flush(); err != nil {
 		return 1, fmt.Errorf("basefs: checkpoint flush: %w", err)
 	}
 	// Homes are durable; advance the journal superblock past the chain.
@@ -406,17 +381,26 @@ func (fs *FS) checkpoint() (int, error) {
 		fs.bc.MarkStable(blk)
 		delete(fs.unstable, blk)
 	}
-	return 2, nil // queue flush + journal superblock flush
+	return 2, nil // home flush + journal superblock flush
 }
 
-// runEnd returns the end of the run of adjacent blocks that starts at i in
-// a sorted list of n blocks, blk(k) being the k-th block number.
-func runEnd(i, n int, blk func(int) uint32) int {
-	j := i + 1
-	for j < n && blk(j) == blk(j-1)+1 {
-		j++
+// runsOf groups n blocks, sorted by number, into runs of adjacent blocks;
+// blk(k) and buf(k) are the k-th block's number and content.
+func runsOf(n int, blk func(int) uint32, buf func(int) []byte) []blockdev.Run {
+	var runs []blockdev.Run
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && blk(j) == blk(j-1)+1 {
+			j++
+		}
+		bufs := make([][]byte, j-i)
+		for k := range bufs {
+			bufs[k] = buf(i + k)
+		}
+		runs = append(runs, blockdev.Run{Blk: blk(i), Bufs: bufs})
+		i = j
 	}
-	return j
+	return runs
 }
 
 // Checkpoint forces a full checkpoint through the sync-round machinery:

@@ -39,10 +39,7 @@ func TestCheckpointWritesRuns(t *testing.T) {
 		blks = append(blks, blk)
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	runs := 0
-	for i := 0; i < len(blks); i = runEnd(i, len(blks), func(k int) uint32 { return blks[k] }) {
-		runs++
-	}
+	runs := len(runsOf(len(blks), func(k int) uint32 { return blks[k] }, func(int) []byte { return nil }))
 	if runs == len(blks) {
 		t.Fatalf("unstable blocks %v hold no multi-block run", blks)
 	}

@@ -1,13 +1,13 @@
 // Package blockdev provides the block-device substrate under both
 // filesystems.
 //
-// The paper's architecture (Figure 2) gives the base filesystem an
-// asynchronous, queued block layer while the shadow performs simple
-// synchronous reads through a direct path that bypasses the base's IO
-// machinery (§4.1 suggests a user-space NVMe driver; here the direct path is
-// the analogous bypass). The package also hosts the hardware-fault injection
-// hooks used to exercise the shadow's runtime checks: transient read
-// corruption, torn writes, and IO errors.
+// Both filesystems call a Device on their own goroutine. The base batches
+// its writes into vectored runs at sync time; the shadow reads through its
+// own handle, which bypasses the base's caches (§4.1 suggests a user-space
+// NVMe driver; here the separate handle is the analogous bypass). The
+// package also hosts the hardware-fault injection hooks used to exercise
+// the shadow's runtime checks: transient read corruption, torn writes, and
+// IO errors.
 package blockdev
 
 import (
@@ -111,9 +111,8 @@ type FaultPlan struct {
 	// for deterministic bad-sector tests (e.g. a single unreadable bitmap
 	// block) where probabilistic injection would make findings flaky.
 	ReadErrBlocks map[uint32]bool
-	// ReadLatency and WriteLatency add a fixed service time per IO,
-	// simulating a real device. The base's multi-queue layer overlaps these
-	// across workers; the shadow's synchronous path pays them serially.
+	// ReadLatency and WriteLatency add a fixed service time per run (a
+	// one-block transfer is a run of one), simulating a real device.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
 }

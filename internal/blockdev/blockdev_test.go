@@ -298,85 +298,6 @@ func TestFileDeviceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestQueueReadWrite(t *testing.T) {
-	d := NewMem(32)
-	q := NewQueue(d, 4, 16)
-	defer q.Close()
-	want := block(0x77)
-	if err := q.WriteVecAsync(9, [][]byte{want}).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := q.Read(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("queue round trip mismatch")
-	}
-}
-
-func TestQueueAsyncWritesAndFlush(t *testing.T) {
-	d := NewMem(128)
-	q := NewQueue(d, 4, 32)
-	defer q.Close()
-	var reqs []*Request
-	for i := uint32(0); i < 100; i++ {
-		reqs = append(reqs, q.WriteVecAsync(i, [][]byte{block(byte(i))}))
-	}
-	if err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range reqs {
-		if err := r.Wait(); err != nil {
-			t.Fatalf("async write %d: %v", i, err)
-		}
-	}
-	for i := uint32(0); i < 100; i++ {
-		got, err := d.ReadBlock(i)
-		if err != nil || got[0] != byte(i) {
-			t.Fatalf("block %d after flush: %v", i, err)
-		}
-	}
-	if d.Stats().Snapshot().Flushes != 1 {
-		t.Error("flush did not reach the device")
-	}
-}
-
-func TestQueueClosedRejects(t *testing.T) {
-	d := NewMem(8)
-	q := NewQueue(d, 2, 8)
-	q.Close()
-	q.Close() // double close is safe
-	if err := q.WriteVecAsync(0, [][]byte{block(1)}).Wait(); !errors.Is(err, fserr.ErrIO) {
-		t.Errorf("write on closed queue: %v, want ErrIO", err)
-	}
-}
-
-func TestQueueConcurrentClients(t *testing.T) {
-	d := NewMem(256)
-	q := NewQueue(d, 8, 64)
-	defer q.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				blk := uint32(g*32 + i%32)
-				if err := q.WriteVecAsync(blk, [][]byte{block(byte(g))}).Wait(); err != nil {
-					t.Errorf("write: %v", err)
-					return
-				}
-				if _, err := q.Read(blk); err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
 func TestDeterministicFaultStream(t *testing.T) {
 	// Two fault plans with the same seed must corrupt identically.
 	run := func() []byte {
@@ -406,45 +327,4 @@ func TestMemPropertyWriteThenRead(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-// TestQueueConcurrentFlushHammer is the regression test for the WaitGroup
-// reuse race in Flush: the old barrier Add-ed to a single shared WaitGroup
-// while another goroutine's Flush was inside Wait, which the race detector
-// flags and which could return a Flush before its epoch's writes landed.
-// The epoch barrier must let many goroutines submit and flush concurrently,
-// with every Flush covering all writes submitted before it. Run with -race.
-func TestQueueConcurrentFlushHammer(t *testing.T) {
-	d := NewMem(4096)
-	q := NewQueue(d, 8, 64)
-	defer q.Close()
-	const workers = 8
-	const rounds = 60
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := uint32(g * 512)
-			for i := 0; i < rounds; i++ {
-				blk := base + uint32(i%256)
-				r := q.WriteVecAsync(blk, [][]byte{block(byte(i))})
-				if err := q.Flush(); err != nil {
-					t.Errorf("flush: %v", err)
-					return
-				}
-				// A flush issued after the submit must imply completion.
-				if err := r.Wait(); err != nil {
-					t.Errorf("write after flush: %v", err)
-					return
-				}
-				got, err := d.ReadBlock(blk)
-				if err != nil || got[0] != byte(i) {
-					t.Errorf("block %d not durable after flush: %v", blk, err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

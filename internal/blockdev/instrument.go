@@ -3,10 +3,9 @@ package blockdev
 import "repro/internal/telemetry"
 
 // Instrumented wraps a Device and counts/times every transfer under a named
-// IO path. The supervisor wraps the shadow's device handle with path
-// "shadow" so snapshots show the base's async queued traffic
-// ("blockdev.queued.*") and the shadow's synchronous direct traffic
-// ("blockdev.shadow.*") as the distinct IO machineries of Figure 2.
+// IO path. The base wraps its device with path "base" and the supervisor
+// wraps the shadow's handle with path "shadow", so snapshots show the two
+// filesystems' traffic ("blockdev.base.*", "blockdev.shadow.*") apart.
 type Instrumented struct {
 	dev                    Device
 	reads, writes, flushes *telemetry.Counter

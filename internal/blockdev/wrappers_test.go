@@ -61,11 +61,6 @@ var wrapperCases = []wrapperCase{
 	{name: "Instrumented", faults: true, build: overMem(func(t *testing.T, m *Mem) Device {
 		return Instrument(m, telemetry.New(), "test")
 	})},
-	{name: "QueueDevice", faults: true, build: overMem(func(t *testing.T, m *Mem) Device {
-		q := NewQueue(m, 2, 8)
-		t.Cleanup(q.Close)
-		return q.Device()
-	})},
 }
 
 // testRun is the 16-block run [8, 24) with one distinct fill per block.

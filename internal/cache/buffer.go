@@ -81,7 +81,7 @@ type bufShard struct {
 // are never evicted; they leave those states only through the sync path
 // (journal commit + checkpoint) or Drop.
 type BufferCache struct {
-	queue  *blockdev.Queue
+	dev    blockdev.Device
 	shards []bufShard
 	mask   uint32 // len(shards)-1; shard count is a power of two
 
@@ -104,16 +104,16 @@ func shardCount(maxClean int) int {
 	return s
 }
 
-// NewBufferCache creates a cache over the async block queue holding at most
-// maxClean clean buffers in total (dirty buffers are unbounded; sync policy
-// bounds them in practice).
-func NewBufferCache(queue *blockdev.Queue, maxClean int) *BufferCache {
+// NewBufferCache creates a cache over dev holding at most maxClean clean
+// buffers in total (dirty buffers are unbounded; sync policy bounds them in
+// practice).
+func NewBufferCache(dev blockdev.Device, maxClean int) *BufferCache {
 	if maxClean < 8 {
 		maxClean = 8
 	}
 	n := shardCount(maxClean)
 	c := &BufferCache{
-		queue:  queue,
+		dev:    dev,
 		shards: make([]bufShard, n),
 		mask:   uint32(n - 1),
 	}
@@ -210,8 +210,8 @@ func (c *BufferCache) SetTelemetry(s *telemetry.Sink) {
 	c.telLockWait = s.Histogram("cache.shard.lock_wait")
 }
 
-// Get returns the cached buffer for blk, reading through the async queue on
-// a miss. The buffer is returned pinned; the caller must Release it.
+// Get returns the cached buffer for blk, reading it from the device on a
+// miss. The buffer is returned pinned; the caller must Release it.
 func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 	s := c.shardFor(blk)
 	c.lock(s)
@@ -230,7 +230,7 @@ func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 	s.mu.Unlock()
 
 	// Read outside the lock so concurrent misses overlap their IO.
-	data, err := c.queue.Read(blk)
+	data, err := c.dev.ReadBlock(blk)
 	if err != nil {
 		return nil, err
 	}

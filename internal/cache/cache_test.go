@@ -9,12 +9,10 @@ import (
 	"repro/internal/disklayout"
 )
 
-func newBC(t *testing.T, blocks uint32, maxClean int) (*BufferCache, *blockdev.Mem, *blockdev.Queue) {
+func newBC(t *testing.T, blocks uint32, maxClean int) (*BufferCache, *blockdev.Mem) {
 	t.Helper()
 	dev := blockdev.NewMem(blocks)
-	q := blockdev.NewQueue(dev, 2, 16)
-	t.Cleanup(q.Close)
-	return NewBufferCache(q, maxClean), dev, q
+	return NewBufferCache(dev, maxClean), dev
 }
 
 func fill(dev *blockdev.Mem, blk uint32, b byte) {
@@ -26,7 +24,7 @@ func fill(dev *blockdev.Mem, blk uint32, b byte) {
 }
 
 func TestBufferCacheReadThrough(t *testing.T) {
-	c, dev, _ := newBC(t, 16, 8)
+	c, dev := newBC(t, 16, 8)
 	fill(dev, 3, 0x33)
 	b, err := c.Get(3)
 	if err != nil {
@@ -46,7 +44,7 @@ func TestBufferCacheReadThrough(t *testing.T) {
 }
 
 func TestBufferCacheEvictsCleanLRU(t *testing.T) {
-	c, _, _ := newBC(t, 64, 8)
+	c, _ := newBC(t, 64, 8)
 	for i := uint32(0); i < 20; i++ {
 		b, err := c.Get(i)
 		if err != nil {
@@ -60,7 +58,7 @@ func TestBufferCacheEvictsCleanLRU(t *testing.T) {
 }
 
 func TestBufferCacheDirtyNeverEvicted(t *testing.T) {
-	c, _, _ := newBC(t, 64, 8)
+	c, _ := newBC(t, 64, 8)
 	b, _ := c.Get(0)
 	b.Data[0] = 0xEE
 	c.MarkDirty(b)
@@ -80,7 +78,7 @@ func TestBufferCacheDirtyNeverEvicted(t *testing.T) {
 }
 
 func TestBufferCachePinnedNotEvicted(t *testing.T) {
-	c, dev, _ := newBC(t, 64, 8)
+	c, dev := newBC(t, 64, 8)
 	fill(dev, 5, 0x55)
 	pinned, _ := c.Get(5)
 	for i := uint32(10); i < 40; i++ {
@@ -97,7 +95,7 @@ func TestBufferCachePinnedNotEvicted(t *testing.T) {
 }
 
 func TestBufferCacheMarkCleanReturnsToLRU(t *testing.T) {
-	c, _, _ := newBC(t, 64, 8)
+	c, _ := newBC(t, 64, 8)
 	b, _ := c.Get(0)
 	c.MarkDirty(b)
 	c.Release(b)
@@ -112,7 +110,7 @@ func TestBufferCacheMarkCleanReturnsToLRU(t *testing.T) {
 }
 
 func TestBufferCacheInstall(t *testing.T) {
-	c, dev, _ := newBC(t, 16, 8)
+	c, dev := newBC(t, 16, 8)
 	fill(dev, 2, 0x22)
 	data := make([]byte, disklayout.BlockSize)
 	data[0] = 0x99
@@ -137,7 +135,7 @@ func TestBufferCacheInstall(t *testing.T) {
 // re-copy the block image, which would reintroduce the double deep-copy on
 // the absorb path.
 func TestBufferCacheInstallAllocs(t *testing.T) {
-	c, _, _ := newBC(t, 16, 8)
+	c, _ := newBC(t, 16, 8)
 	data := make([]byte, disklayout.BlockSize)
 	c.Install(3, data, true)
 	n := testing.AllocsPerRun(100, func() {
@@ -149,7 +147,7 @@ func TestBufferCacheInstallAllocs(t *testing.T) {
 }
 
 func TestBufferCacheGetZero(t *testing.T) {
-	c, dev, _ := newBC(t, 16, 8)
+	c, dev := newBC(t, 16, 8)
 	fill(dev, 7, 0x77)
 	b := c.GetZero(7)
 	defer c.Release(b)
@@ -162,7 +160,7 @@ func TestBufferCacheGetZero(t *testing.T) {
 }
 
 func TestBufferCacheDrop(t *testing.T) {
-	c, _, _ := newBC(t, 16, 8)
+	c, _ := newBC(t, 16, 8)
 	b, _ := c.Get(1)
 	c.MarkDirty(b)
 	c.Release(b)
@@ -173,7 +171,7 @@ func TestBufferCacheDrop(t *testing.T) {
 }
 
 func TestBufferCacheReleaseUnpinnedPanics(t *testing.T) {
-	c, _, _ := newBC(t, 16, 8)
+	c, _ := newBC(t, 16, 8)
 	b, _ := c.Get(0)
 	c.Release(b)
 	defer func() {
@@ -185,7 +183,7 @@ func TestBufferCacheReleaseUnpinnedPanics(t *testing.T) {
 }
 
 func TestBufferCacheConcurrentGets(t *testing.T) {
-	c, dev, _ := newBC(t, 128, 32)
+	c, dev := newBC(t, 128, 32)
 	for i := uint32(0); i < 128; i++ {
 		fill(dev, i, byte(i))
 	}
@@ -323,7 +321,7 @@ func TestInodeCacheDropAndPurge(t *testing.T) {
 // could delete the successor from the cache map — silently losing a dirty
 // buffer and its data.
 func TestDropWhilePinnedDoesNotResurrect(t *testing.T) {
-	c, _, _ := newBC(t, 256, 4)
+	c, _ := newBC(t, 256, 4)
 	old, err := c.Get(5)
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +367,7 @@ func TestDropWhilePinnedDoesNotResurrect(t *testing.T) {
 // must stay out of the clean LRU — evicting it would let a later Get reread
 // the stale home-location copy from disk.
 func TestUnstableBufferNeverEvicted(t *testing.T) {
-	c, dev, _ := newBC(t, 256, 4)
+	c, dev := newBC(t, 256, 4)
 	fill(dev, 7, 0x00) // stale home copy
 	b, err := c.Get(7)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 func TestDirtyIndexesMatchScan(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		rng := rand.New(rand.NewSource(seed))
-		c, _, _ := newBC(t, 64, 32)
+		c, _ := newBC(t, 64, 32)
 		ic := NewInodeCache(16)
 		const blocks, inodes = 48, 40
 

@@ -15,9 +15,7 @@ import (
 func newShardedBC(t *testing.T, blocks uint32) (*BufferCache, *blockdev.Mem) {
 	t.Helper()
 	dev := blockdev.NewMem(blocks)
-	q := blockdev.NewQueue(dev, 2, 16)
-	t.Cleanup(q.Close)
-	return NewBufferCache(q, 256), dev
+	return NewBufferCache(dev, 256), dev
 }
 
 // TestBufShardSize pins the shard's footprint: the pad keeps each shard at
@@ -32,7 +30,7 @@ func TestBufShardSize(t *testing.T) {
 func TestShardCountBounds(t *testing.T) {
 	// Tiny caches must keep exactly one shard so the eviction bound behaves
 	// like the unsharded cache (the rest of cache_test.go relies on this).
-	c, _, _ := newBC(t, 16, 8)
+	c, _ := newBC(t, 16, 8)
 	if c.NumShards() != 1 {
 		t.Fatalf("maxClean=8 got %d shards, want 1", c.NumShards())
 	}

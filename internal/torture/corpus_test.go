@@ -148,7 +148,7 @@ func TestCorpusStaleContentDetection(t *testing.T) {
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: devInodes, JournalBlocks: devJournal}); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := basefs.Mount(dev, basefs.Options{QueueWorkers: 1, QueueDepth: 1})
+	fs, err := basefs.Mount(dev, basefs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCorpusBitmapReadFaultContained(t *testing.T) {
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: devInodes, JournalBlocks: devJournal}); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := basefs.Mount(dev, basefs.Options{QueueWorkers: 1, QueueDepth: 1})
+	fs, err := basefs.Mount(dev, basefs.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 )
 
 // writeRec is one recorded block write during the crash window: the block
-// number, the post-write content read back synchronously (the base runs a
-// single queue worker during enumeration, so read-back is exact), and the
+// number, the post-write content read back synchronously (the base issues
+// its writes on the syncing goroutine, so read-back is exact), and the
 // device call that carried it. Every block of a multi-block run is its own
 // record, so the enumeration cuts between the blocks of one call.
 type writeRec struct {
@@ -115,7 +115,7 @@ func runCrashEnum(id caseID, pl *plan, sb *disklayout.Superblock) (unitResult, e
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: devInodes, JournalBlocks: devJournal}); err != nil {
 		return res, fmt.Errorf("format: %w", err)
 	}
-	fs, err := basefs.Mount(dev, basefs.Options{QueueWorkers: 1, QueueDepth: 1})
+	fs, err := basefs.Mount(dev, basefs.Options{})
 	if err != nil {
 		return res, fmt.Errorf("mount: %w", err)
 	}
@@ -322,7 +322,7 @@ func checkImage(img *blockdev.Mem, bounds []durBoundary, k int) (kind, locus, de
 		p := firstCorrupt(rep)
 		return "fsck", p.Where, p.String()
 	}
-	cfs, err := basefs.Mount(img, basefs.Options{QueueWorkers: 1, QueueDepth: 1})
+	cfs, err := basefs.Mount(img, basefs.Options{})
 	if err != nil {
 		return "mount-error", "mount", err.Error()
 	}

@@ -207,7 +207,7 @@ func TestCrashPointsInsideForcedRound(t *testing.T) {
 			t.Errorf("%s point %d: fsck: %s", what, k, firstCorrupt(rep))
 			return ""
 		}
-		cfs, err := basefs.Mount(img, basefs.Options{QueueWorkers: 1, QueueDepth: 1})
+		cfs, err := basefs.Mount(img, basefs.Options{})
 		if err != nil {
 			t.Errorf("%s point %d: mount: %v", what, k, err)
 			return ""

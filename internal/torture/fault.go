@@ -70,12 +70,13 @@ func seamForWindow(window []*oplog.Op) string {
 }
 
 // faultCaseConfig is the supervisor every fault case mounts: the production
-// recovery engine on one worker and single-worker queues, so that only one
-// goroutine at a time touches the device and a seeded fault plan meets the
-// same device calls on every run.
+// recovery engine on one worker over the base as it ships, which issues its
+// IO on the caller's goroutine, so that only one goroutine at a time touches
+// the device and a seeded fault plan meets the same device calls on every
+// run.
 func faultCaseConfig(reg *faultinject.Registry) core.Config {
 	return core.Config{
-		Base:            basefs.Options{QueueWorkers: 1, QueueDepth: 1, Injector: reg},
+		Base:            basefs.Options{Injector: reg},
 		RecoveryWorkers: 1,
 		NoTelemetry:     true,
 	}

@@ -27,11 +27,11 @@
 // removal and payload truncation, and emitted as replayable cases.
 //
 // The campaign is deterministic from one seed: workload seeds and fault-plan
-// seeds derive via SplitMix64, the base filesystem runs with a single queue
-// worker so write order is fixed, and recovery runs sequentially — so the
-// case count, every case's content, and every failure are reproducible,
-// which is what lets CI assert an exact case count and lets a shrunk
-// reproducer stay a faithful regression test.
+// seeds derive via SplitMix64, the base filesystem issues its IO on the
+// caller's goroutine so write order is fixed, and recovery runs sequentially
+// — so the case count, every case's content, and every failure are
+// reproducible, which is what lets CI assert an exact case count and lets a
+// shrunk reproducer stay a faithful regression test.
 package torture
 
 import (

@@ -155,7 +155,7 @@ func TestConcurrentLifecycleHammer(t *testing.T) {
 	}
 
 	// Goroutine-leak check: everything the manager and its volumes spawned
-	// (scrub loops, queue workers, watchdogs) must exit after Shutdown.
+	// (scrub loops, watchdogs) must exit after Shutdown.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
