@@ -110,9 +110,6 @@ func main() {
 		}
 		fmt.Printf("  %-12s n=%-3d mean=%-12v max=%v\n", stage, h.Count, h.Mean, h.Max)
 	}
-	if reused := snap.Counters["recovery.replay.reused_ops"]; reused > 0 {
-		fmt.Printf("warm replayer reuse: %d already-replayed ops skipped across repeat faults\n", reused)
-	}
 	if evs := sink.Events(); len(evs) > 0 {
 		fmt.Println("\nevent journal (last 10):")
 		if len(evs) > 10 {

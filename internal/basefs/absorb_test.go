@@ -28,7 +28,11 @@ func buildStream(t *testing.T, dev *blockdev.Mem) (*handoff.Chunk, *handoff.Mani
 	if _, err := sh.WriteAt(fd, 0, []byte("from the shadow")); err != nil {
 		t.Fatal(err)
 	}
-	c, m, _, err := shadowfs.NewReplayer(sh, shadowfs.ReplayerKey{}, false).Finish(nil)
+	r, err := shadowfs.NewReplayer(sh, nil, sh.Clock(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, m, _, err := r.Finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

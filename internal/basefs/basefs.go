@@ -146,10 +146,6 @@ type FS struct {
 	fds   map[fsapi.FD]*fdEntry
 	clock atomic.Uint64
 
-	// mountReplay records the journal replay the mount performed; set once
-	// in Mount and read-only afterwards.
-	mountReplay journal.ReplayStats
-
 	// absorbSums records the checksum of every streaming-handoff chunk
 	// absorbed so far, in arrival order, so AbsorbManifest can verify the
 	// chain. absorbNext is the expected index of the next chunk. Guarded
@@ -250,19 +246,18 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		return nil, fmt.Errorf("basefs: mount journal: %w", err)
 	}
 	fs := &FS{
-		dev:         dev,
-		sb:          sb,
-		bc:          bc,
-		ic:          cache.NewInodeCache(inodeCacheSize),
-		dc:          cache.NewDentryCache(dentryCacheSize),
-		jnl:         jnl,
-		unstable:    make(map[uint32][]byte),
-		fds:         make(map[fsapi.FD]*fdEntry),
-		delalloc:    make(map[uint32]*delFile),
-		pending:     make(map[uint32]*delFile),
-		dataBlocks:  int64(sb.DataBlocks()),
-		mountReplay: rst,
-		opts:        opts,
+		dev:        dev,
+		sb:         sb,
+		bc:         bc,
+		ic:         cache.NewInodeCache(inodeCacheSize),
+		dc:         cache.NewDentryCache(dentryCacheSize),
+		jnl:        jnl,
+		unstable:   make(map[uint32][]byte),
+		fds:        make(map[fsapi.FD]*fdEntry),
+		delalloc:   make(map[uint32]*delFile),
+		pending:    make(map[uint32]*delFile),
+		dataBlocks: int64(sb.DataBlocks()),
+		opts:       opts,
 	}
 	fs.clock.Store(sb.LastClock)
 	if err := fs.seedAccounting(); err != nil {
@@ -292,11 +287,6 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 
 // Superblock returns the mounted superblock (read-only use).
 func (fs *FS) Superblock() *disklayout.Superblock { return fs.sb }
-
-// MountReplay reports the journal replay this mount performed. The
-// supervisor's warm recovery path uses it to verify its planning assumption
-// that the contained reboot found an empty journal.
-func (fs *FS) MountReplay() journal.ReplayStats { return fs.mountReplay }
 
 // JournalLiveTxs reports how many committed transactions are waiting in the
 // journal for a checkpoint — the depth of the lazy-checkpoint backlog.

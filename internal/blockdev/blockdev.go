@@ -764,8 +764,7 @@ func (p *Prefetched) Cached() int {
 }
 
 // Release stops the worker crew, waits it out, and drops the cache. Later
-// reads pass straight through to the underlying view, so a long-lived
-// holder (a retained warm shadow) keeps working without pinning the image.
+// reads pass straight through to the underlying view.
 func (p *Prefetched) Release() {
 	if p == nil {
 		return

@@ -49,7 +49,6 @@ import (
 	"repro/internal/fserr"
 	"repro/internal/oplog"
 	"repro/internal/scrub"
-	"repro/internal/shadowfs"
 	"repro/internal/telemetry"
 )
 
@@ -170,8 +169,10 @@ func (c *Config) fill() {
 //	workers >1: Wall = Plan + Reboot + Absorb + InstallWait + Resume
 //	            Plan + max(Reboot, ShadowStage) + Resume <= Wall
 //
-// up to bookkeeping between the clocks (microseconds). With workers > 1 Fsck
-// overlaps ShadowMount + Replay, so ShadowStage is less than the three's sum.
+// exactly: each phase boundary is one clock reading that ends one phase and
+// starts the next, so bookkeeping between two phases counts in the one that
+// follows. With workers > 1 Fsck overlaps ShadowMount + Replay, so
+// ShadowStage is less than the three's sum.
 type RecoveryPhases struct {
 	Plan        time.Duration // fence, kill, freeze the recovery input and the shadow's view
 	Reboot      time.Duration // journal replay + fresh mount
@@ -179,9 +180,9 @@ type RecoveryPhases struct {
 	ShadowMount time.Duration // shadowfs.New + descriptor-table seed over the frozen view
 	Replay      time.Duration // shadow constrained + autonomous execution
 	ShadowStage time.Duration // wall clock of fsck, shadow mount and replay together
-	Absorb      time.Duration // metadata download: time inside AbsorbChunk/AbsorbManifest
+	Absorb      time.Duration // metadata download: AbsorbChunk/AbsorbManifest and the hand-off's bookkeeping
 	InstallWait time.Duration // hand-off loop blocked on the shadow's chunk stream
-	Resume      time.Duration // answer the in-flight op, retain the warm engine, settle trust
+	Resume      time.Duration // answer the in-flight op, settle trust
 	// Wall is the measured end-to-end recovery latency.
 	Wall time.Duration
 }
@@ -212,7 +213,7 @@ type Stats struct {
 	AppFailures    int64 // operations that surfaced a failure to the app
 	SyncRetries    int64 // deferred sync re-runs retried past a device fault
 	OpsReplayed    int64
-	OpsReused      int64 // ops a warm resume did not have to re-replay
+	OpsReused      int64 // always 0: every recovery replays the whole gap
 	Discrepancies  int64
 	FsckFull       int64 // recovery checks that verified the whole image
 	FsckScoped     int64 // recovery checks scoped to the fault's blast radius
@@ -245,7 +246,6 @@ type counters struct {
 	appFailures    atomic.Int64
 	syncRetries    atomic.Int64
 	opsReplayed    atomic.Int64
-	opsReused      atomic.Int64
 	discrepancies  atomic.Int64
 	fsckFull       atomic.Int64
 	fsckScoped     atomic.Int64
@@ -318,12 +318,6 @@ type FS struct {
 	// record in execution order, independent descriptors never contend.
 	fdmu [fdStripes]sync.Mutex
 
-	// devGen counts device writes across every base instance (bumped inside
-	// the fence). The warm replayer retained after a recovery is valid for a
-	// later fault only while this generation has not moved: any write since
-	// retention — commit, checkpoint, eviction — changes bytes under the
-	// retained overlay.
-	devGen atomic.Uint64
 	// touched records every block written through any fence since the last
 	// time a recovery consumed (and reset) the set; see touched.go.
 	touched *touchedSet
@@ -351,10 +345,6 @@ type FS struct {
 	// scrub trip, not an application operation). Written and read only with
 	// the gate held exclusively.
 	extFault bool
-	// warm is the replay engine retained by the last successful RAE
-	// recovery, nil if none. Touched only while the gate is held
-	// exclusively.
-	warm *shadowfs.Replayer
 
 	// tel is the observability sink (nil when Config.NoTelemetry); set once
 	// at Mount and read-only afterwards.
@@ -442,7 +432,6 @@ func (r *FS) Stats() Stats {
 		AppFailures:    r.cnt.appFailures.Load(),
 		SyncRetries:    r.cnt.syncRetries.Load(),
 		OpsReplayed:    r.cnt.opsReplayed.Load(),
-		OpsReused:      r.cnt.opsReused.Load(),
 		Discrepancies:  r.cnt.discrepancies.Load(),
 		FsckFull:       r.cnt.fsckFull.Load(),
 		FsckScoped:     r.cnt.fsckScoped.Load(),

@@ -19,9 +19,9 @@ type fault struct {
 	// err carries the result error or the recovered panic value.
 	err error
 	// external marks a fault not tied to any application operation (a scrub
-	// trip): no app failure is counted on degrade, and the recovery takes
-	// the cold path with a full check — the whole point is to re-examine
-	// the image, which warm resume and scoped checks both skip.
+	// trip): no app failure is counted on degrade, and the recovery runs a
+	// full check — the whole point is to re-examine the image, which a
+	// scoped check skips.
 	external bool
 }
 
@@ -103,7 +103,7 @@ func (r *FS) mountBase() (*basefs.FS, *fencedDevice, error) {
 			return nil
 		}
 	}
-	fence := newFence(r.dev, &r.devGen, r.touched)
+	fence := newFence(r.dev, r.touched)
 	base, err := basefs.Mount(fence, opts)
 	if err != nil {
 		return nil, nil, err

@@ -42,10 +42,6 @@ import (
 // latency before the install stage has work and the per-chunk copy size.
 const replayFeedBatch = 256
 
-// warmMaxOverlayBlocks bounds the overlay a retained warm replayer may pin
-// in memory between faults; a larger recovery is not retained.
-const warmMaxOverlayBlocks = 8192
-
 // deferredSyncRetries bounds the extra attempts the resume path gives a
 // deferred sync re-run that keeps hitting device-level faults before it
 // declares a degradation. Transient faults clear within a retry or two; a
@@ -54,9 +50,8 @@ const deferredSyncRetries = 3
 
 // recoveryPlan freezes everything the overlapped stages need before the
 // contained reboot starts: the recovery input (snapshotted and round-tripped
-// through the wire format, proving it is self-contained), the shadow's
-// frozen device view, and the warm replayer when the previous recovery's
-// engine is still valid. Built with the gate held exclusively and the old
+// through the wire format, proving it is self-contained) and the shadow's
+// frozen device view. Built with the gate held exclusively and the old
 // instance fenced, so the device is quiescent.
 type recoveryPlan struct {
 	ops []*oplog.Op
@@ -68,19 +63,14 @@ type recoveryPlan struct {
 	inFlight     *oplog.Op
 	deferredSync bool
 
-	// rep, when non-nil, is the retained warm engine: ops then holds only
-	// the not-yet-consumed suffix of the log, and reused counts the ops the
-	// retained state already covers.
-	rep    *shadowfs.Replayer
-	reused int
-	// view is the cold path's frozen read-only device view for the shadow.
+	// view is the frozen read-only device view for the shadow.
 	view blockdev.Device
 	// prefetch, when non-nil, is the background crew caching view's blocks;
 	// released when the engine is done with the cold stage.
 	prefetch *blockdev.Prefetched
 
 	// check validates the frozen view; chosen at plan time (scoped or full,
-	// see planFsck). Nil on a warm resume, which skips the check.
+	// see planFsck). Nil if planning failed before the view was built.
 	check func() *fsck.Report
 	// touchedOld is the touched-block set drained when this plan claimed the
 	// scoped-check baseline; merged back if the recovery fails so no write
@@ -108,35 +98,11 @@ func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 		}
 	}
 
-	// Warm candidate: the engine retained by the previous recovery is valid
-	// only if nothing moved underneath it — same op-log stable point, same
-	// device write generation. Consumed (and re-retained on success) so no
-	// stale engine survives a recovery that invalidates it.
-	rep := r.warm
-	r.warm = nil
-	total := r.log.Len()
-	key := shadowfs.ReplayerKey{StableSeq: r.log.StableSeq(), DevGen: r.devGen.Load()}
-	// An external (scrub-tripped) fault exists to re-examine the image; the
-	// warm path skips the check entirely, so it is disqualified even when the
-	// key still matches (a scrub trip writes nothing, so it usually does).
-	if rep != nil && rep.Key() == key && !r.extFault {
-		ops, _, _ := r.log.SnapshotSince(rep.NextSeq())
-		// The suffix crosses the isolation boundary like any recovery input.
-		wire := oplog.EncodeSequence(ops, map[fsapi.FD]uint32{}, 0)
-		ops, _, _, err := oplog.DecodeSequence(wire)
-		if err != nil {
-			p.errWhat, p.err = "trace decode", err
-			return p
-		}
-		p.rep, p.ops, p.reused = rep, ops, total-len(ops)
-		return p
-	}
-
-	// Cold path: full snapshot plus a frozen device view. The view is the
-	// raw device overlaid with the journal's committed writes — the same
-	// logical image the reboot's journal replay produces — plus the current
-	// superblock, so the concurrent mount's own writes (journal replay to
-	// home locations, the superblock rewrite) are invisible to the shadow.
+	// The whole gap plus a frozen device view. The view is the raw device
+	// overlaid with the journal's committed writes — the same logical image
+	// the reboot's journal replay produces — plus the current superblock, so
+	// the concurrent mount's own writes (journal replay to home locations,
+	// the superblock rewrite) are invisible to the shadow.
 	ops, fds, clk := r.log.Snapshot()
 	wire := oplog.EncodeSequence(ops, fds, clk)
 	ops, fds, clk, err := oplog.DecodeSequence(wire)
@@ -229,8 +195,7 @@ func (r *FS) noteFsck(rep *fsck.Report) {
 // fsckTrust settles the scoped-check trust state for one recovery. On any
 // failed or degraded recovery the baseline is revoked and the drained
 // touched set merged back — over-scoping the next check is safe, losing a
-// block from it is not. A successful recovery that actually checked the
-// image (p.check non-nil: a warm resume does not)
+// block from it is not. A successful recovery, which checked the image,
 // establishes a fresh baseline — every write after the frozen view went
 // through a fence created over the same touched set, so the superset
 // invariant holds from the view onward — and ends any scrub corruption
@@ -241,41 +206,52 @@ func (r *FS) fsckTrust(p *recoveryPlan, ok bool) {
 		r.touched.merge(p.touchedOld)
 		return
 	}
-	if p.check != nil {
-		r.verified.Store(true)
-		r.scrubTripped.Store(false)
-	}
+	r.verified.Store(true)
+	r.scrubTripped.Store(false)
+}
+
+// stopwatch splits one goroutine's time into consecutive phases. Each lap
+// takes one clock reading that ends the running phase and starts the next,
+// so the laps partition the time since the start: nothing between two
+// phases goes unclocked.
+type stopwatch struct{ last time.Time }
+
+// lap returns the time since the previous reading and restarts the clock.
+func (w *stopwatch) lap() time.Duration {
+	now := time.Now()
+	d := now.Sub(w.last)
+	w.last = now
+	return d
 }
 
 // replayOutcome is everything the replay stage hands back to the engine.
 type replayOutcome struct {
-	rep      *shadowfs.Replayer
 	manifest *handoff.Manifest
 	inFlight *oplog.Op
 
 	fsckDur   time.Duration
-	mountDur  time.Duration // shadowfs.New + Seed; zero on a warm resume
+	mountDur  time.Duration // shadowfs.New + NewReplayer's descriptor-table seed
 	replayDur time.Duration
 	// stageDur is the stage's wall clock; with the fsck/replay overlap it is
 	// less than the components' sum.
 	stageDur time.Duration
 
-	// opsReplayed and newDisc are this recovery's deltas (a warm engine's
-	// counters span its whole lifetime); discs is the full list.
 	opsReplayed int
 	discs       []difftest.Discrepancy
-	newDisc     int
 
 	errWhat string
 	err     error
 }
 
-// runReplayStage validates the image (cold path), replays the recorded gap
-// incrementally, and emits sealed chunks through emit as it goes. It never
-// touches supervisor state mutated by the concurrent reboot, and emit must
-// not block on the caller.
+// runReplayStage validates the image, replays the recorded gap
+// incrementally on a fresh shadow, and emits sealed chunks through emit as
+// it goes. It never touches supervisor state mutated by the concurrent
+// reboot, and emit must not block on the caller. The stage's clocks are laps
+// of w, whose last reading is the stage's start: the engine's own stopwatch
+// when the stage runs inline, so its components partition the engine's wall
+// clock, and a stopwatch of its own when it runs beside the reboot.
 //
-// With RecoveryWorkers > 1 the cold path checks the image *concurrently* with
+// With RecoveryWorkers > 1 the stage checks the image *concurrently* with
 // the replay (the pFSCK-style decomposition): replay proceeds optimistically
 // over the unvalidated view while fsck walks the same frozen, read-only
 // blocks, and the stage only reports success once both agree. At 1 the check
@@ -283,105 +259,92 @@ type replayOutcome struct {
 // both — the engine discards the partially-absorbed base — so the overlap
 // changes latency, never the contract that nothing recovered ever came from
 // a corrupt image.
-func (r *FS) runReplayStage(p *recoveryPlan, emit func(*handoff.Chunk)) *replayOutcome {
+func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, emit func(*handoff.Chunk)) *replayOutcome {
 	out := &replayOutcome{}
-	defer func(t0 time.Time) { out.stageDur = time.Since(t0) }(time.Now())
-	rep := p.rep
+	start := w.last
+	defer func() { out.stageDur = w.last.Sub(start) }()
+	check := func() error {
+		frep := p.check()
+		r.noteFsck(frep)
+		return frep.Err()
+	}
 	var fsckCh chan error
-	if rep == nil {
-		check := func() error {
+	if r.cfg.RecoveryWorkers > 1 {
+		fsckCh = make(chan error, 1)
+		go func() {
 			t := time.Now()
-			frep := p.check()
+			err := check()
 			out.fsckDur = time.Since(t) // joined before out is read
-			r.noteFsck(frep)
-			return frep.Err()
-		}
-		if r.cfg.RecoveryWorkers > 1 {
-			fsckCh = make(chan error, 1)
-			go func() { fsckCh <- check() }()
-		} else if err := check(); err != nil {
+			fsckCh <- err
+		}()
+	} else {
+		err := check()
+		out.fsckDur = w.lap()
+		if err != nil {
 			out.errWhat, out.err = "shadow fsck", err
 			return out
 		}
-		// The plan's check owns image validation; the shadow mount never
-		// duplicates it.
-		t := time.Now()
-		sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
-		out.mountDur = time.Since(t)
-		if err != nil {
-			if fsckCh != nil {
-				<-fsckCh
-			}
-			out.errWhat, out.err = "shadow mount", err
-			return out
-		}
-		rep = shadowfs.NewReplayer(sh, shadowfs.ReplayerKey{}, r.cfg.StopOnDiscrepancy)
-	} else {
-		// Warm resume: the overlay, descriptor table, and clock carry over;
-		// the chunk stream restarts from zero because the fresh base has
-		// absorbed nothing. Fsck is not re-run — the image was validated by
-		// the cold recovery and nothing wrote to the device since (the key
-		// check in planRecovery), which is the bulk of the warm win.
-		rep.ResetStream()
 	}
-	out.rep = rep
-	opsBefore, discBefore := rep.OpsReplayed(), len(rep.Discrepancies())
-	t := time.Now()
-	err := func() (err error) {
-		// Optimistic replay may run over a not-yet-validated image; the
-		// shadow's runtime checks turn corruption into errors, but a panic on
-		// adversarial input must degrade this recovery, not kill the process.
-		defer func() {
-			if rec := recover(); rec != nil {
-				err = fmt.Errorf("shadow panicked during replay: %v: %w", rec, fserr.ErrCorrupt)
-			}
-		}()
-		if p.rep == nil {
-			err := rep.Seed(p.fds, p.clk)
-			seeded := time.Now()
-			out.mountDur += seeded.Sub(t)
-			t = seeded // the replay clock starts where the mount's ends
+	// The plan's check owns image validation; the shadow mount never
+	// duplicates it.
+	var rep *shadowfs.Replayer
+	sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
+	if err != nil {
+		out.mountDur = w.lap()
+		out.errWhat, out.err = "shadow mount", err
+	} else {
+		err = func() (err error) {
+			// Optimistic replay may run over a not-yet-validated image; the
+			// shadow's runtime checks turn corruption into errors, but a panic
+			// on adversarial input must degrade this recovery, not kill the
+			// process.
+			defer func() {
+				if rec := recover(); rec != nil {
+					err = fmt.Errorf("shadow panicked during replay: %v: %w", rec, fserr.ErrCorrupt)
+				}
+			}()
+			rep, err = shadowfs.NewReplayer(sh, p.fds, p.clk, r.cfg.StopOnDiscrepancy)
+			out.mountDur = w.lap()
 			if err != nil {
 				return err
 			}
-		}
-		for i := 0; i < len(p.ops); i += replayFeedBatch {
-			end := i + replayFeedBatch
-			if end > len(p.ops) {
-				end = len(p.ops)
+			for i := 0; i < len(p.ops); i += replayFeedBatch {
+				end := min(i+replayFeedBatch, len(p.ops))
+				if err := rep.Feed(p.ops[i:end]); err != nil {
+					return err
+				}
+				if c := rep.EmitChunk(); c != nil {
+					emit(c)
+				}
 			}
-			if err := rep.Feed(p.ops[i:end]); err != nil {
+			last, m, fl, err := rep.Finish(p.inFlight)
+			if err != nil {
 				return err
 			}
-			if c := rep.EmitChunk(); c != nil {
-				emit(c)
+			if last != nil {
+				emit(last)
 			}
-		}
-		last, m, fl, err := rep.Finish(p.inFlight)
+			out.manifest, out.inFlight = m, fl
+			return nil
+		}()
+		out.replayDur = w.lap()
 		if err != nil {
-			return err
+			out.errWhat, out.err = "shadow replay", err
 		}
-		if last != nil {
-			emit(last)
-		}
-		out.manifest, out.inFlight = m, fl
-		return nil
-	}()
-	out.replayDur = time.Since(t)
-	if err != nil {
-		out.errWhat, out.err = "shadow replay", err
+	}
+	if rep != nil {
+		out.opsReplayed, out.discs = rep.OpsReplayed(), rep.Discrepancies()
 	}
 	if fsckCh != nil {
 		// Join the concurrent check; its verdict gates the stage regardless of
-		// how the optimistic replay fared.
+		// how the optimistic replay fared. The wait is the stage's time, no
+		// component's.
 		if ferr := <-fsckCh; ferr != nil {
 			out.errWhat, out.err = "shadow fsck", ferr
 			out.manifest, out.inFlight = nil, nil
 		}
+		w.lap()
 	}
-	out.opsReplayed = rep.OpsReplayed() - opsBefore
-	out.discs = rep.Discrepancies()
-	out.newDisc = len(out.discs) - discBefore
 	return out
 }
 
@@ -394,8 +357,14 @@ func (r *FS) observeStage(name string, d time.Duration) {
 // raeRecover is the paper's recovery procedure (§3.2) on the staged engine:
 // contained reboot and shadow re-execution overlapped, hand-off streamed,
 // resume. Returns the trace outcome ("recovered", "degraded", or "failed").
+//
+// The recovering goroutine's phases are laps of one stopwatch, so they
+// partition the wall clock exactly: telemetry, counters and the stage's
+// spawn between two clocked regions belong to the phase that follows the
+// last reading.
 func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	wall0 := time.Now()
+	w := &stopwatch{last: wall0}
 	var ph RecoveryPhases
 
 	// Fence the faulty instance, kill it, and freeze the plan while the
@@ -404,16 +373,9 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	r.fence.Load().raise()
 	r.base.Load().Kill()
 	plan := r.planRecovery(inflight)
-	ph.Plan = time.Since(wall0)
-	r.observeStage("plan", ph.Plan)
-	// The prefetch crew and its cache live for this recovery only; a shadow
-	// retained warm keeps the view, which degrades to pass-through reads.
+	ph.Plan = w.lap()
+	// The prefetch crew and its cache live for this recovery only.
 	defer plan.release()
-
-	note := ""
-	if plan.rep != nil {
-		note = "warm resume"
-	}
 
 	// The shadow's stage. With RecoveryWorkers > 1 it runs beside the reboot
 	// and the install loop absorbs its chunks as they arrive; at 1 it runs on
@@ -425,20 +387,21 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	overlap := plan.err == nil && r.cfg.RecoveryWorkers > 1
 	chunkCh := make(chan *handoff.Chunk, len(plan.ops)/replayFeedBatch+2)
 	var out *replayOutcome // written by stage, read after chunkCh is seen closed
-	stage := func() {
-		out = r.runReplayStage(plan, func(c *handoff.Chunk) { chunkCh <- c })
+	stage := func(sw *stopwatch) {
+		out = r.runReplayStage(plan, sw, func(c *handoff.Chunk) { chunkCh <- c })
 		close(chunkCh)
 	}
 	if overlap {
-		go stage()
+		// The stage's clock starts at the reading that ended Plan.
+		go stage(&stopwatch{last: w.last})
 	}
+	r.observeStage("plan", ph.Plan)
 
 	// Contained reboot: fresh instance from trusted on-disk state (journal
 	// replay inside Mount).
 	tr.BeginPhase(telemetry.PhaseReboot)
-	t := time.Now()
 	newBase, newFence, err := r.mountBase()
-	ph.Reboot = time.Since(t)
+	ph.Reboot = w.lap()
 	r.observeStage("reboot", ph.Reboot)
 	if err != nil {
 		// The device itself is unusable; nothing recovers this.
@@ -457,39 +420,31 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		r.fsckTrust(plan, false)
 		return r.degrade(newBase, newFence, inflight, ph, plan.errWhat+": %v", plan.err)
 	}
-	// A warm reboot may still find committed transactions in the journal
-	// (lazy checkpointing leaves them behind), and its replay rewrites their
-	// home locations — but under the devGen key check those bytes were
-	// already replayed by the mount the warm engine was built over, so the
-	// rewrite is byte-idempotent and the retained overlay stays valid.
-	// newBase.MountReplay() exposes the replay for post-mortems.
 
-	// Hand-off: absorb sealed chunks as they stream out of the shadow.
-	// Absorb counts only time inside the base's absorb calls; what the loop
-	// spends blocked on a stage that is still running is InstallWait.
+	// Hand-off: absorb sealed chunks as they stream out of the shadow. What
+	// the loop spends blocked on a stage that is still running is
+	// InstallWait; the rest is Absorb. A stream that finished inline never
+	// blocks the loop, so at one worker all of it is Absorb.
 	if !overlap {
 		tr.BeginPhase(telemetry.PhaseShadowExec)
-		tr.Note("%s", note)
-		stage()
+		stage(w)
 	}
 	tr.BeginPhase(telemetry.PhaseHandoff)
 	var installErr error
 	dirty := false // has newBase absorbed any part of the stream?
-	var wait time.Duration
-	t = time.Now()
+	wait := &ph.InstallWait
+	if !overlap {
+		wait = &ph.Absorb
+	}
 	for c := range chunkCh {
-		wait += time.Since(t)
+		*wait += w.lap()
 		if installErr == nil { // else keep receiving: the close joins the stage
-			t = time.Now()
 			installErr = newBase.AbsorbChunk(c)
-			ph.Absorb += time.Since(t)
 			dirty = true // a failed absorb may have installed a prefix
 		}
-		t = time.Now()
+		ph.Absorb += w.lap()
 	}
-	if overlap { // an inline stage had finished before the loop began
-		ph.InstallWait = wait + time.Since(t)
-	}
+	*wait += w.lap()
 	ph.Fsck, ph.ShadowMount, ph.Replay, ph.ShadowStage = out.fsckDur, out.mountDur, out.replayDur, out.stageDur
 	r.observeStage("fsck", ph.Fsck)
 	r.observeStage("shadow_mount", ph.ShadowMount)
@@ -498,21 +453,17 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	if overlap {
 		// The overlapped stage's time is reported as its own span; the
 		// orchestrator's handoff span covers the whole drain window.
-		tr.AddSpan(telemetry.PhaseShadowExec, out.stageDur, note)
+		tr.AddSpan(telemetry.PhaseShadowExec, out.stageDur, "")
 	}
 
 	r.cnt.opsReplayed.Add(int64(out.opsReplayed))
-	r.cnt.discrepancies.Add(int64(out.newDisc))
+	r.cnt.discrepancies.Add(int64(len(out.discs)))
 	r.postMu.Lock()
 	r.lastDisc = out.discs
 	r.postMu.Unlock()
 	tr.SetOpsReplayed(out.opsReplayed)
-	for _, d := range out.discs[len(out.discs)-out.newDisc:] {
+	for _, d := range out.discs {
 		r.tel.Event("discrepancy", "%s", d.String())
-	}
-	if plan.rep != nil {
-		r.cnt.opsReused.Add(int64(plan.reused))
-		r.tel.Counter("recovery.replay.reused_ops").Add(int64(plan.reused))
 	}
 
 	if out.err != nil {
@@ -525,9 +476,8 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		r.fsckTrust(plan, false)
 		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb chunk: %v", installErr)
 	}
-	t = time.Now()
 	err = newBase.AbsorbManifest(out.manifest)
-	ph.Absorb += time.Since(t)
+	ph.Absorb += w.lap()
 	if err != nil {
 		r.fsckTrust(plan, false)
 		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb manifest: %v", err)
@@ -539,7 +489,6 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	// Resume: answer the in-flight operation and keep the log coherent.
 	// Recorded operations stay in the log — they are still not durable.
 	tr.BeginPhase(telemetry.PhaseResume)
-	t = time.Now()
 	if inflight != nil {
 		switch {
 		case plan.deferredSync:
@@ -582,29 +531,14 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 			r.afterSuccess(inflight)
 		}
 	}
-	r.retainWarm(out.rep)
 	r.fsckTrust(plan, true)
 
-	end := time.Now()
-	ph.Resume, ph.Wall = end.Sub(t), end.Sub(wall0)
+	ph.Resume = w.lap()
+	ph.Wall = w.last.Sub(wall0)
 	r.observeStage("resume", ph.Resume)
 	r.observeStage("wall", ph.Wall)
 	r.addPhases(ph)
 	return "recovered"
-}
-
-// retainWarm keeps the replay engine for the next fault. The key is
-// captured after the resume path's own device writes (the deferred sync
-// re-run, whose durable round also moves the stable point), so it names
-// exactly the state the retained overlay extends; MarkConsumed covers the
-// appended in-flight op so a warm resume fetches only genuinely new ops.
-func (r *FS) retainWarm(rep *shadowfs.Replayer) {
-	if rep == nil || rep.Shadow().OverlayBlocks() > warmMaxOverlayBlocks {
-		return
-	}
-	rep.MarkConsumed(r.log.Watermark())
-	rep.Rekey(shadowfs.ReplayerKey{StableSeq: r.log.StableSeq(), DevGen: r.devGen.Load()})
-	r.warm = rep
 }
 
 // degradeDirty degrades to crash-restart semantics, first discarding the

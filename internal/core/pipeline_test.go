@@ -14,124 +14,67 @@ import (
 	"repro/internal/workload"
 )
 
-// TestWarmResumeReplaysOnlySuffix is the incremental-recovery acceptance
-// check: after a first fault with a large op gap, a second fault shortly
-// after must replay only the ops recorded since — the retained warm engine
-// covers the rest — and the reuse must be visible in both Stats and the
-// recovery.replay.reused_ops counter.
-func TestWarmResumeReplaysOnlySuffix(t *testing.T) {
-	sink := telemetry.New()
-	reg := faultinject.NewRegistry(1)
-	reg.Arm(&faultinject.Specimen{
-		ID: "boom-a", Class: faultinject.Crash, Deterministic: true,
-		Prob: 1.0, Op: "mkdir", Point: "entry", PathSubstr: "boomA", MaxFires: 1,
-	})
-	reg.Arm(&faultinject.Specimen{
-		ID: "boom-b", Class: faultinject.Crash, Deterministic: true,
-		Prob: 1.0, Op: "mkdir", Point: "entry", PathSubstr: "boomB", MaxFires: 1,
-	})
-	fs, _, _ := newSupervised(t, Config{
-		Base:      basefs.Options{Injector: reg},
-		Telemetry: sink,
-	})
+// TestBackToBackFaultsCheckAndReplayWholeGap plants two faults with no
+// durable point between them. Every recovery runs the one path — plan,
+// reboot, check, fresh shadow, replay, install — so the second one, over the
+// baseline the first one verified, must run a scoped check and replay the
+// whole gap since the stable point: both gaps and the first fault's op. No
+// degradation or application failure may be counted, and the state must
+// match the specification.
+func TestBackToBackFaultsCheckAndReplayWholeGap(t *testing.T) {
+	for _, workers := range []int{1, 0} { // 0 selects the default
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			sink := telemetry.New()
+			fs, _, sb := newSupervised(t, Config{
+				Base:            basefs.Options{Injector: plantTwoFaults(1)},
+				RecoveryWorkers: workers,
+				Telemetry:       sink,
+			})
+			const gap1, gap2 = 200, 100
+			trace := []*oplog.Op{
+				{Kind: oplog.KCreate, Path: "/f", Perm: 0o644},
+			}
+			for i := 0; i < gap1-1; i++ {
+				trace = append(trace, &oplog.Op{Kind: oplog.KMkdir, Path: fmt.Sprintf("/a%03d", i), Perm: 0o755})
+			}
+			trace = append(trace, &oplog.Op{Kind: oplog.KMkdir, Path: "/boomA", Perm: 0o755})
+			for i := 0; i < gap2; i++ {
+				if i%2 == 0 {
+					trace = append(trace, &oplog.Op{Kind: oplog.KWrite, FD: 0, Off: int64(i) * 100, Data: []byte(fmt.Sprintf("b%03d", i))})
+				} else {
+					trace = append(trace, &oplog.Op{Kind: oplog.KMkdir, Path: fmt.Sprintf("/b%03d", i), Perm: 0o755})
+				}
+			}
+			trace = append(trace, &oplog.Op{Kind: oplog.KMkdir, Path: "/boomB", Perm: 0o755})
 
-	const gap1, gap2 = 200, 100
-	for i := 0; i < gap1; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/a%03d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Mkdir("/boomA", 0o755); err != nil { // fault 1: cold recovery
-		t.Fatal(err)
-	}
-	replayedCold := fs.Stats().OpsReplayed
-	if replayedCold < gap1 {
-		t.Fatalf("cold recovery replayed %d ops, want >= %d", replayedCold, gap1)
-	}
-	for i := 0; i < gap2; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/b%03d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Mkdir("/boomB", 0o755); err != nil { // fault 2: warm resume
-		t.Fatal(err)
-	}
-
-	st := fs.Stats()
-	if st.Recoveries != 2 || st.Degradations != 0 || st.AppFailures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	replayedWarm := st.OpsReplayed - replayedCold
-	// The warm resume replays the ~gap2 new ops (plus the in-flight op),
-	// never the whole log again.
-	if replayedWarm > gap2+10 {
-		t.Errorf("warm recovery replayed %d ops, want ~%d (suffix only)", replayedWarm, gap2)
-	}
-	// Everything before the suffix was reused: the gap1 ops plus fault 1's
-	// in-flight op.
-	if st.OpsReused < gap1 || st.OpsReused > gap1+10 {
-		t.Errorf("OpsReused = %d, want ~%d", st.OpsReused, gap1)
-	}
-	snap := sink.Snapshot()
-	if got := snap.Counters["recovery.replay.reused_ops"]; got != st.OpsReused {
-		t.Errorf("recovery.replay.reused_ops = %d, Stats().OpsReused = %d", got, st.OpsReused)
-	}
-	for _, h := range []string{"recovery.stage.plan_ns", "recovery.stage.reboot_ns",
-		"recovery.stage.replay_ns", "recovery.stage.install_ns", "recovery.stage.wall_ns"} {
-		if snap.Histograms[h].Count != 2 {
-			t.Errorf("%s observed %d recoveries, want 2", h, snap.Histograms[h].Count)
-		}
-	}
-
-	// Both gaps' state must be visible and usable afterwards.
-	for _, path := range []string{"/a000", "/a199", "/b000", "/b099", "/boomA", "/boomB"} {
-		if _, err := fs.Stat(path); err != nil {
-			t.Errorf("Stat(%s) after warm recovery: %v", path, err)
-		}
-	}
-}
-
-// TestWarmStateInvalidatedBySync pins the warm engine's validity key: a
-// durable point between faults moves the stable seq and writes the device,
-// so the second recovery must fall back to a cold replay of the (now
-// truncated) log rather than trust the stale overlay.
-func TestWarmStateInvalidatedBySync(t *testing.T) {
-	reg := faultinject.NewRegistry(2)
-	reg.Arm(&faultinject.Specimen{
-		ID: "boom-a", Class: faultinject.Crash, Deterministic: true,
-		Prob: 1.0, Op: "mkdir", Point: "entry", PathSubstr: "boomA", MaxFires: 1,
-	})
-	reg.Arm(&faultinject.Specimen{
-		ID: "boom-b", Class: faultinject.Crash, Deterministic: true,
-		Prob: 1.0, Op: "mkdir", Point: "entry", PathSubstr: "boomB", MaxFires: 1,
-	})
-	fs, _, _ := newSupervised(t, Config{Base: basefs.Options{Injector: reg}})
-
-	for i := 0; i < 50; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/a%02d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Mkdir("/boomA", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Sync(); err != nil { // moves the stable point, writes the device
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := fs.Mkdir(fmt.Sprintf("/b%02d", i), 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Mkdir("/boomB", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	st := fs.Stats()
-	if st.Recoveries != 2 || st.AppFailures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.OpsReused != 0 {
-		t.Errorf("OpsReused = %d after an intervening sync, want 0 (cold replay)", st.OpsReused)
+			outcome, state := runAgainstModel(t, fs, sb, trace)
+			for _, d := range outcome {
+				t.Errorf("outcome: %s", d)
+			}
+			for _, d := range state {
+				t.Errorf("state: %s", d)
+			}
+			st := fs.Stats()
+			if st.Recoveries != 2 || st.Degradations != 0 || st.AppFailures != 0 {
+				t.Fatalf("recoveries=%d degradations=%d appFailures=%d, want 2/0/0",
+					st.Recoveries, st.Degradations, st.AppFailures)
+			}
+			if st.FsckFull != 1 || st.FsckScoped != 1 {
+				t.Errorf("checks: full=%d scoped=%d, want the first full and the second scoped", st.FsckFull, st.FsckScoped)
+			}
+			// The first recovery replays gap1 and its in-flight op; the second
+			// replays all of that again, then gap2 and its own in-flight op.
+			if want := int64(gap1 + 1 + gap1 + 1 + gap2 + 1); st.OpsReplayed < want {
+				t.Errorf("OpsReplayed = %d, want at least %d: the second recovery replays both gaps", st.OpsReplayed, want)
+			}
+			snap := sink.Snapshot()
+			for _, h := range []string{"recovery.stage.plan_ns", "recovery.stage.reboot_ns", "recovery.stage.fsck_ns",
+				"recovery.stage.replay_ns", "recovery.stage.install_ns", "recovery.stage.wall_ns"} {
+				if n := snap.Histograms[h].Count; n != 2 {
+					t.Errorf("%s observed %d recoveries, want 2", h, n)
+				}
+			}
+		})
 	}
 }
 

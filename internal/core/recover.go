@@ -74,7 +74,6 @@ func (r *FS) degrade(newBase *basefs.FS, newFence *fencedDevice, inflight *oplog
 // crashRestart implements the status-quo baseline: remount from disk and
 // surface the failure.
 func (r *FS) crashRestart(tr *telemetry.Trace, inflight *oplog.Op) string {
-	r.warm = nil // crash-restart semantics invalidate any retained engine
 	tr.BeginPhase(telemetry.PhaseFence)
 	r.fence.Load().raise()
 	tr.BeginPhase(telemetry.PhaseReboot)
@@ -139,7 +138,6 @@ func (r *FS) failOp(inflight *oplog.Op) {
 // reconstruction and error avoidance (§2.2) — so after MaxReplayRetries the
 // baseline degrades to crash-restart.
 func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
-	r.warm = nil // replay-on-base invalidates any retained engine
 	ops, fds, _ := r.log.Snapshot()
 	for attempt := 0; attempt < r.cfg.MaxReplayRetries; attempt++ {
 		tr.BeginPhase(telemetry.PhaseFence)

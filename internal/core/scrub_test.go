@@ -41,9 +41,8 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 			st.Recoveries, st.FsckFull, st.FsckScoped)
 	}
 	// Writes between the faults: the second fault's blast radius. The sync
-	// pushes them to the device — without it the on-disk generation is
-	// unchanged and the second recovery reuses the warm shadow, skipping the
-	// check entirely.
+	// pushes them to the device, so the second recovery's scoped check has
+	// blocks the base wrote since the first to cover.
 	for i := 0; i < 5; i++ {
 		if err := fs.Mkdir(fmt.Sprintf("/mid-%d", i), 0o755); err != nil {
 			t.Fatal(err)
@@ -57,7 +56,7 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 	}
 	st = fs.Stats()
 	if st.Recoveries != 2 || st.FsckFull != 1 || st.FsckScoped != 1 {
-		t.Fatalf("after warm fault: recoveries=%d full=%d scoped=%d, want 2/1/1",
+		t.Fatalf("after second fault: recoveries=%d full=%d scoped=%d, want 2/1/1",
 			st.Recoveries, st.FsckFull, st.FsckScoped)
 	}
 	if st.Degradations != 0 || st.AppFailures != 0 {

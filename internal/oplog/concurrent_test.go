@@ -3,6 +3,7 @@ package oplog
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fsapi"
@@ -96,73 +97,70 @@ func TestLogWatermarkExcludesUnfinishedAppends(t *testing.T) {
 	}
 }
 
-// TestLogSnapshotSinceConcurrent hammers SnapshotSince from readers while
-// writers append and a truncator advances the stable point, checking every
-// returned suffix is dense from its requested floor and never contains a
-// truncated op. Run with -race: the suffix deep-copies race appends and
-// truncations for the log's lock. Each writer stops after perWriter
-// appends, so a truncator starved of CPU on a loaded host cannot let the
-// log grow without bound.
-func TestLogSnapshotSinceConcurrent(t *testing.T) {
+// TestLogSnapshotConcurrent hammers Snapshot from readers while writers
+// append and a truncator advances the stable point until the writers are
+// done. Every snapshot must be strictly increasing and hold no op below the
+// watermark of a StableAt that finished before the snapshot began. Run with
+// -race: the deep copies race appends and truncations for the log's lock.
+// Each writer stops after perWriter appends, so a truncator starved of CPU
+// on a loaded host cannot let the log, and the snapshot every read copies,
+// grow without bound.
+func TestLogSnapshotConcurrent(t *testing.T) {
 	l := NewLog()
-	const writers, perWriter = 4, 20000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
+	const writers, perWriter, readers = 4, 20000, 2
+	var writing, reading sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			for i := 0; i < perWriter; i++ {
+				l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/w%d/f%d", w, i)})
+			}
+		}(w)
+	}
+	written := make(chan struct{})
+	go func() { writing.Wait(); close(written) }()
+	// truncated is the watermark of the last StableAt that has returned.
+	var truncated atomic.Uint64
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/w%d/f%d", w, i)})
+				floor := truncated.Load()
+				ops, _, _ := l.Snapshot()
+				for i, op := range ops {
+					if op.Seq < floor {
+						t.Errorf("snapshot holds op %d, below the finished truncation at %d", op.Seq, floor)
+						return
+					}
+					if i > 0 && op.Seq <= ops[i-1].Seq {
+						t.Errorf("snapshot not strictly increasing at %d", op.Seq)
+						return
+					}
+				}
 			}
-		}(w)
+		}()
 	}
-	for round := 0; round < 40; round++ {
+	for round := uint64(0); ; round++ {
 		wm := l.Watermark()
-		l.StableAt(wm, nil, uint64(round))
-		floor := wm / 2 // sometimes below the stable point, sometimes above
-		ops, _, _ := l.SnapshotSince(floor)
-		stable := l.StableSeq()
-		prev := uint64(0)
-		for i, op := range ops {
-			if op.Seq < floor {
-				t.Fatalf("round %d: op seq %d below requested floor %d", round, op.Seq, floor)
-			}
-			if i > 0 && op.Seq <= prev {
-				t.Fatalf("round %d: suffix not strictly increasing at %d", round, op.Seq)
-			}
-			prev = op.Seq
+		l.StableAt(wm, nil, round)
+		truncated.Store(wm)
+		select {
+		case <-written:
+		default:
+			continue
 		}
-		if stable < wm {
-			t.Fatalf("round %d: StableSeq %d went behind truncation watermark %d", round, stable, wm)
-		}
+		break
 	}
 	close(stop)
-	wg.Wait()
-	// Deterministic equivalence: a quiet log's SnapshotSince(s) must be
-	// exactly Snapshot() filtered to Seq >= s. The quiet appends leave a
-	// suffix to compare even when the rounds drained every writer's op.
-	for i := 0; i < 8; i++ {
-		l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/quiet/f%d", i)})
-	}
-	all, _, _ := l.Snapshot()
-	mid := all[len(all)/2].Seq
-	suffix, _, _ := l.SnapshotSince(mid)
-	want := 0
-	for _, op := range all {
-		if op.Seq >= mid {
-			want++
-		}
-	}
-	if len(suffix) != want || suffix[0].Seq != mid {
-		t.Fatalf("SnapshotSince(%d) = %d ops starting %d, want %d starting %d",
-			mid, len(suffix), suffix[0].Seq, want, mid)
-	}
+	reading.Wait()
 }
 
 // TestLogStableAtPartial pins down partial truncation deterministically:

@@ -285,10 +285,6 @@ type Log struct {
 
 	baseFDs    map[fsapi.FD]uint32
 	startClock uint64
-	// stableSeq is the watermark of the most recent truncation: every op with
-	// Seq < stableSeq is durable and discarded. The recovery engine keys its
-	// warm replayer on it.
-	stableSeq uint64
 
 	// Telemetry instruments are installed once, before concurrent use.
 	telLen                    *telemetry.Gauge
@@ -365,12 +361,6 @@ func (l *Log) Watermark() uint64 {
 	return l.next
 }
 
-// at returns the index of the first recorded op with Seq >= seq. Called
-// with l.mu held.
-func (l *Log) at(seq uint64) int {
-	return sort.Search(len(l.ops), func(i int) bool { return l.ops[i].Seq >= seq })
-}
-
 // StableAt marks a durable point covering every op with Seq < watermark:
 // those ops' effects were captured by a base sync that has completed, so
 // they are discarded and the descriptor table/clock snapshots replace the
@@ -380,7 +370,7 @@ func (l *Log) at(seq uint64) int {
 // re-executes syncs.
 func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) {
 	l.mu.Lock()
-	cut := l.at(watermark)
+	cut := sort.Search(len(l.ops), func(i int) bool { return l.ops[i].Seq >= watermark })
 	for i := range l.ops[:cut] {
 		l.bytes -= int64(len(l.ops[i].Data))
 	}
@@ -393,20 +383,9 @@ func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) 
 		l.baseFDs[fd] = ino
 	}
 	l.startClock = clock
-	l.stableSeq = max(l.stableSeq, watermark)
 	l.mu.Unlock()
 	l.telTruncation.Inc()
 	l.telLen.Set(int64(kept))
-}
-
-// StableSeq returns the watermark of the most recent truncation: the first
-// sequence number that may still be in the log. Together with a device
-// generation it keys the recovery engine's warm replayer — if it moved, the
-// on-disk stable point the replayer was reconstructing from is gone.
-func (l *Log) StableSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stableSeq
 }
 
 // Stable marks a new durable point: all recorded operations are now on disk,
@@ -422,26 +401,17 @@ func (l *Log) Stable(fds map[fsapi.FD]uint32, clock uint64) {
 // Snapshot returns the recovery input: the ops since the stable point (deep
 // copies, in sequence order), the descriptor table at the stable point, and
 // the clock then.
-func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
-	return l.SnapshotSince(0)
-}
-
-// SnapshotSince returns the same recovery input restricted to ops with
-// Seq >= seq. A warm replayer that has already consumed the log's prefix
-// calls this with its next-unconsumed sequence so a repeated fault copies
-// only the new suffix, not the whole gap.
 //
-// The range is deep-copied under the lock. That holds appenders off for the
+// The ops are deep-copied under the lock. That holds appenders off for the
 // copy, which costs nothing in practice: the supervisor snapshots only with
 // the recovery gate closed (planRecovery, finishCrashRestart, naiveReplay),
 // when no operation can append, and DumpLog is a tool's entry point.
-func (l *Log) SnapshotSince(seq uint64) (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
+func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	tail := l.ops[l.at(seq):]
-	ops = make([]*Op, len(tail))
-	for i := range tail {
-		ops[i] = tail[i].Clone()
+	ops = make([]*Op, len(l.ops))
+	for i := range l.ops {
+		ops[i] = l.ops[i].Clone()
 	}
 	fds = make(map[fsapi.FD]uint32, len(l.baseFDs))
 	for fd, ino := range l.baseFDs {

@@ -64,12 +64,12 @@ type ReplayResult struct {
 // over Replayer for tools and tests; the supervisor drives the Replayer
 // directly, in batches.
 func (s *Shadow) Replay(in ReplayInput) (*ReplayResult, error) {
-	r := NewReplayer(s, ReplayerKey{}, in.StopOnDiscrepancy)
-	if err := r.Seed(in.BaseFDs, in.StartClock); err != nil {
+	r, err := NewReplayer(s, in.BaseFDs, in.StartClock, in.StopOnDiscrepancy)
+	if err != nil {
 		return nil, err
 	}
 	res := &ReplayResult{}
-	err := r.Feed(in.Ops)
+	err = r.Feed(in.Ops)
 	if err == nil {
 		var last *handoff.Chunk
 		if last, res.Manifest, res.InFlight, err = r.Finish(in.InFlight); last != nil {

@@ -11,37 +11,15 @@ import (
 	"repro/internal/oplog"
 )
 
-// ReplayerKey identifies the trusted on-disk state a replayer's in-memory
-// overlay extends. A retained (warm) replayer is valid for a later fault
-// only if the key still matches: StableSeq is the op-log truncation
-// watermark (a moved stable point means the disk absorbed ops the overlay
-// also holds), and DevGen is the device write generation (any base write —
-// journal replay at mount, commit, checkpoint, eviction — changes the bytes
-// under the overlay).
-type ReplayerKey struct {
-	StableSeq uint64
-	DevGen    uint64
-}
-
 // Replayer is the incremental recovery engine inside the shadow: it consumes
-// the recorded op-log gap in batches, emits the resulting block images as
-// sealed handoff chunks as it goes, and can be retained after a successful
-// recovery so a second fault shortly after the first replays only the new
-// op suffix instead of the whole gap.
+// the recorded op-log gap in batches and emits the resulting block images as
+// sealed handoff chunks as it goes.
 //
-// Lifecycle: NewReplayer → Seed (once) → any number of Feed/EmitChunk
-// interleavings → Finish. After Finish the replayer may be retained; a
-// warm resume repeats Feed/EmitChunk/Finish for the new suffix — Seed is
-// not called again, and MarkConsumed tells the replayer which seqs the
-// resume path consumed outside Feed (the appended in-flight op).
+// Lifecycle: NewReplayer → any number of Feed/EmitChunk interleavings →
+// Finish. A replayer serves one recovery; the next fault builds a fresh one.
 type Replayer struct {
 	s    *Shadow
-	key  ReplayerKey
 	stop bool // abort on constrained-mode discrepancy
-
-	seeded  bool
-	nextSeq uint64 // first op seq not yet consumed
-	haveSeq bool
 
 	chunkIdx int
 	sums     []uint32
@@ -52,96 +30,48 @@ type Replayer struct {
 	opsSkipped    int
 }
 
-// NewReplayer attaches a replay engine to a freshly constructed shadow.
-// stopOnDiscrepancy aborts recovery when constrained-mode cross-checking
-// disagrees with a recorded outcome.
-func NewReplayer(s *Shadow, key ReplayerKey, stopOnDiscrepancy bool) *Replayer {
-	return &Replayer{s: s, key: key, stop: stopOnDiscrepancy, emitted: make(map[uint32]bool)}
+// NewReplayer attaches a replay engine to a freshly constructed shadow and
+// seeds it with the stable-point descriptor table and clock. Every inode in
+// baseFDs must exist on disk, be allocated, and be a regular file
+// (directories are never held open through this API, and symlinks are not
+// openable). stopOnDiscrepancy aborts recovery when constrained-mode
+// cross-checking disagrees with a recorded outcome.
+func NewReplayer(s *Shadow, baseFDs map[fsapi.FD]uint32, startClock uint64, stopOnDiscrepancy bool) (*Replayer, error) {
+	s.clock.Set(startClock)
+	for fd, ino := range baseFDs {
+		rec, err := s.readAllocInode(ino)
+		if err != nil {
+			return nil, fmt.Errorf("shadowfs: replay fd %d: %w", fd, err)
+		}
+		if err := s.assert(rec.IsFile(), "fd %d maps to non-file inode %d (type %d)",
+			fd, ino, rec.Type()); err != nil {
+			return nil, err
+		}
+		if _, dup := s.fds[fd]; dup {
+			return nil, s.assert(false, "duplicate fd %d in stable-point table", fd)
+		}
+		s.fds[fd] = ino
+		s.opens[ino]++
+	}
+	return &Replayer{s: s, stop: stopOnDiscrepancy, emitted: make(map[uint32]bool)}, nil
 }
-
-// Key returns the (stable seq, device generation) pair the replayer's state
-// is valid against.
-func (r *Replayer) Key() ReplayerKey { return r.key }
-
-// Rekey binds the retained state to a new key — the supervisor calls it at
-// the end of a successful recovery, after the resume path's own device
-// writes, so the key names exactly the (stable point, device generation)
-// the overlay extends.
-func (r *Replayer) Rekey(k ReplayerKey) { r.key = k }
-
-// NextSeq returns the first op-log sequence number the replayer has not yet
-// consumed. A warm resume fetches exactly the suffix from here
-// (oplog.SnapshotSince) instead of re-copying the whole gap.
-func (r *Replayer) NextSeq() uint64 { return r.nextSeq }
-
-// Shadow returns the underlying shadow filesystem.
-func (r *Replayer) Shadow() *Shadow { return r.s }
 
 // Discrepancies returns constrained-mode cross-check disagreements
 // accumulated so far.
 func (r *Replayer) Discrepancies() []difftest.Discrepancy { return r.discrepancies }
 
-// OpsReplayed and OpsSkipped count operations executed and omitted across
-// the replayer's whole lifetime, including warm resumes.
+// OpsReplayed counts recorded operations executed so far.
 func (r *Replayer) OpsReplayed() int { return r.opsReplayed }
 
 // OpsSkipped counts recorded operations omitted (error outcomes, syncs).
 func (r *Replayer) OpsSkipped() int { return r.opsSkipped }
 
-// MarkConsumed advances the consumed-seq watermark without replaying: the
-// resume path appends the in-flight op (already executed autonomously by
-// Finish) to the op log, and the warm state must cover its seq.
-func (r *Replayer) MarkConsumed(nextSeq uint64) {
-	if !r.haveSeq || nextSeq > r.nextSeq {
-		r.nextSeq = nextSeq
-		r.haveSeq = true
-	}
-}
-
-// Seed installs the stable-point descriptor table and clock. Must be called
-// exactly once, before the first Feed. Every inode must exist on disk, be
-// allocated, and be a regular file (directories are never held open through
-// this API, and symlinks are not openable).
-func (r *Replayer) Seed(baseFDs map[fsapi.FD]uint32, startClock uint64) error {
-	if r.seeded {
-		return r.s.assert(false, "replayer seeded twice")
-	}
-	r.seeded = true
-	s := r.s
-	s.clock.Set(startClock)
-	for fd, ino := range baseFDs {
-		rec, err := s.readAllocInode(ino)
-		if err != nil {
-			return fmt.Errorf("shadowfs: replay fd %d: %w", fd, err)
-		}
-		if err := s.assert(rec.IsFile(), "fd %d maps to non-file inode %d (type %d)",
-			fd, ino, rec.Type()); err != nil {
-			return err
-		}
-		if _, dup := s.fds[fd]; dup {
-			return s.assert(false, "duplicate fd %d in stable-point table", fd)
-		}
-		s.fds[fd] = ino
-		s.opens[ino]++
-	}
-	return nil
-}
-
 // Feed replays a batch of recorded operations in constrained mode, in the
-// order given. The caller is responsible for feeding each op exactly once;
-// a warm resume fetches the not-yet-consumed suffix with
-// oplog.SnapshotSince(NextSeq()) rather than refeeding the whole gap.
+// order given. The caller is responsible for feeding each op exactly once.
 func (r *Replayer) Feed(ops []*oplog.Op) error {
-	if !r.seeded {
-		return r.s.assert(false, "replayer fed before seeding")
-	}
 	for _, rec := range ops {
 		if err := r.feedOne(rec); err != nil {
 			return err
-		}
-		if !r.haveSeq || rec.Seq+1 > r.nextSeq {
-			r.nextSeq = rec.Seq + 1
-			r.haveSeq = true
 		}
 	}
 	return nil
@@ -252,7 +182,7 @@ func (r *Replayer) EmitChunk() *handoff.Chunk {
 // emits the last chunk, and seals the manifest binding the whole stream.
 // The returned in-flight op carries the shadow's outcome (nil if there was
 // none); syncs pass through unexecuted (the base re-runs them after
-// hand-off). The replayer remains usable for a warm resume afterwards.
+// hand-off).
 func (r *Replayer) Finish(inFlight *oplog.Op) (*handoff.Chunk, *handoff.Manifest, *oplog.Op, error) {
 	var fl *oplog.Op
 	if inFlight != nil {
@@ -275,21 +205,6 @@ func (r *Replayer) Finish(inFlight *oplog.Op) (*handoff.Chunk, *handoff.Manifest
 	}
 	m.Seal()
 	return last, m, fl, nil
-}
-
-// ResetStream rearms the chunk stream for the next recovery after a warm
-// retention: the base that crashed absorbed the previous chunks into a
-// now-dead instance, so the next recovery must hand off the full overlay
-// again, from chunk zero.
-func (r *Replayer) ResetStream() {
-	r.chunkIdx = 0
-	r.sums = nil
-	r.emitted = make(map[uint32]bool)
-	r.s.deltaFreed = make(map[uint32]bool)
-	r.s.deltaDirty = make(map[uint32]bool)
-	for blk := range r.s.overlay {
-		r.s.deltaDirty[blk] = true
-	}
 }
 
 func sortedFDs(fds map[fsapi.FD]uint32) []handoff.FDEntry {

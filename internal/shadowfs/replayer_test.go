@@ -99,8 +99,8 @@ func TestReplayerStreamEquivalentToMonolithic(t *testing.T) {
 	}
 
 	s, _, _ := freshShadow(t, 16384)
-	r := NewReplayer(s, ReplayerKey{}, true)
-	if err := r.Seed(map[fsapi.FD]uint32{}, 0); err != nil {
+	r, err := NewReplayer(s, map[fsapi.FD]uint32{}, 0, true)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var chunks []*handoff.Chunk
@@ -130,82 +130,5 @@ func TestReplayerStreamEquivalentToMonolithic(t *testing.T) {
 	requireSameHandoff(t, chunks, monoRes.Chunks, m, monoRes.Manifest)
 	if r.OpsReplayed() != monoRes.OpsReplayed {
 		t.Errorf("replayer executed %d ops, monolithic %d", r.OpsReplayed(), monoRes.OpsReplayed)
-	}
-}
-
-// TestReplayerWarmResumeReplaysOnlySuffix retains the replayer after a
-// first recovery and verifies that a second recovery feeds only the new
-// ops, while ResetStream makes the next stream carry the full overlay for
-// the freshly rebooted base.
-func TestReplayerWarmResumeReplaysOnlySuffix(t *testing.T) {
-	recorded := recordedTrace(t, 300)
-	first, rest := recorded[:250], recorded[250:]
-
-	s, _, _ := freshShadow(t, 16384)
-	r := NewReplayer(s, ReplayerKey{StableSeq: 0, DevGen: 1}, true)
-	if err := r.Seed(map[fsapi.FD]uint32{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Feed(first); err != nil {
-		t.Fatal(err)
-	}
-	c1, m1, _, err := r.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foldStream(t, []*handoff.Chunk{c1}, m1)
-	firstReplayed := r.OpsReplayed()
-	if r.NextSeq() != 250 {
-		t.Fatalf("NextSeq = %d after first recovery, want 250", r.NextSeq())
-	}
-
-	// Second fault: only the suffix is fed. The stream restarts at chunk 0
-	// carrying the whole overlay (the new base absorbed nothing yet).
-	r.ResetStream()
-	if err := r.Feed(rest); err != nil {
-		t.Fatal(err)
-	}
-	c2, m2, _, err := r.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 == nil || c2.Index != 0 {
-		t.Fatal("warm stream did not restart at chunk 0")
-	}
-	suffixReplayed := r.OpsReplayed() - firstReplayed
-	if suffixReplayed > len(rest) {
-		t.Errorf("warm resume replayed %d ops, gap suffix is only %d", suffixReplayed, len(rest))
-	}
-
-	// The warm result must equal a cold replay of the entire gap.
-	cold, _, _ := freshShadow(t, 16384)
-	coldRes, err := cold.Replay(ReplayInput{Ops: recorded, BaseFDs: map[fsapi.FD]uint32{}, StopOnDiscrepancy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameHandoff(t, []*handoff.Chunk{c2}, coldRes.Chunks, m2, coldRes.Manifest)
-}
-
-// TestReplayerMarkConsumed pins the resume-path bookkeeping: an appended
-// in-flight op's seq is covered without replaying.
-func TestReplayerMarkConsumed(t *testing.T) {
-	s, _, _ := freshShadow(t, 4096)
-	r := NewReplayer(s, ReplayerKey{}, false)
-	if err := r.Seed(map[fsapi.FD]uint32{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Feed([]*oplog.Op{{Kind: oplog.KCreate, Path: "/a", Perm: 0o644, RetIno: 2, Seq: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if r.NextSeq() != 6 {
-		t.Fatalf("NextSeq = %d, want 6", r.NextSeq())
-	}
-	r.MarkConsumed(7)
-	if r.NextSeq() != 7 {
-		t.Fatalf("NextSeq = %d after MarkConsumed, want 7", r.NextSeq())
-	}
-	r.MarkConsumed(3) // never goes backwards
-	if r.NextSeq() != 7 {
-		t.Fatalf("NextSeq = %d after stale MarkConsumed, want 7", r.NextSeq())
 	}
 }

@@ -694,10 +694,6 @@ func (s *Shadow) Overlay() (blocks map[uint32][]byte, meta map[uint32]bool) {
 	return s.overlay, s.meta
 }
 
-// OverlayBlocks returns the shadow's current memory footprint in blocks —
-// the warm-replayer retention policy's input.
-func (s *Shadow) OverlayBlocks() int { return len(s.overlay) }
-
 // TakeDelta drains and returns the set of blocks written and freed since the
 // last call. The streaming replayer turns each delta into one sealed handoff
 // chunk. Freed blocks that were never previously handed off are simply

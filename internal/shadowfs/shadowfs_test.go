@@ -270,7 +270,11 @@ func TestShadowOverlayBecomesStream(t *testing.T) {
 	if _, err := s.WriteAt(fd, 0, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	c, m, _, err := NewReplayer(s, ReplayerKey{}, false).Finish(nil)
+	r, err := NewReplayer(s, nil, s.Clock(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, m, _, err := r.Finish(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

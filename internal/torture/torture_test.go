@@ -229,7 +229,7 @@ func TestShrinkKeepsNonReproducing(t *testing.T) {
 // TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb pins what the campaign
 // covers since its supervisor became the production engine on one worker:
 // two faults in one mounted case, the second after a durable point, so the
-// second recovery is a cold one over a verified baseline. It must run the
+// second recovery runs over a verified baseline. It must run the
 // region-scoped check and install a gap longer than one feed batch through
 // AbsorbChunk/AbsorbManifest, and the result must equal the specification.
 func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
@@ -271,8 +271,9 @@ func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
 	if st := fs.Stats(); st.Recoveries != 1 || st.FsckFull != 1 || st.FsckScoped != 0 {
 		t.Fatalf("first fault: recoveries=%d full=%d scoped=%d, want 1/1/0", st.Recoveries, st.FsckFull, st.FsckScoped)
 	}
-	// A durable point moves the device under the retained shadow, so the
-	// second recovery cannot resume it warm and must check the image again.
+	// A durable point puts the first gap on the device, so the second
+	// recovery's scoped check has blocks the base wrote since the first to
+	// cover.
 	if err := syncBoth(fs, m); err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +291,8 @@ func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
 	if st.FsckScoped != 1 || st.FsckFull != 1 {
 		t.Errorf("second fault: scoped=%d full=%d, want 1/1", st.FsckScoped, st.FsckFull)
 	}
-	if st.OpsReused != 0 || st.OpsReplayed < gap {
-		t.Errorf("replayed %d ops and reused %d, want a cold replay of the %d-op gap", st.OpsReplayed, st.OpsReused, gap)
+	if st.OpsReplayed < gap {
+		t.Errorf("replayed %d ops, want the whole %d-op gap", st.OpsReplayed, gap)
 	}
 	if ph := st.Phases[1]; ph.Absorb <= 0 || ph.InstallWait != 0 {
 		t.Errorf("second hand-off: Absorb=%v InstallWait=%v, want chunks absorbed on the recovering goroutine", ph.Absorb, ph.InstallWait)
