@@ -98,14 +98,14 @@ func main() {
 	snap := sink.Snapshot()
 	printedHeader := false
 	for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
-		"install", "install_wait", "resume", "wall"} {
+		"install", "resume", "wall"} {
 		h, ok := snap.Histograms["recovery.stage."+stage+"_ns"]
 		if !ok || h.Count == 0 {
 			continue
 		}
 		if !printedHeader {
-			fmt.Println("\nrecovery engine stages (wall = plan + reboot + install + install_wait + resume;")
-			fmt.Println("fsck, shadow_mount and replay run beside reboot, install_wait is what they add to it):")
+			fmt.Println("\nrecovery engine stages, run in order")
+			fmt.Println("(wall = plan + reboot + fsck + shadow_mount + replay + install + resume):")
 			printedHeader = true
 		}
 		fmt.Printf("  %-12s n=%-3d mean=%-12v max=%v\n", stage, h.Count, h.Mean, h.Max)

@@ -28,18 +28,14 @@ func buildStream(t *testing.T, dev *blockdev.Mem) (*handoff.Chunk, *handoff.Mani
 	if _, err := sh.WriteAt(fd, 0, []byte("from the shadow")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := shadowfs.NewReplayer(sh, nil, sh.Clock(), false)
+	res, err := sh.Replay(shadowfs.ReplayInput{StartClock: sh.Clock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, m, _, err := r.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Chunks) != 1 || len(res.Manifest.FDs) != 1 {
+		t.Fatalf("handoff = chunks %v, fds %+v", res.Chunks, res.Manifest.FDs)
 	}
-	if c == nil || len(m.FDs) != 1 {
-		t.Fatalf("handoff = chunk %v, fds %+v", c, m.FDs)
-	}
-	return c, m
+	return res.Chunks[0], res.Manifest
 }
 
 func TestAbsorbInstallsShadowState(t *testing.T) {

@@ -11,12 +11,9 @@
 package blockdev
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"os"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -456,322 +453,4 @@ func (o *Overlay) NumBlocks() uint32 { return o.dev.NumBlocks() }
 // Flush implements Device and always fails.
 func (o *Overlay) Flush() error {
 	return fmt.Errorf("blockdev: flush through read-only overlay: %w", fserr.ErrReadOnly)
-}
-
-// Prefetched is a read-through block cache over a frozen read-only view,
-// with a background crew of workers that streams the whole device into the
-// cache. On a device with per-IO service time, consumers whose access
-// pattern is serial blocking reads (fsck's walk, the shadow's replay) stop
-// paying that latency once the prefetcher is ahead of them: the device is
-// read at the parallelism of the worker crew while the consumers run at
-// memory speed. Only correct over views whose logical content cannot change
-// — exactly what the recovery plan's overlay construction guarantees.
-//
-// Device reads are exact: while the cache lives, every block is read once,
-// by whoever asks first, and every prefetch span is read in one call. A
-// reader claims the blocks it will fetch in an in-flight set, and a reader
-// that wants a claimed block waits for the claim to settle instead of
-// reading it again. A consumer that misses inside a span no reader has
-// taken yet takes the whole span, as the crew would have. Only a failed
-// read is repeated, by the consumer that needs the block, so it surfaces
-// the error.
-//
-// Safe for concurrent use. Writes and flushes are rejected (the underlying
-// view is read-only by contract).
-type Prefetched struct {
-	dev      Device
-	mu       sync.RWMutex
-	blocks   map[uint32][]byte
-	inflight map[uint32]chan struct{} // the claim's done channel per block
-
-	spans   []BlockRange  // ascending chunked work list the crew claims from
-	taken   []bool        // spans a reader has claimed; guarded by mu
-	next    atomic.Uint32 // next span index the worker crew will fetch
-	stopped atomic.Bool
-	done    sync.WaitGroup
-}
-
-// BlockRange is a contiguous block range [Start, Start+Len).
-type BlockRange struct {
-	Start, Len uint32
-}
-
-// prefetchChunk is the largest run one prefetch claim transfers. Adjacent
-// blocks within a claim are read in one ranged device call rather than one
-// call per block.
-const prefetchChunk = 32
-
-// NewPrefetched wraps the frozen view and starts workers background readers
-// over the whole device. Callers must Release when the consumers are
-// finished so the cache memory and the worker crew are reclaimed.
-func NewPrefetched(dev Device, workers int) *Prefetched {
-	return NewPrefetchedRanges(dev, workers, []BlockRange{{Start: 0, Len: dev.NumBlocks()}})
-}
-
-// NewPrefetchedRanges is NewPrefetched restricted to the given block ranges
-// — the extent-keyed variant: a caller that knows where the live data sits
-// (an extent walk, a recovery plan's touched set) prefetches exactly that,
-// so the crew's IO tracks live data instead of device size. Ranges are
-// clipped to the device and fetched in ascending order; blocks outside them
-// are still served by read-through.
-func NewPrefetchedRanges(dev Device, workers int, ranges []BlockRange) *Prefetched {
-	p := &Prefetched{dev: dev, blocks: make(map[uint32][]byte), inflight: make(map[uint32]chan struct{})}
-	n := dev.NumBlocks()
-	for _, r := range ranges {
-		if r.Start >= n {
-			continue
-		}
-		if uint64(r.Start)+uint64(r.Len) > uint64(n) {
-			r.Len = n - r.Start
-		}
-		// Split into claim-sized spans so the crew load-balances within big
-		// ranges.
-		for off := uint32(0); off < r.Len; off += prefetchChunk {
-			l := r.Len - off
-			if l > prefetchChunk {
-				l = prefetchChunk
-			}
-			p.spans = append(p.spans, BlockRange{Start: r.Start + off, Len: l})
-		}
-	}
-	slices.SortFunc(p.spans, func(a, b BlockRange) int { return cmp.Compare(a.Start, b.Start) })
-	p.taken = make([]bool, len(p.spans))
-	if workers < 1 {
-		workers = 1
-	}
-	p.done.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer p.done.Done()
-			for {
-				i := int(p.next.Add(1)) - 1
-				if i >= len(p.spans) || p.stopped.Load() {
-					return
-				}
-				p.mu.Lock()
-				c := p.takeSpanLocked(i)
-				p.mu.Unlock()
-				p.load(c)
-			}
-		}()
-	}
-	return p
-}
-
-// spanOf returns the index of the span holding blk, or -1.
-func (p *Prefetched) spanOf(blk uint32) int {
-	i := sort.Search(len(p.spans), func(i int) bool { return p.spans[i].Start > blk }) - 1
-	if i >= 0 && blk < p.spans[i].Start+p.spans[i].Len {
-		return i
-	}
-	return -1
-}
-
-// claim is a set of blocks one reader has taken to fetch, in ascending
-// order, and the channel closed once all of them have settled.
-type claim struct {
-	blks []uint32
-	done chan struct{}
-}
-
-// takeSpanLocked claims span i for the caller unless a reader already has.
-// Caller holds p.mu.
-func (p *Prefetched) takeSpanLocked(i int) claim {
-	if p.taken[i] {
-		return claim{}
-	}
-	p.taken[i] = true
-	return p.claimLocked(p.spans[i].Start, p.spans[i].Len)
-}
-
-// claimLocked marks every block of [start, start+n) that is neither cached
-// nor in flight as in flight for the caller. Caller holds p.mu.
-func (p *Prefetched) claimLocked(start, n uint32) claim {
-	var c claim
-	for b := start; b < start+n; b++ {
-		if _, have := p.blocks[b]; have {
-			continue
-		}
-		if _, busy := p.inflight[b]; busy {
-			continue
-		}
-		if c.done == nil {
-			c.done = make(chan struct{})
-		}
-		p.inflight[b] = c.done
-		c.blks = append(c.blks, b)
-	}
-	return c
-}
-
-// settle ends the claim on the run of blocks from start and caches each
-// buffer unless its read failed (nil) or the cache was released. The
-// stopped check happens under p.mu, which Release also holds to clear the
-// cache, so a late settle can never repopulate the cleared map and pin
-// blocks for the holder's lifetime.
-func (p *Prefetched) settle(start uint32, bufs [][]byte) {
-	p.mu.Lock()
-	for k, buf := range bufs {
-		if buf != nil && !p.stopped.Load() {
-			p.blocks[start+uint32(k)] = buf
-		}
-		delete(p.inflight, start+uint32(k))
-	}
-	p.mu.Unlock()
-}
-
-// load reads a claim's blocks, coalescing adjacent ones into ranged reads,
-// settles them and wakes the claim's waiters. A failed ranged read falls
-// back to per-block reads so one bad sector doesn't forfeit its neighbors; a
-// block that still fails settles uncached, and the consumer that needs it
-// reads it again and surfaces the error.
-func (p *Prefetched) load(c claim) {
-	mine := c.blks
-	for i := 0; i < len(mine); {
-		j := i + 1
-		for j < len(mine) && mine[j] == mine[j-1]+1 {
-			j++
-		}
-		start, count := mine[i], j-i
-		backing := make([]byte, count*disklayout.BlockSize)
-		bufs := make([][]byte, count)
-		for k := range bufs {
-			bufs[k] = backing[k*disklayout.BlockSize : (k+1)*disklayout.BlockSize]
-		}
-		if err := p.dev.ReadVec([]Run{{Blk: start, Bufs: bufs}}); err != nil {
-			for k := range bufs {
-				bufs[k] = nil
-				if count == 1 {
-					continue // the failed read was this block's own
-				}
-				if b, err := p.dev.ReadBlock(start + uint32(k)); err == nil {
-					bufs[k] = b
-				}
-			}
-		}
-		p.settle(start, bufs)
-		i = j
-	}
-	if c.done != nil {
-		close(c.done)
-	}
-}
-
-// readInto copies blk into dst: from the cache when some reader has fetched
-// it, after waiting when one is fetching it, by taking its whole span when
-// no reader has, and otherwise by reading the one block here.
-func (p *Prefetched) readInto(blk uint32, dst []byte) error {
-	for {
-		p.mu.RLock()
-		b, ok := p.blocks[blk]
-		p.mu.RUnlock()
-		if ok {
-			copy(dst, b)
-			return nil
-		}
-		p.mu.Lock()
-		if ch, busy := p.inflight[blk]; busy {
-			p.mu.Unlock()
-			<-ch
-			continue
-		}
-		if i := p.spanOf(blk); i >= 0 && !p.taken[i] {
-			c := p.takeSpanLocked(i)
-			p.mu.Unlock()
-			p.load(c)
-			continue
-		}
-		c := p.claimLocked(blk, 1)
-		p.mu.Unlock()
-		if c.done == nil {
-			continue // cached between the two looks
-		}
-		buf, err := p.dev.ReadBlock(blk)
-		if err != nil {
-			buf = nil
-		}
-		p.settle(blk, [][]byte{buf})
-		close(c.done)
-		if err != nil {
-			return err
-		}
-		copy(dst, buf)
-		return nil
-	}
-}
-
-// ReadBlock implements Device: cache hit, a wait on another reader's fetch,
-// or read-through that populates the cache, so a consumer running ahead of
-// the prefetch crew still pays each block only once.
-func (p *Prefetched) ReadBlock(blk uint32) ([]byte, error) {
-	if p.stopped.Load() {
-		return p.dev.ReadBlock(blk)
-	}
-	buf := make([]byte, disklayout.BlockSize)
-	if err := p.readInto(blk, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// ReadVec implements VecReader: the blocks of a run that no reader has
-// cached or claimed are fetched in ranged reads, then the run is served
-// from the cache.
-func (p *Prefetched) ReadVec(runs []Run) error {
-	if p.stopped.Load() {
-		return p.dev.ReadVec(runs)
-	}
-	for _, r := range runs {
-		if err := validateRun(r, p.dev.NumBlocks()); err != nil {
-			return err
-		}
-		p.mu.Lock()
-		c := p.claimLocked(r.Blk, uint32(len(r.Bufs)))
-		p.mu.Unlock()
-		p.load(c)
-		for i, buf := range r.Bufs {
-			if err := p.readInto(r.Blk+uint32(i), buf); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// WriteBlock implements Device and always fails.
-func (p *Prefetched) WriteBlock(blk uint32, data []byte) error {
-	return fmt.Errorf("blockdev: write to block %d through prefetched read-only view: %w", blk, fserr.ErrReadOnly)
-}
-
-// NumBlocks implements Device.
-func (p *Prefetched) NumBlocks() uint32 { return p.dev.NumBlocks() }
-
-// WriteVec implements VecWriter and always fails.
-func (p *Prefetched) WriteVec(runs []Run) error {
-	return fmt.Errorf("blockdev: run write through prefetched read-only view: %w", fserr.ErrReadOnly)
-}
-
-// Flush implements Device and always fails.
-func (p *Prefetched) Flush() error {
-	return fmt.Errorf("blockdev: flush through prefetched read-only view: %w", fserr.ErrReadOnly)
-}
-
-// Cached reports how many blocks the cache currently holds.
-func (p *Prefetched) Cached() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.blocks)
-}
-
-// Release stops the worker crew, waits it out, and drops the cache. Later
-// reads pass straight through to the underlying view.
-func (p *Prefetched) Release() {
-	if p == nil {
-		return
-	}
-	p.stopped.Store(true)
-	p.done.Wait()
-	p.mu.Lock()
-	p.blocks = make(map[uint32][]byte)
-	p.mu.Unlock()
 }

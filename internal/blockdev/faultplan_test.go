@@ -2,10 +2,12 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
 	"repro/internal/disklayout"
+	"repro/internal/fserr"
 )
 
 // TestFaultPlanSharedAcrossDevicesRace is the -race regression for the
@@ -128,5 +130,34 @@ func TestFaultPlanForkCopiesMaps(t *testing.T) {
 	}
 	if err := dev2.WriteBlock(1, bytes.Repeat([]byte{1}, disklayout.BlockSize)); err != nil {
 		t.Fatalf("zero-value fork injected unexpected write fault: %v", err)
+	}
+}
+
+// TestFaultPlanReadErrBlocks: per-block deterministic read errors fire on
+// exactly the listed blocks, every time, and leave the rest alone.
+func TestFaultPlanReadErrBlocks(t *testing.T) {
+	dev := NewMem(16)
+	plan := NewFaultPlan(99)
+	plan.ReadErrBlocks = map[uint32]bool{3: true, 9: true}
+	dev.SetFaults(plan)
+	for i := 0; i < 3; i++ { // deterministic: not a probability roll
+		for blk := uint32(0); blk < 16; blk++ {
+			_, err := dev.ReadBlock(blk)
+			if want := plan.ReadErrBlocks[blk]; want && err == nil {
+				t.Errorf("pass %d: block %d read succeeded, want error", i, blk)
+			} else if !want && err != nil {
+				t.Errorf("pass %d: block %d: %v", i, blk, err)
+			}
+		}
+	}
+	if got := dev.Stats().ReadErrors.Load(); got != 6 {
+		t.Errorf("ReadErrors = %d, want 6", got)
+	}
+	// Writes are unaffected.
+	if err := dev.WriteBlock(3, make([]byte, 4096)); err != nil {
+		t.Errorf("write to read-err block: %v", err)
+	}
+	if _, err := dev.ReadBlock(3); !errors.Is(err, fserr.ErrIO) {
+		t.Errorf("injected error not fserr.ErrIO: %v", err)
 	}
 }

@@ -53,11 +53,6 @@ var wrapperCases = []wrapperCase{
 		// The override sits outside the run, so the run reaches the leaf whole.
 		return NewOverlay(m, map[uint32][]byte{0: block(0xEE)})
 	})},
-	{name: "Prefetched", readOnly: true, faults: true, build: overMem(func(t *testing.T, m *Mem) Device {
-		p := NewPrefetchedRanges(m, 1, nil) // no crew work: every read is the consumer's
-		t.Cleanup(p.Release)
-		return p
-	})},
 	{name: "Instrumented", faults: true, build: overMem(func(t *testing.T, m *Mem) Device {
 		return Instrument(m, telemetry.New(), "test")
 	})},
@@ -133,7 +128,7 @@ func TestEveryWrapperForwardsRuns(t *testing.T) {
 // TestEveryWrapperKeepsPerBlockFaults pins the fault surface of a run: the
 // deterministic per-block maps of the leaf's FaultPlan fire for the one
 // block they name, whichever wrapper the run passes through. Each map gets a
-// fresh stack, since Prefetched caches what it has read.
+// fresh stack.
 func TestEveryWrapperKeepsPerBlockFaults(t *testing.T) {
 	const badSector, flipped = 13, 17
 	faulty := func(t *testing.T, c wrapperCase, plan *FaultPlan) (Device, Run) {

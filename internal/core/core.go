@@ -102,18 +102,6 @@ type Config struct {
 	// MaxReplayRetries bounds naive replay's re-execution attempts before it
 	// degrades to crash-restart.
 	MaxReplayRetries int
-	// RecoveryWorkers bounds the parallelism one recovery may use; 0 selects
-	// the default (8). Above 1 the shadow's stage runs beside the contained
-	// reboot (they work from independent read-only views of the post-replay
-	// device state), the image check overlaps the replay and has this many
-	// workers, and a crew of this size reads the frozen view ahead of both
-	// (the planned check's read set: the scope for a scoped check, the device
-	// for a full one), so recovery latency approaches max(reboot, replay) +
-	// install. At 1 the same stages run on the recovering goroutine, one
-	// after another, with nothing spawned: reboot, check, replay, install.
-	// The order of device calls is then reproducible, which the torture
-	// tier needs.
-	RecoveryWorkers int
 	// ScrubInterval enables the online background scrubber: every interval,
 	// the parallel checker runs over a frozen snapshot-plus-committed-journal
 	// view, publishing scrub.* telemetry; a corrupt finding trips the
@@ -121,7 +109,8 @@ type Config struct {
 	// baseline. Requires the device to implement blockdev.Snapshotter.
 	// 0 (the default) disables scrubbing.
 	ScrubInterval time.Duration
-	// ScrubWorkers sizes the scrubber's checker pool; 0 inherits RecoveryWorkers.
+	// ScrubWorkers sizes the scrubber's checker pool; 0 selects the default
+	// (8).
 	ScrubWorkers int
 	// ExternalScrub creates the scrubber without starting its internal timer:
 	// an external scheduler (the volume manager's shared scrub worker pool)
@@ -143,11 +132,8 @@ func (c *Config) fill() {
 	if c.MaxReplayRetries == 0 {
 		c.MaxReplayRetries = 3
 	}
-	if c.RecoveryWorkers <= 0 {
-		c.RecoveryWorkers = 8
-	}
 	if c.ScrubWorkers <= 0 {
-		c.ScrubWorkers = c.RecoveryWorkers
+		c.ScrubWorkers = 8
 	}
 	if c.NoTelemetry {
 		c.Telemetry = nil
@@ -158,30 +144,20 @@ func (c *Config) fill() {
 }
 
 // RecoveryPhases breaks one recovery's latency into stages that partition
-// its wall clock. The recovering goroutine spends Wall on, in order: Plan,
-// Reboot, the hand-off (Absorb plus InstallWait) and Resume. The shadow's
-// stage (ShadowStage, made of Fsck, ShadowMount and Replay) runs beside
-// Reboot when RecoveryWorkers > 1, where the part of it that outlasts Reboot
-// is what InstallWait measures, and inline between Reboot and the hand-off
-// at RecoveryWorkers 1, where InstallWait is zero. So
+// its wall clock. The recovering goroutine runs them in order, so
 //
-//	workers 1:  Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
-//	workers >1: Wall = Plan + Reboot + Absorb + InstallWait + Resume
-//	            Plan + max(Reboot, ShadowStage) + Resume <= Wall
+//	Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
 //
 // exactly: each phase boundary is one clock reading that ends one phase and
 // starts the next, so bookkeeping between two phases counts in the one that
-// follows. With workers > 1 Fsck overlaps ShadowMount + Replay, so
-// ShadowStage is less than the three's sum.
+// follows.
 type RecoveryPhases struct {
 	Plan        time.Duration // fence, kill, freeze the recovery input and the shadow's view
 	Reboot      time.Duration // journal replay + fresh mount
 	Fsck        time.Duration // shadow's image validation
-	ShadowMount time.Duration // shadowfs.New + descriptor-table seed over the frozen view
-	Replay      time.Duration // shadow constrained + autonomous execution
-	ShadowStage time.Duration // wall clock of fsck, shadow mount and replay together
+	ShadowMount time.Duration // shadowfs.New over the frozen view
+	Replay      time.Duration // descriptor-table seed, constrained + autonomous execution
 	Absorb      time.Duration // metadata download: AbsorbChunk/AbsorbManifest and the hand-off's bookkeeping
-	InstallWait time.Duration // hand-off loop blocked on the shadow's chunk stream
 	Resume      time.Duration // answer the in-flight op, settle trust
 	// Wall is the measured end-to-end recovery latency.
 	Wall time.Duration

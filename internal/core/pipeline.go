@@ -6,41 +6,29 @@ import (
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
-	"repro/internal/difftest"
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
 	"repro/internal/fsck"
 	"repro/internal/fserr"
-	"repro/internal/handoff"
 	"repro/internal/journal"
 	"repro/internal/oplog"
 	"repro/internal/shadowfs"
 	"repro/internal/telemetry"
 )
 
-// The recovery engine. raeRecover runs the paper's procedure (§3.2) as a
-// staged graph instead of a straight line:
+// The recovery engine. raeRecover runs the paper's procedure (§3.2) as one
+// straight line on the recovering goroutine, each stage starting when the
+// one before it has returned:
 //
-//	plan ──┬── reboot ─────────────┬── install ── resume
-//	       ├── fsck ───────────────┤
-//	       └── replay ─────chunks──┘
+//	plan → reboot → check → shadow mount → replay → install → resume
 //
-// The contained reboot and the shadow's replay have no data dependency: the
-// reboot's journal replay rewrites home locations on the device, while the
-// shadow works from a frozen read-only view built at plan time — the raw
-// device overlaid with the journal's committed-transaction writes (the
-// exact post-replay logical image) and the pre-reboot superblock. The two
-// stages therefore run concurrently, and the shadow streams its result out
-// as sealed chunks that the install stage absorbs into the fresh base as
-// they arrive. Recovery latency approaches max(reboot, replay) + install
-// instead of their sum. There is one graph: Config.RecoveryWorkers == 1 runs
-// the same stages on the recovering goroutine, one after another, with
-// nothing spawned (reboot, then fsck, then replay, then install).
-
-// replayFeedBatch is the op-count granularity of the incremental replay: a
-// chunk is emitted (at most) every replayFeedBatch ops, bounding both the
-// latency before the install stage has work and the per-chunk copy size.
-const replayFeedBatch = 256
+// The plan freezes the shadow's input while the device is quiescent: the
+// recorded gap and a read-only view of the device — the raw device overlaid
+// with the journal's committed-transaction writes (the exact post-replay
+// logical image) and the pre-reboot superblock — so the contained reboot's
+// own writes (journal replay to home locations, the superblock rewrite) are
+// invisible to the shadow. The check gates the replay: the shadow never runs
+// over an image the check rejected.
 
 // deferredSyncRetries bounds the extra attempts the resume path gives a
 // deferred sync re-run that keeps hitting device-level faults before it
@@ -48,7 +36,7 @@ const replayFeedBatch = 256
 // device that refuses every attempt is genuinely unwritable.
 const deferredSyncRetries = 3
 
-// recoveryPlan freezes everything the overlapped stages need before the
+// recoveryPlan freezes everything the shadow's stages need before the
 // contained reboot starts: the recovery input (snapshotted and round-tripped
 // through the wire format, proving it is self-contained) and the shadow's
 // frozen device view. Built with the gate held exclusively and the old
@@ -65,9 +53,6 @@ type recoveryPlan struct {
 
 	// view is the frozen read-only device view for the shadow.
 	view blockdev.Device
-	// prefetch, when non-nil, is the background crew caching view's blocks;
-	// released when the engine is done with the cold stage.
-	prefetch *blockdev.Prefetched
 
 	// check validates the frozen view; chosen at plan time (scoped or full,
 	// see planFsck). Nil if planning failed before the view was built.
@@ -81,12 +66,9 @@ type recoveryPlan struct {
 	err     error
 }
 
-// release reclaims the plan's background resources; safe on any plan.
-func (p *recoveryPlan) release() { p.prefetch.Release() }
-
 // planRecovery builds the stage inputs. Errors are recorded in the plan,
 // not returned: the engine still performs the contained reboot and then
-// degrades on the fresh base, preserving the pre-pipeline failure behavior.
+// degrades on the fresh base.
 func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 	p := &recoveryPlan{}
 	if inflight != nil {
@@ -101,7 +83,7 @@ func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 	// The whole gap plus a frozen device view. The view is the raw device
 	// overlaid with the journal's committed writes — the same logical image
 	// the reboot's journal replay produces — plus the current superblock, so
-	// the concurrent mount's own writes (journal replay to home locations,
+	// the reboot's own writes (journal replay to home locations,
 	// the superblock rewrite) are invisible to the shadow.
 	ops, fds, clk := r.log.Snapshot()
 	wire := oplog.EncodeSequence(ops, fds, clk)
@@ -130,24 +112,22 @@ func (r *FS) planRecovery(inflight *oplog.Op) *recoveryPlan {
 	}
 	if _, ok := over[0]; !ok {
 		// Freeze the superblock too: the mount rewrites block 0 (dirty flag,
-		// generation bump) concurrently with the shadow's startup read. A
-		// committed transaction targeting block 0 takes precedence — that is
+		// generation bump) before the shadow reads it. A committed transaction targeting block 0 takes precedence — that is
 		// the post-replay superblock.
 		over[0] = sbb
 	}
 	p.view = blockdev.NewOverlay(shadowDev, over)
-	r.planFsck(p, sb, over)
+	r.planFsck(p, over)
 	return p
 }
 
-// planFsck picks the check the replay stage will run over the frozen view,
-// claims the scoped-check baseline, and starts the view's prefetch crew over
-// exactly what that check will read. Runs with the gate held exclusively
+// planFsck picks the check the replay stage will run over the frozen view
+// and claims the scoped-check baseline. Runs with the gate held exclusively
 // (the only context where draining the touched set is sound). The scope of
 // a region-scoped check is everything that can differ from the last
 // verified image: every block written through a fence since (touchedOld),
 // every block the journal overlay rewrites, and the superblock.
-func (r *FS) planFsck(p *recoveryPlan, sb *disklayout.Superblock, over map[uint32][]byte) {
+func (r *FS) planFsck(p *recoveryPlan, over map[uint32][]byte) {
 	var sc *fsck.Scope
 	p.touchedOld = r.touched.snapshotAndReset()
 	if r.verified.Load() {
@@ -160,24 +140,11 @@ func (r *FS) planFsck(p *recoveryPlan, sb *disklayout.Superblock, over map[uint3
 			sc.Add(blk)
 		}
 	}
-	workers := r.cfg.RecoveryWorkers
-	if workers > 1 {
-		// Pipeline the view's IO too: a worker crew reads ahead of fsck and
-		// replay, so their serial blocking reads stop paying the device's
-		// per-IO service time. A scoped check reads the scope, so the crew
-		// fetches the scope; only a full check is worth streaming the image.
-		if sc != nil {
-			p.prefetch = blockdev.NewPrefetchedRanges(p.view, workers, sc.PrefetchRanges(sb))
-		} else {
-			p.prefetch = blockdev.NewPrefetched(p.view, workers)
-		}
-		p.view = p.prefetch
-	}
 	view := p.view
 	if sc != nil {
-		p.check = func() *fsck.Report { return fsck.CheckScoped(view, sc, workers) }
+		p.check = func() *fsck.Report { return fsck.CheckScoped(view, sc) }
 	} else {
-		p.check = func() *fsck.Report { return fsck.CheckParallel(view, workers) }
+		p.check = func() *fsck.Report { return fsck.CheckParallel(view, 1) }
 	}
 }
 
@@ -224,128 +191,58 @@ func (w *stopwatch) lap() time.Duration {
 	return d
 }
 
-// replayOutcome is everything the replay stage hands back to the engine.
-type replayOutcome struct {
-	manifest *handoff.Manifest
-	inFlight *oplog.Op
-
-	fsckDur   time.Duration
-	mountDur  time.Duration // shadowfs.New + NewReplayer's descriptor-table seed
-	replayDur time.Duration
-	// stageDur is the stage's wall clock; with the fsck/replay overlap it is
-	// less than the components' sum.
-	stageDur time.Duration
-
-	opsReplayed int
-	discs       []difftest.Discrepancy
-
-	errWhat string
-	err     error
-}
-
-// runReplayStage validates the image, replays the recorded gap
-// incrementally on a fresh shadow, and emits sealed chunks through emit as
-// it goes. It never touches supervisor state mutated by the concurrent
-// reboot, and emit must not block on the caller. The stage's clocks are laps
-// of w, whose last reading is the stage's start: the engine's own stopwatch
-// when the stage runs inline, so its components partition the engine's wall
-// clock, and a stopwatch of its own when it runs beside the reboot.
-//
-// With RecoveryWorkers > 1 the stage checks the image *concurrently* with
-// the replay (the pFSCK-style decomposition): replay proceeds optimistically
-// over the unvalidated view while fsck walks the same frozen, read-only
-// blocks, and the stage only reports success once both agree. At 1 the check
-// runs first and gates the replay. A failed check surfaces the same way in
-// both — the engine discards the partially-absorbed base — so the overlap
-// changes latency, never the contract that nothing recovered ever came from
-// a corrupt image.
-func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, emit func(*handoff.Chunk)) *replayOutcome {
-	out := &replayOutcome{}
-	start := w.last
-	defer func() { out.stageDur = w.last.Sub(start) }()
-	check := func() error {
-		frep := p.check()
-		r.noteFsck(frep)
-		return frep.Err()
-	}
-	var fsckCh chan error
-	if r.cfg.RecoveryWorkers > 1 {
-		fsckCh = make(chan error, 1)
-		go func() {
-			t := time.Now()
-			err := check()
-			out.fsckDur = time.Since(t) // joined before out is read
-			fsckCh <- err
-		}()
-	} else {
-		err := check()
-		out.fsckDur = w.lap()
-		if err != nil {
-			out.errWhat, out.err = "shadow fsck", err
-			return out
-		}
+// runReplayStage checks the frozen view, mounts a fresh shadow over it and
+// replays the recorded gap, laps of w clocking each step into ph. The check
+// gates the replay. Returns the shadow's result, nil if the replay never
+// ran; an error names the step that failed.
+func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, ph *RecoveryPhases) (res *shadowfs.ReplayResult, err error) {
+	frep := p.check()
+	r.noteFsck(frep)
+	ph.Fsck = w.lap()
+	if err := frep.Err(); err != nil {
+		return nil, fmt.Errorf("shadow fsck: %w", err)
 	}
 	// The plan's check owns image validation; the shadow mount never
 	// duplicates it.
-	var rep *shadowfs.Replayer
 	sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
+	ph.ShadowMount = w.lap()
 	if err != nil {
-		out.mountDur = w.lap()
-		out.errWhat, out.err = "shadow mount", err
-	} else {
-		err = func() (err error) {
-			// Optimistic replay may run over a not-yet-validated image; the
-			// shadow's runtime checks turn corruption into errors, but a panic
-			// on adversarial input must degrade this recovery, not kill the
-			// process.
-			defer func() {
-				if rec := recover(); rec != nil {
-					err = fmt.Errorf("shadow panicked during replay: %v: %w", rec, fserr.ErrCorrupt)
-				}
-			}()
-			rep, err = shadowfs.NewReplayer(sh, p.fds, p.clk, r.cfg.StopOnDiscrepancy)
-			out.mountDur = w.lap()
-			if err != nil {
-				return err
+		return nil, fmt.Errorf("shadow mount: %w", err)
+	}
+	func() {
+		// A scoped check vouches for the blocks in scope only; the shadow's
+		// runtime checks turn corruption elsewhere into errors, but a panic
+		// on adversarial input must degrade this recovery, not kill the
+		// process.
+		defer func() {
+			if rec := recover(); rec != nil {
+				err = fmt.Errorf("shadow panicked during replay: %v: %w", rec, fserr.ErrCorrupt)
 			}
-			for i := 0; i < len(p.ops); i += replayFeedBatch {
-				end := min(i+replayFeedBatch, len(p.ops))
-				if err := rep.Feed(p.ops[i:end]); err != nil {
-					return err
-				}
-				if c := rep.EmitChunk(); c != nil {
-					emit(c)
-				}
-			}
-			last, m, fl, err := rep.Finish(p.inFlight)
-			if err != nil {
-				return err
-			}
-			if last != nil {
-				emit(last)
-			}
-			out.manifest, out.inFlight = m, fl
-			return nil
 		}()
-		out.replayDur = w.lap()
-		if err != nil {
-			out.errWhat, out.err = "shadow replay", err
+		res, err = sh.Replay(shadowfs.ReplayInput{
+			Ops: p.ops, BaseFDs: p.fds, StartClock: p.clk,
+			InFlight: p.inFlight, StopOnDiscrepancy: r.cfg.StopOnDiscrepancy,
+		})
+	}()
+	ph.Replay = w.lap()
+	if err != nil {
+		return res, fmt.Errorf("shadow replay: %w", err)
+	}
+	return res, nil
+}
+
+// absorb installs the shadow's sealed stream into the fresh base: every
+// chunk, then the manifest that binds them.
+func absorb(b *basefs.FS, res *shadowfs.ReplayResult) error {
+	for _, c := range res.Chunks {
+		if err := b.AbsorbChunk(c); err != nil {
+			return fmt.Errorf("absorb chunk: %w", err)
 		}
 	}
-	if rep != nil {
-		out.opsReplayed, out.discs = rep.OpsReplayed(), rep.Discrepancies()
+	if err := b.AbsorbManifest(res.Manifest); err != nil {
+		return fmt.Errorf("absorb manifest: %w", err)
 	}
-	if fsckCh != nil {
-		// Join the concurrent check; its verdict gates the stage regardless of
-		// how the optimistic replay fared. The wait is the stage's time, no
-		// component's.
-		if ferr := <-fsckCh; ferr != nil {
-			out.errWhat, out.err = "shadow fsck", ferr
-			out.manifest, out.inFlight = nil, nil
-		}
-		w.lap()
-	}
-	return out
+	return nil
 }
 
 // observeStage records one engine stage's duration in the per-stage
@@ -354,14 +251,13 @@ func (r *FS) observeStage(name string, d time.Duration) {
 	r.tel.Histogram("recovery.stage." + name + "_ns").Observe(d)
 }
 
-// raeRecover is the paper's recovery procedure (§3.2) on the staged engine:
-// contained reboot and shadow re-execution overlapped, hand-off streamed,
-// resume. Returns the trace outcome ("recovered", "degraded", or "failed").
+// raeRecover is the paper's recovery procedure (§3.2): contained reboot,
+// check, shadow re-execution, hand-off, resume. Returns the trace outcome
+// ("recovered", "degraded", or "failed").
 //
-// The recovering goroutine's phases are laps of one stopwatch, so they
-// partition the wall clock exactly: telemetry, counters and the stage's
-// spawn between two clocked regions belong to the phase that follows the
-// last reading.
+// The phases are laps of one stopwatch, so they partition the wall clock
+// exactly: telemetry and counters between two clocked regions belong to the
+// phase that follows the last reading.
 func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	wall0 := time.Now()
 	w := &stopwatch{last: wall0}
@@ -374,27 +270,6 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	r.base.Load().Kill()
 	plan := r.planRecovery(inflight)
 	ph.Plan = w.lap()
-	// The prefetch crew and its cache live for this recovery only.
-	defer plan.release()
-
-	// The shadow's stage. With RecoveryWorkers > 1 it runs beside the reboot
-	// and the install loop absorbs its chunks as they arrive; at 1 it runs on
-	// this goroutine once the reboot is done and the loop finds the stream
-	// complete. Either way the stage must never block on the loop, so the
-	// channel holds the whole stream: at most one chunk per feed batch and a
-	// last one from Finish. The op log's bound (oplog.MaxOps, enforced by
-	// forced stable points) keeps that to about 18 chunks.
-	overlap := plan.err == nil && r.cfg.RecoveryWorkers > 1
-	chunkCh := make(chan *handoff.Chunk, len(plan.ops)/replayFeedBatch+2)
-	var out *replayOutcome // written by stage, read after chunkCh is seen closed
-	stage := func(sw *stopwatch) {
-		out = r.runReplayStage(plan, sw, func(c *handoff.Chunk) { chunkCh <- c })
-		close(chunkCh)
-	}
-	if overlap {
-		// The stage's clock starts at the reading that ended Plan.
-		go stage(&stopwatch{last: w.last})
-	}
 	r.observeStage("plan", ph.Plan)
 
 	// Contained reboot: fresh instance from trusted on-disk state (journal
@@ -405,10 +280,6 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	r.observeStage("reboot", ph.Reboot)
 	if err != nil {
 		// The device itself is unusable; nothing recovers this.
-		if overlap {
-			for range chunkCh { // join the stage; its output is abandoned
-			}
-		}
 		r.fsckTrust(plan, false)
 		r.tel.Event("degrade", "recovery failed: remount: %v", err)
 		r.failOp(inflight)
@@ -421,66 +292,38 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		return r.degrade(newBase, newFence, inflight, ph, plan.errWhat+": %v", plan.err)
 	}
 
-	// Hand-off: absorb sealed chunks as they stream out of the shadow. What
-	// the loop spends blocked on a stage that is still running is
-	// InstallWait; the rest is Absorb. A stream that finished inline never
-	// blocks the loop, so at one worker all of it is Absorb.
-	if !overlap {
-		tr.BeginPhase(telemetry.PhaseShadowExec)
-		stage(w)
-	}
-	tr.BeginPhase(telemetry.PhaseHandoff)
-	var installErr error
-	dirty := false // has newBase absorbed any part of the stream?
-	wait := &ph.InstallWait
-	if !overlap {
-		wait = &ph.Absorb
-	}
-	for c := range chunkCh {
-		*wait += w.lap()
-		if installErr == nil { // else keep receiving: the close joins the stage
-			installErr = newBase.AbsorbChunk(c)
-			dirty = true // a failed absorb may have installed a prefix
-		}
-		ph.Absorb += w.lap()
-	}
-	*wait += w.lap()
-	ph.Fsck, ph.ShadowMount, ph.Replay, ph.ShadowStage = out.fsckDur, out.mountDur, out.replayDur, out.stageDur
+	tr.BeginPhase(telemetry.PhaseShadowExec)
+	res, err := r.runReplayStage(plan, w, &ph)
 	r.observeStage("fsck", ph.Fsck)
 	r.observeStage("shadow_mount", ph.ShadowMount)
 	r.observeStage("replay", ph.Replay)
-	r.observeStage("install_wait", ph.InstallWait)
-	if overlap {
-		// The overlapped stage's time is reported as its own span; the
-		// orchestrator's handoff span covers the whole drain window.
-		tr.AddSpan(telemetry.PhaseShadowExec, out.stageDur, "")
+	if res != nil {
+		r.cnt.opsReplayed.Add(int64(res.OpsReplayed))
+		r.cnt.discrepancies.Add(int64(len(res.Discrepancies)))
+		r.postMu.Lock()
+		r.lastDisc = res.Discrepancies
+		r.postMu.Unlock()
+		tr.SetOpsReplayed(res.OpsReplayed)
+		for _, d := range res.Discrepancies {
+			r.tel.Event("discrepancy", "%s", d.String())
+		}
 	}
-
-	r.cnt.opsReplayed.Add(int64(out.opsReplayed))
-	r.cnt.discrepancies.Add(int64(len(out.discs)))
-	r.postMu.Lock()
-	r.lastDisc = out.discs
-	r.postMu.Unlock()
-	tr.SetOpsReplayed(out.opsReplayed)
-	for _, d := range out.discs {
-		r.tel.Event("discrepancy", "%s", d.String())
-	}
-
-	if out.err != nil {
+	if err != nil {
 		// The shadow itself failed (corrupt image, divergence under
-		// StopOnDiscrepancy, or a shadow bug): degrade loudly.
+		// StopOnDiscrepancy, or a shadow bug): degrade loudly. The fresh
+		// base has absorbed nothing yet.
 		r.fsckTrust(plan, false)
-		return r.degradeDirty(newBase, newFence, dirty, inflight, ph, out.errWhat+": %v", out.err)
+		return r.degrade(newBase, newFence, inflight, ph, "%v", err)
 	}
-	if installErr != nil {
-		r.fsckTrust(plan, false)
-		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb chunk: %v", installErr)
-	}
-	err = newBase.AbsorbManifest(out.manifest)
-	ph.Absorb += w.lap()
+
+	// Hand-off: the base absorbs the sealed stream, then the manifest that
+	// binds it.
+	tr.BeginPhase(telemetry.PhaseHandoff)
+	err = absorb(newBase, res)
+	ph.Absorb = w.lap()
 	if err != nil {
 		r.fsckTrust(plan, false)
-		return r.degradeDirty(newBase, newFence, true, inflight, ph, "absorb manifest: %v", err)
+		return r.degradeDirty(newBase, newFence, inflight, ph, err)
 	}
 	r.observeStage("install", ph.Absorb)
 	r.base.Store(newBase)
@@ -526,8 +369,8 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 				}
 				r.cnt.appFailures.Add(1)
 			}
-		case out.inFlight != nil:
-			*inflight = *out.inFlight
+		case res.InFlight != nil:
+			*inflight = *res.InFlight
 			r.afterSuccess(inflight)
 		}
 	}
@@ -541,24 +384,21 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 	return "recovered"
 }
 
-// degradeDirty degrades to crash-restart semantics, first discarding the
-// fresh base if it absorbed part of a chunk stream: a stream prefix without
-// its manifest is unverified state, so the instance is killed and a clean
-// one mounted before the degrade bookkeeping runs.
-func (r *FS) degradeDirty(newBase *basefs.FS, newFence *fencedDevice, dirty bool,
-	inflight *oplog.Op, ph RecoveryPhases, reasonFormat string, args ...any) string {
-	if dirty {
-		newFence.raise()
-		newBase.Kill()
-		nb, nf, err := r.mountBase()
-		if err != nil {
-			r.cnt.degradations.Add(1)
-			r.tel.Event("degrade", "recovery failed after partial absorb: remount: %v", err)
-			r.failOp(inflight)
-			r.addPhases(ph)
-			return "failed"
-		}
-		newBase, newFence = nb, nf
+// degradeDirty degrades to crash-restart semantics after a failed absorb,
+// first discarding the fresh base: it may hold a prefix of the stream
+// without its manifest, which is unverified state, so the instance is killed
+// and a clean one mounted before the degrade bookkeeping runs.
+func (r *FS) degradeDirty(newBase *basefs.FS, newFence *fencedDevice,
+	inflight *oplog.Op, ph RecoveryPhases, cause error) string {
+	newFence.raise()
+	newBase.Kill()
+	newBase, newFence, err := r.mountBase()
+	if err != nil {
+		r.cnt.degradations.Add(1)
+		r.tel.Event("degrade", "recovery failed after partial absorb: remount: %v", err)
+		r.failOp(inflight)
+		r.addPhases(ph)
+		return "failed"
 	}
-	return r.degrade(newBase, newFence, inflight, ph, reasonFormat, args...)
+	return r.degrade(newBase, newFence, inflight, ph, "%v", cause)
 }

@@ -51,8 +51,7 @@ func (r *FS) addPhases(ph RecoveryPhases) {
 	r.postMu.Unlock()
 }
 
-// raeRecover — the paper's recovery procedure on the staged, overlapping
-// engine — lives in pipeline.go.
+// raeRecover — the paper's recovery procedure — lives in pipeline.go.
 
 // degrade falls back to crash-restart semantics on an already-mounted fresh
 // base: the recovery machinery could not reconstruct state, so buffered

@@ -114,8 +114,8 @@ func TestRecoveryIOIndependentOfImageSize(t *testing.T) {
 		}
 	}
 
-	// The prefetch crew and its consumers never read one block twice, so one
-	// measurement per size is exact.
+	// One measurement per size is exact: the recovery reads its blocks
+	// in the same order on every run.
 	small, big := measure(32<<20/4096), measure(256<<20/4096)
 	t.Logf("32 MiB: %+v", small)
 	t.Logf("256 MiB: %+v", big)
@@ -134,73 +134,86 @@ func TestRecoveryIOIndependentOfImageSize(t *testing.T) {
 	}
 }
 
-// TestRecoveryStagesPartitionWall holds the stage clocks to the identities
+// TestFirstRecoveryAllocationBounded pins what the first recovery after a
+// mount costs in memory. With no verified baseline it checks the whole
+// image, which reads the inode table, the bitmaps and directory blocks but
+// no file data, so what it allocates must stay far below the image size:
+// about 2.2 MB at 64 MiB, bounded at 4 MiB. Reading the image into memory,
+// even in part, breaks the bound.
+func TestFirstRecoveryAllocationBounded(t *testing.T) {
+	const maxAllocBytes = 4 << 20
+	dev := blockdev.NewMem(64 << 20 / 4096)
+	if _, err := mkfs.Format(dev, mkfs.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mount(dev, Config{
+		Base:      basefs.Options{Injector: plantTwoFaults(3)},
+		Telemetry: telemetry.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Kill()
+	applyTrace(fs, workload.Config{Profile: workload.MetaHeavy, Seed: 11, NumOps: 200})
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := fs.Mkdir("/boomA", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+
+	st := fs.Stats()
+	if st.Recoveries != 1 || st.Degradations != 0 || st.AppFailures != 0 || st.FsckFull != 1 {
+		t.Fatalf("want one clean recovery with a full check; stats = %+v", st)
+	}
+	alloc := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("first recovery at 64 MiB allocated %d bytes", alloc)
+	if alloc > maxAllocBytes {
+		t.Errorf("first recovery allocated %d bytes, want at most %d", alloc, maxAllocBytes)
+	}
+}
+
+// TestRecoveryStagesPartitionWall holds the stage clocks to the identity
 // RecoveryPhases documents, so a recovery's time is attributable from its
 // phases alone: no stage hides another's work and none is counted twice.
-// Each phase boundary is one clock reading, so the identities are exact, on
-// a loaded host as on an idle one.
+// Each phase boundary is one clock reading, so the identity is exact, on a
+// loaded host as on an idle one, and on one core as on many.
 func TestRecoveryStagesPartitionWall(t *testing.T) {
-	for _, workers := range []int{1, 0} { // 0 selects the default
-		sequential := workers == 1
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			sink := telemetry.New()
-			fs, _, _ := newSupervised(t, Config{
-				Base:            basefs.Options{Injector: plantTwoFaults(5)},
-				RecoveryWorkers: workers,
-				Telemetry:       sink,
-			})
-			applyTrace(fs, workload.Config{Profile: workload.MetaHeavy, Seed: 21, NumOps: 1200})
-			if err := fs.Mkdir("/boomA", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			st := fs.Stats()
-			if st.Recoveries != 1 || st.Degradations != 0 || len(st.Phases) != 1 {
-				t.Fatalf("want one clean recovery, stats = %+v", st)
-			}
-			ph := st.Phases[0]
-			t.Logf("%+v", ph)
-			for stage, d := range map[string]time.Duration{
-				"Plan": ph.Plan, "Reboot": ph.Reboot, "Fsck": ph.Fsck, "ShadowMount": ph.ShadowMount,
-				"Replay": ph.Replay, "ShadowStage": ph.ShadowStage, "Absorb": ph.Absorb, "Resume": ph.Resume,
-			} {
-				if d <= 0 {
-					t.Errorf("%s = %v, want a positive duration", stage, d)
-				}
-			}
-			within := func(what string, sum time.Duration) {
-				if sum != ph.Wall {
-					t.Errorf("%s = %v, Wall = %v: the phases do not partition the wall clock", what, sum, ph.Wall)
-				}
-			}
-			if sequential {
-				within("Plan+Reboot+Fsck+ShadowMount+Replay+Absorb+Resume",
-					ph.Plan+ph.Reboot+ph.Fsck+ph.ShadowMount+ph.Replay+ph.Absorb+ph.Resume)
-				if ph.InstallWait != 0 {
-					t.Errorf("InstallWait = %v at one worker, want 0", ph.InstallWait)
-				}
-			} else {
-				within("Plan+Reboot+Absorb+InstallWait+Resume",
-					ph.Plan+ph.Reboot+ph.Absorb+ph.InstallWait+ph.Resume)
-				// The shadow's stage starts when Plan ends and Resume starts
-				// after both it and the reboot are done. Chunks absorbed while
-				// the stage is still producing overlap it, so Absorb belongs
-				// to the upper bound only.
-				floor := ph.Plan + max(ph.Reboot, ph.ShadowStage) + ph.Resume
-				if floor > ph.Wall {
-					t.Errorf("Plan+max(Reboot,ShadowStage)+Resume = %v exceeds Wall = %v", floor, ph.Wall)
-				}
-				if ceil := floor + ph.Absorb + ph.InstallWait; ph.Wall > ceil {
-					t.Errorf("Wall = %v exceeds Plan+max(Reboot,ShadowStage)+Absorb+Resume+InstallWait = %v",
-						ph.Wall, ceil)
-				}
-			}
-			snap := sink.Snapshot()
-			for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
-				"install", "install_wait", "resume", "wall"} {
-				if n := snap.Histograms["recovery.stage."+stage+"_ns"].Count; n != 1 {
-					t.Errorf("recovery.stage.%s_ns observed %d recoveries, want 1", stage, n)
-				}
-			}
+	forEachProcs(t, []int{1, 0}, func(t *testing.T) {
+		sink := telemetry.New()
+		fs, _, _ := newSupervised(t, Config{
+			Base:      basefs.Options{Injector: plantTwoFaults(5)},
+			Telemetry: sink,
 		})
-	}
+		applyTrace(fs, workload.Config{Profile: workload.MetaHeavy, Seed: 21, NumOps: 1200})
+		if err := fs.Mkdir("/boomA", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		st := fs.Stats()
+		if st.Recoveries != 1 || st.Degradations != 0 || len(st.Phases) != 1 {
+			t.Fatalf("want one clean recovery, stats = %+v", st)
+		}
+		ph := st.Phases[0]
+		t.Logf("%+v", ph)
+		for stage, d := range map[string]time.Duration{
+			"Plan": ph.Plan, "Reboot": ph.Reboot, "Fsck": ph.Fsck, "ShadowMount": ph.ShadowMount,
+			"Replay": ph.Replay, "Absorb": ph.Absorb, "Resume": ph.Resume,
+		} {
+			if d <= 0 {
+				t.Errorf("%s = %v, want a positive duration", stage, d)
+			}
+		}
+		if sum := ph.Plan + ph.Reboot + ph.Fsck + ph.ShadowMount + ph.Replay + ph.Absorb + ph.Resume; sum != ph.Wall {
+			t.Errorf("Plan+Reboot+Fsck+ShadowMount+Replay+Absorb+Resume = %v, Wall = %v: the phases do not partition the wall clock",
+				sum, ph.Wall)
+		}
+		snap := sink.Snapshot()
+		for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
+			"install", "resume", "wall"} {
+			if n := snap.Histograms["recovery.stage."+stage+"_ns"].Count; n != 1 {
+				t.Errorf("recovery.stage.%s_ns observed %d recoveries, want 1", stage, n)
+			}
+		}
+	})
 }

@@ -23,10 +23,7 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 		ID: "boom2", Class: faultinject.Crash, Deterministic: true,
 		Op: "mkdir", Point: "entry", PathSubstr: "boom2", MaxFires: 1,
 	})
-	fs, _, _ := newSupervised(t, Config{
-		Base:            basefs.Options{Injector: reg},
-		RecoveryWorkers: 4,
-	})
+	fs, _, _ := newSupervised(t, Config{Base: basefs.Options{Injector: reg}})
 	for i := 0; i < 5; i++ {
 		if err := fs.Mkdir(fmt.Sprintf("/pre-%d", i), 0o755); err != nil {
 			t.Fatal(err)

@@ -154,7 +154,7 @@ func TestCheckScopedFullCoverageDelegates(t *testing.T) {
 	for i := uint32(0); i < sb.InodeTableLen; i++ {
 		sc.Add(sb.InodeTableStart + i)
 	}
-	rep := CheckScoped(dev, sc, 4)
+	rep := CheckScoped(dev, sc)
 	if rep.Scoped {
 		t.Error("full-coverage scope still reported Scoped")
 	}
@@ -194,7 +194,7 @@ func TestCheckScopedFindsInScopeOnly(t *testing.T) {
 	sc := NewScope()
 	sc.Add(0)
 	sc.Add(inBlk)
-	rep := CheckScoped(dev, sc, 4)
+	rep := CheckScoped(dev, sc)
 	if !rep.Scoped || rep.ScopeBlocks != 2 {
 		t.Errorf("Scoped=%v ScopeBlocks=%d, want true/2", rep.Scoped, rep.ScopeBlocks)
 	}
@@ -379,38 +379,5 @@ func TestExitCodeContract(t *testing.T) {
 	}
 	if post.ExitCode() != 0 {
 		t.Errorf("post-repair exit %d, want 0: %v", post.ExitCode(), post.Problems)
-	}
-}
-
-// TestScopePrefetchRanges: the ranges a recovery plan prefetches for a scoped
-// check are the scope plus the bitmap blocks the check loads for it, without
-// the journal region, ascending and coalesced, each block once.
-func TestScopePrefetchRanges(t *testing.T) {
-	sb, err := disklayout.Geometry(8192, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := NewScope()
-	for _, blk := range []uint32{
-		0,
-		sb.BlockBitmapStart,                  // also needed as coverage: must not repeat
-		sb.InodeTableStart + 3,               // pulls in the inode bitmap block
-		sb.JournalStart, sb.JournalStart + 7, // nothing reads the journal through the view
-		sb.DataStart + 10, sb.DataStart + 11, sb.DataStart + 12, // one run
-		sb.DataStart + 500,
-	} {
-		sc.Add(blk)
-	}
-	want := []blockdev.BlockRange{
-		{Start: 0, Len: 3}, // superblock, inode bitmap, block bitmap (adjacent at this size)
-		{Start: sb.InodeTableStart + 3, Len: 1},
-		{Start: sb.DataStart + 10, Len: 3},
-		{Start: sb.DataStart + 500, Len: 1},
-	}
-	if sb.InodeBitmapStart != 1 || sb.BlockBitmapStart != 2 {
-		t.Fatalf("geometry moved: bitmaps at %d and %d, the test assumes 1 and 2", sb.InodeBitmapStart, sb.BlockBitmapStart)
-	}
-	if got := sc.PrefetchRanges(sb); !reflect.DeepEqual(got, want) {
-		t.Errorf("PrefetchRanges = %v, want %v", got, want)
 	}
 }

@@ -2,13 +2,12 @@ package fsck
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/disklayout"
 )
 
-// Region-scoped checking. The recovery pipeline knows which blocks were
+// Region-scoped checking. The recovery engine knows which blocks were
 // written since the last fully-verified baseline (every write funnels
 // through the supervisor's fence) plus which blocks the committed-journal
 // overlay replays; CheckScoped verifies only the structures those blocks
@@ -46,39 +45,6 @@ func (s *Scope) Has(blk uint32) bool {
 // Len returns the number of blocks in scope.
 func (s *Scope) Len() int { return len(s.m) }
 
-// PrefetchRanges returns, as ascending coalesced runs, the blocks a check
-// scoped to sc reads for certain: the scope itself, minus the journal region
-// (nothing reads the journal through a recovery view), plus the bitmap
-// blocks bitmapCoverage adds. A recovery plan hands them to the view's
-// prefetch crew, so what the crew reads tracks the scope too.
-func (s *Scope) PrefetchRanges(sb *disklayout.Superblock) []blockdev.BlockRange {
-	ibm, bbm := bitmapCoverage(sb, s)
-	blks := make([]uint32, 0, len(s.m)+len(ibm)+len(bbm))
-	for blk := range s.m {
-		if blk < sb.JournalStart || blk >= sb.JournalStart+sb.JournalLen {
-			blks = append(blks, blk)
-		}
-	}
-	for rel := range ibm {
-		blks = append(blks, sb.InodeBitmapStart+rel)
-	}
-	for rel := range bbm {
-		blks = append(blks, sb.BlockBitmapStart+rel)
-	}
-	slices.Sort(blks)
-	var out []blockdev.BlockRange
-	for _, blk := range blks {
-		switch n := len(out); {
-		case n > 0 && blk < out[n-1].Start+out[n-1].Len: // in scope and a needed bitmap block
-		case n > 0 && blk == out[n-1].Start+out[n-1].Len:
-			out[n-1].Len++
-		default:
-			out = append(out, blockdev.BlockRange{Start: blk, Len: 1})
-		}
-	}
-	return out
-}
-
 // CheckScoped verifies the regions of the image implicated by sc using the
 // parallel scan engine. The superblock is always checked; bitmap blocks are
 // loaded only where they cover scoped structures (the rest degrade to
@@ -88,11 +54,10 @@ func (s *Scope) PrefetchRanges(sb *disklayout.Superblock) []blockdev.BlockRange 
 // scope, including their extent claims and (for directories) dirent decoding
 // and reference validity. If the scope covers the entire inode table the
 // call degenerates to CheckParallel, which is strictly stronger and no more
-// expensive.
-func CheckScoped(dev blockdev.Device, sc *Scope, workers int) *Report {
-	if workers < 1 {
-		workers = 1
-	}
+// expensive. The scan runs on one worker: the scope is a fault's blast
+// radius, a few blocks.
+func CheckScoped(dev blockdev.Device, sc *Scope) *Report {
+	const workers = 1
 	src := newCachedReader(dev)
 	rep, c := prepareScoped(src, sc)
 	if c == nil {

@@ -10,12 +10,11 @@ import (
 	"repro/internal/fserr"
 )
 
-// Chunk is one sealed slice of a streaming handoff. The replayer emits
-// chunks as it works through the op-log suffix, so the base can verify and
-// absorb blocks while the shadow is still replaying the tail. Chunks are
-// ordered: a block appearing in a later chunk overrides any earlier image,
-// and a block listed in Freed retracts earlier images entirely (the replay
-// allocated it and then freed it again).
+// Chunk is one sealed slice of a handoff stream. The shadow's replay seals
+// its whole overlay as one chunk; the format carries streams of several.
+// Chunks are ordered: a block appearing in a later chunk overrides any
+// earlier image, and a block listed in Freed retracts earlier images
+// entirely (the replay allocated it and then freed it again).
 type Chunk struct {
 	// Index is the zero-based position of this chunk in the stream.
 	Index int

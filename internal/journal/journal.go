@@ -454,9 +454,8 @@ func scanChain(dev blockdev.Device, sb *disklayout.Superblock) (txs []scannedTx,
 // home-location contents of every committed transaction, later transactions
 // overriding earlier ones. Layered over the raw device (blockdev.NewOverlay)
 // this yields exactly the post-replay image without a single device write —
-// the independent read-only view the pipelined recovery engine hands the
-// shadow so it can start re-executing while the contained reboot's physical
-// replay is still running.
+// the frozen read-only view the recovery engine builds for the shadow before
+// the contained reboot's physical replay rewrites the device.
 func CommittedOverlay(dev blockdev.Device, sb *disklayout.Superblock) (map[uint32][]byte, ReplayStats, error) {
 	txs, st, _, _, err := scanChain(dev, sb)
 	if err != nil {

@@ -2,10 +2,12 @@ package shadowfs
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/difftest"
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
+	"repro/internal/fserr"
 	"repro/internal/handoff"
 	"repro/internal/oplog"
 )
@@ -37,8 +39,8 @@ type ReplayInput struct {
 type ReplayResult struct {
 	// Chunks and Manifest are the sealed hand-off stream, ready for the base
 	// to absorb: the reconstructed metadata and buffered data blocks, then
-	// the final descriptor table and the clock. A one-shot replay is a
-	// stream of at most one chunk.
+	// the final descriptor table and the clock. Replay seals the whole
+	// overlay at the end, so the stream holds at most one chunk.
 	Chunks   []*handoff.Chunk
 	Manifest *handoff.Manifest
 	// InFlight is the in-flight op with its autonomous outcome filled, to be
@@ -58,30 +60,157 @@ type ReplayResult struct {
 }
 
 // Replay executes the whole recovery procedure in one call: seed the
-// descriptor table from the stable point, re-execute the recorded sequence
-// in constrained mode, execute the in-flight operation in autonomous mode,
-// and seal the overlay as a one-chunk stream. It is the convenience wrapper
-// over Replayer for tools and tests; the supervisor drives the Replayer
-// directly, in batches.
+// descriptor table and the clock from the stable point, re-execute the
+// recorded sequence in constrained mode, execute the in-flight operation in
+// autonomous mode, run the final self-checks, and seal the overlay as a
+// one-chunk stream. It is the one replay entry point: the supervisor, the
+// offline tools and the tests all call it. The result is never nil; on error
+// it reports what was replayed before the failure.
 func (s *Shadow) Replay(in ReplayInput) (*ReplayResult, error) {
-	r, err := NewReplayer(s, in.BaseFDs, in.StartClock, in.StopOnDiscrepancy)
-	if err != nil {
-		return nil, err
-	}
 	res := &ReplayResult{}
-	err = r.Feed(in.Ops)
-	if err == nil {
-		var last *handoff.Chunk
-		if last, res.Manifest, res.InFlight, err = r.Finish(in.InFlight); last != nil {
-			res.Chunks = []*handoff.Chunk{last}
-		}
-	}
-	res.Discrepancies = r.Discrepancies()
-	res.OpsReplayed = r.OpsReplayed()
-	res.OpsSkipped = r.OpsSkipped()
+	err := s.replay(in, res)
 	res.ChecksRun = s.checks
 	res.OverlayBlocks = len(s.overlay)
 	return res, err
+}
+
+func (s *Shadow) replay(in ReplayInput, res *ReplayResult) error {
+	// Every inode in BaseFDs must exist on disk, be allocated, and be a
+	// regular file: directories are never held open through this API, and
+	// symlinks are not openable.
+	s.clock.Set(in.StartClock)
+	for fd, ino := range in.BaseFDs {
+		rec, err := s.readAllocInode(ino)
+		if err != nil {
+			return fmt.Errorf("shadowfs: replay fd %d: %w", fd, err)
+		}
+		if err := s.assert(rec.IsFile(), "fd %d maps to non-file inode %d (type %d)",
+			fd, ino, rec.Type()); err != nil {
+			return err
+		}
+		if _, dup := s.fds[fd]; dup {
+			return s.assert(false, "duplicate fd %d in stable-point table", fd)
+		}
+		s.fds[fd] = ino
+		s.opens[ino]++
+	}
+	for _, rec := range in.Ops {
+		if err := s.replayOne(rec, in.StopOnDiscrepancy, res); err != nil {
+			return err
+		}
+	}
+	var fl *oplog.Op
+	if in.InFlight != nil {
+		fl = in.InFlight.Clone()
+		fl.Errno, fl.RetFD, fl.RetIno, fl.RetN = 0, 0, 0, 0
+		if fl.Kind != oplog.KFsync && fl.Kind != oplog.KSync {
+			_ = oplog.Apply(s, fl)
+		}
+		res.OpsReplayed++
+	}
+	if err := s.sanityCheckFinal(); err != nil {
+		return err
+	}
+	var sums []uint32
+	if c := s.sealOverlay(); c != nil {
+		res.Chunks, sums = []*handoff.Chunk{c}, []uint32{c.Sum}
+	}
+	res.Manifest = &handoff.Manifest{
+		NumChunks: len(sums),
+		Chain:     handoff.ChainSums(sums),
+		FDs:       sortedFDs(s.fds),
+		Clock:     s.clock.Now(),
+	}
+	res.Manifest.Seal()
+	res.InFlight = fl
+	return nil
+}
+
+// replayOne replays one recorded operation in constrained mode: completed
+// syncs are already on disk (skipped), error outcomes are omitted except
+// short writes whose successfully written prefix is application-visible,
+// and allocation/descriptor decisions are pinned to the recorded outcome so
+// application-visible numbers are reproduced — validating usability instead
+// of trusting blindly. With stop, a disagreement with the recorded outcome
+// aborts the replay.
+func (s *Shadow) replayOne(rec *oplog.Op, stop bool, res *ReplayResult) error {
+	if rec.Kind == oplog.KFsync || rec.Kind == oplog.KSync {
+		res.OpsSkipped++
+		return nil
+	}
+	if rec.Errno != 0 {
+		if rec.Kind == oplog.KWrite && rec.RetN > 0 {
+			partial := rec.Clone()
+			partial.Data = partial.Data[:rec.RetN]
+			got := partial.Clone()
+			got.Errno, got.RetN = 0, 0
+			_ = oplog.Apply(s, got)
+			if got.RetN != rec.RetN || got.Errno != 0 {
+				res.Discrepancies = append(res.Discrepancies, difftest.Discrepancy{
+					Op: rec, Field: "partial-write",
+					Got:  fmt.Sprintf("n=%d errno=%d", got.RetN, got.Errno),
+					Want: fmt.Sprintf("n=%d errno=0", rec.RetN),
+				})
+				if stop {
+					return fmt.Errorf("shadowfs: constrained replay diverged at %s: %w", rec, fserr.ErrCorrupt)
+				}
+			}
+			res.OpsReplayed++
+			return nil
+		}
+		res.OpsSkipped++
+		return nil
+	}
+	switch rec.Kind {
+	case oplog.KCreate, oplog.KMkdir, oplog.KSymlink:
+		s.wantIno = rec.RetIno
+	}
+	switch rec.Kind {
+	case oplog.KCreate, oplog.KOpen:
+		s.wantFD = rec.RetFD
+		s.haveWantFD = true
+	}
+	got := rec.Clone()
+	got.Errno, got.RetFD, got.RetIno, got.RetN = 0, 0, 0, 0
+	_ = oplog.Apply(s, got)
+	s.wantIno = 0
+	s.haveWantFD = false
+	res.OpsReplayed++
+	if d := difftest.CompareOutcome(got, rec); len(d) > 0 {
+		res.Discrepancies = append(res.Discrepancies, d...)
+		if stop {
+			return fmt.Errorf("shadowfs: constrained replay diverged at %s: %w", rec, fserr.ErrCorrupt)
+		}
+	}
+	return nil
+}
+
+// sealOverlay packs every block the shadow holds into one sealed handoff
+// chunk, deep-copying the block images — this is the single defensive copy
+// across the isolation boundary; the base adopts the slices. Returns nil if
+// the shadow wrote nothing.
+func (s *Shadow) sealOverlay() *handoff.Chunk {
+	if len(s.overlay) == 0 {
+		return nil
+	}
+	c := handoff.NewChunk(0)
+	for blk, data := range s.overlay {
+		c.Blocks[blk] = append([]byte(nil), data...)
+		if s.meta[blk] {
+			c.Meta[blk] = true
+		}
+	}
+	c.Seal()
+	return c
+}
+
+func sortedFDs(fds map[fsapi.FD]uint32) []handoff.FDEntry {
+	out := make([]handoff.FDEntry, 0, len(fds))
+	for fd, ino := range fds {
+		out = append(out, handoff.FDEntry{FD: fd, Ino: ino})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].FD < out[j].FD })
+	return out
 }
 
 // sanityCheckFinal re-validates every inode the recovery touched before the

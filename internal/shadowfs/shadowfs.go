@@ -54,13 +54,6 @@ type Shadow struct {
 	clock   fsapi.Clock
 	checks  int64
 
-	// Delta tracking for the streaming replayer: blocks written or freed
-	// since the last TakeDelta. A block that is freed and then rewritten is
-	// dirty again, not freed; a dirtied block that is freed leaves only the
-	// freed marker.
-	deltaDirty map[uint32]bool
-	deltaFreed map[uint32]bool
-
 	// physFree counts free data-region blocks; slack is the image's total
 	// extent slack (see extent.go). The charged allocator refuses once
 	// physFree falls to slack, matching the specification model's ENOSPC
@@ -103,14 +96,12 @@ func New(dev blockdev.Device, opts Options) (*Shadow, error) {
 			sb.NumBlocks, dev.NumBlocks(), fserr.ErrCorrupt)
 	}
 	s := &Shadow{
-		dev:        ro,
-		sb:         sb,
-		overlay:    make(map[uint32][]byte),
-		meta:       make(map[uint32]bool),
-		fds:        make(map[fsapi.FD]uint32),
-		opens:      make(map[uint32]int),
-		deltaDirty: make(map[uint32]bool),
-		deltaFreed: make(map[uint32]bool),
+		dev:     ro,
+		sb:      sb,
+		overlay: make(map[uint32][]byte),
+		meta:    make(map[uint32]bool),
+		fds:     make(map[fsapi.FD]uint32),
+		opens:   make(map[uint32]int),
 	}
 	s.clock.Set(sb.LastClock)
 	if err := s.seedSpace(); err != nil {
@@ -174,8 +165,6 @@ func (s *Shadow) writeBlock(blk uint32, data []byte, meta bool) error {
 	if meta {
 		s.meta[blk] = true
 	}
-	s.deltaDirty[blk] = true
-	delete(s.deltaFreed, blk)
 	return nil
 }
 
@@ -413,8 +402,6 @@ func (s *Shadow) freeBlock(blk uint32) error {
 	}
 	delete(s.overlay, blk)
 	delete(s.meta, blk)
-	delete(s.deltaDirty, blk)
-	s.deltaFreed[blk] = true
 	return nil
 }
 
@@ -686,28 +673,6 @@ func (s *Shadow) truncateIndirect(blk uint32, keep int64) (bool, error) {
 		}
 	}
 	return empty, nil
-}
-
-// Overlay returns the blocks the shadow has produced and which of them are
-// metadata. The replay driver packages these into the handoff update.
-func (s *Shadow) Overlay() (blocks map[uint32][]byte, meta map[uint32]bool) {
-	return s.overlay, s.meta
-}
-
-// TakeDelta drains and returns the set of blocks written and freed since the
-// last call. The streaming replayer turns each delta into one sealed handoff
-// chunk. Freed blocks that were never previously handed off are simply
-// dropped by the caller.
-func (s *Shadow) TakeDelta() (dirty, freed []uint32) {
-	for blk := range s.deltaDirty {
-		dirty = append(dirty, blk)
-	}
-	for blk := range s.deltaFreed {
-		freed = append(freed, blk)
-	}
-	s.deltaDirty = make(map[uint32]bool)
-	s.deltaFreed = make(map[uint32]bool)
-	return dirty, freed
 }
 
 // OpenFDs returns the shadow's descriptor table.

@@ -270,15 +270,12 @@ func TestShadowOverlayBecomesStream(t *testing.T) {
 	if _, err := s.WriteAt(fd, 0, []byte("xyz")); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReplayer(s, nil, s.Clock(), false)
+	res, err := s.Replay(ReplayInput{StartClock: s.Clock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, m, _, err := r.Finish(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks, isMeta := foldStream(t, []*handoff.Chunk{c}, m)
+	m := res.Manifest
+	blocks, isMeta := foldStream(t, res.Chunks, m)
 	if len(blocks) == 0 {
 		t.Fatal("stream has no blocks")
 	}
@@ -308,4 +305,34 @@ func TestShadowChecksCountGrows(t *testing.T) {
 	if s.ChecksRun() <= before {
 		t.Error("runtime checks did not increase across operations")
 	}
+}
+
+// foldStream verifies a chunk stream against its manifest the way the base
+// does on absorb (each chunk's seal, index order, the manifest's chain) and
+// folds it into the block images the base would hold afterwards: a later
+// chunk overrides an earlier one, a freed block is retracted.
+func foldStream(t *testing.T, chunks []*handoff.Chunk, m *handoff.Manifest) (blocks map[uint32][]byte, meta map[uint32]bool) {
+	t.Helper()
+	blocks, meta = map[uint32][]byte{}, map[uint32]bool{}
+	sums := make([]uint32, 0, len(chunks))
+	for i, c := range chunks {
+		if err := c.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Index != i {
+			t.Fatalf("chunk at position %d has index %d", i, c.Index)
+		}
+		for blk, data := range c.Blocks {
+			blocks[blk], meta[blk] = data, c.Meta[blk]
+		}
+		for _, blk := range c.Freed {
+			delete(blocks, blk)
+			delete(meta, blk)
+		}
+		sums = append(sums, c.Sum)
+	}
+	if err := m.Verify(sums); err != nil {
+		t.Fatal(err)
+	}
+	return blocks, meta
 }

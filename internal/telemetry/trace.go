@@ -155,25 +155,6 @@ func (t *Trace) Note(format string, args ...any) {
 	t.curNote = fmt.Sprintf(format, args...)
 }
 
-// AddSpan records an externally-timed span for phase. The pipelined
-// recovery engine runs stages concurrently, so a stage's wall-clock
-// interval overlaps the orchestrator's own BeginPhase transitions and must
-// be timed by the stage itself and reported here. Finish merges same-phase
-// spans by summing, so a trace mixing BeginPhase and AddSpan still
-// canonicalizes to one span per phase — but Total then exceeds the
-// recovery's wall-clock time, by exactly the overlap won.
-func (t *Trace) AddSpan(phase string, d time.Duration, note string) {
-	if t == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.snap.Spans = append(t.snap.Spans, Span{Phase: phase, Duration: d, Note: note})
-}
-
 // SetOpsReplayed records how many operations the shadow re-executed.
 func (t *Trace) SetOpsReplayed(n int) {
 	if t == nil {

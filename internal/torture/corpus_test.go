@@ -13,10 +13,8 @@ import (
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
-	"repro/internal/core"
 	"repro/internal/difftest"
 	"repro/internal/disklayout"
-	"repro/internal/faultinject"
 	"repro/internal/fsck"
 	"repro/internal/mkfs"
 	"repro/internal/model"
@@ -268,67 +266,5 @@ func TestCorpusBitmapReadFaultContained(t *testing.T) {
 		for _, p := range rep.Problems {
 			t.Logf("finding: %s", p)
 		}
-	}
-}
-
-// TestCorpusPipelinedRecoveryRace replays the environment of PR 5's
-// prefetch re-pin race (a Prefetched view pinned blocks after Release)
-// through the campaign's fault case shape, but with the recovery engine's
-// overlap and its prefetch crew enabled — what the campaign tiers, which run
-// the engine on one worker, deliberately avoid. Run under -race in CI, the old bug
-// trips the detector; on any tree the RAE contract must still hold.
-func TestCorpusPipelinedRecoveryRace(t *testing.T) {
-	sb, err := geometry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev := blockdev.NewMem(devBlocks)
-	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: devInodes, JournalBlocks: devJournal}); err != nil {
-		t.Fatal(err)
-	}
-	reg := faultinject.NewRegistry(7)
-	fs, err := core.Mount(dev, core.Config{
-		Base:            basefs.Options{Injector: reg},
-		RecoveryWorkers: 2,
-		NoTelemetry:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := profileByName(t, "metaheavy")
-	prelude, window := buildWorkload(prof, 31337, 3, sb)
-	pl := newPlan(prelude, window, sb)
-	for _, oracle := range pl.prelude {
-		if err := safeOpApply(fs, mustClone(oracle)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if op := (&oplog.Op{Kind: oplog.KSync}); safeOpApply(fs, op) != nil || op.Errno != 0 {
-		t.Fatal("prelude sync failed")
-	}
-	for round := 0; round < 3; round++ {
-		reg.Arm(&faultinject.Specimen{
-			ID:            "corpus-race",
-			Class:         faultinject.Crash,
-			Deterministic: true,
-			MaxFires:      1,
-			Op:            seamForWindow(pl.window),
-		})
-		for _, oracle := range pl.window {
-			if err := safeOpApply(fs, mustClone(oracle)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reg.DisarmAll()
-	}
-	stats := fs.Stats()
-	if stats.Recoveries == 0 {
-		t.Error("no recovery was exercised")
-	}
-	if err := fs.Unmount(); err != nil {
-		t.Fatal(err)
-	}
-	if rep := fsck.Check(dev); !rep.Clean() {
-		t.Errorf("post-recovery image not clean: %s", firstCorrupt(rep).String())
 	}
 }

@@ -70,15 +70,14 @@ func seamForWindow(window []*oplog.Op) string {
 }
 
 // faultCaseConfig is the supervisor every fault case mounts: the production
-// recovery engine on one worker over the base as it ships, which issues its
-// IO on the caller's goroutine, so that only one goroutine at a time touches
-// the device and a seeded fault plan meets the same device calls on every
-// run.
+// recovery engine, which runs its stages on the recovering goroutine, over
+// the base as it ships, which issues its IO on the caller's goroutine, so
+// that only one goroutine at a time touches the device and a seeded fault
+// plan meets the same device calls on every run.
 func faultCaseConfig(reg *faultinject.Registry) core.Config {
 	return core.Config{
-		Base:            basefs.Options{Injector: reg},
-		RecoveryWorkers: 1,
-		NoTelemetry:     true,
+		Base:        basefs.Options{Injector: reg},
+		NoTelemetry: true,
 	}
 }
 
