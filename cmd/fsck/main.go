@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	fsck -img disk.img [-replay] [-fix] [-workers n]
+//	fsck -img disk.img [-replay] [-fix]
 //
 // -replay first replays the journal (what mount would do) so a cleanly
-// crashed image checks clean. -workers selects the parallel checker's pool
-// size (1 runs the sequential baseline; findings are identical either way).
+// crashed image checks clean. The check is fsck.Check, the engine recovery
+// and scrub run.
 //
 // Exit codes follow the e2fsck-style contract:
 //
@@ -32,7 +32,6 @@ func main() {
 	img := flag.String("img", "", "path of the image file to check")
 	replay := flag.Bool("replay", false, "replay the journal before checking")
 	fix := flag.Bool("fix", false, "repair orphans, ghosts, leaks, and link counts")
-	workers := flag.Int("workers", 8, "checker worker-pool size (1 = sequential)")
 	flag.Parse()
 	if *img == "" {
 		fmt.Fprintln(os.Stderr, "fsck: -img is required")
@@ -66,8 +65,6 @@ func main() {
 		}
 		fmt.Printf("repair: %d orphans freed (%d blocks), %d ghosts cleared, %d leaks freed, %d nlinks fixed\n",
 			st.OrphansFreed, st.BlocksFreed, st.GhostsCleared, st.LeaksFreed, st.NlinksFixed)
-	} else if *workers > 1 {
-		rep = fsck.CheckParallel(dev, *workers)
 	} else {
 		rep = fsck.Check(dev)
 	}

@@ -65,7 +65,6 @@ func main() {
 		CacheMinPerVolume: 32,
 		RebalanceInterval: 25 * time.Millisecond,
 		ScrubInterval:     200 * time.Millisecond,
-		ScrubWorkers:      2,
 	}
 	if *rate > 0 {
 		cfg.DefaultQoS = volmgr.QoSConfig{

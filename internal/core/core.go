@@ -36,7 +36,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +45,6 @@ import (
 	"repro/internal/difftest"
 	"repro/internal/faultinject"
 	"repro/internal/fsapi"
-	"repro/internal/fserr"
 	"repro/internal/oplog"
 	"repro/internal/scrub"
 	"repro/internal/telemetry"
@@ -102,22 +100,6 @@ type Config struct {
 	// MaxReplayRetries bounds naive replay's re-execution attempts before it
 	// degrades to crash-restart.
 	MaxReplayRetries int
-	// ScrubInterval enables the online background scrubber: every interval,
-	// the parallel checker runs over a frozen snapshot-plus-committed-journal
-	// view, publishing scrub.* telemetry; a corrupt finding trips the
-	// recovery fence proactively and a clean pass refreshes the scoped-fsck
-	// baseline. Requires the device to implement blockdev.Snapshotter.
-	// 0 (the default) disables scrubbing.
-	ScrubInterval time.Duration
-	// ScrubWorkers sizes the scrubber's checker pool; 0 selects the default
-	// (8).
-	ScrubWorkers int
-	// ExternalScrub creates the scrubber without starting its internal timer:
-	// an external scheduler (the volume manager's shared scrub worker pool)
-	// drives passes through Scrubber().RunOnce() instead, so N volumes share
-	// one checking budget rather than each running a private ticker. Requires
-	// a device implementing blockdev.Snapshotter, like ScrubInterval.
-	ExternalScrub bool
 	// Telemetry selects the observability sink. Nil uses the process-global
 	// telemetry.Default() sink: a supervised filesystem is always observable
 	// unless NoTelemetry opts out.
@@ -131,9 +113,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.MaxReplayRetries == 0 {
 		c.MaxReplayRetries = 3
-	}
-	if c.ScrubWorkers <= 0 {
-		c.ScrubWorkers = 8
 	}
 	if c.NoTelemetry {
 		c.Telemetry = nil
@@ -303,8 +282,8 @@ type FS struct {
 	// recovery degrades or corruption is found; set only while recoveries
 	// are excluded (exclusive gate, or read gate + generation check).
 	verified atomic.Bool
-	// scrub is the online background scrubber, nil unless ScrubInterval or
-	// ExternalScrub is set.
+	// scrub is the online scrubber, nil unless the device implements
+	// blockdev.Snapshotter. Its host drives passes through Scrubber().RunOnce.
 	scrub *scrub.Scrubber
 	// recovering is set for the duration of recoverFrom: the fleet layer
 	// polls it to count how many volumes are inside a recovery right now.
@@ -347,13 +326,6 @@ func Mount(dev blockdev.Device, cfg Config) (*FS, error) {
 	fs.log.SetTelemetry(fs.tel)
 	fs.tel.Counter("oplog.forced_stable_points") // reads 0 until forceStable feeds it
 	fs.touched = newTouchedSet()
-	var snap blockdev.Snapshotter
-	if cfg.ScrubInterval > 0 || cfg.ExternalScrub {
-		var ok bool
-		if snap, ok = dev.(blockdev.Snapshotter); !ok {
-			return nil, fmt.Errorf("core: scrubbing requires a device implementing blockdev.Snapshotter: %w", fserr.ErrInvalid)
-		}
-	}
 	base, fence, err := fs.mountBase()
 	if err != nil {
 		return nil, err
@@ -361,8 +333,8 @@ func Mount(dev blockdev.Device, cfg Config) (*FS, error) {
 	fs.base.Store(base)
 	fs.fence.Store(fence)
 	fs.log.Stable(base.OpenFDs(), base.Clock())
-	if snap != nil {
-		fs.startScrubber(snap)
+	if snap, ok := dev.(blockdev.Snapshotter); ok {
+		fs.scrub = fs.newScrubber(snap)
 	}
 	return fs, nil
 }
@@ -372,12 +344,11 @@ func Mount(dev blockdev.Device, cfg Config) (*FS, error) {
 // metrics are queryable from it.
 func (r *FS) Telemetry() *telemetry.Sink { return r.tel }
 
-// Unmount syncs and stops the supervised filesystem. The scrubber is
-// stopped first — a pass may be inside a recovery it tripped, which needs
-// the gate this drain is about to close — then in-flight operations drain
-// through the gate.
+// Unmount syncs and stops the supervised filesystem after in-flight
+// operations drain through the gate. The caller must not run a scrub pass
+// concurrently: a pass may trip a recovery, which needs the gate this drain
+// closes.
 func (r *FS) Unmount() error {
-	r.scrub.Stop()
 	r.gate.close()
 	defer r.gate.open()
 	return r.base.Load().Unmount()
@@ -385,7 +356,6 @@ func (r *FS) Unmount() error {
 
 // Kill abandons the supervised filesystem without syncing (tests).
 func (r *FS) Kill() {
-	r.scrub.Stop()
 	r.gate.close()
 	defer r.gate.open()
 	r.base.Load().Kill()
@@ -452,9 +422,9 @@ func (r *FS) DumpLog() []byte {
 // Injector returns the registry shared with the base, if any.
 func (r *FS) Injector() *faultinject.Registry { return r.cfg.Base.Injector }
 
-// Scrubber exposes the background scrubber (nil unless ScrubInterval or
-// ExternalScrub is set), so tests, tools, and the volume manager's shared
-// scrub scheduler can drive RunOnce or read pass counters directly.
+// Scrubber exposes the scrubber (nil unless the device implements
+// blockdev.Snapshotter), so tests, tools, and the volume manager's fleet
+// sweep can drive RunOnce or read pass counters directly.
 func (r *FS) Scrubber() *scrub.Scrubber { return r.scrub }
 
 // Recovering reports whether a recovery is executing right now. The fleet

@@ -144,7 +144,7 @@ func (r *FS) planFsck(p *recoveryPlan, over map[uint32][]byte) {
 	if sc != nil {
 		p.check = func() *fsck.Report { return fsck.CheckScoped(view, sc) }
 	} else {
-		p.check = func() *fsck.Report { return fsck.CheckParallel(view, 1) }
+		p.check = func() *fsck.Report { return fsck.Check(view) }
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/basefs"
 	"repro/internal/faultinject"
@@ -68,15 +67,11 @@ func TestScopedFsckAfterVerifiedRecovery(t *testing.T) {
 }
 
 // TestScrubTripsRecoveryOncePerEpisode: out-of-band durable corruption is
-// detected by the background scrubber, which proactively trips the recovery
-// fence — but only once per corruption episode. Damage no recovery can
-// repair must not cause a recovery storm, and nothing is charged to the
-// application.
+// detected by a scrub pass, which proactively trips the recovery fence —
+// but only once per corruption episode. Damage no recovery can repair must
+// not cause a recovery storm, and nothing is charged to the application.
 func TestScrubTripsRecoveryOncePerEpisode(t *testing.T) {
-	fs, dev, sb := newSupervised(t, Config{
-		ScrubInterval: 2 * time.Millisecond,
-		ScrubWorkers:  2,
-	})
+	fs, dev, sb := newSupervised(t, Config{})
 	for i := 0; i < 5; i++ {
 		if err := fs.Mkdir(fmt.Sprintf("/d-%d", i), 0o755); err != nil {
 			t.Fatal(err)
@@ -94,12 +89,8 @@ func TestScrubTripsRecoveryOncePerEpisode(t *testing.T) {
 	if err := dev.CorruptBlock(sb.InodeTableStart+sb.InodeTableLen-1, 0, 0xFF); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st := fs.Stats(); st.ScrubCorrupt >= 3 && st.Recoveries >= 1 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		fs.Scrubber().RunOnce()
 	}
 	st := fs.Stats()
 	if st.ScrubCorrupt < 3 {
@@ -117,37 +108,28 @@ func TestScrubTripsRecoveryOncePerEpisode(t *testing.T) {
 	}
 }
 
-// TestScrubBaselineEnablesScopedRecovery: a clean background pass verifies
-// the image, so the very first fault recovery can already run a scoped
-// check — no cold full-image check required.
+// TestScrubBaselineEnablesScopedRecovery: a clean scrub pass verifies the
+// image, so the very first fault recovery can already run a scoped check —
+// no cold full-image check required.
 func TestScrubBaselineEnablesScopedRecovery(t *testing.T) {
 	reg := faultinject.NewRegistry(53)
 	reg.Arm(&faultinject.Specimen{
 		ID: "boom", Class: faultinject.Crash, Deterministic: true,
 		Op: "mkdir", Point: "entry", PathSubstr: "boom", MaxFires: 1,
 	})
-	fs, _, _ := newSupervised(t, Config{
-		Base:          basefs.Options{Injector: reg},
-		ScrubInterval: 2 * time.Millisecond,
-	})
+	fs, _, _ := newSupervised(t, Config{Base: basefs.Options{Injector: reg}})
 	for i := 0; i < 5; i++ {
 		if err := fs.Mkdir(fmt.Sprintf("/d-%d", i), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Quiesce, then wait for a clean pass over the post-write image. Passes
-	// completed after the last write carry the current generation, so the
-	// baseline verdict sticks.
+	// Quiesce, then run a clean pass over the post-write image. The pass
+	// carries the current generation, so the baseline verdict sticks.
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	base := fs.Stats().ScrubPasses
-	deadline := time.Now().Add(5 * time.Second)
-	for fs.Stats().ScrubPasses < base+2 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if fs.Stats().ScrubPasses < base+2 {
-		t.Fatal("scrubber made no progress")
+	if rep := fs.Scrubber().RunOnce(); rep == nil || !rep.Clean() {
+		t.Fatalf("scrub pass over the synced image not clean: %+v", rep)
 	}
 	if err := fs.Mkdir("/boom-dir", 0o755); err != nil {
 		t.Fatal(err)
@@ -163,21 +145,30 @@ func TestScrubBaselineEnablesScopedRecovery(t *testing.T) {
 }
 
 // TestScrubConcurrentWithFaultsRace hammers the scrubber against the fault-
-// recovery loop: background passes freezing views and refreshing the
-// baseline while application goroutines detonate crashes and recover. Run
-// under -race in CI; the invariant is the usual one — no failure ever
-// reaches the application.
+// recovery loop: a goroutine runs passes back to back, freezing views and
+// refreshing the baseline, while application goroutines detonate crashes
+// and recover. Run under -race in CI; the invariant is the usual one — no
+// failure ever reaches the application.
 func TestScrubConcurrentWithFaultsRace(t *testing.T) {
 	reg := faultinject.NewRegistry(54)
 	reg.Arm(&faultinject.Specimen{
 		ID: "crash-burst", Class: faultinject.Crash, Deterministic: true,
 		Op: "mkdir", Point: "entry", PathSubstr: "trigger", MaxFires: 6,
 	})
-	fs, _, _ := newSupervised(t, Config{
-		Base:          basefs.Options{Injector: reg},
-		ScrubInterval: time.Millisecond,
-		ScrubWorkers:  2,
-	})
+	fs, _, _ := newSupervised(t, Config{Base: basefs.Options{Injector: reg}})
+	stop := make(chan struct{})
+	scrubbed := make(chan struct{})
+	go func() {
+		defer close(scrubbed)
+		for {
+			fs.Scrubber().RunOnce()
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
 	const workers, perWorker = 4, 30
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*perWorker)
@@ -197,6 +188,8 @@ func TestScrubConcurrentWithFaultsRace(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-scrubbed
 	close(errs)
 	for err := range errs {
 		t.Error(err)
@@ -211,7 +204,7 @@ func TestScrubConcurrentWithFaultsRace(t *testing.T) {
 	if st.Degradations != 0 {
 		t.Errorf("degradations = %d, want 0", st.Degradations)
 	}
-	if fs.Scrubber() == nil || fs.Scrubber().Passes() == 0 {
+	if fs.Scrubber().Passes() == 0 {
 		t.Error("scrubber made no passes during the hammer")
 	}
 }

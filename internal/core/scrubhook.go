@@ -8,22 +8,15 @@ import (
 	"repro/internal/scrub"
 )
 
-// Scrubber lifecycle and the supervisor's half of its contract: the
+// Scrubber wiring and the supervisor's half of its contract: the
 // scrubber checks frozen views and reports; the supervisor freezes views,
 // refreshes the scoped-fsck trust baseline on clean passes, and trips the
 // recovery fence proactively on corrupt ones.
 
-// startScrubber wires the background scrubber over a snapshottable device
-// and, unless the host schedules passes externally (ExternalScrub), starts
-// its periodic loop. Called once from Mount.
-func (r *FS) startScrubber(snap blockdev.Snapshotter) {
-	interval := r.cfg.ScrubInterval
-	if r.cfg.ExternalScrub {
-		interval = 0 // passes arrive via Scrubber().RunOnce(), never a ticker
-	}
-	r.scrub = scrub.New(scrub.Config{
-		Interval:  interval,
-		Workers:   r.cfg.ScrubWorkers,
+// newScrubber wires a scrubber over a snapshottable device. Called once
+// from Mount; passes run only when the host calls RunOnce.
+func (r *FS) newScrubber(snap blockdev.Snapshotter) *scrub.Scrubber {
+	return scrub.New(scrub.Config{
 		Telemetry: r.tel,
 		Freeze: func() (blockdev.Device, uint64, error) {
 			// The generation is sampled before the snapshot: if a recovery
@@ -35,7 +28,6 @@ func (r *FS) startScrubber(snap blockdev.Snapshotter) {
 		},
 		OnReport: r.onScrubReport,
 	})
-	r.scrub.Start()
 }
 
 // frozenScrubView layers the journal's committed transactions over a device
@@ -61,7 +53,7 @@ func frozenScrubView(dev blockdev.Device) (blockdev.Device, error) {
 	return blockdev.NewOverlay(dev, over), nil
 }
 
-// onScrubReport consumes one pass's verdict on the scrubber's goroutine.
+// onScrubReport consumes one pass's verdict on the RunOnce caller's goroutine.
 func (r *FS) onScrubReport(rep *fsck.Report, gen uint64) {
 	if rep == nil {
 		return // freeze failed; the scrubber already counted and journaled it

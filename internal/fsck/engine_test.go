@@ -14,16 +14,16 @@ import (
 	"repro/internal/workload"
 )
 
-// requireSameReport pins the parity-by-construction property: the parallel
-// front end must change nothing the rule engine reports.
+// requireSameReport pins that two runs of the engine report the same
+// findings, in the same order, with the same stats.
 func requireSameReport(t *testing.T, want, got *Report, label string) {
 	t.Helper()
 	if !reflect.DeepEqual(want.Problems, got.Problems) {
-		t.Errorf("%s: problem lists diverge\nsequential (%d):", label, len(want.Problems))
+		t.Errorf("%s: problem lists diverge\nwant (%d):", label, len(want.Problems))
 		for _, p := range want.Problems {
 			t.Logf("  %s", p)
 		}
-		t.Logf("parallel (%d):", len(got.Problems))
+		t.Logf("got (%d):", len(got.Problems))
 		for _, p := range got.Problems {
 			t.Logf("  %s", p)
 		}
@@ -31,7 +31,7 @@ func requireSameReport(t *testing.T, want, got *Report, label string) {
 	}
 	if want.InodesChecked != got.InodesChecked || want.BlocksOwned != got.BlocksOwned ||
 		want.DirsWalked != got.DirsWalked || want.ChecksRun != got.ChecksRun {
-		t.Errorf("%s: stats diverge: sequential {%d %d %d %d}, parallel {%d %d %d %d}",
+		t.Errorf("%s: stats diverge: want {%d %d %d %d}, got {%d %d %d %d}",
 			label, want.InodesChecked, want.BlocksOwned, want.DirsWalked, want.ChecksRun,
 			got.InodesChecked, got.BlocksOwned, got.DirsWalked, got.ChecksRun)
 	}
@@ -40,23 +40,39 @@ func requireSameReport(t *testing.T, want, got *Report, label string) {
 	}
 }
 
-// TestParallelMatchesSequentialDifferential runs the differential corpus:
-// clean, crafted-corrupt, garbage, and fault-injected images, each checked
-// sequentially and at several worker counts. Findings, order, and stats must
-// be identical.
-func TestParallelMatchesSequentialDifferential(t *testing.T) {
+// tableScope returns a scope covering the whole inode table, which turns
+// CheckScoped into the full check.
+func tableScope(sb *disklayout.Superblock) *Scope {
+	sc := NewScope()
+	for i := uint32(0); i < sb.InodeTableLen; i++ {
+		sc.Add(sb.InodeTableStart + i)
+	}
+	return sc
+}
+
+// TestEngineCorpusFindings runs the image corpus through the one engine:
+// clean, crafted-corrupt, garbage, and fault-injected images. Each image
+// must produce the finding TestCraftedImageCorpus or
+// TestBitmapReadFaultDegradesPerBlock expects for its damage, with the same
+// message, and the full-coverage scoped check must report exactly what
+// Check reports.
+func TestEngineCorpusFindings(t *testing.T) {
 	images := []struct {
 		name  string
 		build func(t *testing.T) *blockdev.Mem
+		// where and what locate the expected Corrupt finding: where is a
+		// prefix of its location, what a substring of its message. Both
+		// empty means a report with no Corrupt finding.
+		where, what string
 	}{
 		{"fresh", func(t *testing.T) *blockdev.Mem {
 			dev, _ := freshImage(t)
 			return dev
-		}},
+		}, "", ""},
 		{"populated", func(t *testing.T) *blockdev.Mem {
 			dev, _ := populatedImage(t, 7)
 			return dev
-		}},
+		}, "", ""},
 		{"ghost inode", func(t *testing.T) *blockdev.Mem {
 			dev, sb := populatedImage(t, 8)
 			ghost := findFreeInode(t, dev, sb)
@@ -65,7 +81,7 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 				ino.Nlink = 1
 			})
 			return dev
-		}},
+		}, "", "ghost: type 1 record but free in bitmap"},
 		{"nlink lie", func(t *testing.T) *blockdev.Mem {
 			dev, sb := populatedImage(t, 9)
 			forEachInode(t, dev, sb, func(ino uint32, rec *disklayout.Inode) bool {
@@ -76,30 +92,30 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 				return true
 			})
 			return dev
-		}},
+		}, "", "nlink 5, found 1 references"},
 		{"owned block free in bitmap", func(t *testing.T) *blockdev.Mem {
 			dev, sb := populatedImage(t, 10)
 			forEachInode(t, dev, sb, func(ino uint32, rec *disklayout.Inode) bool {
-				if rec.IsFile() && rec.Direct[0] != 0 {
-					clearBlockBit(t, dev, sb, rec.Direct[0])
+				if p := firstDataBlock(rec); rec.IsFile() && p != 0 {
+					clearBlockBit(t, dev, sb, p)
 					return false
 				}
 				return true
 			})
 			return dev
-		}},
+		}, "block ", "but free in bitmap"},
 		{"pointer outside data region", func(t *testing.T) *blockdev.Mem {
 			dev, sb := populatedImage(t, 11)
 			rewriteInode(t, dev, sb, sb.RootIno, func(ino *disklayout.Inode) {
 				ino.Direct[1] = 2
 			})
 			return dev
-		}},
+		}, "inode 1", "direct[1] pointer 2 outside data region"},
 		{"superblock bitflip", func(t *testing.T) *blockdev.Mem {
 			dev, _ := populatedImage(t, 12)
 			mustCorrupt(t, dev, 0, 13, 0xFF)
 			return dev
-		}},
+		}, "superblock", "checksum"},
 		{"garbage", func(t *testing.T) *blockdev.Mem {
 			dev := blockdev.NewMem(256)
 			b := make([]byte, disklayout.BlockSize)
@@ -114,31 +130,51 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 				}
 			}
 			return dev
-		}},
+		}, "superblock", ""},
 		{"deterministic read fault in table", func(t *testing.T) *blockdev.Mem {
 			dev, sb := populatedImage(t, 13)
 			plan := blockdev.NewFaultPlan(1)
 			plan.ReadErrBlocks = map[uint32]bool{sb.InodeTableStart + 1: true}
 			dev.SetFaults(plan)
 			return dev
-		}},
+		}, "inode 32", "table block unreadable"},
 		{"unreadable superblock", func(t *testing.T) *blockdev.Mem {
 			dev, _ := populatedImage(t, 14)
 			plan := blockdev.NewFaultPlan(1)
 			plan.ReadErrBlocks = map[uint32]bool{0: true}
 			dev.SetFaults(plan)
 			return dev
-		}},
+		}, "superblock", "unreadable"},
+		{"unreadable block bitmap", func(t *testing.T) *blockdev.Mem {
+			dev, sb := bigImage(t, 31)
+			plan := blockdev.NewFaultPlan(1)
+			plan.ReadErrBlocks = map[uint32]bool{sb.BlockBitmapStart + 1: true}
+			dev.SetFaults(plan)
+			return dev
+		}, "bitmap block ", "unreadable"},
 	}
 	for _, img := range images {
 		t.Run(img.name, func(t *testing.T) {
 			dev := img.build(t)
-			seq := Check(dev)
-			for _, w := range []int{1, 2, 4, 8} {
-				par := CheckParallel(dev, w)
-				requireSameReport(t, seq, par, img.name)
-				if par.Workers != w {
-					t.Errorf("Workers = %d, want %d", par.Workers, w)
+			rep := Check(dev)
+			want := img.where != "" || img.what != ""
+			found := !want && rep.CorruptCount() == 0
+			for _, p := range rep.Problems {
+				if want && p.Severity == Corrupt && strings.HasPrefix(p.Where, img.where) &&
+					strings.Contains(p.What, img.what) {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("want Corrupt finding %q: %q (none means clean); got:", img.where, img.what)
+				for _, p := range rep.Problems {
+					t.Logf("  %s", p)
+				}
+			}
+			requireSameReport(t, rep, Check(dev), "second check")
+			if b, err := dev.ReadBlock(0); err == nil {
+				if sb, err := disklayout.DecodeSuperblock(b); err == nil {
+					requireSameReport(t, rep, CheckScoped(dev, tableScope(sb)), "full-coverage scope")
 				}
 			}
 		})
@@ -146,19 +182,61 @@ func TestParallelMatchesSequentialDifferential(t *testing.T) {
 }
 
 // TestCheckScopedFullCoverageDelegates: a scope spanning the whole inode
-// table buys nothing over the full parallel check, so CheckScoped runs it —
-// strictly stronger, same cost.
+// table buys nothing over the full check, so CheckScoped runs it — strictly
+// stronger, same cost.
 func TestCheckScopedFullCoverageDelegates(t *testing.T) {
 	dev, sb := populatedImage(t, 21)
-	sc := NewScope()
-	for i := uint32(0); i < sb.InodeTableLen; i++ {
-		sc.Add(sb.InodeTableStart + i)
-	}
-	rep := CheckScoped(dev, sc)
+	rep := CheckScoped(dev, tableScope(sb))
 	if rep.Scoped {
 		t.Error("full-coverage scope still reported Scoped")
 	}
 	requireSameReport(t, Check(dev), rep, "full-coverage scope")
+}
+
+// readCounter counts device reads per block.
+type readCounter struct {
+	blockdev.Device
+	reads map[uint32]int
+}
+
+func (d *readCounter) ReadBlock(blk uint32) ([]byte, error) {
+	d.reads[blk]++
+	return d.Device.ReadBlock(blk)
+}
+
+// TestCheckReadsEachBlockOnce pins the engine's block cache: however many
+// inodes share a table block and however many dirents name an inode, a
+// check reads each block from the device at most once. This is where the
+// engine's gain over a per-inode read comes from.
+func TestCheckReadsEachBlockOnce(t *testing.T) {
+	dev, sb := bigImage(t, 7)
+	dirBlk := firstDirBlock(t, dev, sb, sb.RootIno)
+	partial := NewScope()
+	for _, blk := range []uint32{0, sb.InodeTableStart, sb.InodeTableStart + 3, dirBlk} {
+		partial.Add(blk)
+	}
+	checks := []struct {
+		name string
+		run  func(d blockdev.Device) *Report
+	}{
+		{"Check", Check},
+		{"CheckScoped partial", func(d blockdev.Device) *Report { return CheckScoped(d, partial) }},
+		{"CheckScoped full", func(d blockdev.Device) *Report { return CheckScoped(d, tableScope(sb)) }},
+	}
+	for _, c := range checks {
+		rc := &readCounter{Device: dev, reads: map[uint32]int{}}
+		if rep := c.run(rc); !rep.Clean() {
+			t.Fatalf("%s: bigImage not clean: %v", c.name, rep.Problems)
+		}
+		if len(rc.reads) == 0 {
+			t.Fatalf("%s read nothing", c.name)
+		}
+		for blk, n := range rc.reads {
+			if n > 1 {
+				t.Errorf("%s read block %d %d times, want at most once", c.name, blk, n)
+			}
+		}
+	}
 }
 
 // TestCheckScopedFindsInScopeOnly pins the scoped check's semantics: damage
@@ -313,8 +391,6 @@ func TestBitmapReadFaultDegradesPerBlock(t *testing.T) {
 	if !lieFinding {
 		t.Error("bitmap lie in the readable range was masked by the degraded block")
 	}
-	// Same degradation must hold through the parallel front end.
-	requireSameReport(t, rep, CheckParallel(dev, 4), "degraded bitmaps")
 }
 
 // TestExitCodeContract pins the cmd/fsck exit-code mapping: 0 clean,

@@ -21,9 +21,12 @@
 //	link counts  file nlink == referencing dirents; dir nlink == 2+subdirs
 //	orphans      allocated inodes unreachable from the root
 //
-// Three entry points share one rule engine: Check (sequential baseline),
-// CheckParallel (pFSCK-style striped scan feeding the same merge, see
-// parallel.go), and CheckScoped (region-scoped verification, see scope.go).
+// One rule engine runs on one goroutine and reads through a per-check block
+// cache, so each metadata block is read from the device once no matter how
+// many inodes or dirents point into it. Check (the whole image),
+// CheckScoped (region-scoped verification, see scope.go) and Repair all run
+// it; recovery, scrub, the torture campaign and cmd/fsck check with the same
+// code.
 package fsck
 
 import (
@@ -75,8 +78,6 @@ type Report struct {
 	Scoped bool
 	// ScopeBlocks is the number of blocks in scope for a scoped check.
 	ScopeBlocks int
-	// Workers records the worker-pool size used (0 = sequential).
-	Workers int
 	// Stats for experiment output.
 	InodesChecked int
 	BlocksOwned   int
@@ -151,16 +152,37 @@ func (r *Report) add(sev Severity, where, format string, args ...any) {
 
 func (r *Report) check() { r.ChecksRun++ }
 
-// devReader is the read surface the rule engine needs. blockdev.Device
-// satisfies it; so does the prefetch cache the parallel checker warms.
-type devReader interface {
-	ReadBlock(blk uint32) ([]byte, error)
-	NumBlocks() uint32
+// blockCache is the checker's read-through block cache. The first outcome
+// read for a block, payload or error, is authoritative for the whole check,
+// so every rule that reads the block sees the same bytes. Payloads are
+// returned without copying: the checker never mutates a block it reads.
+type blockCache struct {
+	dev blockdev.Device
+	m   map[uint32]cachedBlock
+}
+
+type cachedBlock struct {
+	data []byte
+	err  error
+}
+
+func newBlockCache(dev blockdev.Device) *blockCache {
+	return &blockCache{dev: dev, m: make(map[uint32]cachedBlock)}
+}
+
+// ReadBlock returns the cached outcome for blk, reading through on a miss.
+func (c *blockCache) ReadBlock(blk uint32) ([]byte, error) {
+	if r, ok := c.m[blk]; ok {
+		return r.data, r.err
+	}
+	data, err := c.dev.ReadBlock(blk)
+	c.m[blk] = cachedBlock{data, err}
+	return data, err
 }
 
 // checker carries the walk state.
 type checker struct {
-	dev devReader
+	dev *blockCache
 	sb  *disklayout.Superblock
 	rep *Report
 	// owner maps each owned block to the inode that claims it.
@@ -182,13 +204,12 @@ type checker struct {
 
 // Check validates the entire image and returns a report. It never panics on
 // malformed input; any problem becomes a report entry.
-func Check(dev blockdev.Device) *Report { return run(dev) }
+func Check(dev blockdev.Device) *Report { return run(newBlockCache(dev)) }
 
-// run is the sequential rule engine, shared verbatim by Check and (over a
-// prefetched block cache) CheckParallel, so the two produce identical
-// finding lists by construction.
-func run(dev devReader) *Report {
-	rep, c := prepare(dev)
+// run is the full check over a block cache. CheckScoped hands it the cache
+// it has already filled when its scope covers the whole table.
+func run(src *blockCache) *Report {
+	rep, c := prepare(src, nil)
 	if c == nil {
 		return rep
 	}
@@ -234,18 +255,15 @@ func (c *checker) checkBackupSuperblock() {
 }
 
 // prepare performs the superblock and bitmap phase. A nil checker means the
-// image failed early validation and rep already holds the reason.
-func prepare(dev devReader) (*Report, *checker) { return prepareScoped(dev, nil) }
-
-// prepareScoped is prepare restricted to a scope: only the bitmap blocks
-// covering scoped structures are read — the rest become silently unknown,
-// the same degraded state an unreadable bitmap block produces, so every
-// downstream bitmap check skips them. This keeps the scoped check's IO
-// proportional to the scope instead of the image's bitmap size. A nil scope
-// loads everything.
-func prepareScoped(dev devReader, sc *Scope) (*Report, *checker) {
+// image failed early validation and rep already holds the reason. A non-nil
+// scope restricts the bitmap reads to the blocks covering scoped structures;
+// the rest become silently unknown, the same degraded state an unreadable
+// bitmap block produces, so every downstream bitmap check skips them. This
+// keeps the scoped check's IO proportional to the scope instead of the
+// image's bitmap size. A nil scope loads everything.
+func prepare(src *blockCache, sc *Scope) (*Report, *checker) {
 	rep := &Report{fix: &repairables{nlinkFix: map[uint32]uint16{}}}
-	b, err := dev.ReadBlock(0)
+	b, err := src.ReadBlock(0)
 	if err != nil {
 		rep.add(Corrupt, "superblock", "unreadable: %v", err)
 		rep.Unreadable = true
@@ -257,12 +275,12 @@ func prepareScoped(dev devReader, sc *Scope) (*Report, *checker) {
 		rep.add(Corrupt, "superblock", "%v", err)
 		return rep, nil
 	}
-	if sb.NumBlocks > dev.NumBlocks() {
-		rep.add(Corrupt, "superblock", "claims %d blocks, device has %d", sb.NumBlocks, dev.NumBlocks())
+	if n := src.dev.NumBlocks(); sb.NumBlocks > n {
+		rep.add(Corrupt, "superblock", "claims %d blocks, device has %d", sb.NumBlocks, n)
 		return rep, nil
 	}
 	c := &checker{
-		dev: dev, sb: sb, rep: rep,
+		dev: src, sb: sb, rep: rep,
 		owner:     make(map[uint32]uint32),
 		inodes:    make(map[uint32]*disklayout.Inode),
 		linkCount: make(map[uint32]int),
@@ -619,7 +637,6 @@ func (c *checker) walkDirs() {
 			continue
 		}
 		for _, d := range c.dirents(f.ino, rec) {
-			child := c.readInode(d.Ino)
 			childPath := f.path + d.Name
 			if f.path != "/" {
 				childPath = f.path + "/" + d.Name
@@ -629,6 +646,7 @@ func (c *checker) walkDirs() {
 				c.rep.add(Corrupt, "dir "+childPath, "entry references inode %d beyond table", d.Ino)
 				continue
 			}
+			child := c.readInode(d.Ino)
 			if c.inodeBitKnown(d.Ino) && !disklayout.TestBit(c.ibm, d.Ino) {
 				c.rep.add(Corrupt, "dir "+childPath, "entry references free inode %d", d.Ino)
 				continue

@@ -114,6 +114,7 @@ func TestCraftedImageCorpus(t *testing.T) {
 		name  string
 		craft func(t *testing.T, dev *blockdev.Mem, sb *disklayout.Superblock)
 		want  string // substring expected in some Corrupt problem
+		only  bool   // the finding above must be the report's only problem
 	}{
 		{
 			name: "superblock bitflip",
@@ -247,6 +248,26 @@ func TestCraftedImageCorpus(t *testing.T) {
 			},
 			want: "free in bitmap",
 		},
+		{
+			// The entry's inode number names the block just past the table;
+			// decoding it would invent a checksum finding.
+			name: "dirent one past the inode table",
+			craft: func(t *testing.T, dev *blockdev.Mem, sb *disklayout.Superblock) {
+				addRootDirent(t, dev, sb, disklayout.Dirent{Ino: sb.NumInodes, Name: "far"})
+			},
+			want: "references inode 512 beyond table",
+			only: true,
+		},
+		{
+			// The entry's inode number names a block past the device end;
+			// reading it would invent an unreadable-table finding.
+			name: "dirent past the device end",
+			craft: func(t *testing.T, dev *blockdev.Mem, sb *disklayout.Superblock) {
+				addRootDirent(t, dev, sb, disklayout.Dirent{Ino: 1 << 20, Name: "farther"})
+			},
+			want: "references inode 1048576 beyond table",
+			only: true,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,8 +286,8 @@ func TestCraftedImageCorpus(t *testing.T) {
 					found = true
 				}
 			}
-			if !found {
-				t.Errorf("no Corrupt problem mentioning %q; got:", tc.want)
+			if !found || (tc.only && len(rep.Problems) != 1) {
+				t.Errorf("want a Corrupt problem mentioning %q (only=%v); got:", tc.want, tc.only)
 				for _, p := range rep.Problems {
 					t.Logf("  %s", p)
 				}
@@ -386,6 +407,21 @@ func firstDirBlock(t *testing.T, dev *blockdev.Mem, sb *disklayout.Superblock, i
 		t.Fatal("directory has no blocks")
 	}
 	return rec.Direct[0]
+}
+
+// addRootDirent writes d into a free slot of the root's first directory
+// block, leaving every existing entry in place.
+func addRootDirent(t *testing.T, dev *blockdev.Mem, sb *disklayout.Superblock, d disklayout.Dirent) {
+	t.Helper()
+	blk := firstDirBlock(t, dev, sb, sb.RootIno)
+	b, err := dev.ReadBlock(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disklayout.EncodeDirent(b[findFreeSlot(t, b)*disklayout.DirentSize:], d)
+	if err := dev.WriteBlock(blk, b); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func findFreeSlot(t *testing.T, b []byte) int {

@@ -45,41 +45,33 @@ func (s *Scope) Has(blk uint32) bool {
 // Len returns the number of blocks in scope.
 func (s *Scope) Len() int { return len(s.m) }
 
-// CheckScoped verifies the regions of the image implicated by sc using the
-// parallel scan engine. The superblock is always checked; bitmap blocks are
-// loaded only where they cover scoped structures (the rest degrade to
-// unknown, skipping their checks, so the call's IO tracks the scope rather
-// than the image's bitmap size); inode records are checked for every
-// inode-table block in
-// scope, including their extent claims and (for directories) dirent decoding
-// and reference validity. If the scope covers the entire inode table the
-// call degenerates to CheckParallel, which is strictly stronger and no more
-// expensive. The scan runs on one worker: the scope is a fault's blast
-// radius, a few blocks.
+// CheckScoped verifies the regions of the image implicated by sc. The
+// superblock is always checked; bitmap blocks are loaded only where they
+// cover scoped structures (the rest degrade to unknown, skipping their
+// checks, so the call's IO tracks the scope rather than the image's bitmap
+// size); inode records are checked for every inode-table block in scope,
+// including their extent claims and (for directories) dirent decoding and
+// reference validity. If the scope covers the entire inode table the call
+// runs the full check over the blocks it has already read, which is
+// strictly stronger and no more expensive.
 func CheckScoped(dev blockdev.Device, sc *Scope) *Report {
-	const workers = 1
-	src := newCachedReader(dev)
-	rep, c := prepareScoped(src, sc)
+	src := newBlockCache(dev)
+	rep, c := prepare(src, sc)
 	if c == nil {
 		rep.Scoped = true
 		rep.ScopeBlocks = sc.Len()
-		rep.Workers = workers
 		return rep
 	}
 	sb := c.sb
 	tbl := make([]uint32, 0, sb.InodeTableLen)
-	full := true
 	for i := uint32(0); i < sb.InodeTableLen; i++ {
 		if sc.Has(sb.InodeTableStart + i) {
 			tbl = append(tbl, sb.InodeTableStart+i)
-		} else {
-			full = false
 		}
 	}
-	if full {
-		return CheckParallel(dev, workers)
+	if len(tbl) == int(sb.InodeTableLen) {
+		return run(src)
 	}
-	scanTableBlocks(src, sb, workers, tbl)
 	forEachScopedInode(sb, tbl, func(ino uint32) { c.checkInode(ino) })
 	forEachScopedInode(sb, tbl, func(ino uint32) {
 		rec := c.inodes[ino]
@@ -95,7 +87,6 @@ func CheckScoped(dev blockdev.Device, sc *Scope) *Report {
 	})
 	rep.Scoped = true
 	rep.ScopeBlocks = sc.Len()
-	rep.Workers = workers
 	return rep
 }
 

@@ -1,6 +1,8 @@
-// Package scrub is the online background scrubber: it periodically runs the
-// parallel filesystem checker over a frozen read-only view of the device,
-// turning verification from a recovery-time tax into an always-on guarantee.
+// Package scrub is the online scrubber: each pass runs the filesystem
+// checker over a frozen read-only view of the device, turning verification
+// from a recovery-time tax into an always-on guarantee. The scrubber has no
+// timer of its own; its host schedules passes through RunOnce (the volume
+// manager's fleet sweep is the one scheduler).
 //
 // The paper's trust chain ("contained reboot + shadow replay start from
 // trusted on-disk state") is only as strong as the last time that state was
@@ -17,7 +19,6 @@
 package scrub
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,11 +29,6 @@ import (
 
 // Config wires a Scrubber to its host.
 type Config struct {
-	// Interval between background passes; Start requires it > 0. RunOnce
-	// works regardless.
-	Interval time.Duration
-	// Workers sizes the parallel checker's pool; values < 1 clamp to 1.
-	Workers int
 	// Telemetry receives scrub.* instruments; nil disables observability.
 	Telemetry *telemetry.Sink
 	// Freeze produces the frozen read-only view a pass checks, plus an
@@ -41,21 +37,15 @@ type Config struct {
 	// pass; an error skips the pass.
 	Freeze func() (view blockdev.Device, gen uint64, err error)
 	// OnReport receives every completed pass's report together with the
-	// freeze-time generation token. Called from the scrubber's goroutine
-	// (or the RunOnce caller); it must therefore never block on work that
-	// waits for the scrubber to stop.
+	// freeze-time generation token. Called on the RunOnce caller's
+	// goroutine.
 	OnReport func(rep *fsck.Report, gen uint64)
 }
 
-// Scrubber runs background verification passes. Create with New, drive with
-// Start/Stop (idempotent), or call RunOnce synchronously.
+// Scrubber runs verification passes and counts their outcomes. Create with
+// New and drive with RunOnce.
 type Scrubber struct {
 	cfg Config
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	stop      chan struct{}
-	done      sync.WaitGroup
 
 	passes     atomic.Int64
 	cleanPass  atomic.Int64
@@ -63,50 +53,8 @@ type Scrubber struct {
 	freezeErrs atomic.Int64
 }
 
-// New returns a scrubber; it does not start it.
-func New(cfg Config) *Scrubber {
-	if cfg.Workers < 1 {
-		cfg.Workers = 1
-	}
-	return &Scrubber{cfg: cfg, stop: make(chan struct{})}
-}
-
-// Start launches the background loop. No-op if Interval is unset or the
-// scrubber was already started.
-func (s *Scrubber) Start() {
-	if s == nil || s.cfg.Interval <= 0 {
-		return
-	}
-	s.startOnce.Do(func() {
-		s.done.Add(1)
-		go s.loop()
-	})
-}
-
-// Stop halts the background loop and waits for any in-flight pass —
-// including a recovery the host tripped from OnReport — to finish. Safe to
-// call multiple times, on a never-started scrubber, and on nil.
-func (s *Scrubber) Stop() {
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.done.Wait()
-}
-
-func (s *Scrubber) loop() {
-	defer s.done.Done()
-	tick := time.NewTicker(s.cfg.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.RunOnce()
-		}
-	}
-}
+// New returns a scrubber.
+func New(cfg Config) *Scrubber { return &Scrubber{cfg: cfg} }
 
 // RunOnce performs one scrub pass synchronously: freeze, check, publish,
 // report. Returns the pass's report, or nil when the freeze failed.
@@ -120,7 +68,7 @@ func (s *Scrubber) RunOnce() *fsck.Report {
 		return nil
 	}
 	t := time.Now()
-	rep := fsck.CheckParallel(view, s.cfg.Workers)
+	rep := fsck.Check(view)
 	dur := time.Since(t)
 
 	s.passes.Add(1)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
@@ -47,7 +46,6 @@ func TestScrubCleanPass(t *testing.T) {
 	var gotGen atomic.Uint64
 	var gotClean atomic.Bool
 	s := New(Config{
-		Workers: 4,
 		Freeze: func() (blockdev.Device, uint64, error) {
 			return dev.SnapshotDevice(), 42, nil
 		},
@@ -76,7 +74,6 @@ func TestScrubDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{
-		Workers: 4,
 		Freeze: func() (blockdev.Device, uint64, error) {
 			return dev.SnapshotDevice(), 1, nil
 		},
@@ -148,7 +145,6 @@ func TestScrubChecksCommittedOverlayView(t *testing.T) {
 		t.Fatalf("scenario broke: %d committed txs, %d overlay blocks — nothing lazy left in the journal", st.Committed, len(over))
 	}
 	s := New(Config{
-		Workers: 4,
 		Freeze: func() (blockdev.Device, uint64, error) {
 			return blockdev.NewOverlay(snap, over), 7, nil
 		},
@@ -165,35 +161,4 @@ func TestScrubChecksCommittedOverlayView(t *testing.T) {
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestScrubBackgroundLoop drives Start/Stop: passes accumulate on the
-// interval and Stop is idempotent and final.
-func TestScrubBackgroundLoop(t *testing.T) {
-	dev, _ := populatedDev(t, 4)
-	s := New(Config{
-		Interval: time.Millisecond,
-		Workers:  2,
-		Freeze: func() (blockdev.Device, uint64, error) {
-			return dev.SnapshotDevice(), 0, nil
-		},
-	})
-	s.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Passes() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	s.Stop()
-	got := s.Passes()
-	if got < 3 {
-		t.Fatalf("only %d passes before deadline", got)
-	}
-	if got != s.CleanPasses() {
-		t.Errorf("passes=%d cleanPasses=%d on a clean image", got, s.CleanPasses())
-	}
-	time.Sleep(3 * time.Millisecond)
-	if s.Passes() != got {
-		t.Error("passes advanced after Stop")
-	}
-	s.Stop() // idempotent
 }

@@ -28,7 +28,6 @@ func TestConcurrentLifecycleHammer(t *testing.T) {
 		CacheMinPerVolume: 16,
 		RebalanceInterval: 20 * time.Millisecond,
 		ScrubInterval:     50 * time.Millisecond,
-		ScrubWorkers:      2,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -12,7 +12,7 @@ import (
 func TestSharedScrubScheduler(t *testing.T) {
 	// A long interval keeps the background loop quiet; the test drives
 	// sweeps explicitly.
-	m := newManager(t, Config{ScrubInterval: time.Hour, ScrubWorkers: 2})
+	m := newManager(t, Config{ScrubInterval: time.Hour})
 	a, err := m.Create("a", smallVol())
 	if err != nil {
 		t.Fatalf("Create a: %v", err)

@@ -5,12 +5,14 @@ import (
 	"sync/atomic"
 )
 
-// The shared scrub scheduler. Volumes mount with core.Config.ExternalScrub:
-// each has a scrubber but no private ticker. The manager's single loop
-// sweeps the fleet every ScrubInterval, driving passes through a bounded
-// worker pool (ScrubWorkers), so background verification cost is a fleet
-// knob — a thousand volumes scrub at pool parallelism, not with a thousand
-// timers racing each other for IO.
+// The shared scrub scheduler. Each volume's supervisor has a scrubber with
+// no timer of its own. The manager's single loop sweeps the fleet every
+// ScrubInterval, driving passes through a bounded worker pool, so
+// background verification cost is a fleet knob — a thousand volumes scrub
+// at pool parallelism, not with a thousand timers racing each other for IO.
+
+// scrubWorkers bounds how many volumes one sweep scrubs concurrently.
+const scrubWorkers = 2
 
 // ScrubAll sweeps one scrub pass over every open volume using the shared
 // worker pool and returns how many passes ran. Volumes mid-lifecycle-
@@ -23,7 +25,7 @@ func (m *Manager) ScrubAll() int {
 		return 0
 	}
 	defer func() { <-m.scrubbing }()
-	sem := make(chan struct{}, m.cfg.ScrubWorkers)
+	sem := make(chan struct{}, scrubWorkers)
 	var wg sync.WaitGroup
 	var passes atomic.Int64
 	for _, v := range m.openVolumes() {

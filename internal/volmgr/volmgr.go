@@ -20,9 +20,8 @@
 //     with fserr.ErrOverloaded before it reaches the filesystem, so one
 //     tenant's burst degrades that tenant, not the fleet.
 //   - Shared verification budget. Scrub passes are scheduled by the manager
-//     over one bounded worker pool instead of one ticker per volume
-//     (core.Config.ExternalScrub), so background checking cost is fleet-
-//     controlled.
+//     over one bounded worker pool (each volume's scrubber has no timer of
+//     its own), so background checking cost is fleet-controlled.
 //   - Fleet telemetry. Per-volume sinks stay isolated; the manager keeps its
 //     own fleet sink (volmgr.* gauges, per-tenant op latency histograms) and
 //     FleetSnapshot merges everything into one rollup (telemetry.Merge) that
@@ -64,11 +63,9 @@ type Config struct {
 	// 0 leaves rebalancing to explicit RebalanceOnce calls.
 	RebalanceInterval time.Duration
 	// ScrubInterval is the period of the shared scrub scheduler: every
-	// interval, each open volume gets one scrub pass, executed by a bounded
-	// worker pool rather than per-volume tickers. 0 disables scheduling.
+	// interval, each open volume gets one scrub pass, executed by a pool of
+	// scrubWorkers. 0 disables scheduling.
 	ScrubInterval time.Duration
-	// ScrubWorkers bounds how many volumes scrub concurrently (default 2).
-	ScrubWorkers int
 	// DefaultQoS applies to volumes whose VolumeConfig leaves QoS nil. The
 	// zero value admits everything.
 	DefaultQoS QoSConfig
@@ -84,9 +81,6 @@ func (c *Config) fill() error {
 	}
 	if c.CacheMinPerVolume <= 0 {
 		c.CacheMinPerVolume = 64
-	}
-	if c.ScrubWorkers <= 0 {
-		c.ScrubWorkers = 2
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.New()

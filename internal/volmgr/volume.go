@@ -93,11 +93,6 @@ func (v *Volume) mountLocked() error {
 	if cfg.Telemetry == nil && !cfg.NoTelemetry {
 		cfg.Telemetry = v.sink
 	}
-	if v.mgr.cfg.ScrubInterval > 0 && cfg.ScrubInterval == 0 {
-		// The manager's shared worker pool schedules this volume's scrub
-		// passes; a tenant that configured its own interval keeps it.
-		cfg.ExternalScrub = true
-	}
 	sup, err := core.Mount(v.dev, cfg)
 	if err != nil {
 		return fmt.Errorf("volmgr: mount %q: %w", v.name, err)
