@@ -33,7 +33,7 @@ func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
 	if err := fs.seedAccounting(); err != nil {
 		return fmt.Errorf("basefs: absorb accounting: %w", err)
 	}
-	fs.fds = make(map[fsapi.FD]*fdEntry, len(fds))
+	fs.fds = make(map[fsapi.FD]uint32, len(fds))
 	for _, e := range fds {
 		ci, err := fs.getAllocInode(e.Ino)
 		if err != nil {
@@ -42,7 +42,7 @@ func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
 		if ci.Inode.IsDir() {
 			return fmt.Errorf("basefs: absorb fd %d maps to a directory: %w", e.FD, fserr.ErrCorrupt)
 		}
-		fs.fds[e.FD] = &fdEntry{ino: e.Ino}
+		fs.fds[e.FD] = e.Ino
 		ci.Opens++
 	}
 	if clock > fs.clock.Load() {

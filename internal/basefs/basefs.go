@@ -22,6 +22,7 @@ package basefs
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -95,11 +96,6 @@ type Warning struct {
 	Msg string
 }
 
-// fdEntry is one open descriptor.
-type fdEntry struct {
-	ino uint32
-}
-
 // FS is the base filesystem. It implements fsapi.FS.
 type FS struct {
 	// mu is the namespace lock: exclusive for mutations, shared for lookups
@@ -142,8 +138,17 @@ type FS struct {
 	// possibly newer cache content, so home writes are always of committed
 	// transactions.
 	unstable map[uint32][]byte
+	// spare holds block copies the device has taken, for the next round's
+	// snapshot to copy into. A copy comes back exactly when nothing else
+	// holds it: a data copy once its write-back succeeded, a metadata copy
+	// once fs.unstable replaced it with a newer commit or a checkpoint wrote
+	// it home. Owned by the sync-round leader, like unstable, and per
+	// instance, so a round frozen on an abandoned instance never shares a
+	// block with the live one. At most jnl.Capacity() blocks.
+	spare [][]byte
 
-	fds   map[fsapi.FD]*fdEntry
+	// fds maps each open descriptor to its inode.
+	fds   map[fsapi.FD]uint32
 	clock atomic.Uint64
 
 	// absorbSums records the checksum of every streaming-handoff chunk
@@ -253,7 +258,7 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		dc:         cache.NewDentryCache(dentryCacheSize),
 		jnl:        jnl,
 		unstable:   make(map[uint32][]byte),
-		fds:        make(map[fsapi.FD]*fdEntry),
+		fds:        make(map[fsapi.FD]uint32),
 		delalloc:   make(map[uint32]*delFile),
 		pending:    make(map[uint32]*delFile),
 		dataBlocks: int64(sb.DataBlocks()),
@@ -407,16 +412,12 @@ func (fs *FS) CacheStats() (bufHits, bufMiss, inoHits, inoMiss, dentHits, dentMi
 	return
 }
 
-// OpenFDs returns the sorted list of open descriptors and their inodes,
+// OpenFDs returns a copy of the descriptor table (descriptor to inode),
 // which the supervisor snapshots at stable points.
 func (fs *FS) OpenFDs() map[fsapi.FD]uint32 {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
-	out := make(map[fsapi.FD]uint32, len(fs.fds))
-	for fd, e := range fs.fds {
-		out[fd] = e.ino
-	}
-	return out
+	return maps.Clone(fs.fds)
 }
 
 // errBadFD wraps fserr.ErrBadFD with the descriptor for diagnostics.

@@ -142,7 +142,7 @@ func (fs *FS) Create(path string, perm uint16) (fsapi.FD, error) {
 	fs.markInodeDirty(parent)
 	fs.markInodeDirty(ci)
 	fd := fs.allocFDLocked()
-	fs.fds[fd] = &fdEntry{ino: ci.Ino}
+	fs.fds[fd] = ci.Ino
 	ci.Opens++
 	if err := fs.fire(&faultinject.Site{Op: "create", Point: "exit", Path: path}); err != nil {
 		return -1, err
@@ -170,7 +170,7 @@ func (fs *FS) Open(path string) (fsapi.FD, error) {
 		return -1, fserr.ErrInvalid
 	}
 	fd := fs.allocFDLocked()
-	fs.fds[fd] = &fdEntry{ino: ci.Ino}
+	fs.fds[fd] = ci.Ino
 	ci.Opens++
 	return fd, nil
 }
@@ -189,12 +189,12 @@ func (fs *FS) Close(fd fsapi.FD) error {
 	defer t.Stop()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	e, ok := fs.fds[fd]
+	ino, ok := fs.fds[fd]
 	if !ok {
 		return errBadFD(fd)
 	}
 	delete(fs.fds, fd)
-	ci, err := fs.getAllocInode(e.ino)
+	ci, err := fs.getAllocInode(ino)
 	if err != nil {
 		return err
 	}
@@ -217,11 +217,11 @@ func (fs *FS) Close(fd fsapi.FD) error {
 
 // lookupFD resolves a descriptor to its inode under the read lock.
 func (fs *FS) lookupFD(fd fsapi.FD) (*cache.CachedInode, error) {
-	e, ok := fs.fds[fd]
+	ino, ok := fs.fds[fd]
 	if !ok {
 		return nil, errBadFD(fd)
 	}
-	return fs.getAllocInode(e.ino)
+	return fs.getAllocInode(ino)
 }
 
 // ReadAt implements fsapi.FS. Reads of holes return zeros; reads never

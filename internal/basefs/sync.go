@@ -1,6 +1,7 @@
 package basefs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -190,9 +191,11 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		fs.ic.MarkClean(ci)
 	}
 
-	// Partition the dirty snapshot.
+	// Partition the dirty snapshot, copied into recycled blocks.
 	var data, meta []cache.DirtySnap
-	for _, s := range fs.bc.SnapshotDirty() {
+	var snaps []cache.DirtySnap
+	snaps, fs.spare = fs.bc.SnapshotDirtyInto(fs.spare)
+	for _, s := range snaps {
 		if s.Meta {
 			meta = append(meta, s)
 		} else {
@@ -214,7 +217,15 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// before the commit lands; if the round fails, the next one retries.
 	if clk := fs.clock.Load(); clk != fs.sb.LastClock {
 		fs.sb.LastClock = clk
-		meta = append([]cache.DirtySnap{{Blk: 0, Meta: true, Data: disklayout.EncodeSuperblock(fs.sb)}}, meta...)
+		var b []byte
+		if n := len(fs.spare); n > 0 {
+			b, fs.spare[n-1] = fs.spare[n-1], nil
+			fs.spare = fs.spare[:n-1]
+		} else {
+			b = make([]byte, disklayout.BlockSize)
+		}
+		disklayout.PutSuperblock(b, fs.sb)
+		meta = append([]cache.DirtySnap{{Blk: 0, Meta: true, Data: b}}, meta...)
 	}
 
 	// Pre-persist barrier: the supervisor's last chance to veto the
@@ -263,7 +274,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// Delalloc runs first, then the cached data, each as one vectored call:
 	// the snapshot is sorted, so each run of adjacent blocks is one run. A
 	// buffer is marked clean only once its write has succeeded; a failed
-	// round leaves every snapshotted block dirty for the next one.
+	// round leaves every snapshotted block dirty for the next one. The device
+	// keeps no written buffer, so a copy it took is spare on return.
 	if len(runs) > 0 {
 		if err := fs.dev.WriteVec(runs); err != nil {
 			return fmt.Errorf("basefs: sync delalloc write-back: %w", err)
@@ -278,6 +290,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	}
 	for _, s := range data {
 		fs.bc.MarkCleanVer(s.Buf, s.Ver)
+		fs.recycle(s.Data)
 	}
 	fs.retireDelalloc(rets)
 	// Data needs a flush barrier before the commit record, but when a commit
@@ -302,7 +315,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 			chunk = meta[:cap]
 		}
 		// The transaction adopts the snapshot's private copies; fs.unstable
-		// keeps them until a checkpoint writes them home.
+		// keeps them until a newer commit replaces them or a checkpoint
+		// writes them home.
 		tx := &journal.Tx{}
 		for _, s := range chunk {
 			tx.Add(s.Blk, s.Data)
@@ -322,6 +336,9 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		}
 		flushes += 2
 		for _, s := range chunk {
+			if old, ok := fs.unstable[s.Blk]; ok {
+				fs.recycle(old)
+			}
 			fs.unstable[s.Blk] = s.Data
 			if s.Buf != nil {
 				fs.bc.MarkJournaled(s.Buf, s.Ver)
@@ -379,9 +396,18 @@ func (fs *FS) checkpoint() (int, error) {
 	fs.telCkptBlocks.Add(int64(len(blks)))
 	for _, blk := range blks {
 		fs.bc.MarkStable(blk)
+		fs.recycle(fs.unstable[blk])
 		delete(fs.unstable, blk)
 	}
 	return 2, nil // home flush + journal superblock flush
+}
+
+// recycle puts a block copy the device has taken on the spare list, unless
+// the list is full.
+func (fs *FS) recycle(b []byte) {
+	if len(fs.spare) < fs.jnl.Capacity() {
+		fs.spare = append(fs.spare, b)
+	}
 }
 
 // runsOf groups n blocks, sorted by number, into runs of adjacent blocks;
@@ -437,16 +463,23 @@ func (fs *FS) validateInodeForPersist(ci *cache.CachedInode) error {
 // validateMetaForPersist checks dirty metadata blocks structurally before
 // they can reach the journal: every record of a dirty inode-table block,
 // not only the ones this round encoded, must be checksummed with sane
-// fields. Records decode into one stack value, so the pass allocates only
-// when it fails.
+// fields. A record byte-equal to the same record of the block's committed
+// copy in fs.unstable is skipped: that copy passed this same check when its
+// round committed it, and the check reads only the record's bytes and the
+// mount's fixed DataStart and NumBlocks, so it would pass again. Records
+// decode into one stack value, so the pass allocates only when it fails.
 func (fs *FS) validateMetaForPersist(meta []cache.DirtySnap) error {
 	tableStart := fs.sb.InodeTableStart
 	tableEnd := tableStart + fs.sb.InodeTableLen
 	var ino disklayout.Inode
 	for _, b := range meta {
 		if b.Blk >= tableStart && b.Blk < tableEnd {
+			committed := fs.unstable[b.Blk]
 			for i := 0; i < disklayout.InodesPerBlock; i++ {
 				rec := b.Data[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize]
+				if committed != nil && bytes.Equal(rec, committed[i*disklayout.InodeSize:(i+1)*disklayout.InodeSize]) {
+					continue
+				}
 				if err := ino.Decode(rec); err != nil {
 					return fmt.Errorf("basefs: sync-validate table block %d record %d: %w", b.Blk, i, err)
 				}

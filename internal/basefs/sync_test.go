@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -255,5 +257,206 @@ func TestSyncValidateAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("validateMetaForPersist over a full table block: %v allocs per run, want 0", n)
+	}
+}
+
+// validateMetaFull is the reference sync-validate pass: every record of
+// every dirty table block is decoded and pointer-checked, whatever the
+// block's committed copy holds. validateMetaForPersist must agree with it.
+func validateMetaFull(sb *disklayout.Superblock, meta []cache.DirtySnap) error {
+	tableStart := sb.InodeTableStart
+	tableEnd := tableStart + sb.InodeTableLen
+	var ino disklayout.Inode
+	for _, b := range meta {
+		if b.Blk >= tableStart && b.Blk < tableEnd {
+			for i := 0; i < disklayout.InodesPerBlock; i++ {
+				rec := b.Data[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize]
+				if err := ino.Decode(rec); err != nil {
+					return fmt.Errorf("sync-validate table block %d record %d: %w", b.Blk, i, err)
+				}
+				if !ino.IsFree() {
+					if err := ino.ValidatePointers(sb); err != nil {
+						return fmt.Errorf("sync-validate table block %d record %d: %w", b.Blk, i, err)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestSyncValidateMatchesFullCheck: skipping the records a table block
+// shares with its committed copy never changes the verdict. Seeded
+// mutations of a block whose committed copy is in fs.unstable (byte flips,
+// valid-CRC re-encodes with a bad pointer or a harmless field, records
+// reverted to their committed bytes) and of a block with no committed copy
+// must get the same answer from validateMetaForPersist and the full pass.
+func TestSyncValidateMatchesFullCheck(t *testing.T) {
+	fs, _, blk, _ := syncValidateSetup(t)
+	committed := fs.unstable[blk]
+	if committed == nil {
+		t.Fatalf("table block %d has no committed copy", blk)
+	}
+	rec := func(b []byte, i int) []byte {
+		return b[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize]
+	}
+	reencode := func(r []byte, edit func(*disklayout.Inode)) {
+		var ino disklayout.Inode
+		if err := ino.Decode(r); err != nil {
+			return // a flipped record stays flipped
+		}
+		edit(&ino)
+		disklayout.PutInode(r, &ino)
+	}
+	var agreed [2]int // verdicts nil, ErrCorrupt
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := bytes.Clone(committed)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			r := rec(data, rng.Intn(disklayout.InodesPerBlock))
+			switch rng.Intn(4) {
+			case 0: // byte flip
+				r[rng.Intn(disklayout.InodeSize)] ^= byte(1 + rng.Intn(255))
+			case 1: // valid CRC, pointer outside the data region
+				reencode(r, func(ino *disklayout.Inode) {
+					ino.Direct[rng.Intn(disklayout.NumDirect)] = fs.sb.NumBlocks + uint32(rng.Intn(64))
+				})
+			case 2: // valid CRC, harmless field
+				reencode(r, func(ino *disklayout.Inode) { ino.Mtime += uint64(1 + rng.Intn(1000)) })
+			case 3: // revert a record to its committed bytes
+				i := rng.Intn(disklayout.InodesPerBlock)
+				copy(rec(data, i), rec(committed, i))
+			}
+		}
+		for _, withCommitted := range []bool{true, false} {
+			if !withCommitted {
+				delete(fs.unstable, blk)
+			}
+			meta := []cache.DirtySnap{{Blk: blk, Meta: true, Data: data}}
+			got, want := fs.validateMetaForPersist(meta), validateMetaFull(fs.sb, meta)
+			fs.unstable[blk] = committed
+			if (got == nil) != (want == nil) || (got != nil && !errors.Is(got, fserr.ErrCorrupt)) {
+				t.Fatalf("seed %d, committed copy %v: got %v, full pass %v", seed, withCommitted, got, want)
+			}
+			if got == nil {
+				agreed[0]++
+			} else {
+				agreed[1]++
+			}
+		}
+	}
+	if agreed[0] == 0 || agreed[1] == 0 {
+		t.Fatalf("verdicts nil/ErrCorrupt: %d/%d, want both outcomes exercised", agreed[0], agreed[1])
+	}
+}
+
+// TestUnstableMatchesJournalAcrossRounds: across hundreds of rounds on a
+// 64-block journal (so checkpoints recycle copies often), every committed
+// copy in fs.unstable holds exactly what a crash replay would put home, and
+// no two held copies (fs.unstable entries and spare blocks) share memory.
+func TestUnstableMatchesJournalAcrossRounds(t *testing.T) {
+	fs, dev := newFS(t)
+	payload := bytes.Repeat([]byte("recycled "), 57)
+	maxSpare := 0
+	for round := 0; round < 320; round++ {
+		name := fmt.Sprintf("/f%d", round%16)
+		fd, err := fs.Open(name)
+		if errors.Is(err, fserr.ErrNotExist) {
+			fd, err = fs.Create(name, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := fs.Fstat(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.WriteAt(fd, st.Size, payload[:1+round%len(payload)]); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Fsync(fd); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		if round%5 == 4 {
+			if err := fs.Unlink(fmt.Sprintf("/f%d", (round+7)%16)); err != nil && !errors.Is(err, fserr.ErrNotExist) {
+				t.Fatal(err)
+			}
+		}
+
+		crash := dev.Snapshot()
+		if _, err := journal.Replay(crash, fs.sb); err != nil {
+			t.Fatal(err)
+		}
+		owner := map[*byte]string{}
+		hold := func(b []byte, who string) {
+			if len(b) != disklayout.BlockSize {
+				t.Fatalf("round %d: %s is %d bytes", round, who, len(b))
+			}
+			if prev, ok := owner[&b[0]]; ok {
+				t.Fatalf("round %d: %s shares memory with %s", round, who, prev)
+			}
+			owner[&b[0]] = who
+		}
+		for blk, b := range fs.unstable {
+			hold(b, fmt.Sprintf("unstable[%d]", blk))
+			home, err := crash.ReadBlock(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(home, b) {
+				t.Fatalf("round %d: unstable[%d] differs from the replayed journal", round, blk)
+			}
+		}
+		for i, b := range fs.spare {
+			hold(b, fmt.Sprintf("spare[%d]", i))
+		}
+		if n := len(fs.spare); n > fs.jnl.Capacity() {
+			t.Fatalf("round %d: %d spare blocks, cap %d", round, n, fs.jnl.Capacity())
+		} else if n > maxSpare {
+			maxSpare = n
+		}
+	}
+	if maxSpare == 0 {
+		t.Fatal("no block copy was ever recycled")
+	}
+}
+
+// TestSyncRoundAllocs: in steady state a sync round copies into recycled
+// blocks and encodes the clock into one, so an fsync round on a bare mount
+// allocates less than one block.
+func TestSyncRoundAllocs(t *testing.T) {
+	fs, _ := newFS(t)
+	fd, err := fs.Create("/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := bytes.Repeat([]byte{0x5A}, disklayout.BlockSize)
+	const warm, rounds = 64, 64
+	var total uint64
+	for i := 0; i < warm+rounds; i++ {
+		// The rewrite dirties the placed data block and the inode, so each
+		// round writes one data block home and commits a table block and
+		// the superblock's clock.
+		block[0] = byte(i)
+		if _, err := fs.WriteAt(fd, 0, block); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := fs.Fsync(fd); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= warm {
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if per := total / rounds; per >= disklayout.BlockSize {
+		t.Errorf("steady-state fsync round allocates %d bytes, want under %d", per, disklayout.BlockSize)
+	} else {
+		t.Logf("steady-state fsync round allocates %d bytes", per)
 	}
 }

@@ -25,10 +25,18 @@ import (
 // Device is the synchronous block interface. Offsets are block numbers;
 // ReadBlock and WriteBlock move exactly one block, ReadVec and WriteVec move
 // contiguous multi-block runs in one device-level call each (see Run).
+//
+// Ownership: WriteBlock and WriteVec never keep or modify the caller's
+// buffers. The device copies the bytes (Mem), hands them to the kernel
+// (File), forwards the call (Instrumented and other pass-through wrappers)
+// or refuses it (ReadOnly, Overlay), so on return, failed or not, the
+// caller may reuse every buffer it passed. The base's sync round relies on
+// this to recycle its block copies.
 type Device interface {
 	// ReadBlock reads block blk into a fresh buffer of BlockSize bytes.
 	ReadBlock(blk uint32) ([]byte, error)
-	// WriteBlock writes one block. The buffer must be BlockSize bytes.
+	// WriteBlock writes one block. The buffer must be BlockSize bytes; the
+	// device does not keep it.
 	WriteBlock(blk uint32, data []byte) error
 	VecReader
 	VecWriter

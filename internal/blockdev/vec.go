@@ -45,6 +45,7 @@ type VecReader interface {
 
 // VecWriter writes multi-block runs, each in one device-level call. A device
 // that fails mid-run may have persisted the blocks before the failure.
+// Like WriteBlock, it keeps none of the run buffers (see Device).
 type VecWriter interface {
 	WriteVec(runs []Run) error
 }

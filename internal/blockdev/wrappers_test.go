@@ -168,3 +168,61 @@ func TestEveryWrapperKeepsPerBlockFaults(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteDoesNotRetainBuffer holds the Device ownership rule: once
+// WriteBlock or WriteVec returns, the caller may reuse its buffers. Every
+// writable device, and Mem tearing every write, is written through both
+// calls; the caller then scribbles every buffer it passed, and the device
+// must still return the bytes that were written.
+func TestWriteDoesNotRetainBuffer(t *testing.T) {
+	type retainCase struct {
+		wrapperCase
+		torn bool // every write persists only its first half
+	}
+	cases := []retainCase{{wrapperCase: wrapperCase{name: "MemTorn", build: overMem(func(t *testing.T, m *Mem) Device {
+		p := NewFaultPlan(1)
+		p.TornWriteProb = 1
+		m.SetFaults(p)
+		return m
+	})}, torn: true}}
+	for _, c := range wrapperCases {
+		if !c.readOnly {
+			cases = append(cases, retainCase{wrapperCase: c})
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dev, _, _ := c.build(t)
+			one, run := block(0x5A), testRun()
+			if err := dev.WriteBlock(3, one); err != nil {
+				t.Fatal(err)
+			}
+			if err := dev.WriteVec([]Run{run}); err != nil {
+				t.Fatal(err)
+			}
+			want := map[uint32][]byte{3: bytes.Clone(one)}
+			for i, b := range run.Bufs {
+				want[run.Blk+uint32(i)] = bytes.Clone(b)
+			}
+			if c.torn {
+				for _, w := range want {
+					clear(w[disklayout.BlockSize/2:]) // the never-written half reads zero
+				}
+			}
+			for _, b := range append(run.Bufs, one) {
+				for i := range b {
+					b[i] = 0xFF
+				}
+			}
+			for blk, w := range want {
+				got, err := dev.ReadBlock(blk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Fatalf("block %d changed with the caller's buffer after the write returned", blk)
+				}
+			}
+		})
+	}
+}

@@ -349,10 +349,20 @@ type DirtySnap struct {
 }
 
 // SnapshotDirty copies every dirty buffer (block, meta flag, version,
-// content) out of each shard's dirty index. The sync path snapshots under the
-// filesystem lock, does IO on the copies outside all locks, and retires each
-// buffer with MarkCleanVer/MarkJournaled so a concurrent re-dirty is kept.
+// content) out of each shard's dirty index into fresh blocks. The sync path
+// snapshots under the filesystem lock, does IO on the copies outside all
+// locks, and retires each buffer with MarkCleanVer/MarkJournaled so a
+// concurrent re-dirty is kept.
 func (c *BufferCache) SnapshotDirty() []DirtySnap {
+	snaps, _ := c.SnapshotDirtyInto(nil)
+	return snaps
+}
+
+// SnapshotDirtyInto is SnapshotDirty with the copies taken from the end of
+// spare while it lasts, fresh blocks after that. Every spare must be a
+// BlockSize block nobody else holds; it is overwritten whole. It returns
+// the snapshot and what is left of spare.
+func (c *BufferCache) SnapshotDirtyInto(spare [][]byte) ([]DirtySnap, [][]byte) {
 	var out []DirtySnap
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -362,13 +372,19 @@ func (c *BufferCache) SnapshotDirty() []DirtySnap {
 			return !b.indexed
 		})
 		for _, b := range s.dirty {
-			cp := make([]byte, len(b.Data))
+			var cp []byte
+			if n := len(spare); n > 0 {
+				cp, spare[n-1] = spare[n-1], nil
+				spare = spare[:n-1]
+			} else {
+				cp = make([]byte, disklayout.BlockSize)
+			}
 			copy(cp, b.Data)
 			out = append(out, DirtySnap{Buf: b, Blk: b.Blk, Meta: b.meta, Ver: b.ver, Data: cp})
 		}
 		s.mu.Unlock()
 	}
-	return out
+	return out, spare
 }
 
 // MarkClean clears the dirty flag after the buffer's contents have been made

@@ -129,9 +129,17 @@ type Superblock struct {
 
 const superblockPayload = 4 * 16 // 16 u32 fields... laid out explicitly in encode
 
-// EncodeSuperblock serializes sb into a full block with a trailing checksum.
+// EncodeSuperblock serializes sb into a fresh block with a trailing checksum.
 func EncodeSuperblock(sb *Superblock) []byte {
 	b := make([]byte, BlockSize)
+	PutSuperblock(b, sb)
+	return b
+}
+
+// PutSuperblock serializes sb into b, which must be BlockSize bytes. Every
+// byte of b is written, so b may be a reused block.
+func PutSuperblock(b []byte, sb *Superblock) {
+	clear(b[:BlockSize-4])
 	le := binary.LittleEndian
 	le.PutUint32(b[0:], sb.Magic)
 	le.PutUint32(b[4:], sb.Version)
@@ -152,7 +160,6 @@ func EncodeSuperblock(sb *Superblock) []byte {
 	le.PutUint64(b[64:], sb.Generation)
 	le.PutUint64(b[72:], sb.LastClock)
 	le.PutUint32(b[BlockSize-4:], Checksum(b[:BlockSize-4]))
-	return b
 }
 
 // DecodeSuperblock parses and validates a superblock from a raw block.

@@ -30,6 +30,12 @@ func TestSuperblockRoundTrip(t *testing.T) {
 	if *got != *sb {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, sb)
 	}
+	// A reused block encodes to the same bytes as a fresh one.
+	reused := []byte(strings.Repeat("\xA5", BlockSize))
+	PutSuperblock(reused, sb)
+	if string(reused) != string(EncodeSuperblock(sb)) {
+		t.Error("PutSuperblock into a used block differs from EncodeSuperblock")
+	}
 }
 
 func TestSuperblockChecksumDetectsFlip(t *testing.T) {

@@ -368,6 +368,9 @@ func (l *Log) Watermark() uint64 {
 // be durable (a write that raced into the sync's snapshot), which is safe
 // because replaying a durable write is idempotent and the shadow never
 // re-executes syncs.
+//
+// The log adopts fds without copying it: the caller hands over a table
+// nobody mutates afterwards, such as a fresh basefs.FS.OpenFDs result.
 func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) {
 	l.mu.Lock()
 	cut := sort.Search(len(l.ops), func(i int) bool { return l.ops[i].Seq >= watermark })
@@ -377,11 +380,7 @@ func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) 
 	kept := copy(l.ops, l.ops[cut:])
 	clear(l.ops[kept:]) // release the discarded payloads
 	l.ops = l.ops[:kept]
-	// Snapshots copy baseFDs, so the log's own map is reused.
-	clear(l.baseFDs)
-	for fd, ino := range fds {
-		l.baseFDs[fd] = ino
-	}
+	l.baseFDs = fds // read-only from here on: Snapshot copies it
 	l.startClock = clock
 	l.mu.Unlock()
 	l.telTruncation.Inc()

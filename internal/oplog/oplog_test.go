@@ -155,11 +155,12 @@ func TestLogStableTruncates(t *testing.T) {
 	if clk != 42 || len(gotFDs) != 2 || gotFDs[3] != 7 {
 		t.Errorf("stable state = (%v, %d)", gotFDs, clk)
 	}
-	// The snapshot map must be a copy.
-	fds[3] = 999
+	// The snapshot map must be a copy. (Stable adopts the caller's map,
+	// which the caller no longer mutates.)
+	gotFDs[3] = 999
 	_, gotFDs, _ = l.Snapshot()
 	if gotFDs[3] != 7 {
-		t.Error("Stable aliases the caller's fd map")
+		t.Error("Snapshot aliases the log's fd map")
 	}
 }
 
