@@ -136,16 +136,9 @@ type FS struct {
 	// stale (committed, not yet checkpointed). Only the sync-round leader
 	// touches it; a checkpoint writes exactly these bytes home, never the
 	// possibly newer cache content, so home writes are always of committed
-	// transactions.
+	// transactions. A copy goes back to the cache's pool once a newer
+	// commit replaces it or a checkpoint writes it home.
 	unstable map[uint32][]byte
-	// spare holds block copies the device has taken, for the next round's
-	// snapshot to copy into. A copy comes back exactly when nothing else
-	// holds it: a data copy once its write-back succeeded, a metadata copy
-	// once fs.unstable replaced it with a newer commit or a checkpoint wrote
-	// it home. Owned by the sync-round leader, like unstable, and per
-	// instance, so a round frozen on an abandoned instance never shares a
-	// block with the live one. At most jnl.Capacity() blocks.
-	spare [][]byte
 
 	// fds maps each open descriptor to its inode.
 	fds   map[fsapi.FD]uint32

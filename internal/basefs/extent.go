@@ -404,7 +404,7 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			copy(b[boff:], src)
 		} else if b, ok := st.flushing[bi]; ok {
 			// Copy-on-write: the sync round's frozen snapshot stays immutable.
-			nb := make([]byte, disklayout.BlockSize)
+			nb := fs.bc.SpareBlock()
 			copy(nb, b)
 			copy(nb[boff:], src)
 			st.bufs[bi] = nb
@@ -429,7 +429,9 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			if cerr := fs.chargeBlock(st, bi); cerr != nil {
 				return written, cerr
 			}
-			nb := make([]byte, disklayout.BlockSize)
+			nb := fs.bc.SpareBlock()
+			clear(nb[:boff])
+			clear(nb[boff+chunk:])
 			copy(nb[boff:], src)
 			st.bufs[bi] = nb
 			fs.setPending(ci.Ino, st, true)
@@ -476,7 +478,7 @@ func (fs *FS) extReadInto(ci *cache.CachedInode, off int64, out []byte) error {
 					fs.bc.Release(buf)
 					break
 				}
-				run = append(run, missBlk{phys: phys, dst: make([]byte, disklayout.BlockSize), install: true})
+				run = append(run, missBlk{phys: phys, dst: fs.bc.SpareBlock(), install: true})
 				next++
 			}
 		}
@@ -542,7 +544,7 @@ func (fs *FS) extReadInto(ci *cache.CachedInode, off int64, out []byte) error {
 			if boff == 0 && chunk == disklayout.BlockSize {
 				m.dst = dst // zero-copy: the device fills the caller's buffer
 			} else {
-				m.dst = make([]byte, disklayout.BlockSize)
+				m.dst = fs.bc.SpareBlock() // ReadVec overwrites every byte
 				m.install = true
 				m.sub = dst
 				m.lo = boff
@@ -574,11 +576,9 @@ func (fs *FS) extZeroTail(ci *cache.CachedInode, size int64) error {
 		return nil
 	}
 	if b, ok := st.flushing[bi]; ok {
-		nb := make([]byte, disklayout.BlockSize)
+		nb := fs.bc.SpareBlock()
 		copy(nb, b)
-		for i := tail; i < disklayout.BlockSize; i++ {
-			nb[i] = 0
-		}
+		clear(nb[tail:])
 		st.bufs[bi] = nb
 		fs.setPending(ci.Ino, st, true)
 		return nil
@@ -749,9 +749,13 @@ func (fs *FS) demoteToBmap(ci *cache.CachedInode, st *delFile) error {
 	// Pending buffers that the extent list already maps (a sync round allocated
 	// their runs before deciding to demote) keep that physical home; truly
 	// unmapped ones are placed now. flushing before bufs so a copy-on-write
-	// generation in bufs wins at the shared physical block.
-	for _, pending := range []map[int64][]byte{st.flushing, st.bufs} {
+	// generation in bufs wins at the shared physical block. A round may still
+	// be writing the frozen generation, so the cache adopts copies of it.
+	for i, pending := range []map[int64][]byte{st.flushing, st.bufs} {
 		for idx, b := range pending {
+			if i == 0 {
+				b = append(fs.bc.SpareBlock()[:0], b...)
+			}
 			p := extentFor(exts, idx)
 			if p == 0 {
 				var err error

@@ -191,11 +191,9 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		fs.ic.MarkClean(ci)
 	}
 
-	// Partition the dirty snapshot, copied into recycled blocks.
+	// Partition the dirty snapshot, copied into pool blocks.
 	var data, meta []cache.DirtySnap
-	var snaps []cache.DirtySnap
-	snaps, fs.spare = fs.bc.SnapshotDirtyInto(fs.spare)
-	for _, s := range snaps {
+	for _, s := range fs.bc.SnapshotDirty() {
 		if s.Meta {
 			meta = append(meta, s)
 		} else {
@@ -217,13 +215,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// before the commit lands; if the round fails, the next one retries.
 	if clk := fs.clock.Load(); clk != fs.sb.LastClock {
 		fs.sb.LastClock = clk
-		var b []byte
-		if n := len(fs.spare); n > 0 {
-			b, fs.spare[n-1] = fs.spare[n-1], nil
-			fs.spare = fs.spare[:n-1]
-		} else {
-			b = make([]byte, disklayout.BlockSize)
-		}
+		b := fs.bc.SpareBlock()
 		disklayout.PutSuperblock(b, fs.sb)
 		meta = append([]cache.DirtySnap{{Blk: 0, Meta: true, Data: b}}, meta...)
 	}
@@ -275,7 +267,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// the snapshot is sorted, so each run of adjacent blocks is one run. A
 	// buffer is marked clean only once its write has succeeded; a failed
 	// round leaves every snapshotted block dirty for the next one. The device
-	// keeps no written buffer, so a copy it took is spare on return.
+	// keeps no written buffer, so a copy it took goes back to the pool.
 	if len(runs) > 0 {
 		if err := fs.dev.WriteVec(runs); err != nil {
 			return fmt.Errorf("basefs: sync delalloc write-back: %w", err)
@@ -290,7 +282,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	}
 	for _, s := range data {
 		fs.bc.MarkCleanVer(s.Buf, s.Ver)
-		fs.recycle(s.Data)
+		fs.bc.Recycle(s.Data)
 	}
 	fs.retireDelalloc(rets)
 	// Data needs a flush barrier before the commit record, but when a commit
@@ -336,9 +328,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		}
 		flushes += 2
 		for _, s := range chunk {
-			if old, ok := fs.unstable[s.Blk]; ok {
-				fs.recycle(old)
-			}
+			fs.bc.Recycle(fs.unstable[s.Blk])
 			fs.unstable[s.Blk] = s.Data
 			if s.Buf != nil {
 				fs.bc.MarkJournaled(s.Buf, s.Ver)
@@ -396,18 +386,10 @@ func (fs *FS) checkpoint() (int, error) {
 	fs.telCkptBlocks.Add(int64(len(blks)))
 	for _, blk := range blks {
 		fs.bc.MarkStable(blk)
-		fs.recycle(fs.unstable[blk])
+		fs.bc.Recycle(fs.unstable[blk])
 		delete(fs.unstable, blk)
 	}
 	return 2, nil // home flush + journal superblock flush
-}
-
-// recycle puts a block copy the device has taken on the spare list, unless
-// the list is full.
-func (fs *FS) recycle(b []byte) {
-	if len(fs.spare) < fs.jnl.Capacity() {
-		fs.spare = append(fs.spare, b)
-	}
 }
 
 // runsOf groups n blocks, sorted by number, into runs of adjacent blocks;

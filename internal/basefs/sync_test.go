@@ -410,11 +410,12 @@ func TestUnstableMatchesJournalAcrossRounds(t *testing.T) {
 				t.Fatalf("round %d: unstable[%d] differs from the replayed journal", round, blk)
 			}
 		}
-		for i, b := range fs.spare {
+		_, spares, bound := fs.bc.Holdings()
+		for i, b := range spares {
 			hold(b, fmt.Sprintf("spare[%d]", i))
 		}
-		if n := len(fs.spare); n > fs.jnl.Capacity() {
-			t.Fatalf("round %d: %d spare blocks, cap %d", round, n, fs.jnl.Capacity())
+		if n := len(spares); n > bound {
+			t.Fatalf("round %d: %d spare blocks, bound %d", round, n, bound)
 		} else if n > maxSpare {
 			maxSpare = n
 		}

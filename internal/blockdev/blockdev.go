@@ -30,10 +30,16 @@ import (
 // buffers. The device copies the bytes (Mem), hands them to the kernel
 // (File), forwards the call (Instrumented and other pass-through wrappers)
 // or refuses it (ReadOnly, Overlay), so on return, failed or not, the
-// caller may reuse every buffer it passed. The base's sync round relies on
-// this to recycle its block copies.
+// caller may reuse every buffer it passed. On the read side, ReadBlock
+// returns a fresh buffer nothing else holds, and a successful ReadVec
+// overwrites every byte of every buffer it was passed, whatever the buffer
+// held before: unwritten blocks read as zeros, and an injected corruption
+// flips a bit of the bytes read, never leaves old bytes in place. The
+// base's block pool relies on both sides: it recycles written copies, and
+// reads into recycled blocks that still hold another block's bytes.
 type Device interface {
-	// ReadBlock reads block blk into a fresh buffer of BlockSize bytes.
+	// ReadBlock reads block blk into a fresh buffer of BlockSize bytes that
+	// the caller owns.
 	ReadBlock(blk uint32) ([]byte, error)
 	// WriteBlock writes one block. The buffer must be BlockSize bytes; the
 	// device does not keep it.

@@ -38,7 +38,9 @@ type Run struct {
 }
 
 // VecReader reads multi-block runs, each in one device-level call. Buffers
-// must be pre-allocated BlockSize slices.
+// must be pre-allocated BlockSize slices; a successful ReadVec overwrites
+// every byte of each, so they may hold anything before the call (see
+// Device). A failed one may leave any of them partly filled.
 type VecReader interface {
 	ReadVec(runs []Run) error
 }

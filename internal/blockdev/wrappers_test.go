@@ -226,3 +226,61 @@ func TestWriteDoesNotRetainBuffer(t *testing.T) {
 		})
 	}
 }
+
+// perBlock is a Mem whose runs go through ReadVecPerBlock, the run path of a
+// device with no native one.
+type perBlock struct{ *Mem }
+
+func (d perBlock) ReadVec(runs []Run) error { return ReadVecPerBlock(d.Mem, runs) }
+
+// TestReadVecOverwritesWholeBuffer holds the read side of the Device
+// ownership rule: a successful ReadVec overwrites every byte of every buffer
+// it was passed, so a caller may read into a recycled block that still holds
+// old bytes. Each stack is built twice alike, with the written run [8,24)
+// and the never-written blocks [40,48); one build reads both into zeroed
+// buffers (the reference), the other into buffers filled with 0xA5, and the
+// two reads must agree byte for byte. Mem corrupting every read, an Overlay
+// overriding blocks inside both runs and ReadVecPerBlock join every stack of
+// wrapperCases.
+func TestReadVecOverwritesWholeBuffer(t *testing.T) {
+	cases := append([]wrapperCase{
+		{name: "MemCorrupting", build: overMem(func(t *testing.T, m *Mem) Device {
+			p := NewFaultPlan(7)
+			p.CorruptReadProb = 1
+			m.SetFaults(p)
+			return m
+		})},
+		{name: "OverlayOverridden", build: overMem(func(t *testing.T, m *Mem) Device {
+			return NewOverlay(m, map[uint32][]byte{10: block(0xEE), 44: block(0xEF)})
+		})},
+		{name: "PerBlock", build: overMem(func(t *testing.T, m *Mem) Device { return perBlock{m} })},
+	}, wrapperCases...)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got [2][]Run
+			for k, fill := range []byte{0, 0xA5} {
+				top, leaf, _ := c.build(t)
+				if err := WriteVecPerBlock(leaf, []Run{testRun()}); err != nil {
+					t.Fatal(err)
+				}
+				runs := []Run{{Blk: 8, Bufs: make([][]byte, 16)}, {Blk: 40, Bufs: make([][]byte, 8)}}
+				for _, r := range runs {
+					for i := range r.Bufs {
+						r.Bufs[i] = block(fill)
+					}
+				}
+				if err := top.ReadVec(runs); err != nil {
+					t.Fatal(err)
+				}
+				got[k] = runs
+			}
+			for i, r := range got[1] {
+				for j, b := range r.Bufs {
+					if !bytes.Equal(b, got[0][i].Bufs[j]) {
+						t.Fatalf("block %d: read into 0xA5-filled buffer differs from read into zeroed buffer", r.Blk+uint32(j))
+					}
+				}
+			}
+		})
+	}
+}

@@ -73,7 +73,7 @@ type bufShard struct {
 	maxClean int
 	hits     int64
 	misses   int64
-	_        [8]byte // keep neighboring shards' hot words off one cache line
+	c        *BufferCache // for its pool; keeps shards' hot words apart
 }
 
 // BufferCache is a write-back block cache with LRU eviction of clean,
@@ -84,6 +84,10 @@ type BufferCache struct {
 	dev    blockdev.Device
 	shards []bufShard
 	mask   uint32 // len(shards)-1; shard count is a power of two
+	// spares is the pool (see SpareBlock), guarded by spareMu.
+	spareMu  sync.Mutex
+	spares   [][]byte
+	spareMax int // the clean budget, at most poolBlocks
 
 	telHits, telMisses *telemetry.Counter
 	// telLockWait records contended shard-lock acquisitions only
@@ -117,12 +121,75 @@ func NewBufferCache(dev blockdev.Device, maxClean int) *BufferCache {
 		shards: make([]bufShard, n),
 		mask:   uint32(n - 1),
 	}
+	c.setSpareMax(maxClean)
 	for i := range c.shards {
 		c.shards[i].bufs = make(map[uint32]*Buf)
 		c.shards[i].lru = list.New()
 		c.shards[i].maxClean = maxClean / n
+		c.shards[i].c = c
 	}
 	return c
+}
+
+// poolBlocks caps a pool at 512 KiB; a stream gains as much as from 1024.
+const poolBlocks = 128
+
+// SpareBlock returns a BlockSize block from the cache's pool, or a fresh
+// one when the pool is empty. Its bytes are arbitrary: the caller
+// overwrites or clears every byte it will read.
+//
+// A block joins the pool only when nothing can reach it any more (eviction,
+// an unpinned Drop, a refused InstallClean, Recycle). The pool is per cache,
+// so a contained reboot discards it, and a round frozen on an abandoned
+// instance never shares a block with the live one.
+func (c *BufferCache) SpareBlock() []byte {
+	c.spareMu.Lock()
+	if n := len(c.spares); n > 0 {
+		b := c.spares[n-1]
+		c.spares[n-1] = nil
+		c.spares = c.spares[:n-1]
+		c.spareMu.Unlock()
+		return b
+	}
+	c.spareMu.Unlock()
+	return make([]byte, disklayout.BlockSize)
+}
+
+// Recycle hands a BlockSize block nothing else holds to the pool; the caller
+// must not touch it again. A full pool, or a nil block, leaves it to the GC.
+func (c *BufferCache) Recycle(b []byte) {
+	c.spareMu.Lock()
+	if len(b) == disklayout.BlockSize && len(c.spares) < c.spareMax {
+		c.spares = append(c.spares, b)
+	}
+	c.spareMu.Unlock()
+}
+
+// setSpareMax bounds the pool by a clean budget, freeing the surplus.
+func (c *BufferCache) setSpareMax(maxClean int) {
+	c.spareMu.Lock()
+	c.spareMax = min(maxClean, poolBlocks)
+	if len(c.spares) > c.spareMax {
+		clear(c.spares[c.spareMax:])
+		c.spares = c.spares[:c.spareMax]
+	}
+	c.spareMu.Unlock()
+}
+
+// Holdings returns the data of every buffer the cache maps, the pool's
+// spare blocks and the pool's bound: the view an ownership check needs.
+func (c *BufferCache) Holdings() (mapped, spares [][]byte, bound int) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		c.lock(s)
+		for _, b := range s.bufs {
+			mapped = append(mapped, b.Data)
+		}
+		s.mu.Unlock()
+	}
+	c.spareMu.Lock()
+	defer c.spareMu.Unlock()
+	return mapped, slices.Clone(c.spares), c.spareMax
 }
 
 // NumShards returns the lock-stripe width (for tests and diagnostics).
@@ -132,10 +199,11 @@ func (c *BufferCache) NumShards() int { return len(c.shards) }
 // splitting it evenly across shards. Shrinking evicts immediately down to the
 // new bound (clean, stable, unpinned buffers only — dirty and unstable
 // buffers are never evictable, so a shrink can only reclaim what is safe to
-// reclaim); growing takes effect on the next insertions. This is the
-// donation/reclaim primitive the multi-volume cache rebalancer drives: one
-// volume's cache donates capacity, another's reclaims it, and the fleet-wide
-// sum of budgets stays constant. Values below the 8-buffer floor clamp to it.
+// reclaim) and trims the pool, so donated capacity frees memory; growing
+// takes effect on the next insertions. This is the donation/reclaim
+// primitive the multi-volume cache rebalancer drives: one volume's cache
+// donates capacity, another's reclaims it, and the fleet-wide sum of
+// budgets stays constant. Values below the 8-buffer floor clamp to it.
 func (c *BufferCache) SetCleanBudget(maxClean int) {
 	if maxClean < 8 {
 		maxClean = 8
@@ -144,6 +212,7 @@ func (c *BufferCache) SetCleanBudget(maxClean int) {
 	if per < 1 {
 		per = 1
 	}
+	c.setSpareMax(maxClean)
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
@@ -256,12 +325,11 @@ func (c *BufferCache) GetZero(blk uint32) *Buf {
 	defer s.mu.Unlock()
 	if b, ok := s.bufs[blk]; ok {
 		b.pins++
-		for i := range b.Data {
-			b.Data[i] = 0
-		}
+		clear(b.Data)
 		return b
 	}
-	b := &Buf{Blk: blk, Data: make([]byte, disklayout.BlockSize), pins: 1}
+	b := &Buf{Blk: blk, Data: c.SpareBlock(), pins: 1}
+	clear(b.Data)
 	s.bufs[blk] = b
 	s.evictLocked()
 	return b
@@ -330,10 +398,13 @@ func (s *bufShard) evictLocked() {
 		s.lru.Remove(front)
 		b.elem = nil
 		// Identity check: only evict the mapping if it still points at this
-		// buffer, never a successor that reused the block number.
+		// buffer, never a successor that reused the block number. The block
+		// goes to the pool, and a stray use of b panics instead of aliasing.
 		if cur, ok := s.bufs[b.Blk]; ok && cur == b {
 			delete(s.bufs, b.Blk)
 			b.dropped = true
+			s.c.Recycle(b.Data)
+			b.Data = nil
 		}
 	}
 }
@@ -349,20 +420,11 @@ type DirtySnap struct {
 }
 
 // SnapshotDirty copies every dirty buffer (block, meta flag, version,
-// content) out of each shard's dirty index into fresh blocks. The sync path
-// snapshots under the filesystem lock, does IO on the copies outside all
-// locks, and retires each buffer with MarkCleanVer/MarkJournaled so a
-// concurrent re-dirty is kept.
+// content) out of each shard's dirty index into pool blocks the caller owns.
+// The sync path snapshots under the filesystem lock, does IO on the copies
+// outside all locks, and retires each buffer with MarkCleanVer/MarkJournaled
+// so a concurrent re-dirty is kept.
 func (c *BufferCache) SnapshotDirty() []DirtySnap {
-	snaps, _ := c.SnapshotDirtyInto(nil)
-	return snaps
-}
-
-// SnapshotDirtyInto is SnapshotDirty with the copies taken from the end of
-// spare while it lasts, fresh blocks after that. Every spare must be a
-// BlockSize block nobody else holds; it is overwritten whole. It returns
-// the snapshot and what is left of spare.
-func (c *BufferCache) SnapshotDirtyInto(spare [][]byte) ([]DirtySnap, [][]byte) {
 	var out []DirtySnap
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -372,19 +434,13 @@ func (c *BufferCache) SnapshotDirtyInto(spare [][]byte) ([]DirtySnap, [][]byte) 
 			return !b.indexed
 		})
 		for _, b := range s.dirty {
-			var cp []byte
-			if n := len(spare); n > 0 {
-				cp, spare[n-1] = spare[n-1], nil
-				spare = spare[:n-1]
-			} else {
-				cp = make([]byte, disklayout.BlockSize)
-			}
+			cp := c.SpareBlock()
 			copy(cp, b.Data)
 			out = append(out, DirtySnap{Buf: b, Blk: b.Blk, Meta: b.meta, Ver: b.ver, Data: cp})
 		}
 		s.mu.Unlock()
 	}
-	return out, spare
+	return out
 }
 
 // MarkClean clears the dirty flag after the buffer's contents have been made
@@ -502,13 +558,14 @@ func (c *BufferCache) Peek(blk uint32) *Buf {
 // InstallClean adopts externally produced contents that are known to match
 // the device (a completed vectored read or write-back) as a clean, unpinned
 // buffer. If the block is already cached, the existing buffer — which may
-// carry newer, dirty content — wins and the install is a no-op. The caller
+// carry newer, dirty content — wins and data goes to the pool. The caller
 // hands over ownership of data.
 func (c *BufferCache) InstallClean(blk uint32, data []byte) {
 	s := c.shardFor(blk)
 	c.lock(s)
 	defer s.mu.Unlock()
 	if _, ok := s.bufs[blk]; ok {
+		c.Recycle(data)
 		return
 	}
 	b := &Buf{Blk: blk, Data: data}
@@ -517,8 +574,8 @@ func (c *BufferCache) InstallClean(blk uint32, data []byte) {
 }
 
 // Drop removes a block from the cache regardless of state (used when a block
-// is freed). If the buffer is still pinned, its holder may keep using it,
-// but it is marked dropped and will never re-enter the cache.
+// is freed). A pinned buffer stays with its holder but is marked dropped and
+// never re-enters the cache; an unpinned one's block goes to the pool.
 func (c *BufferCache) Drop(blk uint32) {
 	s := c.shardFor(blk)
 	c.lock(s)
@@ -530,6 +587,10 @@ func (c *BufferCache) Drop(blk uint32) {
 		}
 		b.dropped = true
 		delete(s.bufs, blk)
+		if b.pins == 0 {
+			c.Recycle(b.Data)
+			b.Data = nil
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -54,6 +55,82 @@ func TestBufferCacheEvictsCleanLRU(t *testing.T) {
 	}
 	if c.Len() > 8 {
 		t.Errorf("cache holds %d buffers, max 8", c.Len())
+	}
+
+	// A budget the rebalancer takes back frees memory: after a shrink the
+	// cache holds at most the new budget in clean buffers plus the pool's
+	// bound in spares, and a spare block still full of an evicted block's
+	// bytes comes back zeroed from GetZero.
+	c, dev := newBC(t, 64, 48)
+	for i := uint32(0); i < 64; i++ {
+		fill(dev, i, 0xC3)
+	}
+	for i := uint32(0); i < 64; i++ {
+		b, err := c.Get(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Release(b)
+	}
+	if _, spares, _ := c.Holdings(); len(spares) <= 8 {
+		t.Fatalf("the pool holds %d spares under a 48-block budget, want more than 8", len(spares))
+	}
+	c.SetCleanBudget(8)
+	mapped, spares, bound := c.Holdings()
+	if len(mapped) > 8 || len(spares) > bound || bound > 8 {
+		t.Errorf("after shrinking to 8: %d buffers and %d spares (bound %d), want at most 8 of each", len(mapped), len(spares), bound)
+	}
+	z := c.GetZero(100)
+	defer c.Release(z)
+	if !bytes.Equal(z.Data, make([]byte, disklayout.BlockSize)) {
+		t.Error("GetZero on a recycled block returned non-zero data")
+	}
+}
+
+// TestEvictedBufferDataIsNil pins the pool's sources at the cache: an
+// evicted buffer and a buffer dropped unpinned lose their Data to the pool,
+// so a stray later use panics instead of aliasing the block's next owner; a
+// buffer dropped while pinned keeps its Data for its holder; and a block
+// InstallClean refuses goes to the pool.
+func TestEvictedBufferDataIsNil(t *testing.T) {
+	c, _ := newBC(t, 64, 8)
+	evicted, _ := c.Get(0)
+	c.Release(evicted)
+	for i := uint32(1); i <= 8; i++ {
+		b, _ := c.Get(i)
+		c.Release(b)
+	}
+	if evicted.Data != nil {
+		t.Error("an evicted buffer still holds its block")
+	}
+	dropped, _ := c.Get(1)
+	c.Release(dropped)
+	c.Drop(1)
+	if dropped.Data != nil {
+		t.Error("a buffer dropped unpinned still holds its block")
+	}
+	pinned, _ := c.Get(2)
+	c.Drop(2)
+	if pinned.Data == nil {
+		t.Error("a buffer dropped while pinned lost its block under its holder")
+	}
+	c.Release(pinned)
+	refused := make([]byte, disklayout.BlockSize)
+	c.InstallClean(3, refused)
+	_, spares, _ := c.Holdings()
+	held := func(b []byte) bool {
+		for _, s := range spares {
+			if &s[0] == &b[0] {
+				return true
+			}
+		}
+		return false
+	}
+	if !held(refused) {
+		t.Error("a block InstallClean refused did not go to the pool")
+	}
+	if held(pinned.Data) {
+		t.Error("a block dropped while pinned went to the pool")
 	}
 }
 

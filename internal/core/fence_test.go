@@ -94,6 +94,37 @@ func TestFencedDeviceForwardsRuns(t *testing.T) {
 	}
 }
 
+// TestFencedReadVecOverwritesWholeBuffer holds the read side of the
+// blockdev.Device ownership rule through the fence: a run read over written
+// blocks [8,12) and never-written ones [12,16) overwrites every byte of the
+// caller's buffers, so reads into buffers filled with 0xA5 and into zeroed
+// ones agree byte for byte.
+func TestFencedReadVecOverwritesWholeBuffer(t *testing.T) {
+	dev := blockdev.NewMem(64)
+	for blk := uint32(8); blk < 12; blk++ {
+		if err := dev.WriteBlock(blk, bytes.Repeat([]byte{byte(blk)}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := newFence(dev, nil)
+	var got [2]blockdev.Run
+	for k, fill := range []byte{0, 0xA5} {
+		r := blockdev.Run{Blk: 8, Bufs: make([][]byte, 8)}
+		for i := range r.Bufs {
+			r.Bufs[i] = bytes.Repeat([]byte{fill}, 4096)
+		}
+		if err := f.ReadVec([]blockdev.Run{r}); err != nil {
+			t.Fatal(err)
+		}
+		got[k] = r
+	}
+	for i := range got[0].Bufs {
+		if !bytes.Equal(got[0].Bufs[i], got[1].Bufs[i]) {
+			t.Fatalf("block %d: read into a 0xA5-filled buffer differs from read into a zeroed one", 8+i)
+		}
+	}
+}
+
 // TestAbandonedFrozenSyncCannotPersist is the fence's reason to exist: a
 // sync frozen past the watchdog is abandoned; when it wakes up mid- or
 // post-recovery it must not be able to write the device underneath the
