@@ -136,12 +136,9 @@ const poolBlocks = 128
 
 // SpareBlock returns a BlockSize block from the cache's pool, or a fresh
 // one when the pool is empty. Its bytes are arbitrary: the caller
-// overwrites or clears every byte it will read.
-//
-// A block joins the pool only when nothing can reach it any more (eviction,
-// an unpinned Drop, a refused InstallClean, Recycle). The pool is per cache,
-// so a contained reboot discards it, and a round frozen on an abandoned
-// instance never shares a block with the live one.
+// overwrites or clears every byte it will read. A block joins the pool only
+// when nothing can reach it any more. The pool is per cache, so a contained
+// reboot discards it with the abandoned instance's blocks.
 func (c *BufferCache) SpareBlock() []byte {
 	c.spareMu.Lock()
 	if n := len(c.spares); n > 0 {
@@ -169,15 +166,13 @@ func (c *BufferCache) Recycle(b []byte) {
 func (c *BufferCache) setSpareMax(maxClean int) {
 	c.spareMu.Lock()
 	c.spareMax = min(maxClean, poolBlocks)
-	if len(c.spares) > c.spareMax {
-		clear(c.spares[c.spareMax:])
-		c.spares = c.spares[:c.spareMax]
-	}
+	c.spares = slices.Delete(c.spares, min(c.spareMax, len(c.spares)), len(c.spares))
 	c.spareMu.Unlock()
 }
 
 // Holdings returns the data of every buffer the cache maps, the pool's
-// spare blocks and the pool's bound: the view an ownership check needs.
+// spare blocks and the pool's bound. It exists only for the ownership tests
+// of this package and of basefs; no production path calls it.
 func (c *BufferCache) Holdings() (mapped, spares [][]byte, bound int) {
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -398,13 +393,16 @@ func (s *bufShard) evictLocked() {
 		s.lru.Remove(front)
 		b.elem = nil
 		// Identity check: only evict the mapping if it still points at this
-		// buffer, never a successor that reused the block number. The block
-		// goes to the pool, and a stray use of b panics instead of aliasing.
+		// buffer, never a successor that reused the block number. A hit pins
+		// without leaving the LRU, so as under Drop, a pinned b keeps its
+		// block; an unpinned one's goes to the pool, and a stray use panics.
 		if cur, ok := s.bufs[b.Blk]; ok && cur == b {
 			delete(s.bufs, b.Blk)
 			b.dropped = true
-			s.c.Recycle(b.Data)
-			b.Data = nil
+			if b.pins == 0 {
+				s.c.Recycle(b.Data)
+				b.Data = nil
+			}
 		}
 	}
 }

@@ -90,10 +90,11 @@ func TestBufferCacheEvictsCleanLRU(t *testing.T) {
 // TestEvictedBufferDataIsNil pins the pool's sources at the cache: an
 // evicted buffer and a buffer dropped unpinned lose their Data to the pool,
 // so a stray later use panics instead of aliasing the block's next owner; a
-// buffer dropped while pinned keeps its Data for its holder; and a block
-// InstallClean refuses goes to the pool.
+// buffer dropped while pinned, or evicted while a hit pins it (pushed out by
+// insertions or by a budget shrink), keeps its Data for its holder; and a
+// block InstallClean refuses goes to the pool.
 func TestEvictedBufferDataIsNil(t *testing.T) {
-	c, _ := newBC(t, 64, 8)
+	c, dev := newBC(t, 64, 8)
 	evicted, _ := c.Get(0)
 	c.Release(evicted)
 	for i := uint32(1); i <= 8; i++ {
@@ -115,23 +116,100 @@ func TestEvictedBufferDataIsNil(t *testing.T) {
 		t.Error("a buffer dropped while pinned lost its block under its holder")
 	}
 	c.Release(pinned)
-	refused := make([]byte, disklayout.BlockSize)
-	c.InstallClean(3, refused)
-	_, spares, _ := c.Holdings()
+	// A hit pins a buffer but leaves it in the LRU, so insertions or a budget
+	// shrink can evict it while pinned; it keeps its block, which no pool
+	// sink may refill under its holder.
+	c.SetCleanBudget(16)
+	hitPinned := func(blk uint32) *Buf {
+		fill(dev, blk, byte(blk))
+		b, _ := c.Get(blk)
+		c.Release(b)
+		b, _ = c.Get(blk)
+		return b
+	}
+	pushed := hitPinned(20)
+	for i := uint32(21); i < 37; i++ {
+		b, _ := c.Get(i)
+		c.Release(b)
+	}
+	shrunk := hitPinned(40)
+	for i := uint32(41); i < 56; i++ {
+		b, _ := c.Get(i)
+		c.Release(b)
+	}
+	c.SetCleanBudget(8)
+	for i := uint32(56); i < 64; i++ {
+		c.Release(c.GetZero(i))
+	}
+	for _, b := range []*Buf{pushed, shrunk} {
+		if b.Data == nil || !bytes.Equal(b.Data, bytes.Repeat([]byte{byte(b.Blk)}, disklayout.BlockSize)) {
+			t.Errorf("block %d, evicted while hit-pinned, lost its bytes under its holder", b.Blk)
+		}
+	}
+	_, spares, bound := c.Holdings()
 	held := func(b []byte) bool {
 		for _, s := range spares {
-			if &s[0] == &b[0] {
+			if len(b) > 0 && &s[0] == &b[0] {
 				return true
 			}
 		}
 		return false
 	}
+	for _, b := range []*Buf{pinned, pushed, shrunk} {
+		if held(b.Data) {
+			t.Errorf("block %d went to the pool while pinned", b.Blk)
+		}
+	}
+	c.Release(pushed)
+	c.Release(shrunk)
+	for range bound {
+		c.SpareBlock() // room for the refused block
+	}
+	cached, _ := c.Get(3)
+	c.Release(cached)
+	refused := make([]byte, disklayout.BlockSize)
+	c.InstallClean(3, refused)
+	_, spares, _ = c.Holdings()
 	if !held(refused) {
 		t.Error("a block InstallClean refused did not go to the pool")
 	}
-	if held(pinned.Data) {
-		t.Error("a block dropped while pinned went to the pool")
+}
+
+// TestHitPinnedSurvivesConcurrentEviction runs the hit-pin case of
+// TestEvictedBufferDataIsNil on several goroutines: while one holds a block
+// pinned by a hit, the others' reads and zero-fills evict it and drain the
+// pool. Its bytes must stay its block's, and under -race no refill or nil
+// store may touch them.
+func TestHitPinnedSurvivesConcurrentEviction(t *testing.T) {
+	c, dev := newBC(t, 64, 8)
+	for i := uint32(0); i < 48; i++ {
+		fill(dev, i, byte(i))
 	}
+	var wg sync.WaitGroup
+	for g := uint32(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := uint32(0); it < 200; it++ {
+				blk := (g*13 + it*7) % 48
+				b, _ := c.Get(blk)
+				c.Release(b)
+				b, _ = c.Get(blk)
+				for k := uint32(1); k <= 10; k++ {
+					o, _ := c.Get((blk + k*5) % 48)
+					c.Release(o)
+				}
+				c.Release(c.GetZero(48 + (g*4+it)%16))
+				if b.Data == nil || b.Data[0] != byte(blk) || b.Data[disklayout.BlockSize-1] != byte(blk) {
+					t.Errorf("block %d changed under the hit that pins it", blk)
+					c.Release(b)
+					return
+				}
+				c.Release(b)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestBufferCacheDirtyNeverEvicted(t *testing.T) {
