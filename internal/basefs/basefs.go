@@ -132,6 +132,8 @@ type FS struct {
 	syncMu    sync.Mutex
 	curRound  *syncRound
 	nextRound *syncRound
+	// leadRound is the round a caller that becomes leader runs first.
+	leadRound syncRound
 	// unstable holds the journaled content of blocks whose home copy is
 	// stale (committed, not yet checkpointed). Only the sync-round leader
 	// touches it; a checkpoint writes exactly these bytes home, never the
@@ -139,6 +141,13 @@ type FS struct {
 	// transactions. A copy goes back to the cache's pool once a newer
 	// commit replaces it or a checkpoint writes it home.
 	unstable map[uint32][]byte
+	// validated holds the copy a checkpoint wrote home of each inode-table
+	// block not committed since, for sync-validate to compare against (see
+	// validateMetaForPersist). A block is in unstable or validated, never
+	// both, so the set is bounded by the table's length. Leader-only, like
+	// unstable and scratch.
+	validated map[uint32][]byte
+	scratch   roundScratch
 
 	// fds maps each open descriptor to its inode.
 	fds   map[fsapi.FD]uint32
@@ -251,6 +260,7 @@ func Mount(dev blockdev.Device, opts Options) (*FS, error) {
 		dc:         cache.NewDentryCache(dentryCacheSize),
 		jnl:        jnl,
 		unstable:   make(map[uint32][]byte),
+		validated:  make(map[uint32][]byte),
 		fds:        make(map[fsapi.FD]uint32),
 		delalloc:   make(map[uint32]*delFile),
 		pending:    make(map[uint32]*delFile),

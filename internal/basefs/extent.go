@@ -30,6 +30,7 @@ package basefs
 // exactly.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -828,9 +829,19 @@ func (fs *FS) placePtr(ci *cache.CachedInode, idx int64, p uint32) error {
 // (materialization under fs.mu) to Phase B (retirement after the vectored
 // writes land).
 type delRetire struct {
-	ci   *cache.CachedInode
-	st   *delFile
-	phys map[int64]uint32 // frozen index -> physical block, this round
+	ci *cache.CachedInode
+	st *delFile
+	// phys lists the file's frozen blocks of this round by physical block,
+	// in the round's scratch.
+	phys []frozenBlock
+}
+
+// frozenBlock is one frozen delalloc block: its file index, its physical
+// home and the frozen content.
+type frozenBlock struct {
+	idx int64
+	p   uint32
+	buf []byte
 }
 
 // materializeDelalloc runs in sync Phase A under the exclusive namespace
@@ -841,19 +852,17 @@ type delRetire struct {
 // data runs are written in Phase B strictly before the journal commit that
 // makes the new extents (and bitmap bits) durable, so a crash between them
 // leaves the blocks free and the extents absent — never a mapped block with
-// stale contents. Only fs.pending is visited, in inode order.
-func (fs *FS) materializeDelalloc() ([]blockdev.Run, []delRetire, error) {
+// stale contents. Only fs.pending is visited, in inode order. The returned
+// runs and retirements live in the round's scratch.
+func (fs *FS) materializeDelalloc(sc *roundScratch) ([]blockdev.Run, []delRetire, error) {
 	fs.delMu.Lock()
-	inos := make([]uint32, 0, len(fs.pending))
 	for ino := range fs.pending {
-		inos = append(inos, ino)
+		sc.inos = append(sc.inos, ino)
 	}
 	fs.delMu.Unlock()
-	slices.Sort(inos)
+	slices.Sort(sc.inos)
 
-	var runs []blockdev.Run
-	var rets []delRetire
-	for _, ino := range inos {
+	for _, ino := range sc.inos {
 		fs.delMu.Lock()
 		st := fs.pending[ino]
 		fs.delMu.Unlock()
@@ -876,28 +885,39 @@ func (fs *FS) materializeDelalloc() ([]blockdev.Run, []delRetire, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("basefs: delalloc inode %d: %w", ino, err)
 		}
-		frs, ret, err := fs.materializeFile(ci, st)
-		if err != nil {
+		if err := fs.materializeFile(sc, ci, st); err != nil {
 			return nil, nil, err
 		}
-		runs = append(runs, frs...)
-		if ret != nil {
-			rets = append(rets, *ret)
+	}
+	// The device runs: each file's frozen blocks coalesced into runs of
+	// adjacent blocks, so a run never spans two files.
+	for _, ret := range sc.rets {
+		for _, x := range ret.phys {
+			sc.delBufs = append(sc.delBufs, x.buf)
 		}
 	}
-	return runs, rets, nil
+	bufs := sc.delBufs
+	for _, ret := range sc.rets {
+		n := len(sc.delRuns)
+		sc.delRuns = appendRuns(sc.delRuns, bufs[:len(ret.phys)], func(k int) uint32 { return ret.phys[k].p })
+		bufs = bufs[len(ret.phys):]
+		fs.telExtMatRuns.Add(int64(len(sc.delRuns) - n))
+	}
+	return sc.delRuns, sc.rets, nil
 }
 
 // materializeFile freezes one file's pending buffers, allocates contiguous
-// runs for them, installs the resulting extent list, and builds the vectored
-// write-back runs.
-func (fs *FS) materializeFile(ci *cache.CachedInode, st *delFile) ([]blockdev.Run, *delRetire, error) {
+// runs for them and installs the resulting extent list. Unless that demoted
+// the file, it appends the file's retirement, with its frozen blocks sorted
+// by physical block, to the round's scratch.
+func (fs *FS) materializeFile(sc *roundScratch, ci *cache.CachedInode, st *delFile) error {
 	st.flushing, st.bufs = st.bufs, st.flushing // flushing is empty here
-	idxs := make([]int64, 0, len(st.flushing))
+	idxs := sc.idxs[:0]
 	for idx := range st.flushing {
 		idxs = append(idxs, idx)
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
+	sc.idxs = idxs
 
 	// Allocate physical runs for the unmapped segments, extending the extent
 	// list as we go.
@@ -915,7 +935,7 @@ func (fs *FS) materializeFile(ci *cache.CachedInode, st *delFile) ([]blockdev.Ru
 		for k < j {
 			start, n, err := fs.allocRunPhys(uint32(j - k))
 			if err != nil {
-				return nil, nil, fmt.Errorf("basefs: delalloc inode %d: %w", ci.Ino, err)
+				return fmt.Errorf("basefs: delalloc inode %d: %w", ci.Ino, err)
 			}
 			st.exts = insertExtent(st.exts, disklayout.Extent{
 				FileOff: uint32(idxs[k]), Start: start, Len: n,
@@ -926,44 +946,29 @@ func (fs *FS) materializeFile(ci *cache.CachedInode, st *delFile) ([]blockdev.Ru
 	}
 
 	if err := fs.installExtents(ci, st); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if !ci.Inode.IsExtents() {
 		// Demoted: the pending buffers were installed as ordinary dirty cache
 		// blocks and will ride this round's per-block snapshot.
-		return nil, nil, nil
+		return nil
 	}
 	fs.markInodeDirty(ci)
 
-	// Build the device runs: frozen blocks sorted by physical address,
-	// coalesced into contiguous vectored writes.
-	phys := make(map[int64]uint32, len(idxs))
-	type pb struct {
-		p   uint32
-		buf []byte
-	}
-	pbs := make([]pb, 0, len(idxs))
+	first := len(sc.frozen)
 	for _, idx := range idxs {
 		p := extentFor(st.exts, idx)
 		if p == 0 {
-			return nil, nil, fmt.Errorf("basefs: delalloc inode %d block %d unmapped after materialization: %w",
+			return fmt.Errorf("basefs: delalloc inode %d block %d unmapped after materialization: %w",
 				ci.Ino, idx, fserr.ErrCorrupt)
 		}
-		phys[idx] = p
-		pbs = append(pbs, pb{p, st.flushing[idx]})
+		sc.frozen = append(sc.frozen, frozenBlock{idx: idx, p: p, buf: st.flushing[idx]})
 	}
-	sort.Slice(pbs, func(a, b int) bool { return pbs[a].p < pbs[b].p })
-	var runs []blockdev.Run
-	for _, x := range pbs {
-		if n := len(runs); n > 0 && runs[n-1].Blk+uint32(len(runs[n-1].Bufs)) == x.p {
-			runs[n-1].Bufs = append(runs[n-1].Bufs, x.buf)
-		} else {
-			runs = append(runs, blockdev.Run{Blk: x.p, Bufs: [][]byte{x.buf}})
-		}
-	}
+	phys := sc.frozen[first:]
+	slices.SortFunc(phys, func(a, b frozenBlock) int { return cmp.Compare(a.p, b.p) })
 	fs.telExtMatBlocks.Add(int64(len(idxs)))
-	fs.telExtMatRuns.Add(int64(len(runs)))
-	return runs, &delRetire{ci: ci, st: st, phys: phys}, nil
+	sc.rets = append(sc.rets, delRetire{ci: ci, st: st, phys: phys})
+	return nil
 }
 
 // retireDelalloc completes a round's frozen generation after its vectored
@@ -979,15 +984,15 @@ func (fs *FS) retireDelalloc(rets []delRetire) {
 	defer fs.mu.RUnlock()
 	for _, ret := range rets {
 		ret.ci.Mu.Lock()
-		for idx, b := range ret.st.flushing {
-			if p, ok := ret.phys[idx]; ok && p != 0 {
+		for _, x := range ret.phys {
+			if b, ok := ret.st.flushing[x.idx]; ok {
 				// Drop any stale clean copy from an earlier round before
 				// adopting this one (overwrite-in-flight case).
-				fs.bc.Drop(p)
-				fs.bc.InstallClean(p, b)
+				fs.bc.Drop(x.p)
+				fs.bc.InstallClean(x.p, b)
 			}
-			delete(ret.st.flushing, idx)
 		}
+		clear(ret.st.flushing)
 		if len(ret.st.bufs) == 0 {
 			fs.setPending(ret.ci.Ino, ret.st, false)
 		}

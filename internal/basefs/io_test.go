@@ -133,7 +133,7 @@ func TestBaseDeviceTelemetryMatchesDevice(t *testing.T) {
 // dataDirty returns the cache's dirty data (non-metadata) blocks.
 func (fs *FS) dataDirty() map[uint32]bool {
 	dirty := map[uint32]bool{}
-	for _, s := range fs.bc.SnapshotDirty() {
+	for _, s := range fs.bc.SnapshotDirty(nil) {
 		if !s.Meta {
 			dirty[s.Blk] = true
 		}

@@ -109,15 +109,16 @@ func TestStreamRoundAllocs(t *testing.T) {
 // overwrite, truncate, unlink, read and fsync over a 16-buffer cache, so
 // eviction, drops and recycling run all the time. After every op, every
 // block held anywhere (mapped cache buffers, delalloc bufs and flushing
-// generations, fs.unstable, the pool) is a distinct backing array, the pool
-// is within its bound, and every file reads as in the specification model.
+// generations, fs.unstable, fs.validated, the pool) is a distinct backing
+// array, the pool is within its bound, and every file reads as in the
+// specification model.
 func TestPoolNeverAliasesLiveBlock(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		fs := mountSmallCache(t, 16)
 		m := model.New(fs.sb)
 		rng := rand.New(rand.NewSource(seed))
 		names := []string{"/a", "/b", "/c", "/d"}
-		maxSpares := 0
+		maxSpares, maxValidated := 0, 0
 		for step := 0; step < 400; step++ {
 			name := names[rng.Intn(len(names))]
 			op := rng.Intn(7)
@@ -152,6 +153,7 @@ func TestPoolNeverAliasesLiveBlock(t *testing.T) {
 			if n := checkPoolOwnership(t, where, fs); n > maxSpares {
 				maxSpares = n
 			}
+			maxValidated = max(maxValidated, len(fs.validated))
 			for _, name := range names {
 				var got, want []byte
 				checkSame(t, where,
@@ -164,6 +166,9 @@ func TestPoolNeverAliasesLiveBlock(t *testing.T) {
 		}
 		if maxSpares == 0 {
 			t.Fatalf("seed %d: the pool never held a block", seed)
+		}
+		if maxValidated == 0 {
+			t.Fatalf("seed %d: no checkpoint ever left a validated image", seed)
 		}
 	}
 }
@@ -197,9 +202,9 @@ func checkSame(t *testing.T, where string, got, want error) {
 
 // checkPoolOwnership holds the pool's rule that a spare block is held by
 // nothing else: every block the cache maps, every delalloc buffer and
-// frozen generation, every committed copy in fs.unstable and every spare
-// is its own backing array, and the pool is within its bound. It returns
-// the number of spares.
+// frozen generation, every committed copy in fs.unstable, every validated
+// image in fs.validated and every spare is its own backing array, and the
+// pool is within its bound. It returns the number of spares.
 func checkPoolOwnership(t *testing.T, where string, fs *FS) int {
 	t.Helper()
 	owner := map[*byte]string{}
@@ -228,6 +233,9 @@ func checkPoolOwnership(t *testing.T, where string, fs *FS) int {
 	fs.delMu.Unlock()
 	for blk, b := range fs.unstable {
 		hold(b, fmt.Sprintf("unstable[%d]", blk))
+	}
+	for blk, b := range fs.validated {
+		hold(b, fmt.Sprintf("validated[%d]", blk))
 	}
 	for i, b := range spares {
 		hold(b, fmt.Sprintf("spare[%d]", i))

@@ -2,8 +2,10 @@ package basefs
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/blockdev"
@@ -52,6 +54,8 @@ func (fs *FS) Sync() error {
 // burst of N concurrent fsyncs thus costs at most two rounds — and each
 // round's journal commit costs exactly two device flushes.
 type syncRound struct {
+	// done is closed when the round ends. A leader's own round has none:
+	// arrivals join the next round, so nobody waits on it.
 	done chan struct{}
 	err  error
 	ckpt bool // at least one waiter needs a full checkpoint (unmount)
@@ -75,25 +79,28 @@ func (fs *FS) syncShared(ckpt bool) error {
 		<-r.done
 		return r.err
 	}
-	mine := &syncRound{done: make(chan struct{}), ckpt: ckpt}
+	// Leader: run our round in the instance's leader slot, which is ours
+	// until curRound moves on, then any rounds followers queued up meanwhile.
+	mine := &fs.leadRound
+	*mine = syncRound{ckpt: ckpt}
 	fs.curRound = mine
 	fs.syncMu.Unlock()
-
-	// Leader: run our round, then any rounds followers queued up meanwhile.
-	r := mine
-	for {
+	fs.runRoundAsLeader(mine)
+	err := mine.err
+	for r := fs.nextLeadRound(); r != nil; r = fs.nextLeadRound() {
 		fs.runRoundAsLeader(r)
 		close(r.done)
-		fs.syncMu.Lock()
-		fs.curRound = fs.nextRound
-		fs.nextRound = nil
-		next := fs.curRound
-		fs.syncMu.Unlock()
-		if next == nil {
-			return mine.err
-		}
-		r = next
 	}
+	return err
+}
+
+// nextLeadRound makes the queued follower round current and returns it, or
+// nil when none is queued and the leader is done.
+func (fs *FS) nextLeadRound() *syncRound {
+	fs.syncMu.Lock()
+	defer fs.syncMu.Unlock()
+	fs.curRound, fs.nextRound = fs.nextRound, nil
+	return fs.curRound
 }
 
 // runRoundAsLeader executes one round, filling r.err. A panic inside the
@@ -117,7 +124,9 @@ func (fs *FS) runRoundAsLeader(r *syncRound) {
 			next.err = r.err
 			close(next.done)
 		}
-		close(r.done)
+		if r.done != nil {
+			close(r.done)
+		}
 	}()
 	r.err = fs.runSyncRound(r.ckpt)
 	panicked = false
@@ -176,12 +185,15 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 	// bitmap, node, and inode state that this round's snapshot must cover.
 	// The returned runs are written home in Phase B before the journal
 	// commit, preserving ordered-mode crash safety for delalloc data.
-	runs, rets, err := fs.materializeDelalloc()
+	sc := &fs.scratch
+	defer sc.release()
+	runs, rets, err := fs.materializeDelalloc(sc)
 	if err != nil {
 		return err
 	}
 	// Fold dirty inodes into their table blocks.
-	for _, ci := range fs.ic.DirtyInodes() {
+	sc.inodes = fs.ic.DirtyInodes(sc.inodes)
+	for _, ci := range sc.inodes {
 		if err := fs.validateInodeForPersist(ci); err != nil {
 			return err
 		}
@@ -191,17 +203,21 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		fs.ic.MarkClean(ci)
 	}
 
-	// Partition the dirty snapshot, copied into pool blocks.
-	var data, meta []cache.DirtySnap
-	for _, s := range fs.bc.SnapshotDirty() {
-		if s.Meta {
-			meta = append(meta, s)
-		} else {
-			data = append(data, s)
+	// Snapshot the dirty buffers, copied into pool blocks, after a slot kept
+	// for the superblock; then order them metadata first, each part by block,
+	// and split.
+	sc.snaps = fs.bc.SnapshotDirty(append(sc.snaps, cache.DirtySnap{}))
+	slices.SortFunc(sc.snaps[1:], func(a, b cache.DirtySnap) int {
+		if a.Meta != b.Meta {
+			if a.Meta {
+				return -1
+			}
+			return 1
 		}
-	}
-	sort.Slice(data, func(i, j int) bool { return data[i].Blk < data[j].Blk })
-	sort.Slice(meta, func(i, j int) bool { return meta[i].Blk < meta[j].Blk })
+		return cmp.Compare(a.Blk, b.Blk)
+	})
+	split := 1 + sort.Search(len(sc.snaps)-1, func(i int) bool { return !sc.snaps[1+i].Meta })
+	meta, data := sc.snaps[1:split], sc.snaps[split:]
 
 	// Sync-validate: the fault model assumes errors are detected before
 	// being persisted (§3.1, citing Recon/WAFL-style validation on sync).
@@ -217,7 +233,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		fs.sb.LastClock = clk
 		b := fs.bc.SpareBlock()
 		disklayout.PutSuperblock(b, fs.sb)
-		meta = append([]cache.DirtySnap{{Blk: 0, Meta: true, Data: b}}, meta...)
+		sc.snaps[0] = cache.DirtySnap{Blk: 0, Meta: true, Data: b}
+		meta = sc.snaps[:split]
 	}
 
 	// Pre-persist barrier: the supervisor's last chance to veto the
@@ -273,7 +290,7 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 			return fmt.Errorf("basefs: sync delalloc write-back: %w", err)
 		}
 	}
-	dataRuns := runsOf(len(data), func(k int) uint32 { return data[k].Blk },
+	dataRuns := sc.runsOf(len(data), func(k int) uint32 { return data[k].Blk },
 		func(k int) []byte { return data[k].Data })
 	if len(dataRuns) > 0 {
 		if err := fs.dev.WriteVec(dataRuns); err != nil {
@@ -309,7 +326,8 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		// The transaction adopts the snapshot's private copies; fs.unstable
 		// keeps them until a newer commit replaces them or a checkpoint
 		// writes them home.
-		tx := &journal.Tx{}
+		tx := &sc.tx
+		tx.Reset()
 		for _, s := range chunk {
 			tx.Add(s.Blk, s.Data)
 		}
@@ -330,6 +348,10 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 		for _, s := range chunk {
 			fs.bc.Recycle(fs.unstable[s.Blk])
 			fs.unstable[s.Blk] = s.Data
+			if b, ok := fs.validated[s.Blk]; ok {
+				fs.bc.Recycle(b)
+				delete(fs.validated, s.Blk)
+			}
 			if s.Buf != nil {
 				fs.bc.MarkJournaled(s.Buf, s.Ver)
 			}
@@ -360,18 +382,22 @@ func (fs *FS) runSyncRound(ckpt bool) error {
 // checkpoint writes every journaled-but-unstable block to its home location,
 // flushes, and retires the journal's live chain. Called only from within a
 // sync round (rounds are serialized) or unmount. Returns the number of
-// device flushes issued.
+// device flushes issued. An inode-table block's written copy moves to
+// fs.validated, where sync-validate still finds it; any other copy goes
+// back to the pool.
 func (fs *FS) checkpoint() (int, error) {
 	if len(fs.unstable) == 0 {
 		return 0, fs.jnl.Checkpointed() // no-op unless the chain is non-empty
 	}
-	blks := make([]uint32, 0, len(fs.unstable))
+	sc := &fs.scratch
+	blks := sc.blks[:0]
 	for blk := range fs.unstable {
 		blks = append(blks, blk)
 	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	slices.Sort(blks)
+	sc.blks = blks
 	// Home in runs of adjacent blocks, one vectored call, as in Phase B.
-	runs := runsOf(len(blks), func(k int) uint32 { return blks[k] },
+	runs := sc.runsOf(len(blks), func(k int) uint32 { return blks[k] },
 		func(k int) []byte { return fs.unstable[blks[k]] })
 	if err := fs.dev.WriteVec(runs); err != nil {
 		return 0, fmt.Errorf("basefs: checkpoint write-back: %w", err)
@@ -386,26 +412,93 @@ func (fs *FS) checkpoint() (int, error) {
 	fs.telCkptBlocks.Add(int64(len(blks)))
 	for _, blk := range blks {
 		fs.bc.MarkStable(blk)
-		fs.bc.Recycle(fs.unstable[blk])
+		if fs.isTableBlock(blk) {
+			fs.validated[blk] = fs.unstable[blk]
+		} else {
+			fs.bc.Recycle(fs.unstable[blk])
+		}
 		delete(fs.unstable, blk)
 	}
 	return 2, nil // home flush + journal superblock flush
 }
 
+// isTableBlock reports whether blk holds inode-table records.
+func (fs *FS) isTableBlock(blk uint32) bool {
+	return blk >= fs.sb.InodeTableStart && blk < fs.sb.InodeTableStart+fs.sb.InodeTableLen
+}
+
+// roundScratch is the sync-round leader's working memory, reused by every
+// round so that a round allocates nothing for its own bookkeeping. Only the
+// leader touches it (rounds are serialized), and release clears every
+// reference it holds when the round ends, so no block stays reachable from
+// it outside the pool's accounting.
+type roundScratch struct {
+	inodes []*cache.CachedInode
+	// snaps is the dirty snapshot: a slot for the superblock, then the
+	// metadata blocks, then the data blocks, each part sorted by block.
+	snaps []cache.DirtySnap
+	tx    journal.Tx
+	// inos, idxs, frozen, rets, delBufs and delRuns are
+	// materializeDelalloc's pending inodes, one file's frozen indexes, the
+	// frozen blocks, the files' retirements and the write-back runs with
+	// their buffers.
+	inos    []uint32
+	idxs    []int64
+	frozen  []frozenBlock
+	rets    []delRetire
+	delBufs [][]byte
+	delRuns []blockdev.Run
+	// blks is checkpoint's block list; runs and bufs back runsOf's result,
+	// which each caller is done with before the next call.
+	blks []uint32
+	runs []blockdev.Run
+	bufs [][]byte
+}
+
+// release clears every reference the scratch holds, keeping its capacity.
+func (sc *roundScratch) release() {
+	sc.inodes = reuse(sc.inodes)
+	sc.snaps = reuse(sc.snaps)
+	sc.tx.Reset()
+	sc.inos = sc.inos[:0]
+	sc.idxs = sc.idxs[:0]
+	sc.frozen = reuse(sc.frozen)
+	sc.rets = reuse(sc.rets)
+	sc.delBufs = reuse(sc.delBufs)
+	sc.delRuns = reuse(sc.delRuns)
+	sc.blks = sc.blks[:0]
+	sc.runs = reuse(sc.runs)
+	sc.bufs = reuse(sc.bufs)
+}
+
+// reuse clears s and returns it empty with its capacity.
+func reuse[S ~[]E, E any](s S) S {
+	clear(s)
+	return s[:0]
+}
+
 // runsOf groups n blocks, sorted by number, into runs of adjacent blocks;
-// blk(k) and buf(k) are the k-th block's number and content.
-func runsOf(n int, blk func(int) uint32, buf func(int) []byte) []blockdev.Run {
-	var runs []blockdev.Run
-	for i := 0; i < n; {
+// blk(k) and buf(k) are the k-th block's number and content. The result
+// lives in the scratch until the next call.
+func (sc *roundScratch) runsOf(n int, blk func(int) uint32, buf func(int) []byte) []blockdev.Run {
+	sc.bufs = reuse(sc.bufs)
+	for k := 0; k < n; k++ {
+		sc.bufs = append(sc.bufs, buf(k))
+	}
+	sc.runs = appendRuns(reuse(sc.runs), sc.bufs, blk)
+	return sc.runs
+}
+
+// appendRuns appends bufs, sorted by block number, to runs as runs of
+// adjacent blocks; blk(k) is the number of bufs[k]. The runs share bufs'
+// backing array.
+func appendRuns(runs []blockdev.Run, bufs [][]byte, blk func(int) uint32) []blockdev.Run {
+	for i, n := 0, len(bufs); i < n; {
 		j := i + 1
 		for j < n && blk(j) == blk(j-1)+1 {
 			j++
 		}
-		bufs := make([][]byte, j-i)
-		for k := range bufs {
-			bufs[k] = buf(i + k)
-		}
-		runs = append(runs, blockdev.Run{Blk: blk(i), Bufs: bufs})
+		runs = append(runs, blockdev.Run{Blk: blk(i), Bufs: bufs[i:j:j]})
 		i = j
 	}
 	return runs
@@ -446,17 +539,20 @@ func (fs *FS) validateInodeForPersist(ci *cache.CachedInode) error {
 // they can reach the journal: every record of a dirty inode-table block,
 // not only the ones this round encoded, must be checksummed with sane
 // fields. A record byte-equal to the same record of the block's committed
-// copy in fs.unstable is skipped: that copy passed this same check when its
-// round committed it, and the check reads only the record's bytes and the
-// mount's fixed DataStart and NumBlocks, so it would pass again. Records
-// decode into one stack value, so the pass allocates only when it fails.
+// copy (in fs.unstable, or in fs.validated once a checkpoint wrote it home)
+// is skipped: that copy passed this same check when its round committed it,
+// and the check reads only the record's bytes and the mount's fixed
+// DataStart and NumBlocks, so it would pass again, however old the copy.
+// Records decode into one stack value, so the pass allocates only when it
+// fails.
 func (fs *FS) validateMetaForPersist(meta []cache.DirtySnap) error {
-	tableStart := fs.sb.InodeTableStart
-	tableEnd := tableStart + fs.sb.InodeTableLen
 	var ino disklayout.Inode
 	for _, b := range meta {
-		if b.Blk >= tableStart && b.Blk < tableEnd {
-			committed := fs.unstable[b.Blk]
+		if fs.isTableBlock(b.Blk) {
+			committed, ok := fs.unstable[b.Blk]
+			if !ok {
+				committed = fs.validated[b.Blk]
+			}
 			for i := 0; i < disklayout.InodesPerBlock; i++ {
 				rec := b.Data[i*disklayout.InodeSize : (i+1)*disklayout.InodeSize]
 				if committed != nil && bytes.Equal(rec, committed[i*disklayout.InodeSize:(i+1)*disklayout.InodeSize]) {

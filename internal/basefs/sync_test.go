@@ -41,7 +41,7 @@ func TestCheckpointWritesRuns(t *testing.T) {
 		blks = append(blks, blk)
 	}
 	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-	runs := len(runsOf(len(blks), func(k int) uint32 { return blks[k] }, func(int) []byte { return nil }))
+	runs := len(new(roundScratch).runsOf(len(blks), func(k int) uint32 { return blks[k] }, func(int) []byte { return nil }))
 	if runs == len(blks) {
 		t.Fatalf("unstable blocks %v hold no multi-block run", blks)
 	}
@@ -157,10 +157,22 @@ func TestJournaledPayloadIsSnapshot(t *testing.T) {
 // offset of the second file, whose inode the next round does not touch.
 // The first file's inode is dirtied so the round encodes into that block.
 func syncValidateSetup(t *testing.T) (fs *FS, dev *blockdev.Mem, blk uint32, off int) {
+	return syncValidateSetupAt(t, false)
+}
+
+// syncValidateSetupAt is syncValidateSetup, with the table block's committed
+// copy written home by a checkpoint first when checkpointed is set, so the
+// next round finds it in fs.validated instead of fs.unstable.
+func syncValidateSetupAt(t *testing.T, checkpointed bool) (fs *FS, dev *blockdev.Mem, blk uint32, off int) {
 	t.Helper()
 	fs, dev = mountFsyncImage(t)
 	for _, name := range []string{"/a", "/b"} {
 		if err := createWriteFsync(fs, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if checkpointed {
+		if err := fs.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,6 +188,10 @@ func syncValidateSetup(t *testing.T) (fs *FS, dev *blockdev.Mem, blk uint32, off
 	blk, off = fs.sb.InodeLoc(b.Ino)
 	if blkA != blk {
 		t.Fatalf("inodes %d and %d in table blocks %d and %d", a.Ino, b.Ino, blkA, blk)
+	}
+	if _, ok := fs.validated[blk]; ok != checkpointed || (fs.unstable[blk] == nil) != checkpointed {
+		t.Fatalf("table block %d: in validated %v, in unstable %v, want checkpointed %v",
+			blk, ok, fs.unstable[blk] != nil, checkpointed)
 	}
 	if err := fs.Truncate("/a", 3); err != nil {
 		t.Fatal(err)
@@ -200,35 +216,44 @@ func expectCorruptBeforeWrite(t *testing.T, fs *FS, dev *blockdev.Mem) {
 
 // TestSyncValidateChecksUntouchedRecordCRC: a flipped byte in a record the
 // round did not encode, in a table block it did, is caught by the record
-// checksum before anything reaches the device.
+// checksum before anything reaches the device, whether the block's last
+// committed copy is still in the journal or a checkpoint wrote it home.
 func TestSyncValidateChecksUntouchedRecordCRC(t *testing.T) {
-	fs, dev, blk, off := syncValidateSetup(t)
-	buf, err := fs.bc.Get(blk)
-	if err != nil {
-		t.Fatal(err)
+	for _, checkpointed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpointed=%v", checkpointed), func(t *testing.T) {
+			fs, dev, blk, off := syncValidateSetupAt(t, checkpointed)
+			buf, err := fs.bc.Get(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf.Data[off+20] ^= 0xFF // atime: any byte breaks the CRC
+			fs.bc.Release(buf)
+			expectCorruptBeforeWrite(t, fs, dev)
+		})
 	}
-	buf.Data[off+20] ^= 0xFF // atime: any byte breaks the CRC
-	fs.bc.Release(buf)
-	expectCorruptBeforeWrite(t, fs, dev)
 }
 
 // TestSyncValidateChecksUntouchedRecordPointers: an untouched neighbour
 // re-encoded with a valid checksum but an out-of-range pointer is caught by
-// the semantic re-check, not only the CRC.
+// the semantic re-check, not only the CRC, before and after a checkpoint.
 func TestSyncValidateChecksUntouchedRecordPointers(t *testing.T) {
-	fs, dev, blk, off := syncValidateSetup(t)
-	buf, err := fs.bc.Get(blk)
-	if err != nil {
-		t.Fatal(err)
+	for _, checkpointed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpointed=%v", checkpointed), func(t *testing.T) {
+			fs, dev, blk, off := syncValidateSetupAt(t, checkpointed)
+			buf, err := fs.bc.Get(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ino disklayout.Inode
+			if err := ino.Decode(buf.Data[off : off+disklayout.InodeSize]); err != nil {
+				t.Fatal(err)
+			}
+			ino.Indirect = fs.sb.NumBlocks + 7
+			disklayout.PutInode(buf.Data[off:], &ino)
+			fs.bc.Release(buf)
+			expectCorruptBeforeWrite(t, fs, dev)
+		})
 	}
-	var ino disklayout.Inode
-	if err := ino.Decode(buf.Data[off : off+disklayout.InodeSize]); err != nil {
-		t.Fatal(err)
-	}
-	ino.Indirect = fs.sb.NumBlocks + 7
-	disklayout.PutInode(buf.Data[off:], &ino)
-	fs.bc.Release(buf)
-	expectCorruptBeforeWrite(t, fs, dev)
 }
 
 // TestSyncValidateAllocs: checking a full table block of allocated records,
@@ -289,8 +314,9 @@ func validateMetaFull(sb *disklayout.Superblock, meta []cache.DirtySnap) error {
 // shares with its committed copy never changes the verdict. Seeded
 // mutations of a block whose committed copy is in fs.unstable (byte flips,
 // valid-CRC re-encodes with a bad pointer or a harmless field, records
-// reverted to their committed bytes) and of a block with no committed copy
-// must get the same answer from validateMetaForPersist and the full pass.
+// reverted to their committed bytes), of a block whose copy a checkpoint
+// moved to fs.validated, and of a block with no committed copy must get the
+// same answer from validateMetaForPersist and the full pass.
 func TestSyncValidateMatchesFullCheck(t *testing.T) {
 	fs, _, blk, _ := syncValidateSetup(t)
 	committed := fs.unstable[blk]
@@ -328,15 +354,19 @@ func TestSyncValidateMatchesFullCheck(t *testing.T) {
 				copy(rec(data, i), rec(committed, i))
 			}
 		}
-		for _, withCommitted := range []bool{true, false} {
-			if !withCommitted {
+		for _, class := range []string{"committed", "checkpointed", "none"} {
+			if class != "committed" {
 				delete(fs.unstable, blk)
+			}
+			if class == "checkpointed" {
+				fs.validated[blk] = committed
 			}
 			meta := []cache.DirtySnap{{Blk: blk, Meta: true, Data: data}}
 			got, want := fs.validateMetaForPersist(meta), validateMetaFull(fs.sb, meta)
+			delete(fs.validated, blk)
 			fs.unstable[blk] = committed
 			if (got == nil) != (want == nil) || (got != nil && !errors.Is(got, fserr.ErrCorrupt)) {
-				t.Fatalf("seed %d, committed copy %v: got %v, full pass %v", seed, withCommitted, got, want)
+				t.Fatalf("seed %d, %s block: got %v, full pass %v", seed, class, got, want)
 			}
 			if got == nil {
 				agreed[0]++
@@ -410,6 +440,9 @@ func TestUnstableMatchesJournalAcrossRounds(t *testing.T) {
 				t.Fatalf("round %d: unstable[%d] differs from the replayed journal", round, blk)
 			}
 		}
+		for blk, b := range fs.validated {
+			hold(b, fmt.Sprintf("validated[%d]", blk))
+		}
 		_, spares, bound := fs.bc.Holdings()
 		for i, b := range spares {
 			hold(b, fmt.Sprintf("spare[%d]", i))
@@ -425,9 +458,78 @@ func TestUnstableMatchesJournalAcrossRounds(t *testing.T) {
 	}
 }
 
+// TestSyncValidateImagesBoundedByTable: fs.validated holds one image per
+// inode-table block at most. Files in every table block are created and
+// checkpointed, so every block's image moves there, each equal to what the
+// checkpoint wrote home; a block a later round commits leaves the set, so
+// no block is in fs.unstable and fs.validated at once; and a fresh mount
+// starts with the set empty.
+func TestSyncValidateImagesBoundedByTable(t *testing.T) {
+	fs, dev := newFS(t)
+	n := int(fs.sb.InodeTableLen) * disklayout.InodesPerBlock
+	for i := 2; i < n; i++ { // inode 0 is reserved, 1 is the root
+		fd, err := fs.Create(fmt.Sprintf("/f%d", i), 0o644)
+		if err != nil {
+			t.Fatalf("create %d of %d: %v", i-1, n-2, err)
+		}
+		if err := fs.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+		if i%64 == 0 {
+			if err := fs.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(fs.validated), int(fs.sb.InodeTableLen); got != want {
+		t.Fatalf("after touching every table block and a checkpoint: %d validated images, want %d", got, want)
+	}
+	for blk, b := range fs.validated {
+		if !fs.isTableBlock(blk) {
+			t.Fatalf("validated image of block %d, outside the inode table", blk)
+		}
+		home, err := dev.ReadBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(home, b) {
+			t.Fatalf("validated image of block %d differs from its home copy", blk)
+		}
+	}
+	if err := fs.Truncate("/f2", 9); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for blk := range fs.unstable {
+		if _, ok := fs.validated[blk]; ok {
+			t.Fatalf("block %d is in fs.unstable and fs.validated", blk)
+		}
+	}
+	if len(fs.validated) >= int(fs.sb.InodeTableLen) {
+		t.Fatalf("%d validated images after a commit to the table, want fewer than %d",
+			len(fs.validated), fs.sb.InodeTableLen)
+	}
+	fs.Kill()
+	fresh, err := Mount(dev, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Kill()
+	if len(fresh.validated) != 0 {
+		t.Fatalf("a fresh mount holds %d validated images", len(fresh.validated))
+	}
+}
+
 // TestSyncRoundAllocs: in steady state a sync round copies into recycled
-// blocks and encodes the clock into one, so an fsync round on a bare mount
-// allocates less than one block.
+// blocks, encodes the clock into one and keeps its bookkeeping in scratch
+// it reuses, so an fsync round on a bare mount allocates less than one
+// block, in at most two allocations. The round itself allocates nothing;
+// what is left is the cache's and the journal's own, such as a map entry.
 func TestSyncRoundAllocs(t *testing.T) {
 	fs, _ := newFS(t)
 	fd, err := fs.Create("/f", 0o644)
@@ -436,7 +538,7 @@ func TestSyncRoundAllocs(t *testing.T) {
 	}
 	block := bytes.Repeat([]byte{0x5A}, disklayout.BlockSize)
 	const warm, rounds = 64, 64
-	var total uint64
+	var total, count uint64
 	for i := 0; i < warm+rounds; i++ {
 		// The rewrite dirties the placed data block and the inode, so each
 		// round writes one data block home and commits a table block and
@@ -453,11 +555,15 @@ func TestSyncRoundAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if i >= warm {
 			total += after.TotalAlloc - before.TotalAlloc
+			count += after.Mallocs - before.Mallocs
 		}
 	}
-	if per := total / rounds; per >= disklayout.BlockSize {
+	per, perCount := total/rounds, float64(count)/rounds
+	t.Logf("steady-state fsync round allocates %d bytes in %.2f allocations", per, perCount)
+	if per >= disklayout.BlockSize {
 		t.Errorf("steady-state fsync round allocates %d bytes, want under %d", per, disklayout.BlockSize)
-	} else {
-		t.Logf("steady-state fsync round allocates %d bytes", per)
+	}
+	if perCount > 2 {
+		t.Errorf("steady-state fsync round makes %.2f allocations, want at most 2", perCount)
 	}
 }

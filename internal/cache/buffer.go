@@ -417,13 +417,13 @@ type DirtySnap struct {
 	Data []byte
 }
 
-// SnapshotDirty copies every dirty buffer (block, meta flag, version,
-// content) out of each shard's dirty index into pool blocks the caller owns.
-// The sync path snapshots under the filesystem lock, does IO on the copies
-// outside all locks, and retires each buffer with MarkCleanVer/MarkJournaled
-// so a concurrent re-dirty is kept.
-func (c *BufferCache) SnapshotDirty() []DirtySnap {
-	var out []DirtySnap
+// SnapshotDirty appends to dst a copy of every dirty buffer (block, meta
+// flag, version, content) out of each shard's dirty index, each copied into
+// a pool block the caller owns, and returns the extended slice. The sync
+// path snapshots under the filesystem lock into a slice it reuses every
+// round, does IO on the copies outside all locks, and retires each buffer
+// with MarkCleanVer/MarkJournaled so a concurrent re-dirty is kept.
+func (c *BufferCache) SnapshotDirty(dst []DirtySnap) []DirtySnap {
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
@@ -434,11 +434,11 @@ func (c *BufferCache) SnapshotDirty() []DirtySnap {
 		for _, b := range s.dirty {
 			cp := c.SpareBlock()
 			copy(cp, b.Data)
-			out = append(out, DirtySnap{Buf: b, Blk: b.Blk, Meta: b.meta, Ver: b.ver, Data: cp})
+			dst = append(dst, DirtySnap{Buf: b, Blk: b.Blk, Meta: b.meta, Ver: b.ver, Data: cp})
 		}
 		s.mu.Unlock()
 	}
-	return out
+	return dst
 }
 
 // MarkClean clears the dirty flag after the buffer's contents have been made

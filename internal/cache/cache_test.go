@@ -227,7 +227,7 @@ func TestBufferCacheDirtyNeverEvicted(t *testing.T) {
 	if b2.Data[0] != 0xEE {
 		t.Error("dirty buffer was evicted and reread from disk")
 	}
-	if n := len(c.SnapshotDirty()); n != 1 {
+	if n := len(c.SnapshotDirty(nil)); n != 1 {
 		t.Errorf("SnapshotDirty = %d buffers, want 1", n)
 	}
 }
@@ -450,8 +450,8 @@ func TestInodeCacheEvictionSparesDirtyAndOpen(t *testing.T) {
 	if ic.Get(2) == nil {
 		t.Error("open inode evicted")
 	}
-	if len(ic.DirtyInodes()) != 1 {
-		t.Errorf("DirtyInodes = %d, want 1", len(ic.DirtyInodes()))
+	if len(ic.DirtyInodes(nil)) != 1 {
+		t.Errorf("DirtyInodes = %d, want 1", len(ic.DirtyInodes(nil)))
 	}
 }
 
@@ -508,7 +508,7 @@ func TestDropWhilePinnedDoesNotResurrect(t *testing.T) {
 		t.Fatalf("live dirty buffer lost: got %p (data[0]=%#x), want %p", got, got.Data[0], fresh)
 	}
 	var dirty bool
-	for _, s := range c.SnapshotDirty() {
+	for _, s := range c.SnapshotDirty(nil) {
 		if s.Blk == 5 && s.Buf == fresh {
 			dirty = true
 		}
@@ -530,7 +530,7 @@ func TestUnstableBufferNeverEvicted(t *testing.T) {
 	}
 	b.Data[0] = 0x77
 	c.MarkDirty(b)
-	snaps := c.SnapshotDirty()
+	snaps := c.SnapshotDirty(nil)
 	if len(snaps) != 1 || snaps[0].Blk != 7 {
 		t.Fatalf("snapshot = %+v", snaps)
 	}

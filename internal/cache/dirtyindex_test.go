@@ -91,7 +91,7 @@ func TestDirtyIndexesMatchScan(t *testing.T) {
 			}
 			checkIndexed(t, seed, step, c, ic)
 			if rng.Intn(3) == 0 { // sync rounds sweep the sets now and then
-				snaps = c.SnapshotDirty()
+				snaps = c.SnapshotDirty(nil)
 				checkBufIndex(t, seed, step, c, snaps)
 				checkInodeSet(t, seed, step, ic)
 			}
@@ -167,7 +167,7 @@ func checkBufIndex(t *testing.T, seed int64, step int, c *BufferCache, snaps []D
 func checkInodeSet(t *testing.T, seed int64, step int, ic *InodeCache) {
 	t.Helper()
 	got := map[*CachedInode]bool{}
-	for _, ci := range ic.DirtyInodes() {
+	for _, ci := range ic.DirtyInodes(nil) {
 		got[ci] = true
 	}
 	ic.mu.Lock()

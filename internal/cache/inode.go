@@ -135,15 +135,16 @@ func (c *InodeCache) Drop(ino uint32) {
 	delete(c.inodes, ino)
 }
 
-// DirtyInodes returns the dirty cached inodes, sweeping the rest out of the set.
-func (c *InodeCache) DirtyInodes() []*CachedInode {
+// DirtyInodes appends the dirty cached inodes to dst and returns the
+// extended slice, sweeping the rest out of the set.
+func (c *InodeCache) DirtyInodes(dst []*CachedInode) []*CachedInode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dirty = slices.DeleteFunc(c.dirty, func(ci *CachedInode) bool {
 		ci.indexed = ci.Dirty && c.inodes[ci.Ino] == ci
 		return !ci.indexed
 	})
-	return slices.Clone(c.dirty)
+	return append(dst, c.dirty...)
 }
 
 // Purge empties the cache (contained reboot). Open and dirty inodes are

@@ -228,7 +228,7 @@ func TestShardCrossShardConcurrentChurn(t *testing.T) {
 					c.MarkStable(blk + 500)
 				case 2:
 					datamu.Lock()
-					snaps := c.SnapshotDirty()
+					snaps := c.SnapshotDirty(nil)
 					datamu.Unlock()
 					for _, sn := range snaps {
 						if len(sn.Data) != disklayout.BlockSize {

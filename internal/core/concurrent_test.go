@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/basefs"
 	"repro/internal/faultinject"
+	"repro/internal/fsapi"
 	"repro/internal/fsck"
+	"repro/internal/fserr"
 )
 
 // TestConcurrentApplicationsUnderRecovery drives the supervisor from many
@@ -332,5 +336,96 @@ func TestWriteBufferAliasingDuringRecovery(t *testing.T) {
 	}
 	if err := fs.Close(fd); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLogFoldedFDsMatchBase: a sync round's stable point takes its
+// descriptor table from the log's fold of the ops it drops, never from the
+// base. Two goroutines create, open, write, fsync and close on one FS, each
+// holding a few descriptors across rounds, while a planted crash is
+// recovered midway. After every quiescent Sync the log is empty and its
+// table equals the base's. Run with -race: the goroutines' fsyncs fold
+// while the other goroutine opens and closes.
+func TestLogFoldedFDsMatchBase(t *testing.T) {
+	reg := faultinject.NewRegistry(1)
+	reg.Arm(trigger(faultinject.Crash, "create", true))
+	fs, _, _ := newSupervised(t, Config{Base: basefs.Options{Injector: reg}})
+	const workers, rounds, steps = 2, 24, 6
+	for w := 0; w < workers; w++ {
+		if err := fs.Mkdir(fmt.Sprintf("/g%d", w), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := make([][]fsapi.FD, workers)
+	step := func(w, round, i int) error {
+		name := fmt.Sprintf("/g%d/f%d", w, (round*steps+i)%10)
+		if w == 0 && round == rounds/2 && i == 0 {
+			name = "/g0/trigger"
+		}
+		fd, err := fs.Create(name, 0o644)
+		if errors.Is(err, fserr.ErrExist) {
+			fd, err = fs.Open(name)
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := fs.WriteAt(fd, int64(i), []byte{byte(round)}); err != nil {
+			return err
+		}
+		if i%2 == 0 {
+			if err := fs.Fsync(fd); err != nil {
+				return err
+			}
+		}
+		if i%3 == 0 { // a second descriptor opened and closed in one window
+			fd2, err := fs.Open(name)
+			if err != nil {
+				return err
+			}
+			if err := fs.Close(fd2); err != nil {
+				return err
+			}
+		}
+		held[w] = append(held[w], fd)
+		if len(held[w]) > 3 { // the oldest was opened rounds ago
+			if err := fs.Close(held[w][0]); err != nil {
+				return err
+			}
+			held[w] = held[w][1:]
+		}
+		return nil
+	}
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < steps && errs[w] == nil; i++ {
+					errs[w] = step(w, round, i)
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d worker %d: %v", round, w, err)
+			}
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatalf("round %d: sync: %v", round, err)
+		}
+		if n := fs.LogLen(); n != 0 {
+			t.Fatalf("round %d: %d ops left after a quiescent sync", round, n)
+		}
+		_, got, _ := fs.log.Snapshot()
+		if want := fs.base.Load().OpenFDs(); !maps.Equal(got, want) {
+			t.Fatalf("round %d: log's table %v, base's %v", round, got, want)
+		}
+	}
+	if st := fs.Stats(); st.Recoveries != 1 || st.Degradations != 0 || st.AppFailures != 0 {
+		t.Fatalf("recoveries %d, degradations %d, app failures %d; want 1, 0, 0",
+			st.Recoveries, st.Degradations, st.AppFailures)
 	}
 }

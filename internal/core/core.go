@@ -211,14 +211,14 @@ type counters struct {
 // of two so the index is a mask.
 const fdStripes = 32
 
-// roundStable is one sync round's stable-point capture: everything the log
-// needs to truncate consistently once the round's image is durable. All
-// three fields are read at the same instant under ns, so together they
-// describe the filesystem state exactly as of watermark wm.
+// roundStable is one sync round's stable-point capture: what the log needs
+// to truncate consistently once the round's image is durable. Both values
+// are read at the same instant under ns, so together they describe the
+// filesystem state exactly as of watermark wm; the log folds the
+// descriptor table itself.
 type roundStable struct {
 	base  *basefs.FS
 	wm    uint64
-	fds   map[fsapi.FD]uint32
 	clock uint64
 }
 
@@ -258,14 +258,15 @@ type FS struct {
 	// in the total order without blocking namespace operations for the
 	// round's IO phases.
 	ns sync.Mutex
-	// roundStable describes the stable point of the sync round currently in
-	// its snapshot-to-durable window — watermark, descriptor table, and
-	// logical clock, all captured together under ns by the PreSnapshot hook
-	// and consumed by OnSyncDurable. Rounds on the live base are serialized
-	// by the base's leader protocol, so one slot suffices; the base pointer
-	// lets the consumer reject a capture made by a round on an abandoned
-	// instance.
-	roundStable atomic.Pointer[roundStable]
+	// rs describes the stable point of the sync round currently in its
+	// snapshot-to-durable window — watermark and logical clock, captured
+	// together under ns by the PreSnapshot hook and consumed by
+	// OnSyncDurable. Rounds on the live base are serialized by the base's
+	// leader protocol, so one slot suffices; the base pointer lets the
+	// consumer reject a capture made by a round on an abandoned instance.
+	// rsMu guards it: a round on an abandoned instance may race the live one.
+	rsMu sync.Mutex
+	rs   roundStable
 	// forcing is set while a forced stable point runs (see forceStable).
 	forcing atomic.Bool
 	// fdmu stripes execute+append for per-descriptor mutations (writes,

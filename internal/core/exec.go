@@ -60,20 +60,18 @@ func (r *FS) mountBase() (*basefs.FS, *fencedDevice, error) {
 	// watermark replays idempotently. The hooks fire on every sync round,
 	// including rounds led by a different goroutine's coalesced fsync.
 	//
-	// The descriptor table and clock are captured WITH the watermark, under
-	// ns: they must describe the state as of the watermark, and creates or
-	// closes running concurrently with the round's IO phases would otherwise
-	// leak into the stable point while their ops stay in the log.
+	// The clock is captured WITH the watermark, under ns: it must describe
+	// the state as of the watermark. The descriptor table needs no capture:
+	// the log folds it from the ops it drops (oplog.StableAt), and every
+	// descriptor change is recorded under ns in execution order, so the fold
+	// is the base's table as of the watermark.
 	var self atomic.Pointer[basefs.FS]
 	opts.PreSnapshot = func() {
 		r.ns.Lock()
 		if base := self.Load(); base != nil {
-			r.roundStable.Store(&roundStable{
-				base:  base,
-				wm:    r.log.Watermark(),
-				fds:   base.OpenFDs(),
-				clock: base.Clock(),
-			})
+			r.rsMu.Lock()
+			r.rs = roundStable{base: base, wm: r.log.Watermark(), clock: base.Clock()}
+			r.rsMu.Unlock()
 		}
 	}
 	opts.PostSnapshot = func() { r.ns.Unlock() }
@@ -84,11 +82,13 @@ func (r *FS) mountBase() (*basefs.FS, *fencedDevice, error) {
 		// provenance check covers both directions — a dead round consuming a
 		// live capture and a live round consuming a dead one.
 		base := self.Load()
-		rs := r.roundStable.Load()
-		if base == nil || rs == nil || rs.base != base || r.base.Load() != base {
+		r.rsMu.Lock()
+		rs := r.rs
+		r.rsMu.Unlock()
+		if base == nil || rs.base != base || r.base.Load() != base {
 			return
 		}
-		r.log.StableAt(rs.wm, rs.fds, rs.clock)
+		r.log.StableAt(rs.wm, rs.clock)
 		r.cnt.stablePoints.Add(1)
 	}
 	if r.cfg.EscalateWarns {

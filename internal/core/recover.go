@@ -157,6 +157,7 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 			// reconstruction gap RAE's fd snapshot + hand-off closes. Treat
 			// pre-stable-point descriptors as lost.
 			r.cnt.fdsInvalidated.Add(int64(len(fds)))
+			r.log.ForgetFDs()
 			fds = nil
 		}
 		ok := true

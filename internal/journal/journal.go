@@ -75,7 +75,9 @@ type Journal struct {
 	hdrBuf, cmtBuf, jsbBuf []byte
 	// run is the scratch header+payload run one commit writes; it is
 	// cleared after the write so the journal keeps no payload reference.
+	// vec is the one-run vector that carries it to the device.
 	run [][]byte
+	vec [1]blockdev.Run
 
 	telCommits, telBlocks, telCheckpoints *telemetry.Counter
 	telCommitLatency                      *telemetry.Histogram
@@ -221,6 +223,14 @@ func (t *Tx) Add(blk uint32, data []byte) {
 	t.blocks = append(t.blocks, data)
 }
 
+// Reset empties the transaction for reuse, keeping its capacity and
+// dropping its payload references.
+func (t *Tx) Reset() {
+	t.targets = t.targets[:0]
+	clear(t.blocks)
+	t.blocks = t.blocks[:0]
+}
+
 // Len returns the number of payload blocks in the transaction.
 func (t *Tx) Len() int { return len(t.targets) }
 
@@ -283,7 +293,8 @@ func (j *Journal) Commit(tx *Tx) error {
 		payloadCRC = disklayout.ChecksumUpdate(payloadCRC, data)
 	}
 	j.run = append(append(j.run[:0], hdr), tx.blocks...)
-	err := j.dev.WriteVec([]blockdev.Run{{Blk: j.start + j.head, Bufs: j.run}})
+	j.vec[0] = blockdev.Run{Blk: j.start + j.head, Bufs: j.run}
+	err := j.dev.WriteVec(j.vec[:])
 	clear(j.run)
 	if err != nil {
 		return fmt.Errorf("journal: write header and payloads: %w", err)
@@ -339,7 +350,7 @@ func (j *Journal) Checkpointed() error {
 	}
 	j.head = chainStart
 	j.liveTxs = 0
-	j.live = make(map[uint32]struct{})
+	clear(j.live)
 	j.telCheckpoints.Inc()
 	return nil
 }

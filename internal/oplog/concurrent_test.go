@@ -2,11 +2,13 @@ package oplog
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/fsapi"
+	"repro/internal/fserr"
 )
 
 // TestLogConcurrentAppendSnapshot appends from many goroutines and checks
@@ -80,7 +82,7 @@ func TestLogWatermarkExcludesUnfinishedAppends(t *testing.T) {
 			t.Fatalf("watermark went backwards: %d -> %d", last, wm)
 		}
 		last = wm
-		l.StableAt(wm, map[fsapi.FD]uint32{1: 2}, uint64(round+1))
+		l.StableAt(wm, uint64(round+1))
 		ops, _, _ := l.Snapshot()
 		for _, op := range ops {
 			if op.Seq < wm {
@@ -150,7 +152,7 @@ func TestLogSnapshotConcurrent(t *testing.T) {
 	}
 	for round := uint64(0); ; round++ {
 		wm := l.Watermark()
-		l.StableAt(wm, nil, round)
+		l.StableAt(wm, round)
 		truncated.Store(wm)
 		select {
 		case <-written:
@@ -164,13 +166,14 @@ func TestLogSnapshotConcurrent(t *testing.T) {
 }
 
 // TestLogStableAtPartial pins down partial truncation deterministically:
-// only ops below the watermark go, the rest keep their seqs and order.
+// only ops below the watermark go, the rest keep their seqs and order, and
+// the stable point's table gains the descriptors the dropped ops opened.
 func TestLogStableAtPartial(t *testing.T) {
 	l := NewLog()
 	for i := 0; i < 10; i++ {
-		l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/f%d", i)})
+		l.Append(&Op{Kind: KCreate, Path: fmt.Sprintf("/f%d", i), RetFD: fsapi.FD(i), RetIno: uint32(100 + i)})
 	}
-	l.StableAt(4, map[fsapi.FD]uint32{7: 3}, 11)
+	l.StableAt(4, 11)
 	if l.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", l.Len())
 	}
@@ -178,10 +181,47 @@ func TestLogStableAtPartial(t *testing.T) {
 	if len(ops) != 6 || ops[0].Seq != 4 || ops[5].Seq != 9 {
 		t.Fatalf("surviving seqs wrong: %d ops, first %d", len(ops), ops[0].Seq)
 	}
-	if fds[7] != 3 || clk != 11 {
+	if len(fds) != 4 || fds[0] != 100 || fds[3] != 103 || clk != 11 {
 		t.Fatalf("stable state = (%v, %d)", fds, clk)
 	}
 	if l.PeakLen() != 10 {
 		t.Errorf("PeakLen = %d, want 10", l.PeakLen())
+	}
+}
+
+// TestLogStableAtFoldsDescriptors pins the fold: a successful create or open
+// adds its descriptor, a successful close removes one, failed calls and
+// every other kind leave the table alone, and ops at or above the watermark
+// are not folded yet.
+func TestLogStableAtFoldsDescriptors(t *testing.T) {
+	l := NewLog()
+	l.Stable(map[fsapi.FD]uint32{0: 5, 1: 6}, 1)
+	for _, o := range []*Op{
+		{Kind: KClose, FD: 0},
+		{Kind: KCreate, Path: "/a", RetFD: 0, RetIno: 7},
+		{Kind: KOpen, Path: "/b", RetFD: 2, RetIno: 8},
+		{Kind: KOpen, Path: "/missing", RetFD: -1, Errno: fserr.Errno(fserr.ErrNotExist)},
+		{Kind: KClose, FD: 9, Errno: fserr.Errno(fserr.ErrBadFD)},
+		{Kind: KWrite, FD: 1, Data: []byte("x"), RetN: 1},
+		{Kind: KUnlink, Path: "/b"},
+		{Kind: KClose, FD: 1},
+		{Kind: KOpen, Path: "/a", RetFD: 1, RetIno: 7}, // seq 8: stays in the log
+	} {
+		l.Append(o)
+	}
+	l.StableAt(8, 2)
+	_, fds, _ := l.Snapshot()
+	want := map[fsapi.FD]uint32{0: 7, 2: 8}
+	if !maps.Equal(fds, want) {
+		t.Fatalf("folded table = %v, want %v", fds, want)
+	}
+	l.StableAt(l.Watermark(), 3)
+	want[1] = 7
+	if _, fds, _ = l.Snapshot(); !maps.Equal(fds, want) {
+		t.Fatalf("folded table = %v, want %v", fds, want)
+	}
+	l.Stable(nil, 4) // a base's table replaces the fold
+	if _, fds, _ = l.Snapshot(); len(fds) != 0 {
+		t.Fatalf("table after Stable(nil) = %v, want empty", fds)
 	}
 }

@@ -17,6 +17,7 @@ package oplog
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -262,8 +263,8 @@ const (
 )
 
 // Log is the supervisor's record of operations since the last stable point,
-// together with the descriptor table and logical clock captured at that
-// point — everything the shadow needs to reconstruct state from trusted
+// together with the descriptor table and logical clock at that point —
+// everything the shadow needs to reconstruct state from trusted
 // on-disk contents.
 //
 // One mutex guards everything. An append claims its sequence number and
@@ -283,6 +284,8 @@ type Log struct {
 	bytes int64
 	peak  int
 
+	// baseFDs is the descriptor table at the stable point: set by Stable,
+	// then advanced by StableAt's fold of the ops it drops.
 	baseFDs    map[fsapi.FD]uint32
 	startClock uint64
 
@@ -363,38 +366,79 @@ func (l *Log) Watermark() uint64 {
 
 // StableAt marks a durable point covering every op with Seq < watermark:
 // those ops' effects were captured by a base sync that has completed, so
-// they are discarded and the descriptor table/clock snapshots replace the
-// old ones. Ops at or above the watermark stay recorded — some may already
-// be durable (a write that raced into the sync's snapshot), which is safe
-// because replaying a durable write is idempotent and the shadow never
-// re-executes syncs.
+// they are discarded and clock replaces the stable point's clock. Ops at or
+// above the watermark stay recorded — some may already be durable (a write
+// that raced into the sync's snapshot), which is safe because replaying a
+// durable write is idempotent and the shadow never re-executes syncs.
 //
-// The log adopts fds without copying it: the caller hands over a table
-// nobody mutates afterwards, such as a fresh basefs.FS.OpenFDs result.
-func (l *Log) StableAt(watermark uint64, fds map[fsapi.FD]uint32, clock uint64) {
+// The descriptor table at the new stable point is folded from the log, not
+// captured from the base: each dropped op's descriptor effect is applied to
+// the old table (a successful create or open adds RetFD→RetIno, a
+// successful close deletes FD). That is exactly what the shadow computes by
+// replaying those ops from the old stable point, and the supervisor records
+// every descriptor change in its execution order (all of them hold the
+// namespace record lock across execute+append), so the fold equals the
+// base's table as of the watermark.
+func (l *Log) StableAt(watermark uint64, clock uint64) {
 	l.mu.Lock()
 	cut := sort.Search(len(l.ops), func(i int) bool { return l.ops[i].Seq >= watermark })
 	for i := range l.ops[:cut] {
-		l.bytes -= int64(len(l.ops[i].Data))
+		o := &l.ops[i]
+		l.bytes -= int64(len(o.Data))
+		if o.Errno != 0 {
+			continue
+		}
+		switch o.Kind {
+		case KCreate, KOpen:
+			l.baseFDs[o.RetFD] = o.RetIno
+		case KClose:
+			delete(l.baseFDs, o.FD)
+		}
 	}
-	kept := copy(l.ops, l.ops[cut:])
-	clear(l.ops[kept:]) // release the discarded payloads
-	l.ops = l.ops[:kept]
-	l.baseFDs = fds // read-only from here on: Snapshot copies it
+	kept := l.dropLocked(cut)
 	l.startClock = clock
 	l.mu.Unlock()
 	l.telTruncation.Inc()
 	l.telLen.Set(int64(kept))
 }
 
-// Stable marks a new durable point: all recorded operations are now on disk,
-// so they are discarded; the descriptor table and clock snapshots replace
-// the old ones. ("When ... the buffered updates are flushed to disk, the
-// corresponding recorded operations can be discarded.") Callers must have
-// quiesced appenders (the supervisor only full-truncates while holding the
-// recovery fence exclusively, or at mount).
+// dropLocked discards the first cut ops, keeping the rest in order, and
+// returns how many are kept.
+func (l *Log) dropLocked(cut int) int {
+	kept := copy(l.ops, l.ops[cut:])
+	clear(l.ops[kept:]) // release the discarded payloads
+	l.ops = l.ops[:kept]
+	return kept
+}
+
+// Stable marks a new durable point from a table read off the base: all
+// recorded operations are now on disk, so they are discarded, and a copy of
+// fds and clock replace the stable point's table and clock. ("When ... the
+// buffered updates are flushed to disk, the corresponding recorded
+// operations can be discarded.") Only mount and crash-restart use it, where
+// the base's table is not the log's fold (a fresh base has no descriptors).
+// Callers must have quiesced appenders (the supervisor only full-truncates
+// while holding the recovery fence exclusively, or at mount).
 func (l *Log) Stable(fds map[fsapi.FD]uint32, clock uint64) {
-	l.StableAt(l.Watermark(), fds, clock)
+	l.mu.Lock()
+	l.dropLocked(len(l.ops))
+	l.bytes = 0
+	l.baseFDs = make(map[fsapi.FD]uint32, len(fds))
+	maps.Copy(l.baseFDs, fds)
+	l.startClock = clock
+	l.mu.Unlock()
+	l.telTruncation.Inc()
+	l.telLen.Set(0)
+}
+
+// ForgetFDs empties the stable point's descriptor table and keeps every op:
+// a recovery that remounts without resurrecting the descriptors open at the
+// stable point (naive replay) tells the log they are gone, so later folds
+// start from the table the base really has.
+func (l *Log) ForgetFDs() {
+	l.mu.Lock()
+	clear(l.baseFDs)
+	l.mu.Unlock()
 }
 
 // Snapshot returns the recovery input: the ops since the stable point (deep
@@ -412,11 +456,7 @@ func (l *Log) Snapshot() (ops []*Op, fds map[fsapi.FD]uint32, clock uint64) {
 	for i := range l.ops {
 		ops[i] = l.ops[i].Clone()
 	}
-	fds = make(map[fsapi.FD]uint32, len(l.baseFDs))
-	for fd, ino := range l.baseFDs {
-		fds[fd] = ino
-	}
-	return ops, fds, l.startClock
+	return ops, maps.Clone(l.baseFDs), l.startClock
 }
 
 // Len returns the number of recorded operations since the stable point.

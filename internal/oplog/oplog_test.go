@@ -155,12 +155,13 @@ func TestLogStableTruncates(t *testing.T) {
 	if clk != 42 || len(gotFDs) != 2 || gotFDs[3] != 7 {
 		t.Errorf("stable state = (%v, %d)", gotFDs, clk)
 	}
-	// The snapshot map must be a copy. (Stable adopts the caller's map,
-	// which the caller no longer mutates.)
+	// The snapshot map must be a copy, and so must the log's own table:
+	// Stable copies the caller's map, which StableAt's fold then mutates.
 	gotFDs[3] = 999
+	fds[5] = 999
 	_, gotFDs, _ = l.Snapshot()
-	if gotFDs[3] != 7 {
-		t.Error("Snapshot aliases the log's fd map")
+	if gotFDs[3] != 7 || gotFDs[5] != 9 {
+		t.Error("the log's fd map aliases a snapshot or the caller's map")
 	}
 }
 
@@ -175,7 +176,7 @@ func TestLogApproxBytesGrowsWithPayload(t *testing.T) {
 	if l.Bytes() != 101000 {
 		t.Errorf("Bytes = %d after big write, want 101000", l.Bytes())
 	}
-	l.StableAt(2, nil, 0) // discards the first write and the mkdir
+	l.StableAt(2, 0) // discards the first write and the mkdir
 	if l.Bytes() != 100000 {
 		t.Errorf("Bytes = %d after truncation, want 100000", l.Bytes())
 	}
@@ -238,19 +239,25 @@ func TestAppendAdoptsPayload(t *testing.T) {
 	}
 }
 
-// TestAppendSteadyStateAllocs pins that the log holds ops by value and
-// compacts in place: once a warm-up fill has grown the backing array, a
-// cycle of appends and a truncation allocates nothing.
+// TestAppendSteadyStateAllocs pins that the log holds ops by value,
+// compacts in place and folds descriptors into its own table: once a
+// warm-up fill has grown the backing array, a cycle of appends, opens and
+// closes and a truncation allocates nothing.
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	const cycle = 256
 	l := NewLog()
 	op := &Op{Kind: KWrite, FD: 3, Data: make([]byte, 64)}
-	fds := map[fsapi.FD]uint32{3: 7}
+	open := &Op{Kind: KOpen, Path: "/f", RetFD: 4, RetIno: 7}
+	cls := &Op{Kind: KClose, FD: 4}
 	run := func() {
 		for i := 0; i < cycle; i++ {
 			l.Append(op)
+			if i%8 == 0 {
+				l.Append(open)
+				l.Append(cls)
+			}
 		}
-		l.StableAt(l.Watermark(), fds, 1)
+		l.StableAt(l.Watermark(), 1)
 	}
 	run() // warm-up fill
 	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
