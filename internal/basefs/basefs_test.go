@@ -3,6 +3,7 @@ package basefs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -456,5 +457,39 @@ func TestWalkPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("cached walkPath allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDirScanAllocs pins the directory scan's in-place name compare: a scan
+// that passes 64 live entries without a match allocates nothing.
+func TestDirScanAllocs(t *testing.T) {
+	fs, _ := newFS(t)
+	if err := fs.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < disklayout.DirentsPerBlock; i++ {
+		fd, err := fs.Create(fmt.Sprintf("/d/f%02d", i), 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(fd); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := fs.Stat("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := fs.getAllocInode(st.Ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, _, err := fs.dirScan(dir, "missing"); err != fserr.ErrNotExist {
+			t.Fatalf("dirScan for a missing name: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a dirScan past %d live entries allocates %v times, want 0", disklayout.DirentsPerBlock, allocs)
 	}
 }

@@ -200,7 +200,8 @@ func (fs *FS) bmapAlloc(ci *cache.CachedInode, idx int64) (uint32, error) {
 // zeroBlock returns a pinned, zeroed, dirty buffer for a freshly allocated
 // block (never reading stale device contents).
 func (fs *FS) zeroBlock(blk uint32, meta bool) *cache.Buf {
-	buf := fs.bc.GetZero(blk)
+	buf := fs.bc.GetNew(blk)
+	clear(buf.Data)
 	if meta {
 		fs.bc.MarkDirtyMeta(buf)
 	} else {

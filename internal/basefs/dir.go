@@ -47,13 +47,13 @@ func (fs *FS) dirScan(dir *cache.CachedInode, name string) (ino uint32, blkIdx i
 			return 0, 0, 0, err
 		}
 		for s := 0; s < disklayout.DirentsPerBlock; s++ {
-			d, derr := disklayout.DecodeDirent(buf.Data[s*disklayout.DirentSize:])
+			child, nm, derr := disklayout.DecodeDirentView(buf.Data[s*disklayout.DirentSize:])
 			if derr != nil {
 				continue // performance posture: skip undecodable entries
 			}
-			if d.Ino != 0 && d.Name == name {
+			if child != 0 && string(nm) == name {
 				fs.bc.Release(buf)
-				return d.Ino, bi, s, nil
+				return child, bi, s, nil
 			}
 		}
 		fs.bc.Release(buf)
@@ -79,8 +79,8 @@ func (fs *FS) dirInsert(dir *cache.CachedInode, name string, ino uint32) error {
 			return err
 		}
 		for s := 0; s < disklayout.DirentsPerBlock; s++ {
-			d, derr := disklayout.DecodeDirent(buf.Data[s*disklayout.DirentSize:])
-			if derr == nil && d.Ino == 0 {
+			free, _, derr := disklayout.DecodeDirentView(buf.Data[s*disklayout.DirentSize:])
+			if derr == nil && free == 0 {
 				disklayout.EncodeDirent(buf.Data[s*disklayout.DirentSize:], disklayout.Dirent{Ino: ino, Name: name})
 				fs.bc.MarkDirtyMeta(buf)
 				fs.bc.Release(buf)
@@ -171,8 +171,8 @@ func (fs *FS) dirIsEmpty(dir *cache.CachedInode) (bool, error) {
 			return false, err
 		}
 		for s := 0; s < disklayout.DirentsPerBlock; s++ {
-			d, derr := disklayout.DecodeDirent(buf.Data[s*disklayout.DirentSize:])
-			if derr == nil && d.Ino != 0 {
+			ino, _, derr := disklayout.DecodeDirentView(buf.Data[s*disklayout.DirentSize:])
+			if derr == nil && ino != 0 {
 				fs.bc.Release(buf)
 				return false, nil
 			}

@@ -55,11 +55,8 @@ type extCounters struct {
 	indCount int64
 	// dblGroups counts blocks per second-level group in the double-indirect
 	// range; the map's size is the number of L2 blocks the model charges.
+	// It is made at the first such block.
 	dblGroups map[int64]int64
-}
-
-func newExtCounters() extCounters {
-	return extCounters{dblGroups: make(map[int64]int64)}
 }
 
 // chargeCost returns the model-cost delta of materializing idx (the block
@@ -92,6 +89,9 @@ func (c *extCounters) noteCharged(idx int64) {
 		c.indCount++
 	default:
 		g := (idx - disklayout.NumDirect - disklayout.PtrsPerBlock) / disklayout.PtrsPerBlock
+		if c.dblGroups == nil {
+			c.dblGroups = make(map[int64]int64)
+		}
 		c.dblGroups[g]++
 	}
 }
@@ -160,6 +160,8 @@ type delFile struct {
 	// bufs holds accepted-but-unallocated block contents; flushing holds the
 	// generation frozen by the in-flight sync round. A write to a flushing
 	// block copies it back into bufs (the round's snapshot stays immutable).
+	// Each map is made at its first insert (putBuf, or the round's swap of
+	// the two), since most files never buffer a block.
 	bufs     map[int64][]byte
 	flushing map[int64][]byte
 	extCounters
@@ -170,14 +172,18 @@ func (fs *FS) delFileFor(ino uint32) *delFile {
 	defer fs.delMu.Unlock()
 	st := fs.delalloc[ino]
 	if st == nil {
-		st = &delFile{
-			bufs:        make(map[int64][]byte),
-			flushing:    make(map[int64][]byte),
-			extCounters: newExtCounters(),
-		}
+		st = new(delFile)
 		fs.delalloc[ino] = st
 	}
 	return st
+}
+
+// putBuf makes b the pending content of file block idx.
+func (st *delFile) putBuf(idx int64, b []byte) {
+	if st.bufs == nil {
+		st.bufs = make(map[int64][]byte)
+	}
+	st.bufs[idx] = b
 }
 
 func (fs *FS) dropDelFile(ino uint32) {
@@ -408,15 +414,15 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			nb := fs.bc.SpareBlock()
 			copy(nb, b)
 			copy(nb[boff:], src)
-			st.bufs[bi] = nb
+			st.putBuf(bi, nb)
 			fs.setPending(ci.Ino, st, true)
 		} else if phys := extentFor(st.exts, bi); phys != 0 {
 			// A full-block overwrite replaces every byte, so an uncached
-			// block needs no device read first; a partial one merges into
-			// the old content and must read it.
+			// block needs no device read and no clear first; a partial one
+			// merges into the old content and must read it.
 			buf := fs.bc.Peek(phys)
 			if buf == nil && chunk == disklayout.BlockSize {
-				buf = fs.bc.GetZero(phys)
+				buf = fs.bc.GetNew(phys)
 			} else if buf == nil {
 				var gerr error
 				if buf, gerr = fs.bc.Get(phys); gerr != nil {
@@ -434,7 +440,7 @@ func (fs *FS) extWriteBlocks(ci *cache.CachedInode, off int64, data []byte) (int
 			clear(nb[:boff])
 			clear(nb[boff+chunk:])
 			copy(nb[boff:], src)
-			st.bufs[bi] = nb
+			st.putBuf(bi, nb)
 			fs.setPending(ci.Ino, st, true)
 		}
 		written += int(chunk)
@@ -580,7 +586,7 @@ func (fs *FS) extZeroTail(ci *cache.CachedInode, size int64) error {
 		nb := fs.bc.SpareBlock()
 		copy(nb, b)
 		clear(nb[tail:])
-		st.bufs[bi] = nb
+		st.putBuf(bi, nb)
 		fs.setPending(ci.Ino, st, true)
 		return nil
 	}
@@ -699,8 +705,8 @@ func (fs *FS) installExtents(ci *cache.CachedInode, st *delFile) error {
 				next = st.nodes[i+1]
 			}
 			enc := disklayout.EncodeExtentNode(&disklayout.ExtentNode{Next: next, Extents: rest[lo:hi]})
-			buf := fs.bc.GetZero(st.nodes[i])
-			copy(buf.Data, enc)
+			buf := fs.bc.GetNew(st.nodes[i])
+			copy(buf.Data, enc) // a whole block
 			fs.bc.MarkDirtyMeta(buf)
 			fs.bc.Release(buf)
 		}
@@ -873,7 +879,7 @@ func (fs *FS) materializeDelalloc(sc *roundScratch) ([]blockdev.Run, []delRetire
 		// pending content wins.
 		for idx, b := range st.flushing {
 			if _, ok := st.bufs[idx]; !ok {
-				st.bufs[idx] = b
+				st.putBuf(idx, b)
 			}
 		}
 		clear(st.flushing)
@@ -1060,7 +1066,7 @@ func (fs *FS) readBlockCopy(blk uint32) ([]byte, error) {
 // extentSlack returns modelCost - physicalCost for one extent inode: how
 // much cheaper the extent layout is than the pointer tree the model charges.
 func (fs *FS) extentSlack(rec *disklayout.Inode) (int64, error) {
-	c := newExtCounters()
+	var c extCounters
 	var nodes int64
 	err := rec.ExtentWalk(fs.sb, fs.readBlockCopy,
 		func(uint32) error { nodes++; return nil },

@@ -563,7 +563,7 @@ func TestSyncRoundAllocs(t *testing.T) {
 	if per >= disklayout.BlockSize {
 		t.Errorf("steady-state fsync round allocates %d bytes, want under %d", per, disklayout.BlockSize)
 	}
-	if perCount > 2 {
-		t.Errorf("steady-state fsync round makes %.2f allocations, want at most 2", perCount)
+	if perCount >= 0.5 {
+		t.Errorf("steady-state fsync round makes %.2f allocations, want under 0.5", perCount)
 	}
 }

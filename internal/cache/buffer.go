@@ -12,7 +12,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"runtime"
 	"slices"
@@ -30,7 +29,10 @@ import (
 // stability bits, pin counts — is owned by the shard that maps the buffer's
 // block number and only changes under that shard's lock.
 type Buf struct {
-	Blk  uint32
+	Blk uint32
+	// pins counts holders between Get and Release; it shares Blk's word, so
+	// a Buf stays at 64 bytes with its LRU links.
+	pins int32
 	Data []byte
 	// meta marks the block as filesystem metadata (inode table, bitmaps,
 	// directory and indirect blocks). The sync path journals dirty metadata
@@ -52,10 +54,14 @@ type Buf struct {
 	// ver counts dirtyings. The sync path snapshots (content, ver) under the
 	// filesystem lock, performs IO outside it, and then clears dirty only if
 	// ver is unchanged — a concurrent re-dirty keeps the buffer dirty.
-	ver  uint64
-	pins int
-	elem *list.Element
+	ver uint64
+	// prev and next link the buffer into its shard's LRU; next is nil
+	// while it is off the list.
+	prev, next *Buf
 }
+
+// inLRU reports whether b is on its shard's LRU.
+func (b *Buf) inLRU() bool { return b.next != nil }
 
 // bufShard is one lock stripe of the cache: an independent map + LRU over
 // the block numbers that hash to it. Every invariant the cache
@@ -69,7 +75,7 @@ type bufShard struct {
 	// dirty lists each dirty buffer of bufs from its first dirtying until a
 	// snapshot finds it clean or dropped: re-dirtying a hot block is free.
 	dirty    []*Buf
-	lru      *list.List // least-recently-used at the front
+	lru      *lruList // least-recently-used at the front
 	maxClean int
 	hits     int64
 	misses   int64
@@ -124,7 +130,7 @@ func NewBufferCache(dev blockdev.Device, maxClean int) *BufferCache {
 	c.setSpareMax(maxClean)
 	for i := range c.shards {
 		c.shards[i].bufs = make(map[uint32]*Buf)
-		c.shards[i].lru = list.New()
+		c.shards[i].lru = newLRU()
 		c.shards[i].maxClean = maxClean / n
 		c.shards[i].c = c
 	}
@@ -238,7 +244,7 @@ func (c *BufferCache) CleanLen() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		c.lock(s)
-		n += s.lru.Len()
+		n += s.lru.n
 		s.mu.Unlock()
 	}
 	return n
@@ -281,9 +287,7 @@ func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 	c.lock(s)
 	if b, ok := s.bufs[blk]; ok {
 		b.pins++
-		if b.elem != nil {
-			s.lru.MoveToBack(b.elem)
-		}
+		s.lru.touch(b)
 		s.hits++
 		c.telHits.Inc()
 		s.mu.Unlock()
@@ -312,19 +316,19 @@ func (c *BufferCache) Get(blk uint32) (*Buf, error) {
 	return b, nil
 }
 
-// GetZero returns a pinned buffer for blk initialized to zeros without
-// reading the device, for freshly allocated blocks.
-func (c *BufferCache) GetZero(blk uint32) *Buf {
+// GetNew returns a pinned buffer for a freshly allocated blk without reading
+// the device. Its bytes are arbitrary (a pool block keeps what it last
+// held): the caller writes or clears every byte before it marks the buffer
+// dirty, so a block the caller overwrites in full is never cleared first.
+func (c *BufferCache) GetNew(blk uint32) *Buf {
 	s := c.shardFor(blk)
 	c.lock(s)
 	defer s.mu.Unlock()
 	if b, ok := s.bufs[blk]; ok {
 		b.pins++
-		clear(b.Data)
 		return b
 	}
 	b := &Buf{Blk: blk, Data: c.SpareBlock(), pins: 1}
-	clear(b.Data)
 	s.bufs[blk] = b
 	s.evictLocked()
 	return b
@@ -356,10 +360,7 @@ func (s *bufShard) markDirtyLocked(b *Buf) {
 	}
 	b.dirty = true
 	b.ver++
-	if b.elem != nil {
-		s.lru.Remove(b.elem)
-		b.elem = nil
-	}
+	s.lru.remove(b)
 }
 
 // Release unpins a buffer. Clean, stable, unpinned buffers become eviction
@@ -380,18 +381,57 @@ func (c *BufferCache) Release(b *Buf) {
 // maybeCacheLocked inserts b into the LRU if it is eligible, then enforces
 // the shard's clean-buffer bound.
 func (s *bufShard) maybeCacheLocked(b *Buf) {
-	if b.pins == 0 && !b.dirty && !b.unstable && !b.dropped && b.elem == nil {
-		b.elem = s.lru.PushBack(b)
+	if b.pins == 0 && !b.dirty && !b.unstable && !b.dropped && !b.inLRU() {
+		s.lru.push(b)
 		s.evictLocked()
 	}
 }
 
+// lruList is an LRU list threaded through the buffers themselves: root is
+// the sentinel of a circular list over Buf.prev/next, so putting a buffer
+// on the list allocates nothing.
+type lruList struct {
+	root Buf
+	n    int
+}
+
+func newLRU() *lruList {
+	l := new(lruList)
+	l.root.prev, l.root.next = &l.root, &l.root
+	return l
+}
+
+// push puts b, which is off the list, at the most recently used end.
+func (l *lruList) push(b *Buf) {
+	last := l.root.prev
+	b.prev, b.next = last, &l.root
+	last.next = b
+	l.root.prev = b
+	l.n++
+}
+
+// remove takes b off the list if it is on it.
+func (l *lruList) remove(b *Buf) {
+	if !b.inLRU() {
+		return
+	}
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	l.n--
+}
+
+// touch moves b, if it is on the list, to the most recently used end.
+func (l *lruList) touch(b *Buf) {
+	if b.inLRU() && l.root.prev != b {
+		l.remove(b)
+		l.push(b)
+	}
+}
+
 func (s *bufShard) evictLocked() {
-	for s.lru.Len() > s.maxClean {
-		front := s.lru.Front()
-		b := front.Value.(*Buf)
-		s.lru.Remove(front)
-		b.elem = nil
+	for s.lru.n > s.maxClean {
+		b := s.lru.root.next
+		s.lru.remove(b)
 		// Identity check: only evict the mapping if it still points at this
 		// buffer, never a successor that reused the block number. A hit pins
 		// without leaving the LRU, so as under Drop, a pinned b keeps its
@@ -479,10 +519,7 @@ func (c *BufferCache) MarkJournaled(b *Buf, ver uint64) {
 	c.lock(s)
 	defer s.mu.Unlock()
 	b.unstable = true
-	if b.elem != nil {
-		s.lru.Remove(b.elem)
-		b.elem = nil
-	}
+	s.lru.remove(b)
 	if b.dirty && b.ver == ver {
 		b.dirty = false
 	}
@@ -520,10 +557,7 @@ func (c *BufferCache) Install(blk uint32, data []byte, meta bool) {
 		b = &Buf{Blk: blk}
 		s.bufs[blk] = b
 	}
-	if b.elem != nil {
-		s.lru.Remove(b.elem)
-		b.elem = nil
-	}
+	s.lru.remove(b)
 	b.Data = data
 	b.meta = meta
 	b.dirty = true
@@ -545,9 +579,7 @@ func (c *BufferCache) Peek(blk uint32) *Buf {
 		return nil
 	}
 	b.pins++
-	if b.elem != nil {
-		s.lru.MoveToBack(b.elem)
-	}
+	s.lru.touch(b)
 	s.hits++
 	c.telHits.Inc()
 	return b
@@ -579,10 +611,7 @@ func (c *BufferCache) Drop(blk uint32) {
 	c.lock(s)
 	defer s.mu.Unlock()
 	if b, ok := s.bufs[blk]; ok {
-		if b.elem != nil {
-			s.lru.Remove(b.elem)
-			b.elem = nil
-		}
+		s.lru.remove(b)
 		b.dropped = true
 		delete(s.bufs, blk)
 		if b.pins == 0 {

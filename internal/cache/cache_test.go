@@ -59,8 +59,9 @@ func TestBufferCacheEvictsCleanLRU(t *testing.T) {
 
 	// A budget the rebalancer takes back frees memory: after a shrink the
 	// cache holds at most the new budget in clean buffers plus the pool's
-	// bound in spares, and a spare block still full of an evicted block's
-	// bytes comes back zeroed from GetZero.
+	// bound in spares, and GetNew hands out a spare block still full of an
+	// evicted block's bytes without clearing it: its caller writes or
+	// clears every byte.
 	c, dev := newBC(t, 64, 48)
 	for i := uint32(0); i < 64; i++ {
 		fill(dev, i, 0xC3)
@@ -80,10 +81,13 @@ func TestBufferCacheEvictsCleanLRU(t *testing.T) {
 	if len(mapped) > 8 || len(spares) > bound || bound > 8 {
 		t.Errorf("after shrinking to 8: %d buffers and %d spares (bound %d), want at most 8 of each", len(mapped), len(spares), bound)
 	}
-	z := c.GetZero(100)
+	z := c.GetNew(100)
 	defer c.Release(z)
-	if !bytes.Equal(z.Data, make([]byte, disklayout.BlockSize)) {
-		t.Error("GetZero on a recycled block returned non-zero data")
+	if _, left, _ := c.Holdings(); len(left) != len(spares)-1 {
+		t.Errorf("GetNew left %d of %d spares, want it to take one", len(left), len(spares))
+	}
+	if !bytes.Equal(z.Data, bytes.Repeat([]byte{0xC3}, disklayout.BlockSize)) {
+		t.Error("GetNew cleared a recycled block")
 	}
 }
 
@@ -139,7 +143,7 @@ func TestEvictedBufferDataIsNil(t *testing.T) {
 	}
 	c.SetCleanBudget(8)
 	for i := uint32(56); i < 64; i++ {
-		c.Release(c.GetZero(i))
+		c.Release(c.GetNew(i))
 	}
 	for _, b := range []*Buf{pushed, shrunk} {
 		if b.Data == nil || !bytes.Equal(b.Data, bytes.Repeat([]byte{byte(b.Blk)}, disklayout.BlockSize)) {
@@ -199,7 +203,7 @@ func TestHitPinnedSurvivesConcurrentEviction(t *testing.T) {
 					o, _ := c.Get((blk + k*5) % 48)
 					c.Release(o)
 				}
-				c.Release(c.GetZero(48 + (g*4+it)%16))
+				c.Release(c.GetNew(48 + (g*4+it)%16))
 				if b.Data == nil || b.Data[0] != byte(blk) || b.Data[disklayout.BlockSize-1] != byte(blk) {
 					t.Errorf("block %d changed under the hit that pins it", blk)
 					c.Release(b)
@@ -301,16 +305,16 @@ func TestBufferCacheInstallAllocs(t *testing.T) {
 	}
 }
 
-func TestBufferCacheGetZero(t *testing.T) {
+func TestBufferCacheGetNew(t *testing.T) {
 	c, dev := newBC(t, 16, 8)
 	fill(dev, 7, 0x77)
-	b := c.GetZero(7)
+	b := c.GetNew(7)
 	defer c.Release(b)
-	if b.Data[0] != 0 {
-		t.Error("GetZero returned non-zero data")
+	if b.Data[0] == 0x77 {
+		t.Error("GetNew returned the device's bytes")
 	}
 	if _, misses := c.HitRate(); misses != 0 {
-		t.Error("GetZero read the device")
+		t.Error("GetNew read the device")
 	}
 }
 
@@ -485,7 +489,7 @@ func TestDropWhilePinnedDoesNotResurrect(t *testing.T) {
 	// when another goroutine is mid-read).
 	c.Drop(5)
 	// The block is reallocated: a fresh buffer with dirty contents.
-	fresh := c.GetZero(5)
+	fresh := c.GetNew(5)
 	fresh.Data[0] = 0xD1
 	c.MarkDirty(fresh)
 	c.Release(fresh)

@@ -40,7 +40,7 @@ func TestDirtyIndexesMatchScan(t *testing.T) {
 				}
 				pin(b)
 			case op == 1:
-				pin(c.GetZero(blk))
+				pin(c.GetNew(blk))
 			case op == 2:
 				pin(c.Peek(blk))
 			case op <= 4 && len(pinned) > 0:

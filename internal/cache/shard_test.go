@@ -27,6 +27,14 @@ func TestBufShardSize(t *testing.T) {
 	}
 }
 
+// TestBufSize pins a buffer's footprint at 64 bytes, one allocation size
+// class and one cache line, with the LRU links inside it.
+func TestBufSize(t *testing.T) {
+	if got := unsafe.Sizeof(Buf{}); got != 64 {
+		t.Fatalf("unsafe.Sizeof(Buf{}) = %d, want 64", got)
+	}
+}
+
 func TestShardCountBounds(t *testing.T) {
 	// Tiny caches must keep exactly one shard so the eviction bound behaves
 	// like the unsharded cache (the rest of cache_test.go relies on this).
@@ -124,7 +132,7 @@ func TestShardDropWhilePinnedNoResurrection(t *testing.T) {
 		s.mu.Unlock()
 		t.Fatal("dropped buffer resurrected into the cache")
 	}
-	if b.elem != nil {
+	if b.inLRU() {
 		s.mu.Unlock()
 		t.Fatal("dropped buffer re-entered the LRU")
 	}
@@ -221,7 +229,7 @@ func TestShardCrossShardConcurrentChurn(t *testing.T) {
 					datamu.RUnlock()
 					c.Release(b)
 				case 1:
-					b := c.GetZero(blk + 500)
+					b := c.GetNew(blk + 500)
 					c.MarkDirtyMeta(b)
 					c.Release(b)
 					c.MarkJournaled(b, b.ver)

@@ -512,11 +512,12 @@ func (r *FS) ReadAt(fd fsapi.FD, off int64, n int) ([]byte, error) {
 }
 
 // WriteAt implements fsapi.FS. The payload is copied at the facade boundary:
-// the op can outlive this call (as the in-flight op of a recovery, replayed
-// by the shadow after the caller resumed), so it must never alias a buffer
-// the caller may reuse.
+// the op outlives this call (in the op log until a stable point, and as the
+// in-flight op of a recovery), so it must never alias a buffer the caller
+// may reuse. The copy goes into a payload the log dropped at an earlier
+// stable point when one fits (oplog.Log.Payload).
 func (r *FS) WriteAt(fd fsapi.FD, off int64, data []byte) (int, error) {
-	buf := make([]byte, len(data))
+	buf := r.log.Payload(len(data))
 	copy(buf, data)
 	op := r.do(oplog.Op{Kind: oplog.KWrite, FD: fd, Off: off, Data: buf})
 	return op.RetN, op.Err()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -192,8 +193,9 @@ func (r *FS) capture(base *basefs.FS, c *call) *fault {
 	if r.cfg.Watchdog > 0 {
 		// Run on a heap copy: if the watchdog abandons a frozen call, the
 		// stuck goroutine keeps writing only its copy, never the record whose
-		// outcome recovery decides. The payload is shared; it is private to
-		// the supervisor (copied at the facade) and the base only reads it.
+		// outcome recovery decides. The payload is shared while the call
+		// runs; it is private to the supervisor (copied at the facade) and
+		// the base only reads it.
 		cp := new(call)
 		*cp = *c
 		done := make(chan any, 1)
@@ -202,6 +204,11 @@ func (r *FS) capture(base *basefs.FS, c *call) *fault {
 		case pval = <-done:
 			*c = *cp
 		case <-time.After(r.cfg.Watchdog):
+			// The stuck goroutine may still read the payload after a
+			// recovery has answered the op and a stable point has dropped
+			// it, so the record takes its own copy into the log: the
+			// abandoned buffer never becomes a spare.
+			c.op.Data = slices.Clone(c.op.Data)
 			r.cnt.freezes.Add(1)
 			r.tel.Event("freeze", "operation exceeded watchdog %v", r.cfg.Watchdog)
 			return &fault{kind: "freeze", err: fmt.Errorf("core: operation exceeded watchdog %v: %w",

@@ -453,25 +453,37 @@ func EncodeDirent(b []byte, d Dirent) {
 // DecodeDirent parses one directory entry from b. An entry with Ino==0 is a
 // free slot and decodes to a zero Dirent.
 func DecodeDirent(b []byte) (Dirent, error) {
+	ino, name, err := DecodeDirentView(b)
+	if err != nil || ino == 0 {
+		return Dirent{}, err
+	}
+	return Dirent{Ino: ino, Name: string(name)}, nil
+}
+
+// DecodeDirentView is DecodeDirent with the same validation but no copy:
+// name is a view into b, valid only while b is unchanged. Directory scans
+// compare names in place with it, so an entry they pass costs no
+// allocation. A free slot returns ino 0 and a nil name.
+func DecodeDirentView(b []byte) (ino uint32, name []byte, err error) {
 	if len(b) < DirentSize {
-		return Dirent{}, fmt.Errorf("dirent: got %d bytes, want %d: %w", len(b), DirentSize, fserr.ErrCorrupt)
+		return 0, nil, fmt.Errorf("dirent: got %d bytes, want %d: %w", len(b), DirentSize, fserr.ErrCorrupt)
 	}
 	le := binary.LittleEndian
-	ino := le.Uint32(b[0:])
+	ino = le.Uint32(b[0:])
 	if ino == 0 {
-		return Dirent{}, nil
+		return 0, nil, nil
 	}
 	nameLen := le.Uint16(b[4:])
 	if nameLen == 0 || nameLen > MaxNameLen {
-		return Dirent{}, fmt.Errorf("dirent: name length %d out of range [1,%d]: %w", nameLen, MaxNameLen, fserr.ErrCorrupt)
+		return 0, nil, fmt.Errorf("dirent: name length %d out of range [1,%d]: %w", nameLen, MaxNameLen, fserr.ErrCorrupt)
 	}
-	name := b[8 : 8+nameLen]
+	name = b[8 : 8+nameLen]
 	for _, c := range name {
 		if c == 0 || c == '/' {
-			return Dirent{}, fmt.Errorf("dirent: name contains byte %#x: %w", c, fserr.ErrCorrupt)
+			return 0, nil, fmt.Errorf("dirent: name contains byte %#x: %w", c, fserr.ErrCorrupt)
 		}
 	}
-	return Dirent{Ino: ino, Name: string(name)}, nil
+	return ino, name, nil
 }
 
 // ValidName reports whether name is storable as a directory entry component.

@@ -68,7 +68,10 @@ type FS interface {
 	Close(fd FD) error
 	// ReadAt reads up to n bytes at off. Short reads happen only at EOF.
 	ReadAt(fd FD, off int64, n int) ([]byte, error)
-	// WriteAt writes data at off, extending the file as needed.
+	// WriteAt writes data at off, extending the file as needed. No
+	// implementation keeps or modifies data after it returns: the caller may
+	// reuse the buffer at once, and a supervisor may hand it to a later
+	// write.
 	WriteAt(fd FD, off int64, data []byte) (int, error)
 	// Truncate sets a regular file's size, zero-filling on extension.
 	Truncate(path string, size int64) error

@@ -113,18 +113,20 @@ func (c *checker) checkDirLocal(ino uint32, rec *disklayout.Inode) {
 	c.rep.DirsWalked++
 	for _, d := range c.dirents(ino, rec) {
 		c.rep.check()
-		where := fmt.Sprintf("dir inode %d entry %q", ino, d.Name)
+		// The label is built only for a finding: this runs for every entry
+		// of every directory in scope.
+		where := func() string { return fmt.Sprintf("dir inode %d entry %q", ino, d.Name) }
 		if d.Ino >= c.sb.NumInodes {
-			c.rep.add(Corrupt, where, "references inode %d beyond table", d.Ino)
+			c.rep.add(Corrupt, where(), "references inode %d beyond table", d.Ino)
 			continue
 		}
 		child := c.readInode(d.Ino)
 		if c.inodeBitKnown(d.Ino) && !disklayout.TestBit(c.ibm, d.Ino) {
-			c.rep.add(Corrupt, where, "references free inode %d", d.Ino)
+			c.rep.add(Corrupt, where(), "references free inode %d", d.Ino)
 			continue
 		}
 		if child == nil || child.IsFree() {
-			c.rep.add(Corrupt, where, "references invalid inode %d", d.Ino)
+			c.rep.add(Corrupt, where(), "references invalid inode %d", d.Ino)
 		}
 	}
 }

@@ -18,9 +18,11 @@ package oplog
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/disklayout"
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
 	"repro/internal/telemetry"
@@ -262,6 +264,16 @@ const (
 	MaxBytes = 8 << 20
 )
 
+// The spare-payload bound: at most maxSpares buffers and maxSpareBytes of
+// capacity in all, no more than the base's block pool. A payload shorter
+// than minSpare is never pooled: make is cheap at that size, and small
+// spares would only crowd out the large ones.
+const (
+	maxSpares     = 16
+	maxSpareBytes = 512 << 10
+	minSpare      = disklayout.BlockSize
+)
+
 // Log is the supervisor's record of operations since the last stable point,
 // together with the descriptor table and logical clock at that point —
 // everything the shadow needs to reconstruct state from trusted
@@ -288,6 +300,11 @@ type Log struct {
 	// then advanced by StableAt's fold of the ops it drops.
 	baseFDs    map[fsapi.FD]uint32
 	startClock uint64
+
+	// spares are the payloads of dropped ops, for Payload to hand out
+	// again; spareBytes is their total capacity.
+	spares     [][]byte
+	spareBytes int
 
 	// Telemetry instruments are installed once, before concurrent use.
 	telLen                    *telemetry.Gauge
@@ -320,10 +337,11 @@ func NewLog() *Log {
 // be filled). Non-mutating kinds are ignored.
 //
 // The log copies the op struct but adopts o.Data: from the call on, the
-// payload belongs to the log, and nobody may mutate it. Its producer,
-// core.FS.WriteAt, has already made the payload a private copy of the
-// caller's buffer, so copying it again here would only add a second copy of
-// every write. Snapshots still hand out deep copies.
+// payload belongs to the log, and nobody else may read or mutate it; once a
+// stable point drops the op, Payload may hand the buffer to a later write.
+// Its producer, core.FS.WriteAt, has already made the payload a private copy
+// of the caller's buffer, so copying it again here would only add a second
+// copy of every write. Snapshots still hand out deep copies.
 //
 // Append reports whether this op filled the log: its length reached a
 // multiple of MaxOps, or its payload crossed a multiple of MaxBytes. Each
@@ -403,12 +421,72 @@ func (l *Log) StableAt(watermark uint64, clock uint64) {
 }
 
 // dropLocked discards the first cut ops, keeping the rest in order, and
-// returns how many are kept.
+// returns how many are kept. The discarded payloads become spares.
 func (l *Log) dropLocked(cut int) int {
+	for i := range l.ops[:cut] {
+		l.recycleLocked(l.ops[i].Data)
+	}
 	kept := copy(l.ops, l.ops[cut:])
 	clear(l.ops[kept:]) // release the discarded payloads
 	l.ops = l.ops[:kept]
 	return kept
+}
+
+// recycleLocked puts a dropped op's payload on the spare list, discarding
+// the oldest spares to stay within the bound. A payload shorter than
+// minSpare or larger than the whole bound goes to the GC.
+func (l *Log) recycleLocked(b []byte) {
+	c := cap(b)
+	if c < minSpare || c > maxSpareBytes {
+		return
+	}
+	for len(l.spares) == maxSpares || l.spareBytes+c > maxSpareBytes {
+		l.spareBytes -= cap(l.spares[0])
+		l.spares = slices.Delete(l.spares, 0, 1)
+	}
+	l.spares = append(l.spares, b[:c])
+	l.spareBytes += c
+}
+
+// Payload returns an n-byte buffer for the payload of a write the caller
+// will Append: the smallest spare that fits, or a new buffer when none does
+// or n is under one block. Its bytes are arbitrary; the caller overwrites
+// all of them. The spares belong to this log alone, so nothing outside the
+// supervisor, the base included, can reach one: a spare's last holder was
+// the op a stable point dropped.
+func (l *Log) Payload(n int) []byte {
+	if n >= minSpare {
+		l.mu.Lock()
+		best := -1
+		for i, b := range l.spares {
+			if cap(b) >= n && (best < 0 || cap(b) < cap(l.spares[best])) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			b := l.spares[best]
+			l.spares = slices.Delete(l.spares, best, best+1)
+			l.spareBytes -= cap(b)
+			l.mu.Unlock()
+			return b[:n]
+		}
+		l.mu.Unlock()
+	}
+	return make([]byte, n)
+}
+
+// Holdings returns the payload of every recorded op, the spares, and the
+// spare bound in buffers and bytes. It exists only for ownership tests; no
+// production path calls it.
+func (l *Log) Holdings() (payloads, spares [][]byte, maxBufs, maxBytes int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := range l.ops {
+		if l.ops[i].Data != nil {
+			payloads = append(payloads, l.ops[i].Data)
+		}
+	}
+	return payloads, slices.Clone(l.spares), maxSpares, maxSpareBytes
 }
 
 // Stable marks a new durable point from a table read off the base: all
