@@ -4,8 +4,8 @@
 // as dumped by core.FS.DumpLog), re-executes the sequence on the shadow in
 // constrained mode, and reports every discrepancy between the base's
 // recorded behavior and the shadow's, with the time each stage took. With
-// -apply, the shadow's sealed handoff is written back to the image, producing
-// the recovered state.
+// -apply, the shadow's sealed hand-off image is verified against the image's
+// superblock and written back to it, producing the recovered state.
 //
 // Usage:
 //
@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/disklayout"
+	"repro/internal/handoff"
 	"repro/internal/mkfs"
 	"repro/internal/oplog"
 	"repro/internal/shadowfs"
@@ -51,7 +53,7 @@ func run(w io.Writer, img, trace string, apply, stop bool) error {
 
 	// The image must first reach its stable point: replay the journal as a
 	// mount would.
-	_, st, err := mkfs.Recover(dev)
+	sb, st, err := mkfs.Recover(dev)
 	if err != nil {
 		return err
 	}
@@ -103,19 +105,25 @@ func run(w io.Writer, img, trace string, apply, stop bool) error {
 	fmt.Fprintf(w, "stages: fsck %v, replay %v\n", fsckDur, replayDur)
 
 	if apply {
-		blocks := 0
-		for _, c := range res.Chunks {
-			for _, blk := range c.SortedBlocks() {
-				if err := dev.WriteBlock(blk, c.Blocks[blk]); err != nil {
-					return err
-				}
-			}
-			blocks += len(c.Blocks)
-		}
-		if err := dev.Flush(); err != nil {
+		if err := writeImage(dev, sb, res.Image); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "applied %d blocks to %s\n", blocks, img)
+		fmt.Fprintf(w, "applied %d blocks to %s\n", len(res.Image.Blocks), img)
 	}
 	return nil
+}
+
+// writeImage writes a hand-off image to dev. The image crosses the same
+// boundary check as a live hand-off before its first block reaches the
+// device.
+func writeImage(dev blockdev.Device, sb *disklayout.Superblock, im *handoff.Image) error {
+	if err := im.Verify(sb); err != nil {
+		return err
+	}
+	for _, b := range im.Blocks {
+		if err := dev.WriteBlock(b.Blk, b.Data); err != nil {
+			return err
+		}
+	}
+	return dev.Flush()
 }

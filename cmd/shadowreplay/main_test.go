@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,7 +12,10 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/difftest"
+	"repro/internal/disklayout"
 	"repro/internal/fsck"
+	"repro/internal/fserr"
+	"repro/internal/handoff"
 	"repro/internal/mkfs"
 	"repro/internal/model"
 	"repro/internal/oplog"
@@ -91,5 +96,34 @@ func TestReplayApplyRecoversUnsyncedOps(t *testing.T) {
 	}
 	for _, d := range difftest.CompareStates(got, want) {
 		t.Errorf("recovered tree: %s", d)
+	}
+}
+
+// TestWriteImageRefusesJournalBlock: -apply verifies the hand-off before it
+// writes, so an image reaching into the journal region writes nothing, not
+// even its valid blocks.
+func TestWriteImageRefusesJournalBlock(t *testing.T) {
+	dev := blockdev.NewMem(4096)
+	sb, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := bytes.Repeat([]byte{0xAB}, disklayout.BlockSize)
+	im := &handoff.Image{Blocks: []handoff.Block{
+		{Blk: sb.DataStart, Data: junk},
+		{Blk: sb.JournalStart, Meta: true, Data: junk},
+	}}
+	im.Seal()
+	if err := writeImage(dev, sb, im); !errors.Is(err, fserr.ErrCorrupt) {
+		t.Fatalf("writeImage = %v, want ErrCorrupt", err)
+	}
+	for _, blk := range []uint32{sb.DataStart, sb.JournalStart} {
+		got, err := dev.ReadBlock(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(got, junk) {
+			t.Errorf("block %d written by a refused image", blk)
+		}
 	}
 }

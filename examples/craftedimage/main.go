@@ -37,9 +37,9 @@ func main() {
 	must(fs.Close(fd))
 	must(fs.Unmount())
 
-	// The attacker edits the image offline: the file's first block pointer
-	// is redirected at the inode table, and the record is re-checksummed so
-	// a naive integrity check still passes.
+	// The attacker edits the image offline: where the file's first data
+	// block lives is redirected at the block bitmap, and the record is
+	// re-checksummed so a naive integrity check still passes.
 	craft(dev, sb)
 	fmt.Println("image crafted: /home/data.bin now maps a metadata block as file data")
 
@@ -70,8 +70,10 @@ func main() {
 	}
 }
 
-// craft redirects the first data pointer of /home/data.bin at a bitmap
-// block and re-checksums the inode record.
+// craft redirects the first data mapping of /home/data.bin at a bitmap block
+// and re-checksums the inode record. In a block-mapped inode that is the first
+// direct pointer; in an extent inode, the first inline extent's Start
+// (Direct[0] is that extent's FileOff).
 func craft(dev *blockdev.Mem, sb *disklayout.Superblock) {
 	for ino := uint32(1); ino < sb.NumInodes; ino++ {
 		blk, off := sb.InodeLoc(ino)
@@ -80,11 +82,18 @@ func craft(dev *blockdev.Mem, sb *disklayout.Superblock) {
 			log.Fatal(err)
 		}
 		rec, err := disklayout.DecodeInode(b[off : off+disklayout.InodeSize])
-		if err != nil || !rec.IsFile() || rec.Direct[0] == 0 {
+		if err != nil || !rec.IsFile() {
 			continue
 		}
-		rec.Direct[0] = sb.BlockBitmapStart // metadata block as file data
-		disklayout.PutInode(b[off:], rec)   // valid checksum: "plausible" image
+		slot := 0
+		if rec.IsExtents() {
+			slot = 1
+		}
+		if rec.Direct[slot] == 0 {
+			continue
+		}
+		rec.Direct[slot] = sb.BlockBitmapStart // metadata block as file data
+		disklayout.PutInode(b[off:], rec)      // valid checksum: "plausible" image
 		if err := dev.WriteBlock(blk, b); err != nil {
 			log.Fatal(err)
 		}

@@ -8,16 +8,6 @@ import (
 	"repro/internal/handoff"
 )
 
-func (fs *FS) checkAbsorbRange(blk uint32) error {
-	if blk == 0 || blk >= fs.sb.NumBlocks {
-		return fmt.Errorf("basefs: absorb block %d out of range: %w", blk, fserr.ErrCorrupt)
-	}
-	if blk >= fs.sb.JournalStart && blk < fs.sb.JournalStart+fs.sb.JournalLen {
-		return fmt.Errorf("basefs: absorb block %d targets the journal region: %w", blk, fserr.ErrCorrupt)
-	}
-	return nil
-}
-
 // restoreLocked installs the recovered descriptor table and continues the
 // logical clock; the final step of absorption.
 // Each inode must decode and be allocated in the absorbed state; that read
@@ -51,55 +41,26 @@ func (fs *FS) restoreLocked(fds []handoff.FDEntry, clock uint64) error {
 	return nil
 }
 
-// AbsorbChunk and AbsorbManifest are the base's metadata-downloading
-// interface (§3.2). They are called on a freshly mounted instance during
-// recovery, before any new operations are admitted, and "reuse existing logic
-// to place [blocks] into its cache": Install is the same entry point every
+// AbsorbImage is the base's metadata-downloading interface (§3.2). It is
+// called on a freshly mounted instance during recovery, before any new
+// operations are admitted. To "reuse existing logic to place [blocks] into
+// its cache", it installs through Install, the same entry point every
 // internal path uses, so the trusted surface stays small.
 //
-// AbsorbChunk installs one sealed chunk of the handoff stream, marked dirty,
-// while the shadow may still be replaying the tail. Chunks must arrive in
-// index order; each is verified individually, and its checksum is recorded so
-// AbsorbManifest can later prove the stream arrived complete and unreordered.
-// Freed blocks retract earlier installs. Block slices are adopted, not copied
-// (the cache serves them directly), so the caller must pass a chunk it owns:
-// the single defensive copy is made where the shadow seals the chunk.
-func (fs *FS) AbsorbChunk(c *handoff.Chunk) error {
-	if err := c.Verify(); err != nil {
-		return fmt.Errorf("basefs: absorb rejected: %w", err)
-	}
+// The image is verified against this mount's geometry before the first
+// Install, so a rejected image installs nothing. Its blocks are then installed
+// dirty, in order, and the descriptor table and clock restored, all under one
+// hold of mu. Block slices are adopted, not copied (the cache serves them
+// directly), so the caller must pass an image it owns: the single defensive
+// copy is made where the shadow seals it.
+func (fs *FS) AbsorbImage(im *handoff.Image) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if c.Index != fs.absorbNext {
-		return fmt.Errorf("basefs: absorb chunk %d, expected %d: %w", c.Index, fs.absorbNext, fserr.ErrCorrupt)
-	}
-	for _, blk := range c.SortedBlocks() {
-		if err := fs.checkAbsorbRange(blk); err != nil {
-			return err
-		}
-		fs.bc.Install(blk, c.Blocks[blk], c.Meta[blk])
-	}
-	for _, blk := range c.Freed {
-		if err := fs.checkAbsorbRange(blk); err != nil {
-			return err
-		}
-		fs.bc.Drop(blk)
-	}
-	fs.absorbSums = append(fs.absorbSums, c.Sum)
-	fs.absorbNext++
-	return nil
-}
-
-// AbsorbManifest finalizes the handoff: it verifies the manifest's chained
-// checksum against the chunks actually absorbed, then restores the descriptor
-// table and continues the logical clock.
-func (fs *FS) AbsorbManifest(m *handoff.Manifest) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := m.Verify(fs.absorbSums); err != nil {
+	if err := im.Verify(fs.sb); err != nil {
 		return fmt.Errorf("basefs: absorb rejected: %w", err)
 	}
-	fs.absorbSums = nil
-	fs.absorbNext = 0
-	return fs.restoreLocked(m.FDs, m.Clock)
+	for _, b := range im.Blocks {
+		fs.bc.Install(b.Blk, b.Data, b.Meta)
+	}
+	return fs.restoreLocked(im.FDs, im.Clock)
 }

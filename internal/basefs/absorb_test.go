@@ -3,6 +3,7 @@ package basefs
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -14,8 +15,8 @@ import (
 	"repro/internal/shadowfs"
 )
 
-// buildStream has a shadow produce a real one-chunk handoff for a fresh image.
-func buildStream(t *testing.T, dev *blockdev.Mem) (*handoff.Chunk, *handoff.Manifest) {
+// buildImage has a shadow produce a real hand-off image for a fresh image.
+func buildImage(t *testing.T, dev *blockdev.Mem) *handoff.Image {
 	t.Helper()
 	sh, err := shadowfs.New(dev, shadowfs.Options{SkipFsck: true})
 	if err != nil {
@@ -32,10 +33,10 @@ func buildStream(t *testing.T, dev *blockdev.Mem) (*handoff.Chunk, *handoff.Mani
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 1 || len(res.Manifest.FDs) != 1 {
-		t.Fatalf("handoff = chunks %v, fds %+v", res.Chunks, res.Manifest.FDs)
+	if len(res.Image.Blocks) == 0 || len(res.Image.FDs) != 1 {
+		t.Fatalf("handoff = %d blocks, fds %+v", len(res.Image.Blocks), res.Image.FDs)
 	}
-	return res.Chunks[0], res.Manifest
+	return res.Image
 }
 
 func TestAbsorbInstallsShadowState(t *testing.T) {
@@ -43,23 +44,20 @@ func TestAbsorbInstallsShadowState(t *testing.T) {
 	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64}); err != nil {
 		t.Fatal(err)
 	}
-	c, m := buildStream(t, dev)
+	im := buildImage(t, dev)
 	fs, err := Mount(dev, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fs.Kill()
-	if err := fs.AbsorbChunk(c); err != nil {
-		t.Fatalf("AbsorbChunk: %v", err)
+	if err := fs.AbsorbImage(im); err != nil {
+		t.Fatalf("AbsorbImage: %v", err)
 	}
-	if err := fs.AbsorbManifest(m); err != nil {
-		t.Fatalf("AbsorbManifest: %v", err)
-	}
-	if fs.Clock() != m.Clock {
-		t.Errorf("clock = %d, want %d", fs.Clock(), m.Clock)
+	if fs.Clock() != im.Clock {
+		t.Errorf("clock = %d, want %d", fs.Clock(), im.Clock)
 	}
 	// The absorbed descriptor works immediately.
-	got, err := fs.ReadAt(m.FDs[0].FD, 0, 100)
+	got, err := fs.ReadAt(im.FDs[0].FD, 0, 100)
 	if err != nil || string(got) != "from the shadow" {
 		t.Fatalf("read through absorbed fd = (%q, %v)", got, err)
 	}
@@ -85,181 +83,79 @@ func TestAbsorbInstallsShadowState(t *testing.T) {
 	}
 }
 
-// TestAbsorbChunkStream splits a real shadow handoff into a two-chunk stream
-// (including a retraction) and verifies absorbing it ends in the state the
-// one chunk describes, with the manifest catching a truncated stream.
-func TestAbsorbChunkStream(t *testing.T) {
-	dev := blockdev.NewMem(4096)
-	if _, err := mkfs.Format(dev, mkfs.Options{NumInodes: 512, JournalBlocks: 64}); err != nil {
-		t.Fatal(err)
-	}
-	whole, wm := buildStream(t, dev)
-	blks := whole.SortedBlocks()
-	if len(blks) < 2 {
-		t.Fatalf("handoff too small to split: %d blocks", len(blks))
-	}
-	// Chunk 0: first half plus a decoy block later retracted. Chunk 1: rest.
-	decoy := blks[len(blks)-1] + 1
-	c0 := handoff.NewChunk(0)
-	for _, blk := range blks[:len(blks)/2] {
-		c0.Blocks[blk] = whole.Blocks[blk]
-		c0.Meta[blk] = whole.Meta[blk]
-	}
-	decoyData := make([]byte, disklayout.BlockSize)
-	for i := range decoyData {
-		decoyData[i] = 0xAB
-	}
-	c0.Blocks[decoy] = decoyData
-	c0.Seal()
-	c1 := handoff.NewChunk(1)
-	for _, blk := range blks[len(blks)/2:] {
-		c1.Blocks[blk] = whole.Blocks[blk]
-		c1.Meta[blk] = whole.Meta[blk]
-	}
-	c1.Freed = []uint32{decoy}
-	c1.Seal()
-	m := sealedManifest(wm.FDs, c0, c1)
-	m.Clock = wm.Clock
-	m.Seal()
-
-	fs, err := Mount(dev, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Kill()
-	if err := fs.AbsorbChunk(c0); err != nil {
-		t.Fatalf("chunk 0: %v", err)
-	}
-	// A manifest before the full stream must fail the chain check.
-	if err := fs.AbsorbManifest(m); !errors.Is(err, fserr.ErrCorrupt) {
-		t.Fatalf("early manifest: %v", err)
-	}
-	if err := fs.AbsorbChunk(c1); err != nil {
-		t.Fatalf("chunk 1: %v", err)
-	}
-	if err := fs.AbsorbManifest(m); err != nil {
-		t.Fatalf("manifest: %v", err)
-	}
-	if fs.Clock() != m.Clock {
-		t.Errorf("clock = %d, want %d", fs.Clock(), m.Clock)
-	}
-	got, err := fs.ReadAt(m.FDs[0].FD, 0, 100)
-	if err != nil || string(got) != "from the shadow" {
-		t.Fatalf("read through absorbed fd = (%q, %v)", got, err)
-	}
-	// The retracted decoy never reaches the device.
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := dev.ReadBlock(decoy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range raw {
-		if b != 0 {
-			// Freshly formatted device: the decoy block must still be zero.
-			t.Fatal("retracted chunk block leaked to the device")
-		}
-	}
-}
-
-// sealedChunk is a sealed chunk of zeroed blocks at the given stream index.
-func sealedChunk(index int, blks ...uint32) *handoff.Chunk {
-	c := handoff.NewChunk(index)
+// sealed is a sealed image of zeroed blocks with the given descriptor table.
+func sealed(fds []handoff.FDEntry, blks ...uint32) *handoff.Image {
+	im := &handoff.Image{FDs: fds}
 	for _, blk := range blks {
-		c.Blocks[blk] = make([]byte, disklayout.BlockSize)
+		im.Blocks = append(im.Blocks, handoff.Block{Blk: blk, Data: make([]byte, disklayout.BlockSize)})
 	}
-	c.Seal()
-	return c
+	im.Seal()
+	return im
 }
 
-// sealedManifest closes the stream made of exactly the given chunks.
-func sealedManifest(fds []handoff.FDEntry, chunks ...*handoff.Chunk) *handoff.Manifest {
-	sums := make([]uint32, len(chunks))
-	for i, c := range chunks {
-		sums[i] = c.Sum
+// dirtyVersions maps each of fs's dirty buffers to its version, which every
+// Install bumps.
+func dirtyVersions(fs *FS) map[uint32]uint64 {
+	out := map[uint32]uint64{}
+	for _, d := range fs.bc.SnapshotDirty(nil) {
+		out[d.Blk] = d.Ver
 	}
-	m := &handoff.Manifest{NumChunks: len(chunks), Chain: handoff.ChainSums(sums), FDs: fds}
-	m.Seal()
-	return m
-}
-
-// mustOK fails the test on an error from a case's set-up step.
-func mustOK(t *testing.T, err error) {
-	t.Helper()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 // TestAbsorbRejections: everything the base refuses at the hand-off boundary.
-// Each case runs on its own fresh mount and returns the error of the call
-// that must be refused; earlier calls in a case must succeed.
+// Each case builds the image on its own fresh mount, and absorbing it must
+// fail without installing anything. Verify refuses all but the last two rows
+// before the first Install; those two are refused over the installed state,
+// so they carry no blocks.
 func TestAbsorbRejections(t *testing.T) {
-	fd := func(fd fsapi.FD, ino uint32) handoff.FDEntry { return handoff.FDEntry{FD: fd, Ino: ino} }
+	fd := func(fd fsapi.FD, ino uint32) []handoff.FDEntry { return []handoff.FDEntry{{FD: fd, Ino: ino}} }
 	cases := []struct {
-		name string
-		run  func(t *testing.T, fs *FS, sb *disklayout.Superblock) error
+		name  string
+		image func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image
 	}{
-		{"bad checksum", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			c := sealedChunk(0, sb.DataStart)
-			c.Blocks[sb.DataStart][7] ^= 1
-			return fs.AbsorbChunk(c)
+		{"bad checksum", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			im := sealed(nil, sb.DataStart)
+			im.Blocks[0].Data[7] ^= 1
+			return im
 		}},
-		{"short block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			c := handoff.NewChunk(0)
-			c.Blocks[sb.DataStart] = []byte{1, 2, 3}
-			c.Seal()
-			return fs.AbsorbChunk(c)
+		{"clock tampered after seal", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			im := sealed(nil, sb.DataStart)
+			im.Clock++
+			return im
 		}},
-		{"block 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbChunk(sealedChunk(0, 0))
+		{"short block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			im := &handoff.Image{Blocks: []handoff.Block{{Blk: sb.DataStart, Data: []byte{1, 2, 3}}}}
+			im.Seal()
+			return im
 		}},
-		{"block past the image", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbChunk(sealedChunk(0, sb.NumBlocks+5))
+		{"duplicate block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(nil, sb.DataStart, sb.DataStart+1, sb.DataStart)
 		}},
-		{"journal-region block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbChunk(sealedChunk(0, sb.JournalStart))
+		{"block 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(nil, 0, sb.DataStart)
 		}},
-		{"freed journal-region block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			c := handoff.NewChunk(0)
-			c.Freed = []uint32{sb.JournalStart}
-			c.Seal()
-			return fs.AbsorbChunk(c)
+		{"block past the image", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(nil, sb.DataStart, sb.NumBlocks+5)
 		}},
-		{"out-of-order index", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbChunk(sealedChunk(1, sb.DataStart))
+		{"journal-region block", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(nil, sb.JournalStart, sb.DataStart)
 		}},
-		{"duplicate chunk", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			c := sealedChunk(0, sb.DataStart)
-			mustOK(t, fs.AbsorbChunk(c))
-			return fs.AbsorbChunk(c)
-		}},
-		{"missing chunk against the manifest chain", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			c0, c1 := sealedChunk(0, sb.DataStart), sealedChunk(1, sb.DataStart+1)
-			mustOK(t, fs.AbsorbChunk(c0))
-			return fs.AbsorbManifest(sealedManifest(nil, c0, c1))
-		}},
-		{"manifest bad checksum", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			m := sealedManifest(nil)
-			m.Clock++
-			return fs.AbsorbManifest(m)
-		}},
-		{"duplicate fd", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
+		{"duplicate fd", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
 			f, err := fs.Create("/f", 0o644)
 			mustOK(t, err)
 			st, err := fs.Fstat(f)
 			mustOK(t, err)
-			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, st.Ino), fd(0, st.Ino)}))
+			return sealed(append(fd(0, st.Ino), fd(0, st.Ino)...), sb.DataStart)
 		}},
-		{"fd to inode 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, 0)}))
+		{"fd to inode 0", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(fd(0, 0), sb.DataStart)
 		}},
-		{"fd to directory", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, sb.RootIno)}))
+		{"fd to directory", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(fd(0, sb.RootIno))
 		}},
-		{"fd to unallocated inode", func(t *testing.T, fs *FS, sb *disklayout.Superblock) error {
-			return fs.AbsorbManifest(sealedManifest([]handoff.FDEntry{fd(0, 17)}))
+		{"fd to unallocated inode", func(t *testing.T, fs *FS, sb *disklayout.Superblock) *handoff.Image {
+			return sealed(fd(0, 17))
 		}},
 	}
 	for _, tc := range cases {
@@ -274,10 +170,23 @@ func TestAbsorbRejections(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Kill()
-			if err := tc.run(t, fs, sb); !errors.Is(err, fserr.ErrCorrupt) {
+			im := tc.image(t, fs, sb)
+			before := dirtyVersions(fs)
+			if err := fs.AbsorbImage(im); !errors.Is(err, fserr.ErrCorrupt) {
 				t.Errorf("absorb = %v, want ErrCorrupt", err)
 			}
+			if after := dirtyVersions(fs); !maps.Equal(after, before) {
+				t.Errorf("a rejected image installed blocks: dirty %v, before %v", after, before)
+			}
 		})
+	}
+}
+
+// mustOK fails the test on an error from a case's set-up step.
+func mustOK(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

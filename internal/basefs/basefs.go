@@ -153,13 +153,6 @@ type FS struct {
 	fds   map[fsapi.FD]uint32
 	clock atomic.Uint64
 
-	// absorbSums records the checksum of every streaming-handoff chunk
-	// absorbed so far, in arrival order, so AbsorbManifest can verify the
-	// chain. absorbNext is the expected index of the next chunk. Guarded
-	// by mu; only populated between mount and resume during recovery.
-	absorbSums []uint32
-	absorbNext int
-
 	warnMu sync.Mutex
 	warns  []Warning
 

@@ -547,7 +547,7 @@ func (c *BufferCache) MarkStable(blk uint32) {
 //
 // Install adopts data: the caller hands over ownership and must not touch
 // the slice afterwards. The single defensive copy across the isolation
-// boundary happens where the handoff chunk is sealed, not here.
+// boundary happens where the hand-off image is sealed, not here.
 func (c *BufferCache) Install(blk uint32, data []byte, meta bool) {
 	s := c.shardFor(blk)
 	c.lock(s)

@@ -136,7 +136,7 @@ type RecoveryPhases struct {
 	Fsck        time.Duration // shadow's image validation
 	ShadowMount time.Duration // shadowfs.New over the frozen view
 	Replay      time.Duration // descriptor-table seed, constrained + autonomous execution
-	Absorb      time.Duration // metadata download: AbsorbChunk/AbsorbManifest and the hand-off's bookkeeping
+	Absorb      time.Duration // metadata download: AbsorbImage verifies and installs the hand-off image
 	Resume      time.Duration // answer the in-flight op, settle trust
 	// Wall is the measured end-to-end recovery latency.
 	Wall time.Duration

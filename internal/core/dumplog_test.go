@@ -52,7 +52,8 @@ func TestDumpLogOfflineReplay(t *testing.T) {
 	if _, ok := fds[fd]; !ok {
 		t.Fatalf("stable-point fd table missing fd %d: %v", fd, fds)
 	}
-	if _, _, err := mkfs.Recover(dev); err != nil {
+	sb, _, err := mkfs.Recover(dev)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sh, err := shadowfs.New(dev, shadowfs.Options{})
@@ -68,12 +69,14 @@ func TestDumpLogOfflineReplay(t *testing.T) {
 	if len(res.Discrepancies) != 0 {
 		t.Fatalf("discrepancies: %v", res.Discrepancies)
 	}
-	// Apply the handoff to the image, as shadowreplay -apply does.
-	for _, c := range res.Chunks {
-		for _, blk := range c.SortedBlocks() {
-			if err := dev.WriteBlock(blk, c.Blocks[blk]); err != nil {
-				t.Fatal(err)
-			}
+	// Verify the hand-off and apply it to the image, as shadowreplay -apply
+	// does.
+	if err := res.Image.Verify(sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range res.Image.Blocks {
+		if err := dev.WriteBlock(b.Blk, b.Data); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := dev.Flush(); err != nil {

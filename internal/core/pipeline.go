@@ -231,20 +231,6 @@ func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, ph *RecoveryPhases) (
 	return res, nil
 }
 
-// absorb installs the shadow's sealed stream into the fresh base: every
-// chunk, then the manifest that binds them.
-func absorb(b *basefs.FS, res *shadowfs.ReplayResult) error {
-	for _, c := range res.Chunks {
-		if err := b.AbsorbChunk(c); err != nil {
-			return fmt.Errorf("absorb chunk: %w", err)
-		}
-	}
-	if err := b.AbsorbManifest(res.Manifest); err != nil {
-		return fmt.Errorf("absorb manifest: %w", err)
-	}
-	return nil
-}
-
 // observeStage records one engine stage's duration in the per-stage
 // histogram family.
 func (r *FS) observeStage(name string, d time.Duration) {
@@ -316,10 +302,9 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		return r.degrade(newBase, newFence, inflight, ph, "%v", err)
 	}
 
-	// Hand-off: the base absorbs the sealed stream, then the manifest that
-	// binds it.
+	// Hand-off: the base verifies and absorbs the sealed image.
 	tr.BeginPhase(telemetry.PhaseHandoff)
-	err = absorb(newBase, res)
+	err = newBase.AbsorbImage(res.Image)
 	ph.Absorb = w.lap()
 	if err != nil {
 		r.fsckTrust(plan, false)

@@ -2,7 +2,6 @@ package shadowfs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/difftest"
 	"repro/internal/disklayout"
@@ -37,12 +36,10 @@ type ReplayInput struct {
 
 // ReplayResult is the shadow's output.
 type ReplayResult struct {
-	// Chunks and Manifest are the sealed hand-off stream, ready for the base
-	// to absorb: the reconstructed metadata and buffered data blocks, then
-	// the final descriptor table and the clock. Replay seals the whole
-	// overlay at the end, so the stream holds at most one chunk.
-	Chunks   []*handoff.Chunk
-	Manifest *handoff.Manifest
+	// Image is the sealed hand-off, ready for the base to absorb: the
+	// reconstructed metadata and buffered data blocks, the final descriptor
+	// table and the clock. Nil if the replay failed.
+	Image *handoff.Image
 	// InFlight is the in-flight op with its autonomous outcome filled, to be
 	// returned to the application.
 	InFlight *oplog.Op
@@ -62,10 +59,10 @@ type ReplayResult struct {
 // Replay executes the whole recovery procedure in one call: seed the
 // descriptor table and the clock from the stable point, re-execute the
 // recorded sequence in constrained mode, execute the in-flight operation in
-// autonomous mode, run the final self-checks, and seal the overlay as a
-// one-chunk stream. It is the one replay entry point: the supervisor, the
-// offline tools and the tests all call it. The result is never nil; on error
-// it reports what was replayed before the failure.
+// autonomous mode, run the final self-checks, and seal the hand-off image. It
+// is the one replay entry point: the supervisor, the offline tools and the
+// tests all call it. The result is never nil; on error it reports what was
+// replayed before the failure.
 func (s *Shadow) Replay(in ReplayInput) (*ReplayResult, error) {
 	res := &ReplayResult{}
 	err := s.replay(in, res)
@@ -111,17 +108,7 @@ func (s *Shadow) replay(in ReplayInput, res *ReplayResult) error {
 	if err := s.sanityCheckFinal(); err != nil {
 		return err
 	}
-	var sums []uint32
-	if c := s.sealOverlay(); c != nil {
-		res.Chunks, sums = []*handoff.Chunk{c}, []uint32{c.Sum}
-	}
-	res.Manifest = &handoff.Manifest{
-		NumChunks: len(sums),
-		Chain:     handoff.ChainSums(sums),
-		FDs:       sortedFDs(s.fds),
-		Clock:     s.clock.Now(),
-	}
-	res.Manifest.Seal()
+	res.Image = s.sealOverlay()
 	res.InFlight = fl
 	return nil
 }
@@ -185,32 +172,24 @@ func (s *Shadow) replayOne(rec *oplog.Op, stop bool, res *ReplayResult) error {
 	return nil
 }
 
-// sealOverlay packs every block the shadow holds into one sealed handoff
-// chunk, deep-copying the block images — this is the single defensive copy
-// across the isolation boundary; the base adopts the slices. Returns nil if
-// the shadow wrote nothing.
-func (s *Shadow) sealOverlay() *handoff.Chunk {
-	if len(s.overlay) == 0 {
-		return nil
+// sealOverlay packs every block the shadow holds, the descriptor table and
+// the clock into one sealed hand-off image, deep-copying the block images —
+// this is the single defensive copy across the isolation boundary; the base
+// adopts the slices.
+func (s *Shadow) sealOverlay() *handoff.Image {
+	im := &handoff.Image{
+		Blocks: make([]handoff.Block, 0, len(s.overlay)),
+		FDs:    make([]handoff.FDEntry, 0, len(s.fds)),
+		Clock:  s.clock.Now(),
 	}
-	c := handoff.NewChunk(0)
 	for blk, data := range s.overlay {
-		c.Blocks[blk] = append([]byte(nil), data...)
-		if s.meta[blk] {
-			c.Meta[blk] = true
-		}
+		im.Blocks = append(im.Blocks, handoff.Block{Blk: blk, Meta: s.meta[blk], Data: append([]byte(nil), data...)})
 	}
-	c.Seal()
-	return c
-}
-
-func sortedFDs(fds map[fsapi.FD]uint32) []handoff.FDEntry {
-	out := make([]handoff.FDEntry, 0, len(fds))
-	for fd, ino := range fds {
-		out = append(out, handoff.FDEntry{FD: fd, Ino: ino})
+	for fd, ino := range s.fds {
+		im.FDs = append(im.FDs, handoff.FDEntry{FD: fd, Ino: ino})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FD < out[j].FD })
-	return out
+	im.Seal()
+	return im
 }
 
 // sanityCheckFinal re-validates every inode the recovery touched before the

@@ -46,12 +46,9 @@ func TestReplayCountsOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Chunks) != 1 {
-		t.Fatalf("one-shot replay produced %d chunks, want 1", len(res.Chunks))
-	}
-	if res.OverlayBlocks != len(res.Chunks[0].Blocks) || res.OverlayBlocks < 4 {
+	if res.OverlayBlocks != len(res.Image.Blocks) || res.OverlayBlocks < 4 {
 		// ≥ 2 data + inode table + bitmaps + root dir block
-		t.Errorf("OverlayBlocks = %d (chunk has %d)", res.OverlayBlocks, len(res.Chunks[0].Blocks))
+		t.Errorf("OverlayBlocks = %d (image has %d)", res.OverlayBlocks, len(res.Image.Blocks))
 	}
 }
 
@@ -88,7 +85,7 @@ func TestShadowSequentialFDPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fds := res.Manifest.FDs; len(fds) != 1 || fds[0].FD != 5 {
+	if fds := res.Image.FDs; len(fds) != 1 || fds[0].FD != 5 {
 		t.Errorf("fd table = %+v, want pinned fd 5", fds)
 	}
 }

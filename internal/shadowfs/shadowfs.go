@@ -12,7 +12,7 @@
 //   - no concurrency — strictly single-threaded, no locks;
 //   - no journal and no writes to the device — the shadow's device handle is
 //     read-only (enforced by blockdev.ReadOnly), and all modifications land
-//     in the overlay, which leaves as the handoff chunks the base absorbs.
+//     in the overlay, which leaves as the hand-off image the base absorbs.
 //
 // In exchange, the shadow checks everything: the image is validated by fsck
 // before use, every inode read is checksum- and pointer-validated and

@@ -9,7 +9,6 @@ import (
 	"repro/internal/disklayout"
 	"repro/internal/fsapi"
 	"repro/internal/fserr"
-	"repro/internal/handoff"
 	"repro/internal/mkfs"
 	"repro/internal/model"
 	"repro/internal/oplog"
@@ -188,7 +187,9 @@ func TestShadowReplayConstrainedReproducesState(t *testing.T) {
 			t.Errorf("discrepancy: %s", d)
 		}
 	}
-	foldStream(t, res.Chunks, res.Manifest) // the stream verifies
+	if err := res.Image.Verify(s.sb); err != nil {
+		t.Fatal(err)
+	}
 	// The shadow's post-replay state must equal the model's final state.
 	gotState, err := difftest.DumpState(s)
 	if err != nil {
@@ -206,7 +207,7 @@ func TestShadowReplayConstrainedReproducesState(t *testing.T) {
 	}
 	// Descriptor tables must agree too.
 	wantFDs := m.OpenFDs()
-	gotFDs := res.Manifest.FDs
+	gotFDs := res.Image.FDs
 	if len(wantFDs) != len(gotFDs) {
 		t.Fatalf("fd tables differ: shadow %d, model %d", len(gotFDs), len(wantFDs))
 	}
@@ -274,25 +275,24 @@ func TestShadowOverlayBecomesStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := res.Manifest
-	blocks, isMeta := foldStream(t, res.Chunks, m)
-	if len(blocks) == 0 {
-		t.Fatal("stream has no blocks")
+	im := res.Image
+	if err := im.Verify(s.sb); err != nil {
+		t.Fatal(err)
 	}
-	if len(m.FDs) != 1 || m.FDs[0].FD != fd {
-		t.Errorf("manifest fds = %+v", m.FDs)
+	if len(im.FDs) != 1 || im.FDs[0].FD != fd {
+		t.Errorf("image fds = %+v", im.FDs)
 	}
 	// At least one metadata block (inode table / bitmap) and one data block.
 	meta, data := 0, 0
-	for blk := range blocks {
-		if isMeta[blk] {
+	for _, b := range im.Blocks {
+		if b.Meta {
 			meta++
 		} else {
 			data++
 		}
 	}
 	if meta == 0 || data == 0 {
-		t.Errorf("stream block mix: %d meta, %d data", meta, data)
+		t.Errorf("image block mix: %d meta, %d data", meta, data)
 	}
 }
 
@@ -305,34 +305,4 @@ func TestShadowChecksCountGrows(t *testing.T) {
 	if s.ChecksRun() <= before {
 		t.Error("runtime checks did not increase across operations")
 	}
-}
-
-// foldStream verifies a chunk stream against its manifest the way the base
-// does on absorb (each chunk's seal, index order, the manifest's chain) and
-// folds it into the block images the base would hold afterwards: a later
-// chunk overrides an earlier one, a freed block is retracted.
-func foldStream(t *testing.T, chunks []*handoff.Chunk, m *handoff.Manifest) (blocks map[uint32][]byte, meta map[uint32]bool) {
-	t.Helper()
-	blocks, meta = map[uint32][]byte{}, map[uint32]bool{}
-	sums := make([]uint32, 0, len(chunks))
-	for i, c := range chunks {
-		if err := c.Verify(); err != nil {
-			t.Fatal(err)
-		}
-		if c.Index != i {
-			t.Fatalf("chunk at position %d has index %d", i, c.Index)
-		}
-		for blk, data := range c.Blocks {
-			blocks[blk], meta[blk] = data, c.Meta[blk]
-		}
-		for _, blk := range c.Freed {
-			delete(blocks, blk)
-			delete(meta, blk)
-		}
-		sums = append(sums, c.Sum)
-	}
-	if err := m.Verify(sums); err != nil {
-		t.Fatal(err)
-	}
-	return blocks, meta
 }

@@ -226,13 +226,13 @@ func TestShrinkKeepsNonReproducing(t *testing.T) {
 	}
 }
 
-// TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb pins what the campaign
+// TestFaultCaseConfigRunsScopedCheckAndImageAbsorb pins what the campaign
 // covers since its supervisor became the production engine: two faults in
 // one mounted case, the second after a durable point, so the second recovery
 // runs over a verified baseline. It must run the region-scoped check and
-// install a 300-op gap through AbsorbChunk/AbsorbManifest, and the result
-// must equal the specification.
-func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
+// install a 300-op gap through one AbsorbImage call, and the result must
+// equal the specification.
+func TestFaultCaseConfigRunsScopedCheckAndImageAbsorb(t *testing.T) {
 	sb, err := geometry()
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestFaultCaseConfigRunsScopedCheckAndStreamedAbsorb(t *testing.T) {
 		t.Errorf("replayed %d ops, want the whole %d-op gap", st.OpsReplayed, gap)
 	}
 	if ph := st.Phases[1]; ph.Absorb <= 0 {
-		t.Errorf("second hand-off: Absorb=%v, want the stream absorbed on the recovering goroutine", ph.Absorb)
+		t.Errorf("second hand-off: Absorb=%v, want the image absorbed on the recovering goroutine", ph.Absorb)
 	}
 	got, err := difftest.DumpState(fs)
 	if err != nil {
