@@ -10,6 +10,7 @@
 //	fsstats -file snapshot.json -json     re-emit the snapshot as JSON
 //	fsstats -merge a.json b.json ...      merge snapshots into one fleet rollup
 //	fsstats -demo [-ops N] [-seed S]      run a workload, print its snapshot
+//	                                      and its last recovery's stage table
 //	fsstats -demo -listen :8080           ...and serve /stats until interrupted
 //
 // -merge is the fleet path: N per-volume snapshots (one per tenant, as the

@@ -89,26 +89,11 @@ func main() {
 	fmt.Printf("descriptors invalidated: %d\n", st.FDsInvalidated)
 	fmt.Printf("total recovery downtime: %v\n", st.TotalDowntime)
 	if traces := sink.RecoveryTraces(); len(traces) > 0 {
-		fmt.Printf("\nper-phase recovery traces (%d masked firing(s)):\n", len(traces))
+		fmt.Printf("\nrecovery records (%d), stages in the order they run, summing to wall:\n", len(traces))
 		for _, tr := range traces {
 			fmt.Println()
 			telemetry.WriteTraceTable(os.Stdout, tr)
 		}
-	}
-	snap := sink.Snapshot()
-	printedHeader := false
-	for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
-		"install", "resume", "wall"} {
-		h, ok := snap.Histograms["recovery.stage."+stage+"_ns"]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		if !printedHeader {
-			fmt.Println("\nrecovery engine stages, run in order")
-			fmt.Println("(wall = plan + reboot + fsck + shadow_mount + replay + install + resume):")
-			printedHeader = true
-		}
-		fmt.Printf("  %-12s n=%-3d mean=%-12v max=%v\n", stage, h.Count, h.Mean, h.Max)
 	}
 	if evs := sink.Events(); len(evs) > 0 {
 		fmt.Println("\nevent journal (last 10):")

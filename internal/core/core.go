@@ -122,14 +122,17 @@ func (c *Config) fill() {
 	c.Base.Telemetry = c.Telemetry
 }
 
-// RecoveryPhases breaks one recovery's latency into stages that partition
-// its wall clock. The recovering goroutine runs them in order, so
+// RecoveryPhases is one recovery's record: its latency split into the
+// seven stages of the paper's procedure. Every recovery appends one, in
+// every mode and with every outcome. The stages are laps of one stopwatch,
+// the only clock a recovery reads, so
 //
 //	Wall = Plan + Reboot + Fsck + ShadowMount + Replay + Absorb + Resume
 //
-// exactly: each phase boundary is one clock reading that ends one phase and
-// starts the next, so bookkeeping between two phases counts in the one that
-// follows.
+// exactly: each stage boundary is one clock reading that ends one stage and
+// starts the next, so bookkeeping between two stages counts in the one that
+// follows. A stage a recovery never ran (a baseline mode, an early degrade)
+// reads zero.
 type RecoveryPhases struct {
 	Plan        time.Duration // fence, kill, freeze the recovery input and the shadow's view
 	Reboot      time.Duration // journal replay + fresh mount
@@ -142,14 +145,19 @@ type RecoveryPhases struct {
 	Wall time.Duration
 }
 
-// Total returns the end-to-end recovery latency: the measured wall clock
-// when available, the stage sum otherwise (recoveries that
-// degraded before the end, and zero values).
-func (p RecoveryPhases) Total() time.Duration {
-	if p.Wall > 0 {
-		return p.Wall
+// spans names the stages, in execution order, for the recovery's trace and
+// its recovery.stage.<name>_ns histograms. This is the one place the stage
+// names are written.
+func (p RecoveryPhases) spans() []telemetry.Span {
+	return []telemetry.Span{
+		{Stage: "plan", Duration: p.Plan},
+		{Stage: "reboot", Duration: p.Reboot},
+		{Stage: "fsck", Duration: p.Fsck},
+		{Stage: "shadow_mount", Duration: p.ShadowMount},
+		{Stage: "replay", Duration: p.Replay},
+		{Stage: "absorb", Duration: p.Absorb},
+		{Stage: "resume", Duration: p.Resume},
 	}
-	return p.Plan + p.Reboot + p.Fsck + p.ShadowMount + p.Replay + p.Absorb + p.Resume
 }
 
 // Stats aggregates supervisor activity.
@@ -176,7 +184,7 @@ type Stats struct {
 	ScrubCorrupt   int64 // scrub passes that found corruption
 	TouchedBlocks  int   // blocks written since the last verified baseline
 	TotalDowntime  time.Duration
-	Phases         []RecoveryPhases
+	Phases         []RecoveryPhases // one record per recovery; TotalDowntime sums their Wall
 	PeakLogLen     int
 
 	// ForcedStablePoints counts the stable points the supervisor forced
@@ -204,7 +212,6 @@ type counters struct {
 	discrepancies  atomic.Int64
 	fsckFull       atomic.Int64
 	fsckScoped     atomic.Int64
-	downtimeNs     atomic.Int64
 }
 
 // fdStripes is the stripe count of the per-descriptor record locks; a power
@@ -385,7 +392,6 @@ func (r *FS) Stats() Stats {
 		ScrubPasses:    r.scrub.Passes(),
 		ScrubCorrupt:   r.scrub.CorruptPasses(),
 		TouchedBlocks:  r.touched.size(),
-		TotalDowntime:  time.Duration(r.cnt.downtimeNs.Load()),
 		PeakLogLen:     r.log.PeakLen(),
 
 		ForcedStablePoints: r.cnt.forcedStable.Load(),
@@ -393,6 +399,9 @@ func (r *FS) Stats() Stats {
 	r.postMu.Lock()
 	s.Phases = append([]RecoveryPhases(nil), r.phases...)
 	r.postMu.Unlock()
+	for _, ph := range s.Phases {
+		s.TotalDowntime += ph.Wall
+	}
 	return s
 }
 

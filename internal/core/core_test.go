@@ -436,7 +436,7 @@ func TestRecoveryPhasesRecorded(t *testing.T) {
 		t.Fatalf("phases = %d, want 1", len(st.Phases))
 	}
 	ph := st.Phases[0]
-	if ph.Total() <= 0 || ph.Reboot <= 0 || ph.Replay <= 0 {
+	if ph.Wall <= 0 || ph.Reboot <= 0 || ph.Replay <= 0 {
 		t.Errorf("phase breakdown = %+v", ph)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
@@ -13,14 +12,13 @@ import (
 	"repro/internal/journal"
 	"repro/internal/oplog"
 	"repro/internal/shadowfs"
-	"repro/internal/telemetry"
 )
 
 // The recovery engine. raeRecover runs the paper's procedure (§3.2) as one
 // straight line on the recovering goroutine, each stage starting when the
 // one before it has returned:
 //
-//	plan → reboot → check → shadow mount → replay → install → resume
+//	plan → reboot → check → shadow mount → replay → absorb → resume
 //
 // The plan freezes the shadow's input while the device is quiescent: the
 // recorded gap and a read-only view of the device — the raw device overlaid
@@ -177,35 +175,21 @@ func (r *FS) fsckTrust(p *recoveryPlan, ok bool) {
 	r.scrubTripped.Store(false)
 }
 
-// stopwatch splits one goroutine's time into consecutive phases. Each lap
-// takes one clock reading that ends the running phase and starts the next,
-// so the laps partition the time since the start: nothing between two
-// phases goes unclocked.
-type stopwatch struct{ last time.Time }
-
-// lap returns the time since the previous reading and restarts the clock.
-func (w *stopwatch) lap() time.Duration {
-	now := time.Now()
-	d := now.Sub(w.last)
-	w.last = now
-	return d
-}
-
 // runReplayStage checks the frozen view, mounts a fresh shadow over it and
-// replays the recorded gap, laps of w clocking each step into ph. The check
-// gates the replay. Returns the shadow's result, nil if the replay never
-// ran; an error names the step that failed.
-func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, ph *RecoveryPhases) (res *shadowfs.ReplayResult, err error) {
+// replays the recorded gap, lapping rc's stopwatch after each step. The
+// check gates the replay. Returns the shadow's result, nil if the replay
+// never ran; an error names the step that failed.
+func (r *FS) runReplayStage(p *recoveryPlan, rc *recovery) (res *shadowfs.ReplayResult, err error) {
 	frep := p.check()
 	r.noteFsck(frep)
-	ph.Fsck = w.lap()
+	rc.lap(&rc.ph.Fsck)
 	if err := frep.Err(); err != nil {
 		return nil, fmt.Errorf("shadow fsck: %w", err)
 	}
 	// The plan's check owns image validation; the shadow mount never
 	// duplicates it.
 	sh, err := shadowfs.New(p.view, shadowfs.Options{SkipFsck: true})
-	ph.ShadowMount = w.lap()
+	rc.lap(&rc.ph.ShadowMount)
 	if err != nil {
 		return nil, fmt.Errorf("shadow mount: %w", err)
 	}
@@ -224,72 +208,50 @@ func (r *FS) runReplayStage(p *recoveryPlan, w *stopwatch, ph *RecoveryPhases) (
 			InFlight: p.inFlight, StopOnDiscrepancy: r.cfg.StopOnDiscrepancy,
 		})
 	}()
-	ph.Replay = w.lap()
+	rc.lap(&rc.ph.Replay)
 	if err != nil {
 		return res, fmt.Errorf("shadow replay: %w", err)
 	}
 	return res, nil
 }
 
-// observeStage records one engine stage's duration in the per-stage
-// histogram family.
-func (r *FS) observeStage(name string, d time.Duration) {
-	r.tel.Histogram("recovery.stage." + name + "_ns").Observe(d)
-}
-
 // raeRecover is the paper's recovery procedure (§3.2): contained reboot,
 // check, shadow re-execution, hand-off, resume. Returns the trace outcome
-// ("recovered", "degraded", or "failed").
-//
-// The phases are laps of one stopwatch, so they partition the wall clock
-// exactly: telemetry and counters between two clocked regions belong to the
-// phase that follows the last reading.
-func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
-	wall0 := time.Now()
-	w := &stopwatch{last: wall0}
-	var ph RecoveryPhases
-
+// ("recovered", "degraded", or "failed"). It laps rc's stopwatch at each
+// stage boundary up to absorb; recoverFrom's last lap closes resume.
+func (r *FS) raeRecover(rc *recovery, inflight *oplog.Op) string {
 	// Fence the faulty instance, kill it, and freeze the plan while the
 	// device is quiescent.
-	tr.BeginPhase(telemetry.PhaseFence)
 	r.fence.Load().raise()
 	r.base.Load().Kill()
 	plan := r.planRecovery(inflight)
-	ph.Plan = w.lap()
-	r.observeStage("plan", ph.Plan)
+	rc.lap(&rc.ph.Plan)
 
 	// Contained reboot: fresh instance from trusted on-disk state (journal
 	// replay inside Mount).
-	tr.BeginPhase(telemetry.PhaseReboot)
 	newBase, newFence, err := r.mountBase()
-	ph.Reboot = w.lap()
-	r.observeStage("reboot", ph.Reboot)
+	rc.lap(&rc.ph.Reboot)
 	if err != nil {
 		// The device itself is unusable; nothing recovers this.
 		r.fsckTrust(plan, false)
 		r.tel.Event("degrade", "recovery failed: remount: %v", err)
 		r.failOp(inflight)
 		r.cnt.degradations.Add(1)
-		r.addPhases(ph)
 		return "failed"
 	}
 	if plan.err != nil {
 		r.fsckTrust(plan, false)
-		return r.degrade(newBase, newFence, inflight, ph, plan.errWhat+": %v", plan.err)
+		return r.degrade(newBase, newFence, inflight, plan.errWhat+": %v", plan.err)
 	}
 
-	tr.BeginPhase(telemetry.PhaseShadowExec)
-	res, err := r.runReplayStage(plan, w, &ph)
-	r.observeStage("fsck", ph.Fsck)
-	r.observeStage("shadow_mount", ph.ShadowMount)
-	r.observeStage("replay", ph.Replay)
+	res, err := r.runReplayStage(plan, rc)
 	if res != nil {
+		rc.opsReplayed = res.OpsReplayed
 		r.cnt.opsReplayed.Add(int64(res.OpsReplayed))
 		r.cnt.discrepancies.Add(int64(len(res.Discrepancies)))
 		r.postMu.Lock()
 		r.lastDisc = res.Discrepancies
 		r.postMu.Unlock()
-		tr.SetOpsReplayed(res.OpsReplayed)
 		for _, d := range res.Discrepancies {
 			r.tel.Event("discrepancy", "%s", d.String())
 		}
@@ -299,24 +261,21 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		// StopOnDiscrepancy, or a shadow bug): degrade loudly. The fresh
 		// base has absorbed nothing yet.
 		r.fsckTrust(plan, false)
-		return r.degrade(newBase, newFence, inflight, ph, "%v", err)
+		return r.degrade(newBase, newFence, inflight, "%v", err)
 	}
 
 	// Hand-off: the base verifies and absorbs the sealed image.
-	tr.BeginPhase(telemetry.PhaseHandoff)
 	err = newBase.AbsorbImage(res.Image)
-	ph.Absorb = w.lap()
+	rc.lap(&rc.ph.Absorb)
 	if err != nil {
 		r.fsckTrust(plan, false)
-		return r.degradeDirty(newBase, newFence, inflight, ph, err)
+		return r.degradeDirty(newBase, newFence, inflight, err)
 	}
-	r.observeStage("install", ph.Absorb)
 	r.base.Store(newBase)
 	r.fence.Store(newFence)
 
 	// Resume: answer the in-flight operation and keep the log coherent.
 	// Recorded operations stay in the log — they are still not durable.
-	tr.BeginPhase(telemetry.PhaseResume)
 	if inflight != nil {
 		switch {
 		case plan.deferredSync:
@@ -360,21 +319,16 @@ func (r *FS) raeRecover(tr *telemetry.Trace, inflight *oplog.Op) string {
 		}
 	}
 	r.fsckTrust(plan, true)
-
-	ph.Resume = w.lap()
-	ph.Wall = w.last.Sub(wall0)
-	r.observeStage("resume", ph.Resume)
-	r.observeStage("wall", ph.Wall)
-	r.addPhases(ph)
 	return "recovered"
 }
 
 // degradeDirty degrades to crash-restart semantics after a failed absorb,
-// first discarding the fresh base: it may hold a prefix of the stream
-// without its manifest, which is unverified state, so the instance is killed
-// and a clean one mounted before the degrade bookkeeping runs.
+// first discarding the fresh base: AbsorbImage may have verified the image
+// and installed its blocks before restoring the descriptor table failed,
+// which leaves state no check vouches for, so the instance is killed and a
+// clean one mounted before the degrade bookkeeping runs.
 func (r *FS) degradeDirty(newBase *basefs.FS, newFence *fencedDevice,
-	inflight *oplog.Op, ph RecoveryPhases, cause error) string {
+	inflight *oplog.Op, cause error) string {
 	newFence.raise()
 	newBase.Kill()
 	newBase, newFence, err := r.mountBase()
@@ -382,8 +336,7 @@ func (r *FS) degradeDirty(newBase *basefs.FS, newFence *fencedDevice,
 		r.cnt.degradations.Add(1)
 		r.tel.Event("degrade", "recovery failed after partial absorb: remount: %v", err)
 		r.failOp(inflight)
-		r.addPhases(ph)
 		return "failed"
 	}
-	return r.degrade(newBase, newFence, inflight, ph, "%v", cause)
+	return r.degrade(newBase, newFence, inflight, "%v", cause)
 }

@@ -67,7 +67,7 @@ func TestBackToBackFaultsCheckAndReplayWholeGap(t *testing.T) {
 		}
 		snap := sink.Snapshot()
 		for _, h := range []string{"recovery.stage.plan_ns", "recovery.stage.reboot_ns", "recovery.stage.fsck_ns",
-			"recovery.stage.replay_ns", "recovery.stage.install_ns", "recovery.stage.wall_ns"} {
+			"recovery.stage.replay_ns", "recovery.stage.absorb_ns", "recovery.stage.wall_ns"} {
 			if n := snap.Histograms[h].Count; n != 2 {
 				t.Errorf("%s observed %d recoveries, want 2", h, n)
 			}

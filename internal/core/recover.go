@@ -16,39 +16,61 @@ import (
 // application has not seen (nil for probes with no replayable form); on
 // return its outcome fields carry the answer the application gets.
 //
-// Every recovery produces one telemetry trace spanning the six canonical
-// phases (detect → fence → reboot → shadow-exec → handoff → resume); phases
-// a strategy never enters appear with zero duration.
+// Every recovery, in every mode and with every outcome, ends in one record.
+// Its stopwatch starts here and is the only clock the recovery reads: the
+// strategy laps it at each stage boundary, and whatever runs after its last
+// lap is resume. The finished record is appended to Stats().Phases and
+// filed with the telemetry sink as the recovery's trace.
 func (r *FS) recoverFrom(flt *fault, inflight *oplog.Op) {
 	r.recovering.Store(true)
 	defer r.recovering.Store(false)
 	r.cnt.recoveries.Add(1)
 	r.extFault = flt.external
 	defer func() { r.extFault = false }()
-	tr := r.tel.StartRecovery(flt.kind, r.cfg.Mode.String(), r.log.Len())
 	r.tel.Counter("recovery.trigger." + flt.kind).Inc()
-	t0 := time.Now()
+	logLen := r.log.Len()
+	start := time.Now()
+	rc := &recovery{last: start}
 	var outcome string
 	switch r.cfg.Mode {
 	case ModeCrashRestart:
-		outcome = r.crashRestart(tr, inflight)
+		outcome = r.crashRestart(rc, inflight)
 	case ModeNaiveReplay:
-		outcome = r.naiveReplay(tr, inflight)
+		outcome = r.naiveReplay(rc, inflight)
 	default:
-		outcome = r.raeRecover(tr, inflight)
+		outcome = r.raeRecover(rc, inflight)
 	}
-	tr.Finish(outcome)
-	r.cnt.downtimeNs.Add(int64(time.Since(t0)))
+	rc.lap(&rc.ph.Resume)
+	rc.ph.Wall = rc.last.Sub(start)
+	r.postMu.Lock()
+	r.phases = append(r.phases, rc.ph)
+	r.postMu.Unlock()
+	r.tel.RecordRecovery(telemetry.TraceSnapshot{
+		Trigger: flt.kind, Mode: r.cfg.Mode.String(), LogLen: logLen,
+		OpsReplayed: rc.opsReplayed, Outcome: outcome,
+		Start: start, Wall: rc.ph.Wall, Spans: rc.ph.spans(),
+	})
 	// Every WARN emitted up to here has been consumed by this recovery: the
 	// faulty instance is gone and the pre-persist barrier starts fresh.
 	r.warnsHandled.Store(r.warns.n.Load())
 }
 
-// addPhases appends one recovery's phase breakdown to the post-mortem list.
-func (r *FS) addPhases(ph RecoveryPhases) {
-	r.postMu.Lock()
-	r.phases = append(r.phases, ph)
-	r.postMu.Unlock()
+// recovery is one recovery's record under construction. Each lap takes one
+// clock reading that ends the running stage, charging its time to the named
+// field, and starts the next, so the laps partition the time since the
+// recovery began: nothing between two stages goes unclocked. A stage lapped
+// more than once (naive replay's attempts) accumulates.
+type recovery struct {
+	last        time.Time
+	ph          RecoveryPhases
+	opsReplayed int
+}
+
+// lap ends the running stage, adding its time to *stage.
+func (rc *recovery) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(rc.last)
+	rc.last = now
 }
 
 // raeRecover — the paper's recovery procedure — lives in pipeline.go.
@@ -60,31 +82,29 @@ func (r *FS) addPhases(ph RecoveryPhases) {
 // failure is explicit, never silent. The reason is journaled as a "degrade"
 // event so post-mortems can tell which recovery step gave up.
 func (r *FS) degrade(newBase *basefs.FS, newFence *fencedDevice, inflight *oplog.Op,
-	ph RecoveryPhases, reasonFormat string, args ...any) string {
+	reasonFormat string, args ...any) string {
 	r.cnt.degradations.Add(1)
 	r.tel.Event("degrade", "recovery degraded to crash-restart: "+reasonFormat, args...)
 	r.base.Store(newBase)
 	r.fence.Store(newFence)
 	r.finishCrashRestart(inflight)
-	r.addPhases(ph)
 	return "degraded"
 }
 
 // crashRestart implements the status-quo baseline: remount from disk and
-// surface the failure.
-func (r *FS) crashRestart(tr *telemetry.Trace, inflight *oplog.Op) string {
-	tr.BeginPhase(telemetry.PhaseFence)
+// surface the failure. It runs plan (fence and kill), reboot and resume.
+func (r *FS) crashRestart(rc *recovery, inflight *oplog.Op) string {
 	r.fence.Load().raise()
-	tr.BeginPhase(telemetry.PhaseReboot)
 	r.base.Load().Kill()
+	rc.lap(&rc.ph.Plan)
 	newBase, newFence, err := r.mountBase()
+	rc.lap(&rc.ph.Reboot)
 	if err != nil {
 		r.failOp(inflight)
 		return "failed"
 	}
 	r.base.Store(newBase)
 	r.fence.Store(newFence)
-	tr.BeginPhase(telemetry.PhaseResume)
 	r.finishCrashRestart(inflight)
 	return "crash-restart"
 }
@@ -135,15 +155,17 @@ func (r *FS) failOp(inflight *oplog.Op) {
 // the recorded sequence on the base itself. Deterministic bugs in the
 // sequence re-fire on every attempt — the fundamental conflict between state
 // reconstruction and error avoidance (§2.2) — so after MaxReplayRetries the
-// baseline degrades to crash-restart.
-func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
+// baseline degrades to crash-restart. Each attempt runs plan (fence and
+// kill), reboot, replay and, for the in-flight op, resume; the stages of all
+// attempts add up in the one record.
+func (r *FS) naiveReplay(rc *recovery, inflight *oplog.Op) string {
 	ops, fds, _ := r.log.Snapshot()
 	for attempt := 0; attempt < r.cfg.MaxReplayRetries; attempt++ {
-		tr.BeginPhase(telemetry.PhaseFence)
 		r.fence.Load().raise()
-		tr.BeginPhase(telemetry.PhaseReboot)
 		r.base.Load().Kill()
+		rc.lap(&rc.ph.Plan)
 		newBase, newFence, err := r.mountBase()
+		rc.lap(&rc.ph.Reboot)
 		if err != nil {
 			r.failOp(inflight)
 			return "failed"
@@ -162,8 +184,6 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 		}
 		ok := true
 		base := r.base.Load()
-		tr.BeginPhase(telemetry.PhaseShadowExec)
-		tr.Note("naive replay on base, attempt %d", attempt+1)
 		for _, rec := range ops {
 			c := call{op: *rec}
 			c.reset()
@@ -172,15 +192,16 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 				break
 			}
 		}
+		rc.lap(&rc.ph.Replay)
 		if !ok {
 			continue
 		}
 		// Replay succeeded (transient fault): run the in-flight op.
-		tr.SetOpsReplayed(len(ops))
-		tr.BeginPhase(telemetry.PhaseResume)
+		rc.opsReplayed = len(ops)
 		if inflight != nil {
 			c := call{op: *inflight}
 			if flt := r.capture(base, &c); flt != nil {
+				rc.lap(&rc.ph.Resume)
 				continue
 			}
 			*inflight = c.op
@@ -192,16 +213,8 @@ func (r *FS) naiveReplay(tr *telemetry.Trace, inflight *oplog.Op) string {
 	r.cnt.degradations.Add(1)
 	r.tel.Event("degrade", "naive replay degraded to crash-restart after %d attempts",
 		r.cfg.MaxReplayRetries)
-	r.fence.Load().raise()
-	r.base.Load().Kill()
-	newBase, newFence, err := r.mountBase()
-	if err != nil {
-		r.failOp(inflight)
+	if r.crashRestart(rc, inflight) == "failed" {
 		return "failed"
 	}
-	r.base.Store(newBase)
-	r.fence.Store(newFence)
-	tr.BeginPhase(telemetry.PhaseResume)
-	r.finishCrashRestart(inflight)
 	return "degraded"
 }

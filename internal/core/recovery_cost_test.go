@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -174,46 +176,124 @@ func TestFirstRecoveryAllocationBounded(t *testing.T) {
 	}
 }
 
-// TestRecoveryStagesPartitionWall holds the stage clocks to the identity
-// RecoveryPhases documents, so a recovery's time is attributable from its
-// phases alone: no stage hides another's work and none is counted twice.
-// Each phase boundary is one clock reading, so the identity is exact, on a
-// loaded host as on an idle one, and on one core as on many.
+// TestRecoveryStagesPartitionWall holds every recovery, in every mode and
+// with every outcome, to the one record RecoveryPhases documents, so a
+// recovery's time is attributable from its stages alone: no stage hides
+// another's work, none is counted twice, a stage the recovery never ran
+// reads zero, and every reader of the record (Stats().Phases, the sink's
+// trace, the recovery.stage histograms, TotalDowntime) agrees. Each stage
+// boundary is one clock reading, so the identity is exact, on a loaded host
+// as on an idle one, and on one core as on many.
+//
+// Each case takes two faults on mkdir of a "boom" path, deterministic, so
+// the shadow masks both under RAE, naive replay re-fires until it degrades,
+// and RAE over a corrupted checkpointed image degrades at the check.
 func TestRecoveryStagesPartitionWall(t *testing.T) {
+	cases := []struct {
+		name    string
+		mode    Mode
+		corrupt bool // scribble on the checkpointed inode table first
+		outcome string
+		ran     []string // the stages this recovery runs; the others read zero
+	}{
+		{"rae", ModeRAE, false, "recovered",
+			[]string{"plan", "reboot", "fsck", "shadow_mount", "replay", "absorb", "resume"}},
+		{"crash-restart", ModeCrashRestart, false, "crash-restart", []string{"plan", "reboot", "resume"}},
+		{"naive-replay", ModeNaiveReplay, false, "degraded", []string{"plan", "reboot", "replay", "resume"}},
+		{"rae-degraded", ModeRAE, true, "degraded", []string{"plan", "reboot", "fsck", "resume"}},
+	}
 	forEachProcs(t, []int{1, 0}, func(t *testing.T) {
-		sink := telemetry.New()
-		fs, _, _ := newSupervised(t, Config{
-			Base:      basefs.Options{Injector: plantTwoFaults(5)},
-			Telemetry: sink,
-		})
-		applyTrace(fs, workload.Config{Profile: workload.MetaHeavy, Seed: 21, NumOps: 1200})
-		if err := fs.Mkdir("/boomA", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		st := fs.Stats()
-		if st.Recoveries != 1 || st.Degradations != 0 || len(st.Phases) != 1 {
-			t.Fatalf("want one clean recovery, stats = %+v", st)
-		}
-		ph := st.Phases[0]
-		t.Logf("%+v", ph)
-		for stage, d := range map[string]time.Duration{
-			"Plan": ph.Plan, "Reboot": ph.Reboot, "Fsck": ph.Fsck, "ShadowMount": ph.ShadowMount,
-			"Replay": ph.Replay, "Absorb": ph.Absorb, "Resume": ph.Resume,
-		} {
-			if d <= 0 {
-				t.Errorf("%s = %v, want a positive duration", stage, d)
-			}
-		}
-		if sum := ph.Plan + ph.Reboot + ph.Fsck + ph.ShadowMount + ph.Replay + ph.Absorb + ph.Resume; sum != ph.Wall {
-			t.Errorf("Plan+Reboot+Fsck+ShadowMount+Replay+Absorb+Resume = %v, Wall = %v: the phases do not partition the wall clock",
-				sum, ph.Wall)
-		}
-		snap := sink.Snapshot()
-		for _, stage := range []string{"plan", "reboot", "fsck", "shadow_mount", "replay",
-			"install", "resume", "wall"} {
-			if n := snap.Histograms["recovery.stage."+stage+"_ns"].Count; n != 1 {
-				t.Errorf("recovery.stage.%s_ns observed %d recoveries, want 1", stage, n)
-			}
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				reg := faultinject.NewRegistry(5)
+				reg.Arm(&faultinject.Specimen{
+					ID: "boom", Class: faultinject.Crash, Deterministic: true,
+					Prob: 1.0, Op: "mkdir", Point: "entry", PathSubstr: "boom",
+				})
+				sink := telemetry.New()
+				fs, dev, sb := newSupervised(t, Config{
+					Mode: tc.mode, Base: basefs.Options{Injector: reg}, Telemetry: sink,
+				})
+				if tc.corrupt {
+					fd, _ := fs.Create("/data", 0o644)
+					fs.WriteAt(fd, 0, []byte("x"))
+					fs.Close(fd)
+				}
+				applyTrace(fs, workload.Config{Profile: workload.MetaHeavy, Seed: 21, NumOps: 1200})
+				if tc.corrupt {
+					// The journal is checkpointed home and empty, so the
+					// reboot's replay cannot repair the scribble.
+					if err := fs.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					if err := fs.Base().Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					blk, off := sb.InodeLoc(2)
+					if err := dev.CorruptBlock(blk, off+8, 0xFF); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_ = fs.Mkdir("/boomA", 0o755)
+				_ = fs.Mkdir("/boomB", 0o755)
+
+				st := fs.Stats()
+				if st.Recoveries != 2 || int64(len(st.Phases)) != st.Recoveries {
+					t.Fatalf("recoveries = %d with %d records, want 2 and one record each", st.Recoveries, len(st.Phases))
+				}
+				wantDeg := int64(0)
+				if tc.outcome == "degraded" {
+					wantDeg = st.Recoveries
+				}
+				if st.Degradations != wantDeg {
+					t.Errorf("degradations = %d, want %d", st.Degradations, wantDeg)
+				}
+				traces := sink.RecoveryTraces()
+				if len(traces) != len(st.Phases) {
+					t.Fatalf("%d traces for %d records", len(traces), len(st.Phases))
+				}
+				ran := map[string]time.Duration{}
+				var downtime time.Duration
+				for i, ph := range st.Phases {
+					t.Logf("%+v", ph)
+					if sum := ph.Plan + ph.Reboot + ph.Fsck + ph.ShadowMount + ph.Replay + ph.Absorb + ph.Resume; sum != ph.Wall || ph.Wall <= 0 {
+						t.Errorf("record %d: Plan+Reboot+Fsck+ShadowMount+Replay+Absorb+Resume = %v, Wall = %v: the stages do not partition the wall clock",
+							i, sum, ph.Wall)
+					}
+					downtime += ph.Wall
+					for _, sp := range ph.spans() {
+						if slices.Contains(tc.ran, sp.Stage) {
+							ran[sp.Stage] += sp.Duration
+						} else if sp.Duration != 0 {
+							t.Errorf("record %d: %s = %v in a recovery that never runs it", i, sp.Stage, sp.Duration)
+						}
+					}
+					tr := traces[i]
+					if !reflect.DeepEqual(tr.Spans, ph.spans()) || tr.Wall != ph.Wall {
+						t.Errorf("trace %d = %v wall %v, want the record's stages %v wall %v", tr.ID, tr.Spans, tr.Wall, ph.spans(), ph.Wall)
+					}
+					if tr.Trigger != "panic" || tr.Mode != tc.mode.String() || tr.Outcome != tc.outcome {
+						t.Errorf("trace %d = %s/%s/%s, want panic/%s/%s", tr.ID, tr.Trigger, tr.Mode, tr.Outcome, tc.mode, tc.outcome)
+					}
+				}
+				for _, stage := range tc.ran {
+					if ran[stage] <= 0 {
+						t.Errorf("%s = %v over the recoveries, want a positive duration", stage, ran[stage])
+					}
+				}
+				if st.TotalDowntime != downtime {
+					t.Errorf("TotalDowntime = %v, want the records' Wall summed, %v", st.TotalDowntime, downtime)
+				}
+				snap := sink.Snapshot()
+				for _, sp := range append(RecoveryPhases{}.spans(), telemetry.Span{Stage: "wall"}) {
+					if n := snap.Histograms["recovery.stage."+sp.Stage+"_ns"].Count; n != st.Recoveries {
+						t.Errorf("recovery.stage.%s_ns observed %d recoveries, want %d", sp.Stage, n, st.Recoveries)
+					}
+				}
+				if got := snap.Counters["recovery.trigger.panic"]; got != st.Recoveries {
+					t.Errorf("recovery.trigger.panic = %d, want %d", got, st.Recoveries)
+				}
+			})
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/basefs"
 	"repro/internal/blockdev"
@@ -27,11 +28,12 @@ func mountTelemetry(t *testing.T, cfg Config) (*FS, *telemetry.Sink) {
 	return fs, sink
 }
 
-// TestRecoveryTraceSixPhases is the tentpole acceptance check: every
-// recovery the supervisor performs — in every mode — must produce a
-// telemetry trace containing all six canonical phases with non-negative
-// durations.
-func TestRecoveryTraceSixPhases(t *testing.T) {
+// TestRecoveryTraceStages checks that every recovery the supervisor
+// performs, in every mode, leaves one telemetry trace that names its
+// trigger, mode and outcome and carries every stage of RecoveryPhases in
+// execution order, with non-negative durations that sum to its Wall.
+func TestRecoveryTraceStages(t *testing.T) {
+	stages := RecoveryPhases{}.spans()
 	for _, mode := range []Mode{ModeRAE, ModeCrashRestart, ModeNaiveReplay} {
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := faultinject.NewRegistry(1)
@@ -64,33 +66,29 @@ func TestRecoveryTraceSixPhases(t *testing.T) {
 			if len(traces) != 2 {
 				t.Fatalf("retained traces = %d, want 2", len(traces))
 			}
+			wantOutcome := map[Mode]string{
+				ModeRAE: "recovered", ModeCrashRestart: "crash-restart", ModeNaiveReplay: "degraded",
+			}[mode]
 			for _, tr := range traces {
-				if tr.Trigger != "panic" {
-					t.Errorf("trace %d trigger = %q, want panic", tr.ID, tr.Trigger)
+				if tr.Trigger != "panic" || tr.Mode != mode.String() || tr.Outcome != wantOutcome {
+					t.Errorf("trace %d = %s/%s/%s, want panic/%s/%s", tr.ID, tr.Trigger, tr.Mode, tr.Outcome, mode, wantOutcome)
 				}
-				if tr.Mode != mode.String() {
-					t.Errorf("trace %d mode = %q, want %q", tr.ID, tr.Mode, mode)
+				if len(tr.Spans) != len(stages) {
+					t.Fatalf("trace %d has %d spans, want %d", tr.ID, len(tr.Spans), len(stages))
 				}
-				if len(tr.Spans) != len(telemetry.Phases()) {
-					t.Fatalf("trace %d has %d spans, want %d", tr.ID, len(tr.Spans), len(telemetry.Phases()))
-				}
-				for i, want := range telemetry.Phases() {
+				var sum time.Duration
+				for i, want := range stages {
 					sp := tr.Spans[i]
-					if sp.Phase != want {
-						t.Errorf("trace %d span %d = %q, want %q", tr.ID, i, sp.Phase, want)
+					if sp.Stage != want.Stage {
+						t.Errorf("trace %d span %d = %q, want %q", tr.ID, i, sp.Stage, want.Stage)
 					}
 					if sp.Duration < 0 {
-						t.Errorf("trace %d phase %q duration %v < 0", tr.ID, sp.Phase, sp.Duration)
+						t.Errorf("trace %d stage %q duration %v < 0", tr.ID, sp.Stage, sp.Duration)
 					}
+					sum += sp.Duration
 				}
-				if tr.Total <= 0 {
-					t.Errorf("trace %d total = %v, want > 0", tr.ID, tr.Total)
-				}
-				wantOutcome := map[Mode]string{
-					ModeRAE: "recovered", ModeCrashRestart: "crash-restart", ModeNaiveReplay: "degraded",
-				}[mode]
-				if tr.Outcome != wantOutcome {
-					t.Errorf("trace %d outcome = %q, want %q", tr.ID, tr.Outcome, wantOutcome)
+				if tr.Wall <= 0 || sum != tr.Wall {
+					t.Errorf("trace %d: stages sum to %v, wall = %v, want a positive wall they sum to", tr.ID, sum, tr.Wall)
 				}
 			}
 			if got := sink.Counter("recovery.trigger.panic").Value(); got != 2 {
@@ -200,8 +198,12 @@ func TestTelemetryConcurrentWorkload(t *testing.T) {
 		t.Errorf("recovery.trigger.panic = %d, want %d", got, st.Recoveries)
 	}
 	for _, tr := range sink.RecoveryTraces() {
-		if len(tr.Spans) != len(telemetry.Phases()) {
-			t.Fatalf("trace %d has %d spans", tr.ID, len(tr.Spans))
+		var sum time.Duration
+		for _, sp := range tr.Spans {
+			sum += sp.Duration
+		}
+		if len(tr.Spans) != len(RecoveryPhases{}.spans()) || sum != tr.Wall {
+			t.Fatalf("trace %d has %d spans summing to %v, wall %v", tr.ID, len(tr.Spans), sum, tr.Wall)
 		}
 	}
 	snap := sink.Snapshot()

@@ -177,18 +177,14 @@ func MergeHist(a, b HistSnapshot) HistSnapshot {
 	return m
 }
 
-// WriteTraceTable renders one recovery trace as an aligned per-phase table
-// (phase, duration, note), the format cmd/raedemo prints after each masked
-// bug.
+// WriteTraceTable renders one recovery record as an aligned table: one row
+// per stage, in execution order, then the wall time the stages sum to. It is
+// the format cmd/raedemo and cmd/fsstats -demo print.
 func WriteTraceTable(w io.Writer, t TraceSnapshot) {
 	fmt.Fprintf(w, "  recovery #%d: trigger=%s mode=%s log=%d ops, replayed=%d, outcome=%s\n",
 		t.ID, t.Trigger, t.Mode, t.LogLen, t.OpsReplayed, t.Outcome)
 	for _, sp := range t.Spans {
-		note := ""
-		if sp.Note != "" {
-			note = "  (" + sp.Note + ")"
-		}
-		fmt.Fprintf(w, "    %-12s %12v%s\n", sp.Phase, sp.Duration, note)
+		fmt.Fprintf(w, "    %-12s %12v\n", sp.Stage, sp.Duration)
 	}
-	fmt.Fprintf(w, "    %-12s %12v\n", "total", t.Total)
+	fmt.Fprintf(w, "    %-12s %12v\n", "wall", t.Wall)
 }

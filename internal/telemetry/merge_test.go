@@ -84,11 +84,9 @@ func TestMergeHistExact(t *testing.T) {
 // TestMergeRecoveries: traces concatenate in start-time order.
 func TestMergeRecoveries(t *testing.T) {
 	a := New()
-	tr := a.StartRecovery("panic", "rae", 1)
-	tr.Finish("recovered")
+	a.RecordRecovery(testRecord(1, "recovered"))
 	b := New()
-	tr2 := b.StartRecovery("warn", "rae", 2)
-	tr2.Finish("recovered")
+	b.RecordRecovery(testRecord(2, "recovered"))
 
 	m := Merge(a.Snapshot(), b.Snapshot())
 	if len(m.Recoveries) != 2 {

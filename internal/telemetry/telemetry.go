@@ -2,18 +2,18 @@
 // through every layer of the repository: sharded atomic counters and gauges,
 // log2-bucketed latency histograms, a bounded ring-buffer event journal for
 // WARNs / contained panics / fault-injection firings / recovery outcomes,
-// and a recovery tracer that emits one span per phase of every recovery
-// (detect → fence → reboot → shadow-exec → handoff → resume).
+// and a bounded ring of finished recovery records (RecordRecovery), each
+// with one span per recovery stage as the supervisor clocked it.
 //
 // The paper's central claims are quantitative — common-case performance is
 // the base's (§2.3), recovery latency is linear in op-log length (§4.3) —
 // and this package makes those numbers visible from the running system
 // rather than only from one-shot experiment harnesses: cmd/fsstats dumps a
-// snapshot from a live or completed run, and cmd/raedemo prints the
-// per-phase trace of every masked bug.
+// snapshot from a live or completed run, and cmd/raedemo prints the stage
+// table of every recovery.
 //
-// Cost model: every instrument type (*Sink, *Counter, *Gauge, *Histogram,
-// *Trace) is nil-safe, so a disabled instrumentation point is a single
+// Cost model: every instrument type (*Sink, *Counter, *Gauge, *Histogram)
+// is nil-safe, so a disabled instrumentation point is a single
 // pointer check — no clock reads, no allocation, no atomics. Instrumented
 // layers resolve named instruments once at construction and hold the
 // (possibly nil) pointers.
@@ -145,14 +145,6 @@ func (s *Sink) LastRecoveryTrace() (TraceSnapshot, bool) {
 		return TraceSnapshot{}, false
 	}
 	return s.traces.last()
-}
-
-// retainTrace stores a completed trace in the bounded ring.
-func (s *Sink) retainTrace(t TraceSnapshot) {
-	if s == nil {
-		return
-	}
-	s.traces.retain(t)
 }
 
 // Reset zeroes every registered instrument in place (handed-out pointers

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -146,53 +147,50 @@ func TestEventRingBounds(t *testing.T) {
 	}
 }
 
-func TestTraceSixPhases(t *testing.T) {
+// testRecord is a finished recovery record with two stages that sum to
+// its wall time, as the supervisor files one.
+func testRecord(logLen int, outcome string) TraceSnapshot {
+	return TraceSnapshot{
+		Trigger: "panic", Mode: "rae", LogLen: logLen, OpsReplayed: logLen + 1,
+		Outcome: outcome, Start: time.Now(), Wall: 5 * time.Millisecond,
+		Spans: []Span{{Stage: "reboot", Duration: 2 * time.Millisecond}, {Stage: "replay", Duration: 3 * time.Millisecond}},
+	}
+}
+
+// TestRecordRecovery: a filed record is numbered and retained as given, and
+// feeds one observation per span to recovery.stage.<stage>_ns, one to
+// recovery.stage.wall_ns, the outcome counter and the event journal.
+func TestRecordRecovery(t *testing.T) {
 	s := New()
-	tr := s.StartRecovery("panic", "rae", 7)
-	tr.BeginPhase(PhaseFence)
-	tr.BeginPhase(PhaseReboot)
-	// Skip shadow-exec and handoff entirely: Finish must zero-pad them.
-	tr.BeginPhase(PhaseResume)
-	tr.SetOpsReplayed(8)
-	tr.Finish("recovered")
-	tr.Finish("recovered") // second Finish is a no-op
+	rec := testRecord(7, "recovered")
+	s.RecordRecovery(rec)
 
 	snap, ok := s.LastRecoveryTrace()
 	if !ok {
 		t.Fatal("no trace retained")
 	}
-	want := Phases()
-	if len(snap.Spans) != len(want) {
-		t.Fatalf("spans = %d, want %d", len(snap.Spans), len(want))
+	rec.ID = 1
+	if !reflect.DeepEqual(snap, rec) {
+		t.Fatalf("retained %+v, want %+v", snap, rec)
 	}
-	for i, sp := range snap.Spans {
-		if sp.Phase != want[i] {
-			t.Fatalf("span %d = %q, want %q", i, sp.Phase, want[i])
+	hists := s.Snapshot().Histograms
+	for _, sp := range append(rec.Spans, Span{Stage: "wall", Duration: rec.Wall}) {
+		if h := hists["recovery.stage."+sp.Stage+"_ns"]; h.Count != 1 || h.Max != sp.Duration {
+			t.Errorf("recovery.stage.%s_ns = %d observations, max %v; want 1 of %v", sp.Stage, h.Count, h.Max, sp.Duration)
 		}
-		if sp.Duration < 0 {
-			t.Fatalf("span %q has negative duration %v", sp.Phase, sp.Duration)
-		}
-	}
-	if snap.Span(PhaseShadowExec).Duration != 0 || snap.Span(PhaseHandoff).Duration != 0 {
-		t.Fatal("skipped phases should be zero-padded")
-	}
-	if snap.Trigger != "panic" || snap.Mode != "rae" || snap.LogLen != 7 ||
-		snap.OpsReplayed != 8 || snap.Outcome != "recovered" {
-		t.Fatalf("trace metadata wrong: %+v", snap)
 	}
 	if s.Counter("recovery.outcome.recovered").Value() != 1 {
 		t.Fatal("outcome counter not incremented")
 	}
-	if h := s.Histogram("recovery.total").Snapshot(); h.Count != 1 {
-		t.Fatalf("recovery.total observations = %d, want 1", h.Count)
+	if evs := s.Events(); len(evs) != 1 || evs[0].Kind != "recovery" {
+		t.Fatalf("events = %v, want one recovery event", evs)
 	}
 }
 
 func TestTraceRingBounds(t *testing.T) {
 	s := New()
 	for i := 0; i < traceRingCap+10; i++ {
-		tr := s.StartRecovery("panic", "rae", i)
-		tr.Finish("recovered")
+		s.RecordRecovery(testRecord(i, "recovered"))
 	}
 	traces := s.RecoveryTraces()
 	if len(traces) != traceRingCap {
@@ -209,8 +207,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	s.Gauge("b.gauge").Set(-3)
 	s.Histogram("c.lat").Observe(time.Millisecond)
 	s.Event("warn", "something %s", "odd")
-	tr := s.StartRecovery("warn", "rae", 2)
-	tr.Finish("degraded")
+	s.RecordRecovery(testRecord(2, "degraded"))
 
 	var buf bytes.Buffer
 	if err := s.Snapshot().WriteJSON(&buf); err != nil {
@@ -265,14 +262,7 @@ func TestNilSafety(t *testing.T) {
 	if _, ok := s.LastRecoveryTrace(); ok {
 		t.Fatal("nil sink returned a trace")
 	}
-	tr := s.StartRecovery("panic", "rae", 0)
-	if tr != nil {
-		t.Fatal("nil sink returned non-nil trace")
-	}
-	tr.BeginPhase(PhaseFence)
-	tr.Note("detail %d", 1)
-	tr.SetOpsReplayed(3)
-	tr.Finish("recovered")
+	s.RecordRecovery(testRecord(0, "recovered"))
 	snap := s.Snapshot()
 	if len(snap.Counters) != 0 {
 		t.Fatal("nil sink snapshot has counters")
@@ -302,7 +292,7 @@ func TestReset(t *testing.T) {
 	s.Gauge("r.gauge").Set(4)
 	s.Histogram("r.lat").Observe(time.Millisecond)
 	s.Event("e", "one")
-	s.StartRecovery("panic", "rae", 0).Finish("recovered")
+	s.RecordRecovery(testRecord(0, "recovered"))
 
 	s.Reset()
 	if c.Value() != 0 {
@@ -348,10 +338,7 @@ func TestConcurrentHammer(t *testing.T) {
 					s.Event("hammer", "worker %d at %d", id, n)
 				}
 				if n%256 == 0 {
-					tr := s.StartRecovery("panic", "rae", n)
-					tr.BeginPhase(PhaseReboot)
-					tr.BeginPhase(PhaseShadowExec)
-					tr.Finish("recovered")
+					s.RecordRecovery(testRecord(n, "recovered"))
 				}
 			}
 		}(i)
@@ -371,9 +358,9 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	// Sanity: traces that completed have the canonical six-phase shape.
+	// Sanity: retained records keep the spans they were filed with.
 	for _, tr := range s.RecoveryTraces() {
-		if len(tr.Spans) != len(Phases()) {
+		if len(tr.Spans) != 2 {
 			t.Fatalf("trace %d has %d spans", tr.ID, len(tr.Spans))
 		}
 	}

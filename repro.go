@@ -98,19 +98,15 @@ type Telemetry = telemetry.Sink
 // and recovery traces, serializable as JSON or human-readable text.
 type TelemetrySnapshot = telemetry.Snapshot
 
-// RecoveryTrace is one completed recovery's per-phase breakdown: one span
-// for each of the six canonical phases (detect, fence, reboot, shadow-exec,
-// handoff, resume), the trigger class, the op-log length at detection, and
-// the outcome.
+// RecoveryTrace is one finished recovery record: one span for each of the
+// supervisor's seven stages in execution order, summing exactly to its
+// Wall, with the trigger class, the op-log length at detection, and the
+// outcome. Its durations are those of the recovery's Stats().Phases entry.
 type RecoveryTrace = telemetry.TraceSnapshot
 
 // TelemetryEvent is one entry in the bounded event journal (WARNs, panics,
 // fault-injection firings, recovery outcomes, degradations).
 type TelemetryEvent = telemetry.Event
-
-// RecoveryPhaseNames returns the six canonical recovery phase names in
-// execution order.
-func RecoveryPhaseNames() []string { return telemetry.Phases() }
 
 // NewTelemetry creates an isolated observability sink, for callers that
 // want per-mount metrics instead of the process-global default.

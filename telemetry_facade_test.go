@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro"
 )
@@ -10,7 +11,8 @@ import (
 // TestFacadeRecoveryTrace is the end-to-end acceptance check through the
 // public facade only: mount a supervised filesystem with an isolated
 // telemetry sink, trigger a masked recovery, and assert the resulting trace
-// carries all six canonical phases with non-negative durations.
+// is the recovery's one record: the seven stages of its Stats().Phases
+// entry, in execution order, summing to its wall time.
 func TestFacadeRecoveryTrace(t *testing.T) {
 	dev := repro.NewMemDevice(16384)
 	if _, err := repro.Format(dev); err != nil {
@@ -44,17 +46,25 @@ func TestFacadeRecoveryTrace(t *testing.T) {
 	if !ok {
 		t.Fatal("recovery produced no trace")
 	}
-	phases := repro.RecoveryPhaseNames()
-	if len(tr.Spans) != len(phases) {
-		t.Fatalf("trace has %d spans, want %d", len(tr.Spans), len(phases))
+	st := fs.Stats()
+	if len(st.Phases) != 1 {
+		t.Fatalf("%d recovery records, want 1", len(st.Phases))
 	}
-	for i, want := range phases {
-		if tr.Spans[i].Phase != want {
-			t.Errorf("span %d = %q, want %q", i, tr.Spans[i].Phase, want)
+	ph := st.Phases[0]
+	want := []time.Duration{ph.Plan, ph.Reboot, ph.Fsck, ph.ShadowMount, ph.Replay, ph.Absorb, ph.Resume}
+	if len(tr.Spans) != len(want) {
+		t.Fatalf("trace has %d spans, want %d", len(tr.Spans), len(want))
+	}
+	var sum time.Duration
+	for i, sp := range tr.Spans {
+		if sp.Duration != want[i] {
+			t.Errorf("span %d %s = %v, want the record's %v", i, sp.Stage, sp.Duration, want[i])
 		}
-		if tr.Spans[i].Duration < 0 {
-			t.Errorf("phase %q duration %v < 0", want, tr.Spans[i].Duration)
-		}
+		sum += sp.Duration
+	}
+	if sum != tr.Wall || tr.Wall != ph.Wall || st.TotalDowntime != ph.Wall {
+		t.Errorf("spans sum to %v, trace wall %v, record wall %v, downtime %v: want all equal",
+			sum, tr.Wall, ph.Wall, st.TotalDowntime)
 	}
 	if tr.Trigger != "panic" || tr.Outcome != "recovered" {
 		t.Fatalf("trace = %+v, want panic/recovered", tr)
